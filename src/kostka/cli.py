@@ -20,8 +20,8 @@ from .cone import (all_rays, cone_contains, is_extremal_ray, polytope_vertices,
 from .errors import KostkaError
 from .linalg import invert, matrix
 from .oracle import compare_membership_multiplicity
-from .rootdata import (RANK_BOUNDS, fw_to_root_coords, is_dominant, root_system,
-                       sub_cartan)
+from .rootdata import (fw_to_root_coords, is_dominant, root_system, sub_cartan,
+                       supported_types)
 
 RAY_COLUMNS = ("type", "rank", "node", "levi", "k_primitive", "k_det",
                "lambda_fw", "mu_fw", "c_alpha")
@@ -45,23 +45,24 @@ def _nodes_str(nodes) -> str:
     return "{" + ",".join(str(n) for n in nodes) + "}"
 
 
-def _combo(coeffs, sym: str) -> str:
-    """Render a coordinate vector as a signed combination like 'w1 + 2*w4'."""
-    parts = []
+def _terms(coeffs, sym: str) -> str:
+    """Render the nonzero entries of a coordinate vector as ' + w1 - 2*w4'."""
+    out = ""
     for pos, c in enumerate(coeffs, 1):
         c = Fraction(c)
-        if not c:
-            continue
-        mag = abs(c)
-        term = f"{sym}{pos}" if mag == 1 else f"{_q(mag)}*{sym}{pos}"
-        parts.append(("-" if c < 0 else "+", term))
-    if not parts:
-        return "0"
-    sign, term = parts[0]
-    out = ("-" if sign == "-" else "") + term
-    for sign, term in parts[1:]:
-        out += f" {sign} {term}"
+        if c:
+            mag = abs(c)
+            out += " - " if c < 0 else " + "
+            out += f"{sym}{pos}" if mag == 1 else f"{_q(mag)}*{sym}{pos}"
     return out
+
+
+def _combo(coeffs, sym: str) -> str:
+    """Render a coordinate vector as a signed combination like 'w1 + 2*w4'."""
+    terms = _terms(coeffs, sym)
+    if not terms:
+        return "0"
+    return ("-" if terms[1] == "-" else "") + terms[3:]
 
 
 def _parse_weight(text: str, rank: int) -> tuple[Fraction, ...]:
@@ -110,21 +111,12 @@ def _ray_pretty(rs, ray) -> list[str]:
         width = max(len(c) for row in cells for c in row)
         for row in cells:
             lines.append("    " + "  ".join(c.rjust(width) for c in row))
-        drop = "".join(f" - {t}" for t in _combo_terms(tuple(k * c for c in ray.c_alpha), "a"))
+        drop = _terms(tuple(-k * c for c in ray.c_alpha), "a")
         mu_str = _combo(tuple(k * x for x in ray.mu_fw), "w")
         lines.append(f"  ({lam_str}, {lam_str}{drop}) = ({lam_str}, {mu_str})")
     else:
         lines.append(f"  ({lam_str}, {lam_str})")
     return lines
-
-
-def _combo_terms(coeffs, sym: str) -> list[str]:
-    terms = []
-    for pos, c in enumerate(coeffs, 1):
-        c = Fraction(c)
-        if c:
-            terms.append(f"{sym}{pos}" if c == 1 else f"{_q(c)}*{sym}{pos}")
-    return terms
 
 
 def cmd_rays(args) -> int:
@@ -221,21 +213,13 @@ def cmd_check(args) -> int:
 
 # ---------------------------------------------------------------- census
 
-def _census_types(max_rank: int):
-    for letter in "ABCDEFG":
-        lo, hi = RANK_BOUNDS[letter]
-        top = max_rank if hi is None else min(hi, max_rank)
-        for r in range(lo, top + 1):
-            yield letter, r
-
-
 def cmd_census(args) -> int:
     max_rank = args.max_rank
     env_cap = os.environ.get("KOSTKA_MAX_RANK")
     if env_cap:
         max_rank = min(max_rank, int(env_cap))
     rows = []
-    for letter, r in _census_types(max_rank):
+    for letter, r in supported_types(max_rank):
         enumerated = len(all_rays(root_system(letter, r)))
         formula = ray_count_formula(letter, r)
         rows.append((letter, r, enumerated, formula, enumerated == formula))
@@ -256,14 +240,11 @@ def cmd_census(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(sp, with_format=True) -> None:
+def _add_common(sp) -> None:
     sp.add_argument("--type", required=True, choices=list("ABCDEFG"),
                     help="simple type letter")
     sp.add_argument("--rank", required=True, type=int)
-    if with_format:
-        sp.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
-    sp.add_argument("--max-weyl-order", type=int, default=10**6,
-                    help="cap on Weyl-orbit enumeration sizes")
+    sp.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
 
 from . import linalg
-from .errors import NotDominantError, NotInConeError
+from .errors import InvariantError, NotDominantError, NotInConeError
 from .rootdata import (RootSystem, connected_subsets_containing, fundamental_weight,
                        fw_to_root_coords, is_dominant, node_set, root_coords_to_fw,
                        sub_cartan, validate_type)
@@ -32,6 +33,7 @@ class LinearForm:
     coeffs: tuple
 
 
+@lru_cache(maxsize=None)
 def cone_inequalities(rs: RootSystem) -> tuple[LinearForm, ...]:
     """The 3r defining inequalities of the cone, in a fixed order."""
     r = rs.rank
@@ -86,10 +88,14 @@ class Vertex:
     levi: tuple[int, ...]
 
 
-def _levi_coefficients(rs: RootSystem, nodes, rhs) -> linalg.Vec:
-    # coefficients a with sum a_k alpha_k matching the given pairings on `nodes`
-    sub = sub_cartan(rs, nodes)
-    return linalg.solve_unique(linalg.matrix(zip(*sub)), rhs)
+def _levi_coefficients(rs: RootSystem, nodes, rhs) -> list[Fraction]:
+    # simple-root coefficients, zero off `nodes`, of the combination whose
+    # pairings with the coroots of `nodes` are rhs
+    a = linalg.solve_unique(tuple(zip(*sub_cartan(rs, nodes))), rhs)
+    full = [Fraction(0)] * rs.rank
+    for n, coeff in zip(nodes, a):
+        full[n - 1] = coeff
+    return full
 
 
 def vertex(rs: RootSystem, lam, nodes) -> Vertex:
@@ -107,15 +113,9 @@ def vertex(rs: RootSystem, lam, nodes) -> Vertex:
     nodes = node_set(rs, nodes)
     if not nodes:
         return Vertex(lam, ())
-    rhs = tuple(lam[n - 1] for n in nodes)
-    a = _levi_coefficients(rs, nodes, rhs)
-    full = [Fraction(0)] * rs.rank
-    for n, coeff in zip(nodes, a):
-        full[n - 1] = coeff
-    drop = root_coords_to_fw(rs, full)
-    point = tuple(x - y for x, y in zip(lam, drop))
-    support = tuple(n for n, coeff in zip(nodes, a) if coeff)
-    return Vertex(point, support)
+    full = _levi_coefficients(rs, nodes, tuple(lam[n - 1] for n in nodes))
+    point = tuple(x - y for x, y in zip(lam, root_coords_to_fw(rs, full)))
+    return Vertex(point, tuple(n for n in nodes if full[n - 1]))
 
 
 def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
@@ -125,9 +125,7 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
     each vertex keeps its minimal defining node set.  Ordered by that node
     set (size, then lexicographic).
     """
-    lam = linalg.vector(lam)
-    if not is_dominant(lam):
-        raise NotDominantError(f"weight {lam} is not dominant")
+    lam = linalg.vector(lam)  # vertex() on the empty node set refuses a non-dominant lam
     found: dict[tuple, Vertex] = {}
     for size in range(rs.rank + 1):
         for nodes in combinations(rs.nodes(), size):
@@ -168,17 +166,13 @@ def rays_for_node(rs: RootSystem, i: int) -> tuple[RayRecord, ...]:
     zero = (Fraction(0),) * rs.rank
     records = [RayRecord(i, (), fw, fw, zero, 1, 1)]
     for nodes in connected_subsets_containing(rs, i):
-        rhs = tuple(int(n == i) for n in nodes)
-        a = _levi_coefficients(rs, nodes, rhs)
-        full = [Fraction(0)] * rs.rank
-        for n, coeff in zip(nodes, a):
-            full[n - 1] = coeff
+        full = _levi_coefficients(rs, nodes, tuple(int(n == i) for n in nodes))
         mu = tuple(x - y for x, y in zip(fw, root_coords_to_fw(rs, full)))
-        k_prim = lcm(*(coeff.denominator for coeff in a))
-        k_det = linalg.det(linalg.matrix(sub_cartan(rs, nodes)))
-        assert k_det.denominator == 1 and k_det > 0
-        records.append(RayRecord(i, nodes, fw, linalg.vector(mu), tuple(full),
-                                 k_prim, int(k_det)))
+        k_prim = lcm(*(coeff.denominator for coeff in full))
+        k_det = linalg.det(sub_cartan(rs, nodes))
+        if k_det.denominator != 1 or k_det <= 0:
+            raise InvariantError(f"Levi {nodes} of {rs} has Cartan determinant {k_det}")
+        records.append(RayRecord(i, nodes, fw, mu, tuple(full), k_prim, int(k_det)))
     return tuple(records)
 
 
@@ -195,12 +189,12 @@ def is_extremal_ray(rs: RootSystem, lam, mu) -> bool:
     inequalities vanishing at it cut out a one-dimensional subspace."""
     lam = linalg.vector(lam)
     mu = linalg.vector(mu)
-    if not cone_contains(rs, lam, mu):
+    # the values of the cone_inequalities forms at (lam | mu), in their order
+    values = lam + mu + fw_to_root_coords(rs, tuple(a - b for a, b in zip(lam, mu)))
+    if any(v < 0 for v in values):
         raise NotInConeError(f"({lam}, {mu}) is not in the cone")
-    point = lam + mu
-    tight = [f.coeffs for f in cone_inequalities(rs)
-             if sum(c * x for c, x in zip(f.coeffs, point)) == 0]
-    return linalg.nullspace_dim(linalg.matrix(tight), cols=2 * rs.rank) == 1
+    tight = [f.coeffs for f, v in zip(cone_inequalities(rs), values) if not v]
+    return linalg.nullspace_dim(tight, cols=2 * rs.rank) == 1
 
 
 def ray_count_formula(letter: str, rank: int) -> int:

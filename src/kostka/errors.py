@@ -55,3 +55,7 @@ class CapExceededError(KostkaError):
 
 class NotInRootLatticeError(KostkaError):
     """Multiplicity computations need integral weight inputs."""
+
+
+class InvariantError(KostkaError):
+    """A result broke an invariant the mathematics guarantees: a bug, not bad input."""

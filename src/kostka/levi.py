@@ -56,9 +56,9 @@ def levi_root_coords(rs: RootSystem, levi, w_local) -> tuple:
     out = [Fraction(0)] * len(levi)
     for comp in components(rs, levi):
         rhs = tuple(w_local[pos[n]] for n in comp)
-        a = _levi_coefficients(rs, comp, rhs)
-        for n, coeff in zip(comp, a):
-            out[pos[n]] = coeff
+        full = _levi_coefficients(rs, comp, rhs)
+        for n in comp:
+            out[pos[n]] = full[n - 1]
     return tuple(out)
 
 

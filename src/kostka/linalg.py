@@ -2,14 +2,20 @@
 
 Vectors are tuples of :class:`fractions.Fraction`; matrices are tuples of
 row tuples.  ``Fraction`` keeps every entry reduced with a positive
-denominator, so equality of vectors and matrices is structural.  Plain
-Gaussian elimination throughout: nothing in this package exceeds a handful
-of rows, so fraction-free pivoting tricks are unnecessary.
+denominator, so equality of vectors and matrices is structural.
+
+Rank, determinant, solve and inverse share one fraction-free Gauss-Jordan
+kernel over ``int`` (Bareiss, Math. Comp. 22, 1968; Nakos, Turner and
+Williams, ACM SIGSAM Bull. 31, 1997).  Each row is cleared of denominators
+by its lcm; every intermediate entry is then a minor of that integer
+matrix, so each division is exact, and ``Fraction``s are made only from
+the kernel's result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import MultipleSolutionsError, NoSolutionError, SingularMatrixError
@@ -47,34 +53,53 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(sum(u * v for u, v in zip(row, col)) for col in bt) for row in a)
 
 
-def _reduced_echelon(rows: list[list[Fraction]]) -> list[int]:
-    """In-place Gauss-Jordan elimination; returns the pivot column indices."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those lcms."""
+    out = []
+    scale = 1
+    for row in rows:
+        row = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+        m = lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (m // v.denominator) for v in row])
+        scale *= m
+    return out, scale
+
+
+def _eliminate(rows: list[list[int]]) -> tuple[list[int], int]:
+    """In-place fraction-free Gauss-Jordan elimination over int.
+
+    Returns the pivot columns and the last pivot d, the determinant of the
+    block on the pivot rows and columns.  Each swap negates the row it moves
+    down, so d keeps its sign: for a nonsingular square input it is the
+    determinant.  On return every pivot entry equals d, and row i divided
+    by d is row i of the reduced row echelon form.
+    """
     pivots: list[int] = []
+    prev = 1
     pr = 0
-    for c in range(ncols):
+    for c in range(len(rows[0]) if rows else 0):
         hit = next((i for i in range(pr, len(rows)) if rows[i][c]), None)
         if hit is None:
             continue
-        rows[pr], rows[hit] = rows[hit], rows[pr]
-        inv = Fraction(1) / rows[pr][c]
-        rows[pr] = [v * inv for v in rows[pr]]
-        for i in range(len(rows)):
-            if i != pr and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[pr])]
+        if hit != pr:
+            rows[pr], rows[hit] = rows[hit], [-v for v in rows[pr]]
+        top = rows[pr]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != pr:
+                f = row[c]
+                rows[i] = [(p * v - f * w) // prev for v, w in zip(row, top)]
         pivots.append(c)
+        prev = p
         pr += 1
         if pr == len(rows):
             break
-    return pivots
+    return pivots, prev
 
 
 def rank(a: Mat) -> int:
-    rows = [[Fraction(v) for v in r] for r in a]
-    return len(_reduced_echelon(rows))
+    rows, _ = _integer_rows(a)
+    return len(_eliminate(rows)[0])
 
 
 def nullspace_dim(a: Mat, cols: int | None = None) -> int:
@@ -89,22 +114,9 @@ def det(a: Mat) -> Fraction:
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant needs a square matrix")
-    rows = [[Fraction(v) for v in r] for r in a]
-    out = Fraction(1)
-    for c in range(n):
-        hit = next((i for i in range(c, n) if rows[i][c]), None)
-        if hit is None:
-            return Fraction(0)
-        if hit != c:
-            rows[c], rows[hit] = rows[hit], rows[c]
-            out = -out
-        out *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[c])]
-    return out
+    rows, scale = _integer_rows(a)
+    pivots, d = _eliminate(rows)
+    return Fraction(d, scale) if len(pivots) == n else Fraction(0)
 
 
 def solve_unique(a: Mat, b) -> Vec:
@@ -113,27 +125,29 @@ def solve_unique(a: Mat, b) -> Vec:
     Raises :class:`NoSolutionError` on inconsistent systems and
     :class:`MultipleSolutionsError` on consistent rank-deficient ones.
     """
-    a = matrix(a)
-    b = vector(b)
+    a = [[*row] for row in a]
+    b = [*b]
     if len(a) != len(b):
         raise ValueError("matrix/vector size mismatch")
     ncols = len(a[0]) if a else 0
-    rows = [[Fraction(v) for v in row] + [b[i]] for i, row in enumerate(a)]
-    pivots = _reduced_echelon(rows)
+    if any(len(r) != ncols for r in a):
+        raise ValueError("rows of unequal length")
+    rows, _ = _integer_rows(row + [v] for row, v in zip(a, b))
+    pivots, d = _eliminate(rows)
     if pivots and pivots[-1] == ncols:
         raise NoSolutionError("inconsistent linear system")
     if len(pivots) < ncols:
         raise MultipleSolutionsError("rank-deficient linear system")
-    return tuple(rows[i][ncols] for i in range(ncols))
+    return tuple(Fraction(rows[i][ncols], d) for i in range(ncols))
 
 
 def invert(a: Mat) -> Mat:
-    a = matrix(a)
+    a = [[*row] for row in a]
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("inversion needs a square matrix")
-    rows = [[Fraction(v) for v in row] + list(ident_row) for row, ident_row in zip(a, identity(n))]
-    pivots = _reduced_echelon(rows)
-    if len(pivots) < n or any(p >= n for p in pivots):
+    rows, _ = _integer_rows(row + [int(i == j) for j in range(n)] for i, row in enumerate(a))
+    pivots, d = _eliminate(rows)
+    if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows)
+    return tuple(tuple(Fraction(v, d) for v in row[n:]) for row in rows)

@@ -14,8 +14,8 @@ from itertools import combinations
 
 from . import linalg
 from .cone import cone_contains, slice_inequalities
-from .errors import (CapExceededError, NotDominantError, NotInRootLatticeError,
-                     RankBoundExceededError)
+from .errors import (CapExceededError, InvariantError, NotDominantError,
+                     NotInRootLatticeError, RankBoundExceededError)
 from .rootdata import (RootSystem, fw_to_root_coords, is_dominant, positive_roots,
                        rho, root_coords_to_fw, symmetrizer)
 from .weyl import simple_reflection
@@ -77,7 +77,8 @@ def weyl_dim(rs: RootSystem, lam) -> int:
         num *= _pairing(d, shifted, alpha)
         den *= _pairing(d, r, alpha)
     out = num / den
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise InvariantError(f"Weyl dimension formula gave {out} for {lam}")
     return int(out)
 
 
@@ -161,7 +162,8 @@ class FreudenthalTable:
                 k += 1
         denom = self._norm_lam_rho - self._norm2(self._shift(nu))
         value = 2 * total / denom
-        assert value.denominator == 1 and value >= 0
+        if value.denominator != 1 or value < 0:
+            raise InvariantError(f"Freudenthal recursion gave multiplicity {value} at {nu}")
         out = int(value)
         self._memo[nu] = out
         return out

@@ -48,6 +48,15 @@ def validate_type(letter: str, rank: int) -> str:
     return letter
 
 
+def supported_types(max_rank: int) -> list[tuple[str, int]]:
+    """Every supported (letter, rank) with rank at most max_rank, letters in order."""
+    out = []
+    for letter, (lo, hi) in RANK_BOUNDS.items():
+        top = max_rank if hi is None else min(hi, max_rank)
+        out.extend((letter, r) for r in range(lo, top + 1))
+    return out
+
+
 def _edges(letter: str, rank: int) -> list[tuple[int, int, int, int]]:
     """Dynkin edges as (i, j, cartan[i][j], cartan[j][i]), 1-based."""
     chain = [(i, i + 1, -1, -1) for i in range(1, rank)]
@@ -145,22 +154,14 @@ def fw_to_root_coords(rs: RootSystem, w) -> linalg.Vec:
 def root_coords_to_fw(rs: RootSystem, c) -> tuple:
     """Fundamental-weight coordinates of a combination of simple roots."""
     r = rs.rank
-    return tuple(sum(c[j] * rs.cartan[j][k] for j in range(r)) for k in range(r))
+    cartan = rs.cartan
+    # skipping the zero Cartan entries keeps the diagonal term, so the sum has c's type
+    return tuple(sum(c[j] * cartan[j][k] for j in range(r) if cartan[j][k]) for k in range(r))
 
 
 def is_connected(rs: RootSystem, nodes) -> bool:
     """Connectivity of the induced Dynkin subgraph; the empty set is not connected."""
-    nodes = node_set(rs, nodes)
-    if not nodes:
-        return False
-    todo = [nodes[0]]
-    seen = {nodes[0]}
-    while todo:
-        for nb in rs.neighbors(todo.pop()):
-            if nb in nodes and nb not in seen:
-                seen.add(nb)
-                todo.append(nb)
-    return len(seen) == len(nodes)
+    return len(components(rs, nodes)) == 1
 
 
 def components(rs: RootSystem, nodes) -> tuple[tuple[int, ...], ...]:
@@ -224,18 +225,20 @@ class LeviFactor:
     nodes: tuple[int, ...]
 
 
-def _relative_lengths(sub) -> list[Fraction]:
-    k = len(sub)
+def _relative_lengths(cartan) -> tuple[Fraction, ...]:
+    """Half squared lengths of the simple roots of a connected Cartan matrix,
+    short roots normalised to 1."""
+    k = len(cartan)
     d: dict[int, Fraction] = {0: Fraction(1)}
     todo = [0]
     while todo:
         x = todo.pop()
         for y in range(k):
-            if y not in d and sub[x][y]:
-                d[y] = d[x] * Fraction(sub[y][x], sub[x][y])
+            if y not in d and cartan[x][y]:
+                d[y] = d[x] * Fraction(cartan[y][x], cartan[x][y])
                 todo.append(y)
     lo = min(d.values())
-    return [d[x] / lo for x in range(k)]
+    return tuple(d[x] / lo for x in range(k))
 
 
 def _classify(rs: RootSystem, comp: tuple[int, ...]) -> tuple[str, int]:
@@ -349,13 +352,4 @@ def parabolic_order(rs: RootSystem, nodes) -> int:
 
 def symmetrizer(rs: RootSystem) -> tuple[Fraction, ...]:
     """Half squared lengths of the simple roots, short roots normalised to 1."""
-    d: dict[int, Fraction] = {1: Fraction(1)}
-    todo = [1]
-    while todo:
-        i = todo.pop()
-        for j in rs.neighbors(i):
-            if j not in d:
-                d[j] = d[i] * Fraction(rs.cartan[j - 1][i - 1], rs.cartan[i - 1][j - 1])
-                todo.append(j)
-    lo = min(d.values())
-    return tuple(d[i] / lo for i in range(1, rs.rank + 1))
+    return _relative_lengths(rs.cartan)

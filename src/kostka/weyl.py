@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvariantError
 from .rootdata import RootSystem, node_set, parabolic_order
 
 
@@ -112,7 +112,8 @@ def parabolic_average_direct(rs: RootSystem, w, nodes,
                     seen.add(pair)
                     grown.append(pair)
         frontier = grown
-    assert len(seen) == order
+    if len(seen) != order:
+        raise InvariantError(f"pair orbit has {len(seen)} points, group order is {order}")
     sums = [0] * rs.rank
     for _, y in seen:
         for j, v in enumerate(y):

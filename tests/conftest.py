@@ -2,16 +2,7 @@ import random
 from itertools import chain, combinations
 
 from kostka import root_system
-
-# every supported (letter, rank) with rank capped
-def supported_types(max_rank):
-    out = []
-    for letter, lo, hi in (("A", 1, None), ("B", 2, None), ("C", 2, None),
-                           ("D", 4, None), ("E", 6, 8), ("F", 4, 4), ("G", 2, 2)):
-        top = max_rank if hi is None else min(hi, max_rank)
-        for r in range(lo, top + 1):
-            out.append((letter, r))
-    return out
+from kostka.rootdata import supported_types  # re-exported for the test modules
 
 
 def systems(max_rank):

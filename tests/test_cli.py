@@ -1,6 +1,8 @@
+import hashlib
 import json
 from fractions import Fraction as Q
 
+from conftest import supported_types
 from kostka import fundamental_weight, root_coords_to_fw, root_system
 from kostka.cli import main
 
@@ -164,3 +166,32 @@ def test_census_d4_row(capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     d4 = next(r for r in rows if r["type"] == "D")
     assert d4 == {"type": "D", "rank": 4, "enumerated": 27, "formula": 27, "match": True}
+
+
+# sha256 of the CLI's stdout, recorded before the linear algebra moved to the
+# integer elimination kernel; "rays" hashes the outputs of every type up to
+# rank 8 in supported_types order
+PINNED_SHA256 = {
+    "rays json": "94c1a1388e1705e9af351590a6834d5c9d9d9fa3dbd39301c2b189d10043ba3c",
+    "rays tsv": "9e28f6824679c1189f24e0d690bb03e85a441265dbdf691327de0620da261ad1",
+    "rays pretty": "6ed5e16af1510ca0cc13fad267b3e2f6ee41fbe3e77b56a88ec2f567b44f15c1",
+    "census json": "9c013160b5a5b3f9fa3218ed20ec0f4ba707f7dad3d7b51a677484ea38309a13",
+    "census tsv": "f66471e0c989ad0059b15b7ae43e3026c33b09673853316b95cfed2e5a099a9d",
+    "census pretty": "6a7fa9bb1c1bdb8398907bd0903e69a1dc9873a719b6b511b3b0ca591397f4ac",
+}
+
+
+def test_output_bytes_are_pinned(capsys):
+    got = {}
+    for fmt in ("json", "tsv", "pretty"):
+        h = hashlib.sha256()
+        for letter, r in supported_types(8):
+            code, out, err = run(capsys, "rays", "--type", letter, "--rank", str(r),
+                                 "--format", fmt)
+            assert code == 0 and err == "", (letter, r, fmt)
+            h.update(out.encode())
+        got[f"rays {fmt}"] = h.hexdigest()
+        code, out, err = run(capsys, "census", "--max-rank", "8", "--format", fmt)
+        assert code == 0 and err == ""
+        got[f"census {fmt}"] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == PINNED_SHA256

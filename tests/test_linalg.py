@@ -2,6 +2,9 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kostka import linalg
 from kostka.errors import (MultipleSolutionsError, NoSolutionError,
@@ -62,6 +65,10 @@ def test_det_examples():
     assert linalg.det(()) == 1
     assert linalg.det(((2, -1), (-2, 2))) == 2
     assert linalg.det(((1, 2), (2, 4))) == 0
+    # permutation matrices make the elimination swap rows
+    assert linalg.det(((0, 1), (1, 0))) == -1
+    assert linalg.det(((0, 1, 0), (0, 0, 1), (1, 0, 0))) == 1
+    assert linalg.det(((0, 0, 1), (0, 1, 0), (1, 0, 0))) == -1
 
 
 def _random_matrix(rng, n):
@@ -104,3 +111,66 @@ def test_rank_equals_transpose_rank_random():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         a = linalg.matrix([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
         assert linalg.rank(a) == linalg.rank(linalg.transpose(a))
+
+
+_entries = st.one_of(st.just(Q(0)),
+                     st.builds(Q, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def _rational_systems(draw):
+    """A rational matrix up to 6x6 with a right-hand side.
+
+    Zero columns and rows that are multiples of other rows are planted so
+    that rank-deficient and inconsistent systems come up often.
+    """
+    m = draw(st.integers(1, 6))
+    n = m if draw(st.booleans()) else draw(st.integers(1, 6))
+    a = [[draw(_entries) for _ in range(n)] for _ in range(m)]
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for row in a:
+            row[j] = Q(0)
+    if m > 1 and draw(st.booleans()):
+        src, dst = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        f = draw(_entries)
+        a[dst] = [f * v for v in a[src]]
+    b = [draw(_entries) for _ in range(m)]
+    return linalg.matrix(a), linalg.vector(b)
+
+
+def _sym(rows):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rows])
+
+
+def _frac(x):
+    return Q(int(x.p), int(x.q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_systems())
+def test_kernel_matches_sympy(system):
+    a, b = system
+    sa = _sym(a)
+    m, n = len(a), len(a[0])
+    r = sa.rank()
+    assert linalg.rank(a) == r
+    assert linalg.nullspace_dim(a) == n - r
+    if _sym([row + (v,) for row, v in zip(a, b)]).rank() > r:
+        with pytest.raises(NoSolutionError):
+            linalg.solve_unique(a, b)
+    elif r < n:
+        with pytest.raises(MultipleSolutionsError):
+            linalg.solve_unique(a, b)
+    else:
+        x, _ = sa.gauss_jordan_solve(_sym([(v,) for v in b]))
+        assert linalg.solve_unique(a, b) == tuple(_frac(v) for v in x)
+    if m == n:
+        d = _frac(sa.det())
+        assert linalg.det(a) == d
+        if d:
+            inv = sa.inv()
+            assert linalg.invert(a) == tuple(tuple(_frac(inv[i, j]) for j in range(n))
+                                             for i in range(n))
+        else:
+            with pytest.raises(SingularMatrixError):
+                linalg.invert(a)

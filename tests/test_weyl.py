@@ -4,11 +4,12 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import all_subsets, random_dominant, systems
+from kostka import weyl
 from kostka import (OrbitBudget, fw_to_root_coords, is_connected,
                     longest_element_image, orbit, parabolic_average,
                     parabolic_average_direct, parabolic_order, rho, root_system,
                     simple_reflection, weyl_order)
-from kostka.errors import BudgetExceededError
+from kostka.errors import BudgetExceededError, InvariantError
 
 
 def test_reflection_examples():
@@ -136,3 +137,11 @@ def test_rho_plus_longest_rho_is_twice_average():
             avg = parabolic_average(rs, r, nodes)
             lhs = tuple(a + b for a, b in zip(r, longest_element_image(rs, r, nodes)))
             assert lhs == tuple(2 * x for x in avg)
+
+
+def test_broken_orbit_invariant_raises(monkeypatch):
+    # a real exception, not an assert, so the check survives python -O
+    c3 = root_system("C", 3)
+    monkeypatch.setattr(weyl, "parabolic_order", lambda rs, nodes: 47)
+    with pytest.raises(InvariantError):
+        parabolic_average_direct(c3, rho(c3), (1, 2))
