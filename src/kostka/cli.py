@@ -20,8 +20,7 @@ from .cone import (all_rays, cone_contains, is_extremal_ray, polytope_vertices,
 from .errors import KostkaError
 from .linalg import invert, matrix
 from .oracle import compare_membership_multiplicity
-from .rootdata import (fw_to_root_coords, is_dominant, root_system, sub_cartan,
-                       supported_types)
+from .rootdata import is_dominant, root_system, sub_cartan, supported_types
 
 RAY_COLUMNS = ("type", "rank", "node", "levi", "k_primitive", "k_det",
                "lambda_fw", "mu_fw", "c_alpha")
@@ -30,7 +29,7 @@ CENSUS_COLUMNS = ("type", "rank", "enumerated", "formula", "match")
 
 
 def _q(x) -> str:
-    return str(Fraction(x))
+    return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
 def _qlist(v) -> list[str]:
@@ -49,7 +48,6 @@ def _terms(coeffs, sym: str) -> str:
     """Render the nonzero entries of a coordinate vector as ' + w1 - 2*w4'."""
     out = ""
     for pos, c in enumerate(coeffs, 1):
-        c = Fraction(c)
         if c:
             mag = abs(c)
             out += " - " if c < 0 else " + "
@@ -150,26 +148,22 @@ def cmd_vertices(args) -> int:
     rs = root_system(args.type, args.rank)
     lam = _parse_weight(args.lam, rs.rank)
     verts = polytope_vertices(rs, lam)
-    rows = []
-    for v in verts:
-        c = fw_to_root_coords(rs, tuple(a - b for a, b in zip(lam, v.point)))
-        rows.append((v, c))
     if args.format == "json":
         _emit(json.dumps({
             "type": rs.letter, "rank": rs.rank, "lambda_fw": _qlist(lam),
-            "levi": list(v.levi), "point_fw": _qlist(v.point), "c_alpha": _qlist(c),
-        }, separators=(",", ":")) for v, c in rows)
+            "levi": list(v.levi), "point_fw": _qlist(v.point), "c_alpha": _qlist(v.c_alpha),
+        }, separators=(",", ":")) for v in verts)
     elif args.format == "tsv":
         out = ["\t".join(VERTEX_COLUMNS)]
-        for v, c in rows:
+        for v in verts:
             out.append("\t".join((rs.letter, str(rs.rank), _csv(lam),
                                   ",".join(str(n) for n in v.levi),
-                                  _csv(v.point), _csv(c))))
+                                  _csv(v.point), _csv(v.c_alpha))))
         _emit(out)
     else:
         out = [f"slice polytope at lambda = {_combo(lam, 'w')}  "
-               f"({rs.letter}{rs.rank}, {len(rows)} vertices)"]
-        for v, c in rows:
+               f"({rs.letter}{rs.rank}, {len(verts)} vertices)"]
+        for v in verts:
             out.append(f"  levi {_nodes_str(v.levi):<12} point {_combo(v.point, 'w')}")
         _emit(out)
     return 0

@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, lcm
 
 from . import linalg
-from .errors import InvariantError, NotDominantError, NotInConeError
+from .errors import CapExceededError, InvariantError, NotDominantError, NotInConeError
 from .rootdata import (RootSystem, connected_subsets_containing, fundamental_weight,
                        fw_to_root_coords, is_dominant, node_set, root_coords_to_fw,
                        sub_cartan, validate_type)
@@ -49,6 +48,12 @@ def cone_inequalities(rs: RootSystem) -> tuple[LinearForm, ...]:
         row = rs.inverse_transpose_cartan[j]
         forms.append(LinearForm(f"rootcoef({j + 1})", row + tuple(-x for x in row)))
     return tuple(forms)
+
+
+@lru_cache(maxsize=None)
+def _integer_cone_forms(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    # the cone_inequalities forms, each cleared of denominators (same rank on any subset)
+    return tuple(map(tuple, linalg._integer_rows(f.coeffs for f in cone_inequalities(rs))[0]))
 
 
 def slice_inequalities(rs: RootSystem, lam) -> tuple[tuple[str, Fraction, tuple], ...]:
@@ -82,10 +87,19 @@ def cone_contains(rs: RootSystem, lam, mu) -> bool:
 
 @dataclass(frozen=True)
 class Vertex:
-    """A vertex of a slice polytope with its minimal defining node set."""
+    """A vertex of a slice polytope with its minimal defining node set.
+
+    ``c_alpha`` holds the simple-root coefficients of lam - point, supported
+    exactly on ``levi``.
+    """
 
     point: linalg.Vec
     levi: tuple[int, ...]
+    c_alpha: linalg.Vec
+
+
+# the most node sets, hence vertices, polytope_vertices enumerates for one weight
+VERTEX_CAP = 1 << 16
 
 
 def _levi_coefficients(rs: RootSystem, nodes, rhs) -> list[Fraction]:
@@ -98,6 +112,11 @@ def _levi_coefficients(rs: RootSystem, nodes, rhs) -> list[Fraction]:
     return full
 
 
+def _require_dominant(lam: linalg.Vec) -> None:
+    if not is_dominant(lam):
+        raise NotDominantError(f"weight {lam} is not dominant")
+
+
 def vertex(rs: RootSystem, lam, nodes) -> Vertex:
     """The slice-polytope vertex obtained by zeroing the pairings on `nodes`.
 
@@ -108,30 +127,82 @@ def vertex(rs: RootSystem, lam, nodes) -> Vertex:
     dropped.
     """
     lam = linalg.vector(lam)
-    if not is_dominant(lam):
-        raise NotDominantError(f"weight {lam} is not dominant")
+    _require_dominant(lam)
     nodes = node_set(rs, nodes)
     if not nodes:
-        return Vertex(lam, ())
+        return Vertex(lam, (), (Fraction(0),) * rs.rank)
     full = _levi_coefficients(rs, nodes, tuple(lam[n - 1] for n in nodes))
     point = tuple(x - y for x, y in zip(lam, root_coords_to_fw(rs, full)))
-    return Vertex(point, tuple(n for n in nodes if full[n - 1]))
+    return Vertex(point, tuple(n for n in nodes if full[n - 1]), tuple(full))
 
 
 def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
     """All vertices of the slice polytope at a dominant weight.
 
-    Runs the vertex solve over every node subset and deduplicates by point;
-    each vertex keeps its minimal defining node set.  Ordered by that node
-    set (size, then lexicographic).
+    Inverse Cartan matrices of connected types are entrywise positive, so the
+    vertices correspond one to one to the node sets S each of whose
+    connected components meets the support of lam, and S is the minimal
+    defining node set of its vertex.  Each connected piece meeting the
+    support is solved once by `vertex`; the vertex of S is lam minus the sum
+    of the drops lam - point of its components, and its c_alpha is the sum
+    of theirs.  Raises CapExceededError, before any solve, when there are
+    more than VERTEX_CAP such node sets.  Ordered by node set (size, then
+    lexicographic).
     """
-    lam = linalg.vector(lam)  # vertex() on the empty node set refuses a non-dominant lam
-    found: dict[tuple, Vertex] = {}
-    for size in range(rs.rank + 1):
-        for nodes in combinations(rs.nodes(), size):
-            v = vertex(rs, lam, nodes)
-            found.setdefault(v.point, v)
-    return tuple(sorted(found.values(), key=lambda v: (len(v.levi), v.levi)))
+    lam = linalg.vector(lam)
+    _require_dominant(lam)
+    found: set[tuple[int, ...]] = set()
+    for i in rs.nodes():
+        if lam[i - 1]:
+            found.update(connected_subsets_containing(rs, i))
+    pieces = sorted(found, key=lambda p: (len(p), p))
+    bits = [sum(1 << n for n in p) for p in pieces]
+    # later[j]: the pieces after j that miss piece j and its neighbours, as a bit mask
+    later = []
+    for j, p in enumerate(pieces):
+        near = bits[j]
+        for n in p:
+            for m in rs.neighbors(n):
+                near |= 1 << m
+        later.append(sum(1 << k for k in range(j + 1, len(pieces)) if not bits[k] & near))
+    # each node set as (index of the set it extends, piece added); the empty set first
+    sets = [(0, -1)]
+    stack = [(0, (1 << len(pieces)) - 1)]  # (set index, pieces it may be extended by)
+    while stack:
+        k, free = stack.pop()
+        rest = free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            if len(sets) == VERTEX_CAP:
+                raise CapExceededError(f"the slice polytope of {rs} at this weight has "
+                                       f"more than {VERTEX_CAP} vertices")
+            stack.append((len(sets), free & later[j]))
+            sets.append((k, j))
+    solved = []
+    for p in pieces:
+        v = vertex(rs, lam, p)
+        if v.levi != p:
+            raise InvariantError(f"vertex of {rs} at {lam} on {p} has minimal node set {v.levi}")
+        # off the piece, the drop lam - point is supported on the piece's neighbours
+        solved.append((v, [(m, x - y) for m, (x, y) in enumerate(zip(lam, v.point))
+                           if x != y and m + 1 not in p]))
+    out = [Vertex(lam, (), (Fraction(0),) * rs.rank)]
+    for k, j in sets[1:]:
+        base = out[k]
+        v, drop = solved[j]
+        point = list(base.point)
+        c_alpha = list(base.c_alpha)
+        # the set's other pieces are not adjacent to this one, so on its nodes
+        # the point and c_alpha are this piece's alone
+        for n in v.levi:
+            point[n - 1] = v.point[n - 1]
+            c_alpha[n - 1] = v.c_alpha[n - 1]
+        for m, d in drop:
+            point[m] -= d
+        out.append(Vertex(tuple(point), tuple(sorted(base.levi + v.levi)), tuple(c_alpha)))
+    return tuple(sorted(out, key=lambda v: (len(v.levi), v.levi)))
 
 
 @dataclass(frozen=True)
@@ -193,8 +264,8 @@ def is_extremal_ray(rs: RootSystem, lam, mu) -> bool:
     values = lam + mu + fw_to_root_coords(rs, tuple(a - b for a, b in zip(lam, mu)))
     if any(v < 0 for v in values):
         raise NotInConeError(f"({lam}, {mu}) is not in the cone")
-    tight = [f.coeffs for f, v in zip(cone_inequalities(rs), values) if not v]
-    return linalg.nullspace_dim(tight, cols=2 * rs.rank) == 1
+    tight = [row for row, v in zip(_integer_cone_forms(rs), values) if not v]
+    return 2 * rs.rank - len(linalg._eliminate(tight)[0]) == 1
 
 
 def ray_count_formula(letter: str, rank: int) -> int:

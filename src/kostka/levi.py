@@ -11,8 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from dataclasses import dataclass
 
-from . import linalg
-from .cone import Vertex, _levi_coefficients
+from .cone import Vertex, _levi_coefficients, vertex
 from .errors import NotDominantError, NotInLeviConeError, OverlappingLevisError
 from .rootdata import RootSystem, components, is_dominant, node_set
 
@@ -107,28 +106,14 @@ def induce(rs: RootSystem, pair: LeviWeightPair) -> tuple[tuple, tuple]:
 def induce_vertex(rs: RootSystem, levi, lam_local, inner) -> Vertex:
     """Lift the slice-polytope vertex of a Levi weight determined by `inner`.
 
-    Computes the vertex inside the Levi and lifts it; the result agrees
-    with running the ambient vertex solve on the extension by zero.
+    The vertex inside the Levi lifts to the ambient vertex solve on the
+    extension by zero, which is what this returns.
     """
     levi = node_set(rs, levi)
     inner = node_set(rs, inner)
     if not set(inner) <= set(levi):
         raise ValueError(f"{inner} is not contained in {levi}")
-    if not is_dominant(lam_local):
-        raise NotDominantError(f"local weight {tuple(lam_local)} is not dominant")
-    pos = {n: k for k, n in enumerate(levi)}
-    mu_local = list(Fraction(v) for v in lam_local)
-    support = []
-    if inner:
-        rhs = tuple(lam_local[pos[n]] for n in inner)
-        a = levi_root_coords(rs, inner, rhs)
-        for k, v in zip(inner, a):
-            if v:
-                support.append(k)
-                for n in levi:
-                    mu_local[pos[n]] -= v * rs.cartan[k - 1][n - 1]
-    _, mu = induce_between(rs, levi, rs.nodes(), lam_local, tuple(mu_local))
-    return Vertex(linalg.vector(mu), tuple(support))
+    return vertex(rs, extend_by_zero(rs, levi, lam_local), inner)
 
 
 def induction_composes(rs: RootSystem, pair: LeviWeightPair, mid) -> bool:

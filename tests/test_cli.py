@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from fractions import Fraction as Q
 
 from conftest import supported_types
@@ -103,6 +104,19 @@ def test_vertices_rejects_bad_lambda(capsys):
     assert code == 2
 
 
+def test_vertices_size_guard(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "vertices", "--type", "A", "--rank", "26",
+                         "--lambda", ",".join(["1"] * 26), "--format", "tsv")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "more than 65536 vertices" in err
+    # w1 + w26: 1 + 51 + 300 node sets whose components each meet {1, 26}
+    code, out, err = run(capsys, "vertices", "--type", "A", "--rank", "26",
+                         "--lambda", ",".join(["1"] + ["0"] * 24 + ["1"]), "--format", "tsv")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1 + 352
+
+
 def test_check_verdicts(capsys):
     code, out, _ = run(capsys, "check", "--type", "A", "--rank", "1",
                        "--lambda", "2", "--mu", "0")
@@ -168,9 +182,11 @@ def test_census_d4_row(capsys):
     assert d4 == {"type": "D", "rank": 4, "enumerated": 27, "formula": 27, "match": True}
 
 
-# sha256 of the CLI's stdout, recorded before the linear algebra moved to the
-# integer elimination kernel; "rays" hashes the outputs of every type up to
-# rank 8 in supported_types order
+# sha256 of the CLI's stdout.  "rays" and "census" were recorded before the
+# linear algebra moved to the integer elimination kernel; "rays" hashes the
+# outputs of every type up to rank 8 in supported_types order.  "vertices" was
+# recorded before the slice vertices were built from connected Levi pieces; it
+# hashes every type up to rank 7 at each of _pinned_lambdas, in that order.
 PINNED_SHA256 = {
     "rays json": "94c1a1388e1705e9af351590a6834d5c9d9d9fa3dbd39301c2b189d10043ba3c",
     "rays tsv": "9e28f6824679c1189f24e0d690bb03e85a441265dbdf691327de0620da261ad1",
@@ -178,12 +194,34 @@ PINNED_SHA256 = {
     "census json": "9c013160b5a5b3f9fa3218ed20ec0f4ba707f7dad3d7b51a677484ea38309a13",
     "census tsv": "f66471e0c989ad0059b15b7ae43e3026c33b09673853316b95cfed2e5a099a9d",
     "census pretty": "6a7fa9bb1c1bdb8398907bd0903e69a1dc9873a719b6b511b3b0ca591397f4ac",
+    "vertices json": "c7cca200c6f4cc25ca3c65d5411bf453f8dd44b3cf90bc9e9f18b15e40302beb",
+    "vertices tsv": "36f477d718fc7f11f00f5bb5c0296630d6c73492687688796c2a71d470cfbd4f",
+    "vertices pretty": "f035ff3e01d6dc90a98e71bb2fe589d546d8c281d798b7ff65cf8b4ea34cf084",
 }
+
+
+def _pinned_lambdas(r):
+    """rho, the sparse w1 + w_r and the rational w1/2 + 2*w_r/3, as CLI text."""
+    sparse = [Q(0)] * r
+    rational = [Q(0)] * r
+    sparse[0] += 1
+    sparse[-1] += 1
+    rational[0] += Q(1, 2)
+    rational[-1] += Q(2, 3)
+    return [",".join(["1"] * r), ",".join(map(str, sparse)), ",".join(map(str, rational))]
 
 
 def test_output_bytes_are_pinned(capsys):
     got = {}
     for fmt in ("json", "tsv", "pretty"):
+        h = hashlib.sha256()
+        for letter, r in supported_types(7):
+            for lam in _pinned_lambdas(r):
+                code, out, err = run(capsys, "vertices", "--type", letter, "--rank", str(r),
+                                     "--lambda", lam, "--format", fmt)
+                assert code == 0 and err == "", (letter, r, lam, fmt)
+                h.update(out.encode())
+        got[f"vertices {fmt}"] = h.hexdigest()
         h = hashlib.sha256()
         for letter, r in supported_types(8):
             code, out, err = run(capsys, "rays", "--type", letter, "--rank", str(r),

@@ -2,13 +2,16 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_subsets, random_dominant, supported_types, systems
-from kostka import (all_rays, components, cone_contains, cone_inequalities,
-                    fundamental_orbit_pairs, fundamental_weight, is_extremal_ray,
-                    parabolic_average, polytope_vertices, ray_count_formula,
-                    rays_for_node, rho, root_coords_to_fw, root_system, vertex)
-from kostka.errors import NotDominantError, NotInConeError
+from kostka import (all_rays, brute_force_vertices, components, cone, cone_contains,
+                    cone_inequalities, fundamental_orbit_pairs, fundamental_weight,
+                    fw_to_root_coords, is_extremal_ray, parabolic_average,
+                    polytope_vertices, ray_count_formula, rays_for_node, rho,
+                    root_coords_to_fw, root_system, vertex)
+from kostka.errors import CapExceededError, NotDominantError, NotInConeError
 
 C4_GOLDEN_NODE3 = {
     ((0, 0, 1, 0), (0, 0, 1, 0)),
@@ -62,6 +65,54 @@ def test_polytope_vertices_examples():
     a1 = root_system("A", 1)
     assert {v.point for v in polytope_vertices(a1, (1,))} == {(1,), (0,)}
     assert [v.point for v in polytope_vertices(a1, (0,))] == [(0,)]
+
+
+@st.composite
+def _slices(draw):
+    """A system of rank at most 7 and a dominant weight: sparse, rational or regular."""
+    letter, r = draw(st.sampled_from(supported_types(7)))
+    kind = draw(st.sampled_from(("sparse", "rational", "regular")))
+    if kind == "sparse":
+        support = draw(st.sets(st.integers(0, r - 1), max_size=3))
+        lam = tuple(draw(st.integers(1, 3)) if j in support else 0 for j in range(r))
+    elif kind == "rational":
+        lam = tuple(draw(st.builds(Q, st.integers(0, 4), st.integers(1, 3))) for _ in range(r))
+    else:
+        lam = tuple(draw(st.integers(1, 3)) for _ in range(r))
+    return root_system(letter, r), lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(_slices())
+def test_polytope_vertices_match_exhaustive_rule(case):
+    rs, lam = case
+    got = polytope_vertices(rs, lam)
+    # the exhaustive rule: the vertex solve on every node subset, deduplicated by point
+    found = {}
+    for nodes in all_subsets(rs.rank):
+        v = vertex(rs, lam, nodes)
+        found.setdefault(v.point, v)
+    assert got == tuple(sorted(found.values(), key=lambda v: (len(v.levi), v.levi)))
+    if rs.rank <= 5:
+        assert {v.point for v in got} == brute_force_vertices(rs, lam)
+    expected = sum(1 for nodes in all_subsets(rs.rank)
+                   if all(any(lam[n - 1] for n in c) for c in components(rs, nodes)))
+    assert len(got) == expected
+    for v in got:
+        assert v.c_alpha == fw_to_root_coords(rs, tuple(a - b for a, b in zip(lam, v.point)))
+        assert tuple(j for j, c in enumerate(v.c_alpha, 1) if c) == v.levi
+
+
+def test_polytope_vertices_cap(monkeypatch):
+    a3 = root_system("A", 3)
+    monkeypatch.setattr(cone, "VERTEX_CAP", 8)
+    assert len(polytope_vertices(a3, (1, 1, 1))) == 8
+    monkeypatch.setattr(cone, "VERTEX_CAP", 7)
+    with pytest.raises(CapExceededError):
+        polytope_vertices(a3, (1, 1, 1))
+    # a non-dominant weight is refused as such, not as too large
+    with pytest.raises(NotDominantError):
+        polytope_vertices(a3, (1, 1, -1))
 
 
 def test_vertex_points_lie_in_slice():
