@@ -18,7 +18,7 @@ from . import __version__
 from .cone import (all_rays, cone_contains, is_extremal_ray, polytope_vertices,
                    ray_count_formula, rays_for_node)
 from .errors import KostkaError
-from .linalg import invert, matrix
+from .linalg import invert
 from .oracle import compare_membership_multiplicity
 from .rootdata import is_dominant, root_system, sub_cartan, supported_types
 
@@ -29,7 +29,7 @@ CENSUS_COLUMNS = ("type", "rank", "enumerated", "formula", "match")
 
 
 def _q(x) -> str:
-    return str(x if isinstance(x, Fraction) else Fraction(x))
+    return str(x if isinstance(x, (int, Fraction)) else Fraction(x))
 
 
 def _qlist(v) -> list[str]:
@@ -96,21 +96,26 @@ def _ray_row(rs, ray) -> dict:
     }
 
 
+def _scaled(k: int, v) -> tuple[int, ...]:
+    # k times each entry of v, for a k that clears every denominator of v
+    return tuple(k * x.numerator // x.denominator for x in v)
+
+
 def _ray_pretty(rs, ray) -> list[str]:
     head = (f"node {ray.node}  levi {_nodes_str(ray.levi)}  "
             f"k_primitive={ray.k_primitive}  k_det={ray.k_det}")
     lines = [head]
     k = ray.k_det
-    lam_str = _combo(tuple(k * x for x in ray.lambda_fw), "w")
+    lam_str = _combo(_scaled(k, ray.lambda_fw), "w")
     if ray.levi:
-        inv_t = invert(matrix(zip(*sub_cartan(rs, ray.levi))))
+        inv_t = invert(zip(*sub_cartan(rs, ray.levi)))
         lines.append(f"  inverse transpose Cartan on {_nodes_str(ray.levi)}:")
         cells = [[_q(x) for x in row] for row in inv_t]
         width = max(len(c) for row in cells for c in row)
         for row in cells:
             lines.append("    " + "  ".join(c.rjust(width) for c in row))
-        drop = _terms(tuple(-k * c for c in ray.c_alpha), "a")
-        mu_str = _combo(tuple(k * x for x in ray.mu_fw), "w")
+        drop = _terms(_scaled(-k, ray.c_alpha), "a")
+        mu_str = _combo(_scaled(k, ray.mu_fw), "w")
         lines.append(f"  ({lam_str}, {lam_str}{drop}) = ({lam_str}, {mu_str})")
     else:
         lines.append(f"  ({lam_str}, {lam_str})")

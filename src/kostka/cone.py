@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd
 
 from . import linalg
-from .errors import CapExceededError, InvariantError, NotDominantError, NotInConeError
+from .errors import (CapExceededError, InvariantError, MultipleSolutionsError, NoSolutionError,
+                     NotDominantError, NotInConeError)
 from .rootdata import (RootSystem, connected_subsets_containing, fundamental_weight,
                        fw_to_root_coords, is_dominant, node_set, root_coords_to_fw,
                        sub_cartan, validate_type)
@@ -231,19 +232,33 @@ def rays_for_node(rs: RootSystem, i: int) -> tuple[RayRecord, ...]:
 
     One ray for the empty node set (the pair (w_i, w_i)) and one for every
     connected subdiagram containing node i, whose root coefficients are the
-    i-column of the inverse transpose of the Levi Cartan submatrix.
+    i-column of the inverse transpose of the Levi Cartan submatrix.  Each
+    Levi takes one integer elimination (`linalg.solve_integer`): ``k_det``
+    is its last pivot, the Levi Cartan determinant, which is also the common
+    denominator of the coefficients it returns.
     """
     fw = linalg.vector(fundamental_weight(rs, i))
-    zero = (Fraction(0),) * rs.rank
-    records = [RayRecord(i, (), fw, fw, zero, 1, 1)]
+    zero = Fraction(0)
+    records = [RayRecord(i, (), fw, fw, (zero,) * rs.rank, 1, 1)]
+    cartan = rs.cartan
     for nodes in connected_subsets_containing(rs, i):
-        full = _levi_coefficients(rs, nodes, tuple(int(n == i) for n in nodes))
-        mu = tuple(x - y for x, y in zip(fw, root_coords_to_fw(rs, full)))
-        k_prim = lcm(*(coeff.denominator for coeff in full))
-        k_det = linalg.det(sub_cartan(rs, nodes))
-        if k_det.denominator != 1 or k_det <= 0:
-            raise InvariantError(f"Levi {nodes} of {rs} has Cartan determinant {k_det}")
-        records.append(RayRecord(i, nodes, fw, mu, tuple(full), k_prim, int(k_det)))
+        try:
+            nums, d = linalg.solve_integer(zip(*sub_cartan(rs, nodes)),
+                                           [int(n == i) for n in nodes])
+        except (NoSolutionError, MultipleSolutionsError) as exc:
+            raise InvariantError(f"Levi {nodes} of {rs} has a singular Cartan matrix") from exc
+        if d <= 0:
+            raise InvariantError(f"Levi {nodes} of {rs} has Cartan determinant {d}")
+        c_alpha = [zero] * rs.rank
+        for n, x in zip(nodes, nums):
+            c_alpha[n - 1] = Fraction(x, d)
+        # the pairings of the drop with the coroots of `nodes` are those of w_i, so
+        # mu vanishes on `nodes` and away from their neighbours
+        mu = [zero] * rs.rank
+        for m in {m for n in nodes for m in rs.neighbors(n)}.difference(nodes):
+            mu[m - 1] = Fraction(-sum(x * cartan[n - 1][m - 1] for n, x in zip(nodes, nums)), d)
+        records.append(RayRecord(i, nodes, fw, tuple(mu), tuple(c_alpha),
+                                 d // gcd(d, *nums), d))
     return tuple(records)
 
 

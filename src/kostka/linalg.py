@@ -9,7 +9,10 @@ kernel over ``int`` (Bareiss, Math. Comp. 22, 1968; Nakos, Turner and
 Williams, ACM SIGSAM Bull. 31, 1997).  Each row is cleared of denominators
 by its lcm; every intermediate entry is then a minor of that integer
 matrix, so each division is exact, and ``Fraction``s are made only from
-the kernel's result.
+the kernel's result.  :func:`solve_integer` is the kernel's solve without
+the ``Fraction``s: the integer numerators of the solution and their common
+denominator, the last pivot, which is the determinant for an integer
+square system.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ Mat = tuple[Vec, ...]
 
 
 def vector(entries: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in entries)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
 def matrix(rows: Iterable[Iterable]) -> Mat:
@@ -119,10 +122,13 @@ def det(a: Mat) -> Fraction:
     return Fraction(d, scale) if len(pivots) == n else Fraction(0)
 
 
-def solve_unique(a: Mat, b) -> Vec:
-    """Solve A x = b, insisting on a unique solution.
+def solve_integer(a, b) -> tuple[tuple[int, ...], int]:
+    """Solve A x = b as integers: the numerators n and the last pivot d, x = n / d.
 
-    Raises :class:`NoSolutionError` on inconsistent systems and
+    d is the determinant of A once each row of [A | b] is cleared of
+    denominators, so it is det A when A and b are integer and A is square;
+    it may be negative and n / d need not be reduced.  Raises
+    :class:`NoSolutionError` on inconsistent systems and
     :class:`MultipleSolutionsError` on consistent rank-deficient ones.
     """
     a = [[*row] for row in a]
@@ -138,7 +144,17 @@ def solve_unique(a: Mat, b) -> Vec:
         raise NoSolutionError("inconsistent linear system")
     if len(pivots) < ncols:
         raise MultipleSolutionsError("rank-deficient linear system")
-    return tuple(Fraction(rows[i][ncols], d) for i in range(ncols))
+    return tuple(rows[i][ncols] for i in range(ncols)), d
+
+
+def solve_unique(a: Mat, b) -> Vec:
+    """Solve A x = b, insisting on a unique solution.
+
+    Raises :class:`NoSolutionError` on inconsistent systems and
+    :class:`MultipleSolutionsError` on consistent rank-deficient ones.
+    """
+    nums, d = solve_integer(a, b)
+    return tuple(Fraction(n, d) for n in nums)
 
 
 def invert(a: Mat) -> Mat:

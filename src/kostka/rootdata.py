@@ -153,10 +153,15 @@ def fw_to_root_coords(rs: RootSystem, w) -> linalg.Vec:
 
 def root_coords_to_fw(rs: RootSystem, c) -> tuple:
     """Fundamental-weight coordinates of a combination of simple roots."""
-    r = rs.rank
     cartan = rs.cartan
-    # skipping the zero Cartan entries keeps the diagonal term, so the sum has c's type
-    return tuple(sum(c[j] * cartan[j][k] for j in range(r) if cartan[j][k]) for k in range(r))
+    # zeros of c's type, so that a Fraction input gives Fraction output
+    out = [c[0] * 0] * rs.rank
+    for j, x in enumerate(c, 1):
+        if x:
+            # row j of the Cartan matrix is nonzero only at j and its neighbours
+            for k in (j, *rs.neighbors(j)):
+                out[k - 1] += x * cartan[j - 1][k - 1]
+    return tuple(out)
 
 
 def is_connected(rs: RootSystem, nodes) -> bool:

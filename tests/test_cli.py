@@ -1,7 +1,12 @@
 import hashlib
+import io
 import json
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction as Q
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import supported_types
 from kostka import fundamental_weight, root_coords_to_fw, root_system
@@ -44,6 +49,45 @@ def test_rays_json_roundtrip(capsys):
         drop = root_coords_to_fw(rs, c)
         assert tuple(a - b for a, b in zip(lam, drop)) == mu
         assert [j + 1 for j, x in enumerate(c) if x] == row["levi"]
+
+
+def _ray_rows(fmt, letter, r, node):
+    """The records printed by `rays --node` in json or tsv, parsed to one form."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["rays", "--type", letter, "--rank", str(r), "--node", str(node),
+                     "--format", fmt])
+    assert code == 0
+    lines = out.getvalue().splitlines()
+    if fmt == "json":
+        rows = [json.loads(line) for line in lines]
+    else:
+        header = lines[0].split("\t")
+        rows = [dict(zip(header, line.split("\t"))) for line in lines[1:]]
+        for row in rows:
+            for key in ("rank", "node", "k_primitive", "k_det"):
+                row[key] = int(row[key])
+            row["levi"] = [int(n) for n in row["levi"].split(",") if n]
+            for key in ("lambda_fw", "mu_fw", "c_alpha"):
+                row[key] = row[key].split(",")
+    for row in rows:
+        for key in ("lambda_fw", "mu_fw", "c_alpha"):
+            row[key] = [Q(x) for x in row[key]]
+    return rows
+
+
+@st.composite
+def _ray_requests(draw):
+    letter, r = draw(st.sampled_from(supported_types(8)))
+    return letter, r, draw(st.integers(1, r))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ray_requests())
+def test_rays_json_and_tsv_agree(case):
+    json_rows = _ray_rows("json", *case)
+    assert json_rows == _ray_rows("tsv", *case)
+    assert len(json_rows) > 1 and json_rows[0]["levi"] == []
 
 
 def test_rays_json_count_e6(capsys):
@@ -187,6 +231,8 @@ def test_census_d4_row(capsys):
 # outputs of every type up to rank 8 in supported_types order.  "vertices" was
 # recorded before the slice vertices were built from connected Levi pieces; it
 # hashes every type up to rank 7 at each of _pinned_lambdas, in that order.
+# "rays --node" was recorded before the rays were read from one elimination
+# per Levi; it hashes every type at ranks 9-16 at each of _pinned_nodes.
 PINNED_SHA256 = {
     "rays json": "94c1a1388e1705e9af351590a6834d5c9d9d9fa3dbd39301c2b189d10043ba3c",
     "rays tsv": "9e28f6824679c1189f24e0d690bb03e85a441265dbdf691327de0620da261ad1",
@@ -197,6 +243,9 @@ PINNED_SHA256 = {
     "vertices json": "c7cca200c6f4cc25ca3c65d5411bf453f8dd44b3cf90bc9e9f18b15e40302beb",
     "vertices tsv": "36f477d718fc7f11f00f5bb5c0296630d6c73492687688796c2a71d470cfbd4f",
     "vertices pretty": "f035ff3e01d6dc90a98e71bb2fe589d546d8c281d798b7ff65cf8b4ea34cf084",
+    "rays --node json": "fa214382f2823e246da1b8f366d1168634cf2562ec797e89b52003fa90c44270",
+    "rays --node tsv": "6216383f8eadde88e98cd7d57a1f88347af64a48a18f2d3c35f38828c402dbae",
+    "rays --node pretty": "da4adfaabc85b2d9e5458de1116930ae41464aaa5cdd2fd31846c18829dfc80b",
 }
 
 
@@ -209,6 +258,11 @@ def _pinned_lambdas(r):
     rational[0] += Q(1, 2)
     rational[-1] += Q(2, 3)
     return [",".join(["1"] * r), ",".join(map(str, sparse)), ",".join(map(str, rational))]
+
+
+def _pinned_nodes(r):
+    """The middle node of each third of 1..r."""
+    return [int((k + 0.5) / 3 * r) + 1 for k in range(3)]
 
 
 def test_output_bytes_are_pinned(capsys):
@@ -229,6 +283,16 @@ def test_output_bytes_are_pinned(capsys):
             assert code == 0 and err == "", (letter, r, fmt)
             h.update(out.encode())
         got[f"rays {fmt}"] = h.hexdigest()
+        h = hashlib.sha256()
+        for letter, r in supported_types(16):
+            if r < 9:
+                continue
+            for node in _pinned_nodes(r):
+                code, out, err = run(capsys, "rays", "--type", letter, "--rank", str(r),
+                                     "--node", str(node), "--format", fmt)
+                assert code == 0 and err == "", (letter, r, node, fmt)
+                h.update(out.encode())
+        got[f"rays --node {fmt}"] = h.hexdigest()
         code, out, err = run(capsys, "census", "--max-rank", "8", "--format", fmt)
         assert code == 0 and err == ""
         got[f"census {fmt}"] = hashlib.sha256(out.encode()).hexdigest()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import all_subsets, random_dominant, supported_types, systems
 from kostka import (all_rays, brute_force_vertices, components, cone, cone_contains,
-                    cone_inequalities, fundamental_orbit_pairs, fundamental_weight,
-                    fw_to_root_coords, is_extremal_ray, parabolic_average,
-                    polytope_vertices, ray_count_formula, rays_for_node, rho,
-                    root_coords_to_fw, root_system, vertex)
+                    cone_inequalities, connected_subsets_containing, fundamental_orbit_pairs,
+                    fundamental_weight, fw_to_root_coords, is_extremal_ray, linalg,
+                    parabolic_average, polytope_vertices, ray_count_formula, rays_for_node,
+                    rho, root_coords_to_fw, root_system, sub_cartan, vertex)
 from kostka.errors import CapExceededError, NotDominantError, NotInConeError
 
 C4_GOLDEN_NODE3 = {
@@ -206,6 +207,37 @@ def test_ray_records_are_consistent():
             assert all((k * x).denominator == 1 for x in ray.lambda_fw)
             assert all((k * x).denominator == 1 for x in ray.mu_fw)
             assert all((k * c).denominator == 1 for c in ray.c_alpha)
+
+
+@st.composite
+def _ray_nodes(draw):
+    """A system of rank at most 10 and one of its nodes."""
+    letter, r = draw(st.sampled_from(supported_types(10)))
+    return root_system(letter, r), draw(st.integers(1, r))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ray_nodes())
+def test_rays_for_node_match_independent_derivation(case):
+    rs, i = case
+    rays = rays_for_node(rs, i)
+    fw = tuple(Q(x) for x in fundamental_weight(rs, i))
+    assert [r.levi for r in rays] == [()] + connected_subsets_containing(rs, i)
+    assert rays[0] == cone.RayRecord(i, (), fw, fw, (0,) * rs.rank, 1, 1)
+    for ray in rays[1:]:
+        levi = ray.levi
+        # the old derivation: a solve for c_alpha, then a separate determinant
+        solved = linalg.solve_unique(tuple(zip(*sub_cartan(rs, levi))),
+                                     tuple(int(n == i) for n in levi))
+        c_alpha = [Q(0)] * rs.rank
+        for n, c in zip(levi, solved):
+            c_alpha[n - 1] = c
+        assert ray.lambda_fw == fw
+        assert ray.c_alpha == tuple(c_alpha)
+        assert ray.k_det == linalg.det(sub_cartan(rs, levi))
+        assert ray.k_primitive == lcm(*(c.denominator for c in c_alpha))
+        assert ray.mu_fw == tuple(a - b for a, b in zip(fw, root_coords_to_fw(rs, c_alpha)))
+        assert all(type(x) is Q for x in ray.mu_fw + ray.c_alpha)
 
 
 def test_rays_distinct_per_node():

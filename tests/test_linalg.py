@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import lcm, prod
 
 import pytest
 import sympy
@@ -28,6 +29,22 @@ def test_solve_inconsistent():
 def test_solve_underdetermined():
     with pytest.raises(MultipleSolutionsError):
         linalg.solve_unique([[1, 1], [2, 2]], [1, 2])
+
+
+def test_solve_integer_examples():
+    # the last pivot is the determinant of an integer square system, sign included
+    assert linalg.solve_integer([[2, -1], [-2, 2]], [1, 0]) == ((2, 2), 2)
+    assert linalg.solve_integer([[0, 1], [1, 0]], [3, 5]) == ((-5, -3), -1)
+    assert linalg.solve_integer([[Q(1, 2)]], [Q(1, 3)]) == ((2,), 3)
+    with pytest.raises(MultipleSolutionsError):
+        linalg.solve_integer([[1, 1], [2, 2]], [1, 2])
+
+
+def test_vector_keeps_fractions():
+    half = Q(1, 2)
+    v = linalg.vector([half, 2, "3/4"])
+    assert v == (half, Q(2), Q(3, 4)) and v[0] is half
+    assert all(type(x) is Q for x in v)
 
 
 def test_invert_1x1():
@@ -164,6 +181,12 @@ def test_kernel_matches_sympy(system):
     else:
         x, _ = sa.gauss_jordan_solve(_sym([(v,) for v in b]))
         assert linalg.solve_unique(a, b) == tuple(_frac(v) for v in x)
+        nums, d = linalg.solve_integer(a, b)
+        assert tuple(Q(v, d) for v in nums) == tuple(_frac(v) for v in x)
+        if m == n:
+            # d is the determinant once each row of [A | b] is cleared of denominators
+            scale = prod(lcm(*(v.denominator for v in row + (c,))) for row, c in zip(a, b))
+            assert d == _frac(sa.det()) * scale
     if m == n:
         d = _frac(sa.det())
         assert linalg.det(a) == d

@@ -71,6 +71,10 @@ def test_root_coords_to_fw_examples():
     a2 = root_system("A", 2)
     assert root_coords_to_fw(a2, (1, 1)) == (1, 1)
     assert root_coords_to_fw(a2, (0, 0)) == (0, 0)
+    # Fraction coefficients give Fraction coordinates, also where they all vanish
+    for c in ((Q(0), Q(0)), (Q(1, 2), Q(0))):
+        assert all(type(x) is Q for x in root_coords_to_fw(a2, c))
+    assert root_coords_to_fw(a2, (Q(1, 2), Q(0))) == (1, Q(-1, 2))
 
 
 def test_conversion_roundtrip_random():
