@@ -233,32 +233,32 @@ def rays_for_node(rs: RootSystem, i: int) -> tuple[RayRecord, ...]:
     One ray for the empty node set (the pair (w_i, w_i)) and one for every
     connected subdiagram containing node i, whose root coefficients are the
     i-column of the inverse transpose of the Levi Cartan submatrix.  Each
-    Levi takes one integer elimination (`linalg.solve_integer`): ``k_det``
-    is its last pivot, the Levi Cartan determinant, which is also the common
-    denominator of the coefficients it returns.
+    Levi takes one integer elimination (``linalg.solve_unique`` with
+    ``integer=True``): ``k_det`` is its last pivot, the Levi Cartan
+    determinant, which is also the common denominator of the coefficients
+    it returns.
     """
-    fw = linalg.vector(fundamental_weight(rs, i))
+    fw = fundamental_weight(rs, i)
+    lam = linalg.vector(fw)
     zero = Fraction(0)
-    records = [RayRecord(i, (), fw, fw, (zero,) * rs.rank, 1, 1)]
-    cartan = rs.cartan
+    records = [RayRecord(i, (), lam, lam, (zero,) * rs.rank, 1, 1)]
     for nodes in connected_subsets_containing(rs, i):
         try:
-            nums, d = linalg.solve_integer(zip(*sub_cartan(rs, nodes)),
-                                           [int(n == i) for n in nodes])
+            nums, d = linalg.solve_unique(tuple(zip(*sub_cartan(rs, nodes))),
+                                          [int(n == i) for n in nodes], integer=True)
         except (NoSolutionError, MultipleSolutionsError) as exc:
             raise InvariantError(f"Levi {nodes} of {rs} has a singular Cartan matrix") from exc
         if d <= 0:
             raise InvariantError(f"Levi {nodes} of {rs} has Cartan determinant {d}")
-        c_alpha = [zero] * rs.rank
+        coeffs = [0] * rs.rank
         for n, x in zip(nodes, nums):
-            c_alpha[n - 1] = Fraction(x, d)
-        # the pairings of the drop with the coroots of `nodes` are those of w_i, so
-        # mu vanishes on `nodes` and away from their neighbours
-        mu = [zero] * rs.rank
-        for m in {m for n in nodes for m in rs.neighbors(n)}.difference(nodes):
-            mu[m - 1] = Fraction(-sum(x * cartan[n - 1][m - 1] for n, x in zip(nodes, nums)), d)
-        records.append(RayRecord(i, nodes, fw, tuple(mu), tuple(c_alpha),
-                                 d // gcd(d, *nums), d))
+            coeffs[n - 1] = x
+        # coeffs / d is the drop from w_i to mu; its pairings equal those of w_i on
+        # `nodes` by construction, so mu is nonzero only on their neighbours
+        paired = root_coords_to_fw(rs, coeffs)
+        mu = tuple(Fraction(d * w - p, d) if d * w != p else zero for w, p in zip(fw, paired))
+        c_alpha = tuple(Fraction(x, d) if x else zero for x in coeffs)
+        records.append(RayRecord(i, nodes, lam, mu, c_alpha, d // gcd(d, *nums), d))
     return tuple(records)
 
 

@@ -9,10 +9,10 @@ kernel over ``int`` (Bareiss, Math. Comp. 22, 1968; Nakos, Turner and
 Williams, ACM SIGSAM Bull. 31, 1997).  Each row is cleared of denominators
 by its lcm; every intermediate entry is then a minor of that integer
 matrix, so each division is exact, and ``Fraction``s are made only from
-the kernel's result.  :func:`solve_integer` is the kernel's solve without
-the ``Fraction``s: the integer numerators of the solution and their common
-denominator, the last pivot, which is the determinant for an integer
-square system.
+the kernel's result.  ``solve_unique(a, b, integer=True)`` is the
+kernel's solve without the ``Fraction``s: the integer numerators of the
+solution and their common denominator, the last pivot, which is the
+determinant for an integer square system.
 """
 
 from __future__ import annotations
@@ -122,13 +122,16 @@ def det(a: Mat) -> Fraction:
     return Fraction(d, scale) if len(pivots) == n else Fraction(0)
 
 
-def solve_integer(a, b) -> tuple[tuple[int, ...], int]:
-    """Solve A x = b as integers: the numerators n and the last pivot d, x = n / d.
+def solve_unique(a: Mat, b, *, integer: bool = False):
+    """Solve A x = b, insisting on a unique solution.
 
+    With ``integer=True`` the result is the kernel's own, without the
+    ``Fraction``s: the integer numerators n and the last pivot d, x = n / d.
     d is the determinant of A once each row of [A | b] is cleared of
     denominators, so it is det A when A and b are integer and A is square;
-    it may be negative and n / d need not be reduced.  Raises
-    :class:`NoSolutionError` on inconsistent systems and
+    it may be negative and n / d need not be reduced.
+
+    Raises :class:`NoSolutionError` on inconsistent systems and
     :class:`MultipleSolutionsError` on consistent rank-deficient ones.
     """
     a = [[*row] for row in a]
@@ -144,17 +147,8 @@ def solve_integer(a, b) -> tuple[tuple[int, ...], int]:
         raise NoSolutionError("inconsistent linear system")
     if len(pivots) < ncols:
         raise MultipleSolutionsError("rank-deficient linear system")
-    return tuple(rows[i][ncols] for i in range(ncols)), d
-
-
-def solve_unique(a: Mat, b) -> Vec:
-    """Solve A x = b, insisting on a unique solution.
-
-    Raises :class:`NoSolutionError` on inconsistent systems and
-    :class:`MultipleSolutionsError` on consistent rank-deficient ones.
-    """
-    nums, d = solve_integer(a, b)
-    return tuple(Fraction(n, d) for n in nums)
+    nums = tuple(rows[i][ncols] for i in range(ncols))
+    return (nums, d) if integer else tuple(Fraction(n, d) for n in nums)
 
 
 def invert(a: Mat) -> Mat:

@@ -31,13 +31,13 @@ def test_solve_underdetermined():
         linalg.solve_unique([[1, 1], [2, 2]], [1, 2])
 
 
-def test_solve_integer_examples():
+def test_solve_unique_integer_examples():
     # the last pivot is the determinant of an integer square system, sign included
-    assert linalg.solve_integer([[2, -1], [-2, 2]], [1, 0]) == ((2, 2), 2)
-    assert linalg.solve_integer([[0, 1], [1, 0]], [3, 5]) == ((-5, -3), -1)
-    assert linalg.solve_integer([[Q(1, 2)]], [Q(1, 3)]) == ((2,), 3)
+    assert linalg.solve_unique([[2, -1], [-2, 2]], [1, 0], integer=True) == ((2, 2), 2)
+    assert linalg.solve_unique([[0, 1], [1, 0]], [3, 5], integer=True) == ((-5, -3), -1)
+    assert linalg.solve_unique([[Q(1, 2)]], [Q(1, 3)], integer=True) == ((2,), 3)
     with pytest.raises(MultipleSolutionsError):
-        linalg.solve_integer([[1, 1], [2, 2]], [1, 2])
+        linalg.solve_unique([[1, 1], [2, 2]], [1, 2], integer=True)
 
 
 def test_vector_keeps_fractions():
@@ -181,7 +181,7 @@ def test_kernel_matches_sympy(system):
     else:
         x, _ = sa.gauss_jordan_solve(_sym([(v,) for v in b]))
         assert linalg.solve_unique(a, b) == tuple(_frac(v) for v in x)
-        nums, d = linalg.solve_integer(a, b)
+        nums, d = linalg.solve_unique(a, b, integer=True)
         assert tuple(Q(v, d) for v in nums) == tuple(_frac(v) for v in x)
         if m == n:
             # d is the determinant once each row of [A | b] is cleared of denominators
