@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, lcm
 
 from . import linalg
 from .errors import (CapExceededError, InvariantError, MultipleSolutionsError, NoSolutionError,
@@ -38,13 +38,9 @@ def cone_inequalities(rs: RootSystem) -> tuple[LinearForm, ...]:
     """The 3r defining inequalities of the cone, in a fixed order."""
     r = rs.rank
     zero = (Fraction(0),) * r
-    forms = []
-    for i in range(r):
-        e = tuple(Fraction(int(j == i)) for j in range(r))
-        forms.append(LinearForm(f"dom-lambda({i + 1})", e + zero))
-    for i in range(r):
-        e = tuple(Fraction(int(j == i)) for j in range(r))
-        forms.append(LinearForm(f"dom-mu({i + 1})", zero + e))
+    eye = linalg.identity(r)
+    forms = [LinearForm(f"dom-lambda({i + 1})", e + zero) for i, e in enumerate(eye)]
+    forms += [LinearForm(f"dom-mu({i + 1})", zero + e) for i, e in enumerate(eye)]
     for j in range(r):
         row = rs.inverse_transpose_cartan[j]
         forms.append(LinearForm(f"rootcoef({j + 1})", row + tuple(-x for x in row)))
@@ -57,33 +53,37 @@ def _integer_cone_forms(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, linalg._integer_rows(f.coeffs for f in cone_inequalities(rs))[0]))
 
 
+def _weight(rs: RootSystem, w) -> linalg.Vec:
+    # a weight from outside the module, as a Fraction vector of length rank
+    w = linalg.vector(w)
+    if len(w) != rs.rank:
+        raise ValueError(f"a weight of {rs} has {rs.rank} coordinates, got {len(w)}")
+    return w
+
+
 def slice_inequalities(rs: RootSystem, lam) -> tuple[tuple[str, Fraction, tuple], ...]:
     """The 2r inequalities of the slice polytope at lam, as (label, const, coeffs).
 
     A point mu belongs to the slice iff const + coeffs . mu >= 0 for all of
-    them.
+    them.  They are the cone's dom-mu and rootcoef forms with lam fixed:
+    const is the lambda part of the form applied to lam, coeffs its mu part.
     """
-    lam = linalg.vector(lam)
+    lam = _weight(rs, lam)
     r = rs.rank
-    forms = []
-    for i in range(r):
-        e = tuple(Fraction(int(j == i)) for j in range(r))
-        forms.append((f"dom-mu({i + 1})", Fraction(0), e))
-    root_lam = fw_to_root_coords(rs, lam)
-    for j in range(r):
-        row = rs.inverse_transpose_cartan[j]
-        forms.append((f"rootcoef({j + 1})", root_lam[j], tuple(-x for x in row)))
-    return tuple(forms)
+    return tuple((f.label, sum(c * x for c, x in zip(f.coeffs[:r], lam)), f.coeffs[r:])
+                 for f in cone_inequalities(rs)[r:])
+
+
+def _form_values(rs: RootSystem, lam, mu) -> linalg.Vec:
+    # the values of the cone_inequalities forms at (lam | mu), in their order
+    lam = _weight(rs, lam)
+    mu = _weight(rs, mu)
+    return lam + mu + fw_to_root_coords(rs, tuple(a - b for a, b in zip(lam, mu)))
 
 
 def cone_contains(rs: RootSystem, lam, mu) -> bool:
     """Membership test: both weights dominant, lam - mu nonnegative on simple roots."""
-    lam = linalg.vector(lam)
-    mu = linalg.vector(mu)
-    if not (is_dominant(lam) and is_dominant(mu)):
-        return False
-    diff = tuple(a - b for a, b in zip(lam, mu))
-    return all(c >= 0 for c in fw_to_root_coords(rs, diff))
+    return all(v >= 0 for v in _form_values(rs, lam, mu))
 
 
 @dataclass(frozen=True)
@@ -103,19 +103,41 @@ class Vertex:
 VERTEX_CAP = 1 << 16
 
 
-def _levi_coefficients(rs: RootSystem, nodes, rhs) -> list[Fraction]:
-    # simple-root coefficients, zero off `nodes`, of the combination whose
-    # pairings with the coroots of `nodes` are rhs
-    a = linalg.solve_unique(tuple(zip(*sub_cartan(rs, nodes))), rhs)
-    full = [Fraction(0)] * rs.rank
-    for n, coeff in zip(nodes, a):
-        full[n - 1] = coeff
-    return full
-
-
 def _require_dominant(lam: linalg.Vec) -> None:
     if not is_dominant(lam):
         raise NotDominantError(f"weight {lam} is not dominant")
+
+
+def _levi_vertex(rs: RootSystem, lam: linalg.Vec, nodes: tuple[int, ...]) -> tuple[Vertex, int]:
+    """The vertex on `nodes` and the common denominator d of its c_alpha.
+
+    One integer solve of C_L^T c = lam|_L on the Levi L of `nodes` (none for
+    the empty set, where d = 1); d is det C_L when lam is integral.  The
+    point lam - (pairings of c) is zero on L, where the pairings are lam, and
+    differs from lam elsewhere only on L's neighbours.  Raises
+    InvariantError if the block is singular or d is not positive.
+    """
+    coeffs = [0] * rs.rank
+    point = list(lam)
+    d = 1
+    if nodes:
+        try:
+            nums, d = linalg.solve_unique(tuple(zip(*sub_cartan(rs, nodes))),
+                                          [lam[n - 1] for n in nodes], integer=True)
+        except (NoSolutionError, MultipleSolutionsError) as exc:
+            raise InvariantError(f"Levi {nodes} of {rs} has a singular Cartan matrix") from exc
+        if d <= 0:
+            raise InvariantError(f"Levi {nodes} of {rs} has a Cartan matrix of "
+                                 f"nonpositive determinant")
+        for n, x in zip(nodes, nums):
+            coeffs[n - 1] = x
+        for k, p in enumerate(root_coords_to_fw(rs, coeffs)):
+            if p:
+                w = lam[k]
+                point[k] = Fraction(w.numerator * d - p * w.denominator, w.denominator * d)
+    zero = Fraction(0)
+    c_alpha = tuple(Fraction(x, d) if x else zero for x in coeffs)
+    return Vertex(tuple(point), tuple(n for n in nodes if coeffs[n - 1]), c_alpha), d
 
 
 def vertex(rs: RootSystem, lam, nodes) -> Vertex:
@@ -123,18 +145,14 @@ def vertex(rs: RootSystem, lam, nodes) -> Vertex:
 
     Solves <x, alpha_i_vee> = 0 for i in `nodes` together with agreement of
     the remaining simple-root coefficients with lam; the unique solution is
-    lam minus a combination of the simple roots indexed by `nodes`.  The
-    returned node set is minimal: nodes whose coefficient vanishes are
-    dropped.
+    lam minus a combination of the simple roots indexed by `nodes`, found by
+    one integer solve of the Levi Cartan block (``_levi_vertex``, the solve
+    `rays_for_node` reads every ray from).  The returned node set is
+    minimal: nodes whose coefficient vanishes are dropped.
     """
-    lam = linalg.vector(lam)
+    lam = _weight(rs, lam)
     _require_dominant(lam)
-    nodes = node_set(rs, nodes)
-    if not nodes:
-        return Vertex(lam, (), (Fraction(0),) * rs.rank)
-    full = _levi_coefficients(rs, nodes, tuple(lam[n - 1] for n in nodes))
-    point = tuple(x - y for x, y in zip(lam, root_coords_to_fw(rs, full)))
-    return Vertex(point, tuple(n for n in nodes if full[n - 1]), tuple(full))
+    return _levi_vertex(rs, lam, node_set(rs, nodes))[0]
 
 
 def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
@@ -150,7 +168,7 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
     more than VERTEX_CAP such node sets.  Ordered by node set (size, then
     lexicographic).
     """
-    lam = linalg.vector(lam)
+    lam = _weight(rs, lam)
     _require_dominant(lam)
     found: set[tuple[int, ...]] = set()
     for i in rs.nodes():
@@ -189,7 +207,7 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
         # off the piece, the drop lam - point is supported on the piece's neighbours
         solved.append((v, [(m, x - y) for m, (x, y) in enumerate(zip(lam, v.point))
                            if x != y and m + 1 not in p]))
-    out = [Vertex(lam, (), (Fraction(0),) * rs.rank)]
+    out = [_levi_vertex(rs, lam, ())[0]]
     for k, j in sets[1:]:
         base = out[k]
         v, drop = solved[j]
@@ -230,35 +248,19 @@ class RayRecord:
 def rays_for_node(rs: RootSystem, i: int) -> tuple[RayRecord, ...]:
     """All extremal rays whose first coordinate is the i-th fundamental weight.
 
-    One ray for the empty node set (the pair (w_i, w_i)) and one for every
-    connected subdiagram containing node i, whose root coefficients are the
-    i-column of the inverse transpose of the Levi Cartan submatrix.  Each
-    Levi takes one integer elimination (``linalg.solve_unique`` with
-    ``integer=True``): ``k_det`` is its last pivot, the Levi Cartan
-    determinant, which is also the common denominator of the coefficients
-    it returns.
+    These are the vertices of the slice polytope at w_i: one for the empty
+    node set (the pair (w_i, w_i)) and one for every connected subdiagram L
+    containing node i, read from the same integer Levi solve as `vertex`
+    (``_levi_vertex``).  Its common denominator d is ``k_det``, the
+    determinant of the Levi Cartan submatrix, and ``k_primitive`` is the
+    least common denominator of ``c_alpha``, d / gcd(d, numerators).
     """
-    fw = fundamental_weight(rs, i)
-    lam = linalg.vector(fw)
-    zero = Fraction(0)
-    records = [RayRecord(i, (), lam, lam, (zero,) * rs.rank, 1, 1)]
-    for nodes in connected_subsets_containing(rs, i):
-        try:
-            nums, d = linalg.solve_unique(tuple(zip(*sub_cartan(rs, nodes))),
-                                          [int(n == i) for n in nodes], integer=True)
-        except (NoSolutionError, MultipleSolutionsError) as exc:
-            raise InvariantError(f"Levi {nodes} of {rs} has a singular Cartan matrix") from exc
-        if d <= 0:
-            raise InvariantError(f"Levi {nodes} of {rs} has Cartan determinant {d}")
-        coeffs = [0] * rs.rank
-        for n, x in zip(nodes, nums):
-            coeffs[n - 1] = x
-        # coeffs / d is the drop from w_i to mu; its pairings equal those of w_i on
-        # `nodes` by construction, so mu is nonzero only on their neighbours
-        paired = root_coords_to_fw(rs, coeffs)
-        mu = tuple(Fraction(d * w - p, d) if d * w != p else zero for w, p in zip(fw, paired))
-        c_alpha = tuple(Fraction(x, d) if x else zero for x in coeffs)
-        records.append(RayRecord(i, nodes, lam, mu, c_alpha, d // gcd(d, *nums), d))
+    lam = linalg.vector(fundamental_weight(rs, i))
+    records = []
+    for nodes in [(), *connected_subsets_containing(rs, i)]:
+        v, d = _levi_vertex(rs, lam, nodes)
+        records.append(RayRecord(i, nodes, lam, v.point, v.c_alpha,
+                                 lcm(*(v.c_alpha[n - 1].denominator for n in nodes)), d))
     return tuple(records)
 
 
@@ -273,12 +275,9 @@ def all_rays(rs: RootSystem) -> tuple[RayRecord, ...]:
 def is_extremal_ray(rs: RootSystem, lam, mu) -> bool:
     """Tight-constraint test: the pair spans an extremal ray iff the
     inequalities vanishing at it cut out a one-dimensional subspace."""
-    lam = linalg.vector(lam)
-    mu = linalg.vector(mu)
-    # the values of the cone_inequalities forms at (lam | mu), in their order
-    values = lam + mu + fw_to_root_coords(rs, tuple(a - b for a, b in zip(lam, mu)))
+    values = _form_values(rs, lam, mu)
     if any(v < 0 for v in values):
-        raise NotInConeError(f"({lam}, {mu}) is not in the cone")
+        raise NotInConeError(f"({tuple(lam)}, {tuple(mu)}) is not in the cone")
     tight = [row for row, v in zip(_integer_cone_forms(rs), values) if not v]
     return 2 * rs.rank - len(linalg._eliminate(tight)[0]) == 1
 

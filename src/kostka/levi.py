@@ -11,9 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from dataclasses import dataclass
 
-from .cone import Vertex, _levi_coefficients, vertex
+from . import linalg
+from .cone import Vertex, _levi_vertex, vertex
 from .errors import NotDominantError, NotInLeviConeError, OverlappingLevisError
-from .rootdata import RootSystem, components, is_dominant, node_set
+from .rootdata import RootSystem, is_dominant, node_set, root_coords_to_fw
 
 
 @dataclass(frozen=True)
@@ -47,18 +48,18 @@ def extend_by_zero(rs: RootSystem, levi, lam_local) -> tuple:
 def levi_root_coords(rs: RootSystem, levi, w_local) -> tuple:
     """Coefficients of the Levi's simple roots expressing a local weight.
 
-    Solved one connected component at a time; the components do not
-    interact because the Cartan submatrix is block diagonal across them.
+    One solve of the whole Levi block, the vertex solve of `cone.vertex` on
+    the weight extended by zero; the components do not interact because the
+    Cartan submatrix is block diagonal across them.
     """
     levi = node_set(rs, levi)
-    pos = {n: k for k, n in enumerate(levi)}
-    out = [Fraction(0)] * len(levi)
-    for comp in components(rs, levi):
-        rhs = tuple(w_local[pos[n]] for n in comp)
-        full = _levi_coefficients(rs, comp, rhs)
-        for n in comp:
-            out[pos[n]] = full[n - 1]
-    return tuple(out)
+    if len(w_local) != len(levi):
+        raise ValueError("local weight length does not match the node set")
+    w = [Fraction(0)] * rs.rank
+    for n, x in zip(levi, linalg.vector(w_local)):
+        w[n - 1] = x
+    c_alpha = _levi_vertex(rs, tuple(w), levi)[0].c_alpha
+    return tuple(c_alpha[n - 1] for n in levi)
 
 
 def levi_cone_contains(rs: RootSystem, levi, lam_local, mu_local) -> bool:
@@ -86,16 +87,12 @@ def induce_between(rs: RootSystem, inner, outer, lam_local, mu_local) -> tuple[t
             f"({tuple(lam_local)}, {tuple(mu_local)}) is not in the cone of {inner}")
     diff = tuple(a - b for a, b in zip(lam_local, mu_local))
     c = levi_root_coords(rs, inner, diff)
-    lam_out = [Fraction(0)] * len(outer)
-    pos = {n: k for k, n in enumerate(outer)}
-    for n, v in zip(inner, lam_local):
-        lam_out[pos[n]] = Fraction(v)
-    mu_out = list(lam_out)
-    for k, v in zip(inner, c):
-        if v:
-            for n in outer:
-                mu_out[pos[n]] -= v * rs.cartan[k - 1][n - 1]
-    return tuple(lam_out), tuple(mu_out)
+    lam = extend_by_zero(rs, inner, lam_local)
+    full = [Fraction(0)] * rs.rank
+    for n, x in zip(inner, c):
+        full[n - 1] = x
+    drop = root_coords_to_fw(rs, full)
+    return tuple(lam[n - 1] for n in outer), tuple(lam[n - 1] - drop[n - 1] for n in outer)
 
 
 def induce(rs: RootSystem, pair: LeviWeightPair) -> tuple[tuple, tuple]:

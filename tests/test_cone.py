@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from conftest import all_subsets, random_dominant, supported_types, systems
 from kostka import (all_rays, brute_force_vertices, components, cone, cone_contains,
                     cone_inequalities, connected_subsets_containing, fundamental_orbit_pairs,
-                    fundamental_weight, fw_to_root_coords, is_extremal_ray, linalg,
-                    parabolic_average, polytope_vertices, ray_count_formula, rays_for_node,
+                    fundamental_weight, fw_to_root_coords, is_extremal_ray,
+                    levi_root_coords, linalg, parabolic_average, polytope_vertices, ray_count_formula, rays_for_node,
                     rho, root_coords_to_fw, root_system, sub_cartan, vertex)
-from kostka.errors import CapExceededError, NotDominantError, NotInConeError
+from kostka.errors import (CapExceededError, InvariantError, NotDominantError,
+                           NotInConeError)
 
 C4_GOLDEN_NODE3 = {
     ((0, 0, 1, 0), (0, 0, 1, 0)),
@@ -39,6 +40,20 @@ def test_cone_inequalities_shape():
     assert len(forms) == 9
     assert [f.label for f in forms[:3]] == ["dom-lambda(1)", "dom-lambda(2)", "dom-lambda(3)"]
     assert all(len(f.coeffs) == 6 for f in forms)
+
+
+def test_wrong_length_weights_are_refused():
+    a3 = root_system("A", 3)
+    with pytest.raises(ValueError):
+        cone_contains(a3, (1, 0, 0), (0, 0))
+    with pytest.raises(ValueError):
+        is_extremal_ray(a3, (1, 0, 0), (0, 0))
+    with pytest.raises(ValueError):
+        vertex(a3, (1, 0), (1,))
+    with pytest.raises(ValueError):
+        polytope_vertices(a3, (1, 0, 0, 5))
+    with pytest.raises(ValueError):
+        cone.slice_inequalities(a3, (1, 0))
 
 
 def test_vertex_examples():
@@ -238,6 +253,37 @@ def test_rays_for_node_match_independent_derivation(case):
         assert ray.k_primitive == lcm(*(c.denominator for c in c_alpha))
         assert ray.mu_fw == tuple(a - b for a, b in zip(fw, root_coords_to_fw(rs, c_alpha)))
         assert all(type(x) is Q for x in ray.mu_fw + ray.c_alpha)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ray_nodes())
+def test_rays_are_the_slice_vertices_at_the_fundamental_weight(case):
+    # the main theorem: the extremal rays at w_i are the vertices of the slice at w_i
+    rs, i = case
+    rays = rays_for_node(rs, i)
+    verts = polytope_vertices(rs, fundamental_weight(rs, i))
+    assert ([(r.levi, r.mu_fw, r.c_alpha) for r in rays]
+            == [(v.levi, v.point, v.c_alpha) for v in verts])
+    for r in rays:
+        assert cone_contains(rs, r.lambda_fw, r.mu_fw)
+        assert is_extremal_ray(rs, r.lambda_fw, r.mu_fw)
+
+
+@pytest.mark.parametrize("block", [
+    lambda k: ((0,) * k,) * k,
+    lambda k: tuple(tuple(-2 * (a == b) for b in range(k)) for a in range(k)),  # det < 0, k odd
+], ids=["singular", "negative-determinant"])
+def test_levi_solve_checks_its_invariant(monkeypatch, block):
+    monkeypatch.setattr(cone, "sub_cartan", lambda rs, nodes: block(len(nodes)))
+    c3 = root_system("C", 3)
+    with pytest.raises(InvariantError):
+        vertex(c3, (1, 1, 1), (2,))
+    with pytest.raises(InvariantError):
+        vertex(c3, (0, 0, 0), (2,))
+    with pytest.raises(InvariantError):
+        rays_for_node(c3, 2)
+    with pytest.raises(InvariantError):
+        levi_root_coords(c3, (2,), (1,))
 
 
 def test_rays_distinct_per_node():

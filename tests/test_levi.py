@@ -68,6 +68,8 @@ def test_levi_root_coords_block_solve():
     c4 = root_system("C", 4)
     coords = levi_root_coords(c4, (1, 3), (2, 2))
     assert coords == (1, 1)  # two A1 factors, each halving its pairing
+    with pytest.raises(ValueError):
+        levi_root_coords(c4, (1, 3), (2,))
 
 
 def test_induce_vertex_examples():
