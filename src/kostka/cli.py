@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .cone import (all_rays, cone_contains, is_extremal_ray, polytope_vertices,
@@ -246,6 +247,7 @@ def _add_common(sp) -> None:
     sp.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
 
 
+@lru_cache(maxsize=None)  # parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="kostka",

@@ -82,11 +82,11 @@ def induce_between(rs: RootSystem, inner, outer, lam_local, mu_local) -> tuple[t
     outer = node_set(rs, outer)
     if not set(inner) <= set(outer):
         raise ValueError(f"{inner} is not contained in {outer}")
-    if not levi_cone_contains(rs, inner, lam_local, mu_local):
+    # one solve: the pair is in the inner cone when both weights and c are dominant
+    c = levi_root_coords(rs, inner, tuple(a - b for a, b in zip(lam_local, mu_local)))
+    if not (is_dominant(lam_local) and is_dominant(mu_local) and is_dominant(c)):
         raise NotInLeviConeError(
             f"({tuple(lam_local)}, {tuple(mu_local)}) is not in the cone of {inner}")
-    diff = tuple(a - b for a, b in zip(lam_local, mu_local))
-    c = levi_root_coords(rs, inner, diff)
     lam = extend_by_zero(rs, inner, lam_local)
     full = [Fraction(0)] * rs.rank
     for n, x in zip(inner, c):

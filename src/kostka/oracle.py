@@ -4,20 +4,25 @@ Two deliberately different routes to results the rest of the package
 computes in closed form: slice-polytope vertices by basic-feasible-solution
 enumeration over the defining half-spaces, and weight multiplicities by the
 Freudenthal recursion, which validates cone membership on integral points.
+
+Both run in integers: the invariant form in fundamental-weight coordinates
+is cached per root system as (w, w') = w^T G w' / N with G and N integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from . import linalg
 from .cone import cone_contains, slice_inequalities
 from .errors import (CapExceededError, InvariantError, NotDominantError,
                      NotInRootLatticeError, RankBoundExceededError)
-from .rootdata import (RootSystem, fw_to_root_coords, is_dominant, positive_roots,
-                       rho, root_coords_to_fw, symmetrizer)
+from .rootdata import (RootSystem, is_dominant, positive_roots, rho, root_coords_to_fw,
+                       symmetrizer)
 from .weyl import simple_reflection
 
 DEFAULT_VERTEX_RANK_BOUND = 5
@@ -58,9 +63,29 @@ def _integral(w) -> tuple[int, ...]:
     return tuple(int(v) for v in vals)
 
 
-def _pairing(d, w_fw, c_root) -> Fraction:
+def _pairing(d, w_fw, c_root):
     # invariant form of a weight (fw coords) against a root combination (root coords)
     return sum(dj * wj * cj for dj, wj, cj in zip(d, w_fw, c_root))
+
+
+@lru_cache(maxsize=None)
+def _form(rs: RootSystem):
+    """(G, N, d, roots): the invariant form's integer Gram matrix and scale, the
+    integer symmetrizer, and each positive root as (root coords, fw coords)."""
+    lengths = symmetrizer(rs)  # the form is unique up to a positive multiple
+    d = tuple(int(x * lcm(*(y.denominator for y in lengths))) for x in lengths)
+    # (w, alpha_j) = d_j w_j, so (w, w') = sum_j d_j w_j (C^-T w')_j
+    rows = [[dj * x for x in row] for dj, row in zip(d, rs.inverse_transpose_cartan)]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    gram = tuple(tuple(int(x * scale) for x in row) for row in rows)
+    return gram, scale, d, tuple((a, root_coords_to_fw(rs, a)) for a in positive_roots(rs))
+
+
+def _in_root_lattice(rs: RootSystem, lam, mu) -> bool:
+    # w = lam - mu has root coordinates C^-T w = (G w)_j / (N d_j)
+    gram, scale, d, _ = _form(rs)
+    w = [a - b for a, b in zip(lam, mu)]
+    return all(sum(g * x for g, x in zip(row, w)) % (scale * dj) == 0 for dj, row in zip(d, gram))
 
 
 def weyl_dim(rs: RootSystem, lam) -> int:
@@ -68,18 +93,18 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     lam = linalg.vector(lam)
     if not is_dominant(lam):
         raise NotDominantError(f"weight {lam} is not dominant")
-    d = symmetrizer(rs)
+    _, _, d, roots = _form(rs)
     r = rho(rs)
-    shifted = tuple(x + y for x, y in zip(lam, r))
-    num = Fraction(1)
-    den = Fraction(1)
-    for alpha in positive_roots(rs):
+    # integer pairings wherever lam is integral
+    shifted = tuple((x.numerator if x.denominator == 1 else x) + y for x, y in zip(lam, r))
+    num = den = 1
+    for alpha, _ in roots:
         num *= _pairing(d, shifted, alpha)
         den *= _pairing(d, r, alpha)
-    out = num / den
-    if out.denominator != 1:
-        raise InvariantError(f"Weyl dimension formula gave {out} for {lam}")
-    return int(out)
+    out, rem = divmod(num, den)
+    if rem:
+        raise InvariantError(f"Weyl dimension formula gave {Fraction(num, den)} for {lam}")
+    return out
 
 
 class FreudenthalTable:
@@ -97,22 +122,20 @@ class FreudenthalTable:
         self.dim = weyl_dim(rs, self.lam)
         if self.dim > cap:
             raise CapExceededError(f"dim {self.dim} exceeds the cap {cap}")
-        self._d = symmetrizer(rs)
+        self._gram, self._scale, self._d, self._roots = _form(rs)
         self._rho = rho(rs)
-        # positive roots both as root coefficients and in fw coordinates
-        self._roots = [(alpha, root_coords_to_fw(rs, alpha)) for alpha in positive_roots(rs)]
         self._memo: dict[tuple, int] = {self.lam: 1}
-        self._norms: dict[tuple, Fraction] = {}
+        self._norms: dict[tuple, int] = {}  # N (w, w)
         self._norm_lam = self._norm2(self.lam)
         self._norm_lam_rho = self._norm2(self._shift(self.lam))
 
     def _shift(self, w):
         return tuple(x + y for x, y in zip(w, self._rho))
 
-    def _norm2(self, w) -> Fraction:
+    def _norm2(self, w) -> int:
         cached = self._norms.get(w)
         if cached is None:
-            cached = _pairing(self._d, w, fw_to_root_coords(self.rs, w))
+            cached = sum(x * sum(g * y for g, y in zip(row, w)) for x, row in zip(w, self._gram) if x)
             self._norms[w] = cached
         return cached
 
@@ -128,8 +151,7 @@ class FreudenthalTable:
     def multiplicity(self, mu) -> int:
         """Dimension of the weight space at mu (zero off the root-lattice coset)."""
         mu = _integral(mu)
-        diff = tuple(a - b for a, b in zip(self.lam, mu))
-        if any(c.denominator != 1 for c in fw_to_root_coords(self.rs, diff)):
+        if not _in_root_lattice(self.rs, self.lam, mu):
             return 0
         return self._mult(mu)
 
@@ -143,7 +165,7 @@ class FreudenthalTable:
         if self._norm2(self._shift(nu)) >= self._norm_lam_rho:
             self._memo[nu] = 0
             return 0
-        total = Fraction(0)
+        total = 0
         for alpha, alpha_fw in self._roots:
             prev = self._norm2(nu)
             k = 1
@@ -160,11 +182,12 @@ class FreudenthalTable:
                     total += m * _pairing(self._d, xi, alpha)
                 prev = n2
                 k += 1
-        denom = self._norm_lam_rho - self._norm2(self._shift(nu))
-        value = 2 * total / denom
-        if value.denominator != 1 or value < 0:
-            raise InvariantError(f"Freudenthal recursion gave multiplicity {value} at {nu}")
-        out = int(value)
+        num = 2 * self._scale * total  # both sides of Freudenthal's formula times N
+        den = self._norm_lam_rho - self._norm2(self._shift(nu))
+        out, rem = divmod(num, den)
+        if rem or out < 0:
+            raise InvariantError(f"Freudenthal recursion gave multiplicity "
+                                 f"{Fraction(num, den)} at {nu}")
         self._memo[nu] = out
         return out
 
@@ -198,7 +221,6 @@ def compare_membership_multiplicity(rs: RootSystem, lam, mu,
     lam = _integral(lam)
     mu = _integral(mu)
     member = cone_contains(rs, lam, mu)
-    diff = tuple(a - b for a, b in zip(lam, mu))
-    lattice = all(c.denominator == 1 for c in fw_to_root_coords(rs, diff))
+    lattice = _in_root_lattice(rs, lam, mu)
     mult = FreudenthalTable(rs, lam, cap).multiplicity(mu)
     return MembershipComparison(member, lattice, mult)

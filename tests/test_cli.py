@@ -1,14 +1,21 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction as Q
+from pathlib import Path
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import supported_types
+import kostka
 from kostka import fundamental_weight, root_coords_to_fw, root_system
 from kostka.cli import main
 
@@ -233,6 +240,9 @@ def test_census_d4_row(capsys):
 # hashes every type up to rank 7 at each of _pinned_lambdas, in that order.
 # "rays --node" was recorded before the rays were read from one elimination
 # per Levi; it hashes every type at ranks 9-16 at each of _pinned_nodes.
+# "check --oracle" was recorded before the oracle ran in integers; it hashes
+# the exit code, stdout and stderr of every type up to rank 4 and E6 at each
+# of _pinned_pairs.
 PINNED_SHA256 = {
     "rays json": "94c1a1388e1705e9af351590a6834d5c9d9d9fa3dbd39301c2b189d10043ba3c",
     "rays tsv": "9e28f6824679c1189f24e0d690bb03e85a441265dbdf691327de0620da261ad1",
@@ -246,6 +256,9 @@ PINNED_SHA256 = {
     "rays --node json": "fa214382f2823e246da1b8f366d1168634cf2562ec797e89b52003fa90c44270",
     "rays --node tsv": "6216383f8eadde88e98cd7d57a1f88347af64a48a18f2d3c35f38828c402dbae",
     "rays --node pretty": "da4adfaabc85b2d9e5458de1116930ae41464aaa5cdd2fd31846c18829dfc80b",
+    "check --oracle json": "0b270ce275075b1214ef3508fe7dd91ed665a15a43d73c20c3a97a383d8941b6",
+    "check --oracle tsv": "86a2466bbafb6294029a93642e56a9417a22f234426ba12b0d6c535b14ca2d72",
+    "check --oracle pretty": "86a2466bbafb6294029a93642e56a9417a22f234426ba12b0d6c535b14ca2d72",
 }
 
 
@@ -265,9 +278,27 @@ def _pinned_nodes(r):
     return [int((k + 0.5) / 3 * r) + 1 for k in range(3)]
 
 
+def _pinned_pairs(r):
+    """(lambda, mu) as CLI text: lambda in w1, w_r, w1 + w_r, rho, 2*w1 and
+    mu in 0, w1, w_r, w1 + w_r, w2 (w1 at rank 1)."""
+    def w(*nodes):
+        return ",".join(str(nodes.count(i)) for i in range(1, r + 1))
+
+    lams = [w(1), w(r), w(1, r), w(*range(1, r + 1)), w(1, 1)]
+    mus = [w(), w(1), w(r), w(1, r), w(min(2, r))]
+    return [(lam, mu) for lam in lams for mu in mus]
+
+
 def test_output_bytes_are_pinned(capsys):
     got = {}
     for fmt in ("json", "tsv", "pretty"):
+        h = hashlib.sha256()
+        for letter, r in supported_types(4) + [("E", 6)]:
+            for lam, mu in _pinned_pairs(r):
+                code, out, err = run(capsys, "check", "--type", letter, "--rank", str(r),
+                                     "--lambda", lam, "--mu", mu, "--oracle", "--format", fmt)
+                h.update(f"{code}\n{out}{err}".encode())
+        got[f"check --oracle {fmt}"] = h.hexdigest()
         h = hashlib.sha256()
         for letter, r in supported_types(7):
             for lam in _pinned_lambdas(r):
@@ -297,3 +328,32 @@ def test_output_bytes_are_pinned(capsys):
         assert code == 0 and err == ""
         got[f"census {fmt}"] = hashlib.sha256(out.encode()).hexdigest()
     assert got == PINNED_SHA256
+
+
+INTERLEAVED = [
+    ("check", "--type", "B", "--rank", "3", "--lambda", "1,0,1", "--mu", "0,0,1",
+     "--oracle", "--format", "json"),
+    ("rays", "--type", "C", "--rank", "3", "--format", "pretty"),
+    ("rays", "--type", "C", "--rank", "3", "--format", "xml"),  # usage error
+    ("vertices", "--type", "G", "--rank", "2", "--lambda", "1,1", "--format", "tsv"),
+]
+
+
+def test_interleaved_calls_match_fresh_processes(capsys, monkeypatch):
+    # one parser serves every call of a process; no call may see another's state
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    env = dict(os.environ, PYTHONPATH=str(Path(kostka.__file__).parents[1]))
+    alone = []
+    for argv in INTERLEAVED:
+        proc = subprocess.run([sys.executable, "-m", "kostka.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in alone] == [0, 0, 2, 0]
+    for argv, expect in zip(INTERLEAVED + INTERLEAVED[:1], alone + alone[:1]):
+        if expect[0] == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            code = exc.value.code
+        else:
+            code = main(list(argv))
+        assert (code, *capsys.readouterr()) == expect, argv

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction as Q
 
 import pytest
 
 from conftest import systems
+from kostka import linalg
 from kostka import (LeviWeightPair, cone_contains, components, extend_by_zero,
                     induce, induce_sum, induce_vertex, induction_composes,
                     levi_cone_contains, levi_root_coords, rays_for_node,
@@ -44,6 +46,25 @@ def test_induce_rejects_outside_pairs():
     with pytest.raises(NotInLeviConeError):
         # A2 factor: w1 - w2 has a negative root coefficient
         induce(c4, LeviWeightPair((1, 2), (1, 0), (0, 1)))
+
+
+def test_induce_solves_the_inner_levi_once(monkeypatch):
+    solves = []
+    solve_unique = linalg.solve_unique
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve_unique(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "solve_unique", counted)
+    c5 = root_system("C", 5)
+    lam, mu = induce(c5, LeviWeightPair((1, 2, 4), (2, 1, 1), (0, 1, 0)))
+    assert len(solves) == 1
+    assert (lam, mu) == ((2, 1, 0, 1, 0), (0, 1, Q(7, 6), 0, Q(1, 2)))
+    # the refusal keeps its class and message
+    with pytest.raises(NotInLeviConeError) as exc:
+        induce(c5, LeviWeightPair((1, 2), (1, 0), (0, 1)))
+    assert str(exc.value) == "((1, 0), (0, 1)) is not in the cone of (1, 2)"
 
 
 def test_levi_membership_is_componentwise():

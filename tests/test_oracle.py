@@ -3,14 +3,17 @@ from fractions import Fraction as Q
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_dominant, systems
+from conftest import random_dominant, supported_types, systems
+from kostka import oracle
 from kostka import (FreudenthalTable, brute_force_vertices,
                     compare_membership_multiplicity, cone_contains,
                     fw_to_root_coords, longest_element_image, parabolic_order,
-                    polytope_vertices, rho, root_system, weight_multiplicity,
-                    weyl_dim, weyl_order)
-from kostka.errors import (CapExceededError, NotDominantError,
+                    polytope_vertices, positive_roots, rho, root_coords_to_fw,
+                    root_system, weight_multiplicity, weyl_dim, weyl_order)
+from kostka.errors import (CapExceededError, InvariantError, NotDominantError,
                            NotInRootLatticeError, RankBoundExceededError)
 
 
@@ -86,7 +89,6 @@ def _dominant_weights_below(rs, lam):
     top = fw_to_root_coords(rs, tuple(a - b for a, b in zip(lam, low)))
     assert all(c.denominator == 1 for c in top)
     ranges = [range(int(c) + 1) for c in top]
-    from kostka import root_coords_to_fw
     out = []
     for c in product(*ranges):
         nu = tuple(a - b for a, b in zip(lam, root_coords_to_fw(rs, c)))
@@ -98,6 +100,10 @@ def _dominant_weights_below(rs, lam):
 def test_multiplicities_total_to_weyl_dim():
     cases = [("A", 1, (3,)), ("A", 2, (1, 1)), ("C", 2, (1, 1)), ("G", 2, (1, 0)),
              ("B", 3, (0, 1, 0)), ("A", 3, (1, 0, 1))]
+    # w1, w_r and w1 + w_r (2*w1 at rank 1) for every type of rank <= 4, and E6
+    for letter, r in supported_types(4) + [("E", 6)]:
+        for ends in ((1,), (r,), (1, r)):
+            cases.append((letter, r, tuple(ends.count(i) for i in range(1, r + 1))))
     for letter, r, lam in cases:
         rs = root_system(letter, r)
         table = FreudenthalTable(rs, lam)
@@ -136,3 +142,55 @@ def test_comparison_exhaustive_rank_2():
                 mult = table.multiplicity(mu)
                 lattice = all(c.denominator == 1 for c in diff)
                 assert (member and lattice) == (mult > 0), (letter, lam, mu)
+
+
+def test_adjoint_representation():
+    # the highest root theta is the highest weight of the adjoint representation:
+    # dimension |roots| + rank, and the zero weight space is the Cartan subalgebra
+    for rs in systems(8):
+        roots = positive_roots(rs)
+        theta = root_coords_to_fw(rs, max(roots, key=sum))
+        assert weyl_dim(rs, theta) == 2 * len(roots) + rs.rank, rs
+        assert weight_multiplicity(rs, theta, (0,) * rs.rank) == rs.rank, rs
+        assert weight_multiplicity(rs, theta, theta) == 1, rs
+
+
+@st.composite
+def _oracle_pairs(draw):
+    letter, r = draw(st.sampled_from(supported_types(4)))
+    rs = root_system(letter, r)
+    lam = tuple(draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)))
+    assume(weyl_dim(rs, lam) <= oracle.DEFAULT_DIM_CAP)
+    mu = tuple(draw(st.lists(st.integers(0, 4), min_size=r, max_size=r)))
+    return rs, lam, mu
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_pairs())
+def test_membership_matches_positive_multiplicity(case):
+    rs, lam, mu = case
+    cmp = compare_membership_multiplicity(rs, lam, mu)
+    assert cmp.agrees, (rs, lam, mu, cmp)
+    diff = fw_to_root_coords(rs, tuple(a - b for a, b in zip(lam, mu)))
+    assert cmp.in_root_lattice == all(c.denominator == 1 for c in diff)
+
+
+@pytest.fixture
+def fresh_form():
+    form = oracle._form
+    form.cache_clear()
+    yield
+    form.cache_clear()
+
+
+def test_broken_form_raises(monkeypatch, fresh_form):
+    # a real exception, not an assert, so the check survives python -O.
+    # Scale 1 claims the form is integral on the weight lattice, where A2's has
+    # denominator 3: the recursion at the zero weight of the adjoint
+    # representation then gives 2/3 instead of 2.
+    a2 = root_system("A", 2)
+    gram, scale, d, roots = oracle._form(a2)
+    assert scale == 3
+    monkeypatch.setattr(oracle, "_form", lambda rs: (gram, 1, d, roots))
+    with pytest.raises(InvariantError):
+        weight_multiplicity(a2, (1, 1), (0, 0))
