@@ -14,14 +14,14 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from . import __version__
-from .cone import (all_rays, cone_contains, is_extremal_ray, polytope_vertices,
+from .cone import (_levi_inverse, all_rays, cone_contains, is_extremal_ray, polytope_vertices,
                    ray_count_formula, rays_for_node)
 from .errors import KostkaError
-from .linalg import invert
 from .oracle import compare_membership_multiplicity
-from .rootdata import is_dominant, root_system, sub_cartan, supported_types
+from .rootdata import is_dominant, root_system, supported_types
 
 RAY_COLUMNS = ("type", "rank", "node", "levi", "k_primitive", "k_det",
                "lambda_fw", "mu_fw", "c_alpha")
@@ -39,6 +39,12 @@ def _qlist(v) -> list[str]:
 
 def _csv(v) -> str:
     return ",".join(_q(x) for x in v)
+
+
+def _ratio(n: int, d: int) -> str:
+    # n / d for d > 0, printed as _q prints the Fraction
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _nodes_str(nodes) -> str:
@@ -102,16 +108,16 @@ def _scaled(k: int, v) -> tuple[int, ...]:
     return tuple(k * x.numerator // x.denominator for x in v)
 
 
-def _ray_pretty(rs, ray) -> list[str]:
+def _ray_pretty(rs, ray, inverses: dict) -> list[str]:
     head = (f"node {ray.node}  levi {_nodes_str(ray.levi)}  "
             f"k_primitive={ray.k_primitive}  k_det={ray.k_det}")
     lines = [head]
     k = ray.k_det
     lam_str = _combo(_scaled(k, ray.lambda_fw), "w")
     if ray.levi:
-        inv_t = invert(zip(*sub_cartan(rs, ray.levi)))
+        adj, det = _levi_inverse(rs, ray.levi, inverses)
         lines.append(f"  inverse transpose Cartan on {_nodes_str(ray.levi)}:")
-        cells = [[_q(x) for x in row] for row in inv_t]
+        cells = [[_ratio(x, det) for x in row] for row in adj]
         width = max(len(c) for row in cells for c in row)
         for row in cells:
             lines.append("    " + "  ".join(c.rjust(width) for c in row))
@@ -125,10 +131,11 @@ def _ray_pretty(rs, ray) -> list[str]:
 
 def cmd_rays(args) -> int:
     rs = root_system(args.type, args.rank)
+    inverses: dict = {}  # Levi block inverses, shared by the rays and the pretty blocks
     if args.node is not None:
-        records = rays_for_node(rs, args.node)
+        records = rays_for_node(rs, args.node, inverses=inverses)
     else:
-        records = all_rays(rs)
+        records = all_rays(rs, inverses=inverses)
     if args.format == "json":
         _emit(json.dumps(_ray_row(rs, r), separators=(",", ":")) for r in records)
     elif args.format == "tsv":
@@ -143,7 +150,7 @@ def cmd_rays(args) -> int:
     else:
         blocks = []
         for r in records:
-            blocks.extend(_ray_pretty(rs, r))
+            blocks.extend(_ray_pretty(rs, r, inverses))
         _emit(blocks)
     return 0
 

@@ -108,29 +108,55 @@ def _require_dominant(lam: linalg.Vec) -> None:
         raise NotDominantError(f"weight {lam} is not dominant")
 
 
-def _levi_vertex(rs: RootSystem, lam: linalg.Vec, nodes: tuple[int, ...]) -> tuple[Vertex, int]:
+def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tuple[tuple, int]:
+    """The integer inverse (adj, det) of the block C_L^T of the Levi of `nodes`.
+
+    (C_L^T)^-1 = adj / det.  ``inverses`` maps each block already inverted to
+    its result, for one enumeration: Levis of the same shape share a block,
+    so it is solved once, against the identity.  Raises InvariantError if
+    the block is singular or det is not positive.
+    """
+    block = tuple(zip(*sub_cartan(rs, nodes)))
+    out = inverses.get(block)
+    if out is None:
+        k = len(block)
+        try:
+            out = linalg.solve_unique(block, [[int(a == b) for b in range(k)] for a in range(k)],
+                                      integer=True)
+        except (NoSolutionError, MultipleSolutionsError) as exc:
+            raise InvariantError(f"Levi {nodes} of {rs} has a singular Cartan matrix") from exc
+        if out[1] <= 0:
+            raise InvariantError(f"Levi {nodes} of {rs} has a Cartan matrix of "
+                                 f"nonpositive determinant")
+        inverses[block] = out
+    return out
+
+
+def _levi_vertex(rs: RootSystem, lam: linalg.Vec, nodes: tuple[int, ...],
+                 inverses: dict | None = None) -> tuple[Vertex, int]:
     """The vertex on `nodes` and the common denominator d of its c_alpha.
 
-    One integer solve of C_L^T c = lam|_L on the Levi L of `nodes` (none for
-    the empty set, where d = 1); d is det C_L when lam is integral.  The
-    point lam - (pairings of c) is zero on L, where the pairings are lam, and
+    c solves C_L^T c = lam|_L on the Levi L of `nodes`, read from the block's
+    integer inverse (``_levi_inverse``, shared through ``inverses``):
+    with m the lcm of lam|_L's denominators, c = adj (m lam|_L) / (det m),
+    a product over lam's nonzero coordinates on L only, so d = det m (d = 1
+    for the empty set) and d is det C_L when lam is integral.  The point
+    lam - (pairings of c) is zero on L, where the pairings are lam, and
     differs from lam elsewhere only on L's neighbours.  Raises
-    InvariantError if the block is singular or d is not positive.
+    InvariantError if the block is singular or its determinant is not
+    positive.
     """
     coeffs = [0] * rs.rank
     point = list(lam)
     d = 1
     if nodes:
-        try:
-            nums, d = linalg.solve_unique(tuple(zip(*sub_cartan(rs, nodes))),
-                                          [lam[n - 1] for n in nodes], integer=True)
-        except (NoSolutionError, MultipleSolutionsError) as exc:
-            raise InvariantError(f"Levi {nodes} of {rs} has a singular Cartan matrix") from exc
-        if d <= 0:
-            raise InvariantError(f"Levi {nodes} of {rs} has a Cartan matrix of "
-                                 f"nonpositive determinant")
-        for n, x in zip(nodes, nums):
-            coeffs[n - 1] = x
+        adj, det = _levi_inverse(rs, nodes, {} if inverses is None else inverses)
+        rhs = [(j, lam[n - 1]) for j, n in enumerate(nodes) if lam[n - 1]]
+        m = lcm(*(w.denominator for _, w in rhs))
+        rhs = [(j, w.numerator * (m // w.denominator)) for j, w in rhs]
+        d = det * m
+        for n, row in zip(nodes, adj):
+            coeffs[n - 1] = sum(row[j] * w for j, w in rhs)
         for k, p in enumerate(root_coords_to_fw(rs, coeffs)):
             if p:
                 w = lam[k]
@@ -140,19 +166,21 @@ def _levi_vertex(rs: RootSystem, lam: linalg.Vec, nodes: tuple[int, ...]) -> tup
     return Vertex(tuple(point), tuple(n for n in nodes if coeffs[n - 1]), c_alpha), d
 
 
-def vertex(rs: RootSystem, lam, nodes) -> Vertex:
+def vertex(rs: RootSystem, lam, nodes, *, inverses: dict | None = None) -> Vertex:
     """The slice-polytope vertex obtained by zeroing the pairings on `nodes`.
 
     Solves <x, alpha_i_vee> = 0 for i in `nodes` together with agreement of
     the remaining simple-root coefficients with lam; the unique solution is
-    lam minus a combination of the simple roots indexed by `nodes`, found by
-    one integer solve of the Levi Cartan block (``_levi_vertex``, the solve
-    `rays_for_node` reads every ray from).  The returned node set is
-    minimal: nodes whose coefficient vanishes are dropped.
+    lam minus a combination of the simple roots indexed by `nodes`, read
+    from the integer inverse of the Levi Cartan block (``_levi_vertex``,
+    which `rays_for_node` reads every ray from).  ``inverses`` shares the
+    inverses across calls of one enumeration; without it the block is
+    inverted afresh.  The returned node set is minimal: nodes whose
+    coefficient vanishes are dropped.
     """
     lam = _weight(rs, lam)
     _require_dominant(lam)
-    return _levi_vertex(rs, lam, node_set(rs, nodes))[0]
+    return _levi_vertex(rs, lam, node_set(rs, nodes), inverses)[0]
 
 
 def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
@@ -162,7 +190,8 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
     vertices correspond one to one to the node sets S each of whose
     connected components meets the support of lam, and S is the minimal
     defining node set of its vertex.  Each connected piece meeting the
-    support is solved once by `vertex`; the vertex of S is lam minus the sum
+    support is solved once by `vertex`, and pieces of the same shape share
+    one inverse of their Cartan block; the vertex of S is lam minus the sum
     of the drops lam - point of its components, and its c_alpha is the sum
     of theirs.  Raises CapExceededError, before any solve, when there are
     more than VERTEX_CAP such node sets.  Ordered by node set (size, then
@@ -200,8 +229,9 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
             stack.append((len(sets), free & later[j]))
             sets.append((k, j))
     solved = []
+    inverses: dict = {}
     for p in pieces:
-        v = vertex(rs, lam, p)
+        v = vertex(rs, lam, p, inverses=inverses)
         if v.levi != p:
             raise InvariantError(f"vertex of {rs} at {lam} on {p} has minimal node set {v.levi}")
         # off the piece, the drop lam - point is supported on the piece's neighbours
@@ -245,30 +275,40 @@ class RayRecord:
     k_det: int
 
 
-def rays_for_node(rs: RootSystem, i: int) -> tuple[RayRecord, ...]:
+def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tuple[RayRecord, ...]:
     """All extremal rays whose first coordinate is the i-th fundamental weight.
 
     These are the vertices of the slice polytope at w_i: one for the empty
     node set (the pair (w_i, w_i)) and one for every connected subdiagram L
-    containing node i, read from the same integer Levi solve as `vertex`
-    (``_levi_vertex``).  Its common denominator d is ``k_det``, the
+    containing node i, read as `vertex` reads them (``_levi_vertex``): c_alpha
+    is the column of node i in the integer inverse adj / det of C_L^T, so a ray costs
+    O(|L|) once its block is inverted, and each distinct block is inverted
+    once per call (or once per ``inverses`` dict, which the caller may share
+    with other enumerations).  The common denominator d is ``k_det``, the
     determinant of the Levi Cartan submatrix, and ``k_primitive`` is the
     least common denominator of ``c_alpha``, d / gcd(d, numerators).
     """
     lam = linalg.vector(fundamental_weight(rs, i))
+    if inverses is None:
+        inverses = {}
     records = []
     for nodes in [(), *connected_subsets_containing(rs, i)]:
-        v, d = _levi_vertex(rs, lam, nodes)
+        v, d = _levi_vertex(rs, lam, nodes, inverses)
         records.append(RayRecord(i, nodes, lam, v.point, v.c_alpha,
                                  lcm(*(v.c_alpha[n - 1].denominator for n in nodes)), d))
     return tuple(records)
 
 
-def all_rays(rs: RootSystem) -> tuple[RayRecord, ...]:
-    """Every extremal ray of the cone, grouped by node in ascending order."""
+def all_rays(rs: RootSystem, *, inverses: dict | None = None) -> tuple[RayRecord, ...]:
+    """Every extremal ray of the cone, grouped by node in ascending order.
+
+    One dict of Levi block inverses serves every node (see `rays_for_node`).
+    """
+    if inverses is None:
+        inverses = {}
     out: list[RayRecord] = []
     for i in range(1, rs.rank + 1):
-        out.extend(rays_for_node(rs, i))
+        out.extend(rays_for_node(rs, i, inverses=inverses))
     return tuple(out)
 
 

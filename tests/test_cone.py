@@ -3,11 +3,12 @@ from fractions import Fraction as Q
 from math import lcm
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_subsets, random_dominant, supported_types, systems
-from kostka import (all_rays, brute_force_vertices, components, cone, cone_contains,
+from kostka import (all_rays, brute_force_vertices, cli, components, cone, cone_contains,
                     cone_inequalities, connected_subsets_containing, fundamental_orbit_pairs,
                     fundamental_weight, fw_to_root_coords, is_extremal_ray,
                     levi_root_coords, linalg, parabolic_average, polytope_vertices, ray_count_formula, rays_for_node,
@@ -249,7 +250,7 @@ def test_rays_for_node_match_independent_derivation(case):
             c_alpha[n - 1] = c
         assert ray.lambda_fw == fw
         assert ray.c_alpha == tuple(c_alpha)
-        assert ray.k_det == linalg.det(sub_cartan(rs, levi))
+        assert ray.k_det == sympy.Matrix(sub_cartan(rs, levi)).det()
         assert ray.k_primitive == lcm(*(c.denominator for c in c_alpha))
         assert ray.mu_fw == tuple(a - b for a, b in zip(fw, root_coords_to_fw(rs, c_alpha)))
         assert all(type(x) is Q for x in ray.mu_fw + ray.c_alpha)
@@ -284,6 +285,31 @@ def test_levi_solve_checks_its_invariant(monkeypatch, block):
         rays_for_node(c3, 2)
     with pytest.raises(InvariantError):
         levi_root_coords(c3, (2,), (1,))
+
+
+@pytest.mark.parametrize("enumerate_, solves", [
+    (lambda: cli.main(["rays", "--type", "A", "--rank", "16", "--node", "8",
+                       "--format", "pretty"]), 16),
+    (lambda: all_rays(root_system("A", 12)), 12),
+    (lambda: all_rays(root_system("E", 8)), 17),
+    (lambda: polytope_vertices(root_system("A", 9), rho(root_system("A", 9))), 9),
+], ids=["cli-rays-A16-node8-pretty", "all_rays-A12", "all_rays-E8", "polytope_vertices-A9-rho"])
+def test_one_solve_per_distinct_levi_block(monkeypatch, enumerate_, solves):
+    # 72, 364, 160 and 45 Levis; the same count on a second call: no cache outlives a call
+    for letter, r in (("A", 16), ("A", 12), ("E", 8), ("A", 9)):
+        root_system(letter, r)
+    calls = []
+    solve_unique = linalg.solve_unique
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_unique(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "solve_unique", counted)
+    for _ in range(2):
+        calls.clear()
+        enumerate_()
+        assert len(calls) == solves
 
 
 def test_rays_distinct_per_node():

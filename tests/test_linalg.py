@@ -19,16 +19,23 @@ def test_solve_1x1():
 def test_solve_c2_cartan_system():
     # 2x - y = 1, -2x + 2y = 0  =>  x = y = 1 (by hand elimination)
     assert linalg.solve_unique([[2, -1], [-2, 2]], [1, 0]) == (1, 1)
+    # several right-hand sides, given as the rows of a matrix: one row per unknown back
+    assert linalg.solve_unique([[2, -1], [-2, 2]], [[1, 1, 0], [0, 0, 1]]) == \
+        ((1, 1, Q(1, 2)), (1, 1, 1))
 
 
 def test_solve_inconsistent():
     with pytest.raises(NoSolutionError):
         linalg.solve_unique([[1, 1], [2, 2]], [1, 3])
+    with pytest.raises(NoSolutionError):
+        linalg.solve_unique([[1, 1], [2, 2]], [[1, 1], [2, 3]])
 
 
 def test_solve_underdetermined():
     with pytest.raises(MultipleSolutionsError):
         linalg.solve_unique([[1, 1], [2, 2]], [1, 2])
+    with pytest.raises(MultipleSolutionsError):
+        linalg.solve_unique([[1, 1], [2, 2]], [[1, 1], [2, 2]])
 
 
 def test_solve_unique_integer_examples():
@@ -36,6 +43,9 @@ def test_solve_unique_integer_examples():
     assert linalg.solve_unique([[2, -1], [-2, 2]], [1, 0], integer=True) == ((2, 2), 2)
     assert linalg.solve_unique([[0, 1], [1, 0]], [3, 5], integer=True) == ((-5, -3), -1)
     assert linalg.solve_unique([[Q(1, 2)]], [Q(1, 3)], integer=True) == ((2,), 3)
+    # against the identity the numerators are the adjugate
+    assert linalg.solve_unique([[2, -1], [-2, 2]], [[1, 0], [0, 1]], integer=True) == \
+        (((2, 1), (2, 2)), 2)
     with pytest.raises(MultipleSolutionsError):
         linalg.solve_unique([[1, 1], [2, 2]], [1, 2], integer=True)
 
@@ -54,6 +64,7 @@ def test_invert_1x1():
 def test_invert_c2_cartan():
     inv = linalg.invert([[2, -1], [-2, 2]])
     assert inv == ((1, Q(1, 2)), (1, 1))  # = (1/2) * [[2,1],[2,2]]
+    assert inv == linalg.solve_unique([[2, -1], [-2, 2]], [(1, 0), (0, 1)])
 
 
 def test_invert_identity():
@@ -65,27 +76,65 @@ def test_invert_singular():
         linalg.invert([[1, 2], [2, 4]])
 
 
+def _rank(a):
+    return len(linalg._eliminate(linalg._integer_rows(a)[0])[0])
+
+
+def _det(a):
+    # the last pivot over the scale of the cleared rows, 0 without a full set of pivots
+    rows, scale = linalg._integer_rows(a)
+    pivots, d = linalg._eliminate(rows)
+    return Q(d, scale) if len(pivots) == len(a) else 0
+
+
 def test_rank_examples():
-    assert linalg.rank(((0, 0), (0, 0))) == 0
-    assert linalg.rank(linalg.identity(4)) == 4
-    assert linalg.rank(((1, 2), (2, 4))) == 1
+    assert _rank(((0, 0), (0, 0))) == 0
+    assert _rank(linalg.identity(4)) == 4
+    assert _rank(((1, 2), (2, 4))) == 1
 
 
 def test_nullspace_dim_examples():
-    assert linalg.nullspace_dim(linalg.identity(3)) == 0
-    assert linalg.nullspace_dim(((0, 0, 0),)) == 3
-    assert linalg.nullspace_dim(((1, -1),)) == 1
-    assert linalg.nullspace_dim((), cols=5) == 5
+    assert 3 - _rank(linalg.identity(3)) == 0
+    assert 3 - _rank(((0, 0, 0),)) == 3
+    assert 2 - _rank(((1, -1),)) == 1
+    assert 5 - _rank(()) == 5
 
 
 def test_det_examples():
-    assert linalg.det(()) == 1
-    assert linalg.det(((2, -1), (-2, 2))) == 2
-    assert linalg.det(((1, 2), (2, 4))) == 0
+    assert _det(()) == 1
+    assert _det(((2, -1), (-2, 2))) == 2
+    assert _det(((1, 2), (2, 4))) == 0
     # permutation matrices make the elimination swap rows
-    assert linalg.det(((0, 1), (1, 0))) == -1
-    assert linalg.det(((0, 1, 0), (0, 0, 1), (1, 0, 0))) == 1
-    assert linalg.det(((0, 0, 1), (0, 1, 0), (1, 0, 0))) == -1
+    assert _det(((0, 1), (1, 0))) == -1
+    assert _det(((0, 1, 0), (0, 0, 1), (1, 0, 0))) == 1
+    assert _det(((0, 0, 1), (0, 1, 0), (1, 0, 0))) == -1
+
+
+def test_eliminate_takes_tuple_rows():
+    # is_extremal_ray passes its cached integer forms as tuples
+    rows = [(2, -1, 0), (-1, 2, -1), (0, -1, 2)]
+    as_lists = [list(r) for r in rows]
+    # rows that are all int need no clearing and are passed through as they are
+    assert linalg._integer_rows(rows) == (rows, 1)
+    assert all(got is row for got, row in zip(linalg._integer_rows(rows)[0], rows))
+    assert linalg._eliminate(rows) == linalg._eliminate(as_lists) == ([0, 1, 2], 4)
+    assert rows == as_lists == [[4, 0, 0], [0, 4, 0], [0, 0, 4]]
+
+
+@pytest.mark.parametrize("rows, pivots, rref", [
+    # a zero column first: the pivots start one column on
+    ([[0, 2, 1], [0, 1, 1]], [1, 2], [[0, 1, 0], [0, 0, 1]]),
+    # column 1 has no pivot but a nonzero entry above it, which the pivot
+    # of column 2 must still scale
+    ([[1, 2, 3], [2, 4, 5]], [0, 2], [[1, 2, 0], [0, 0, 1]]),
+    ([[1, 2, 3, 1], [2, 4, 5, 0], [3, 6, 8, 2]], [0, 2, 3],
+     [[1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+], ids=["zero-column", "skipped-column", "skipped-column-then-two-pivots"])
+def test_eliminate_with_a_column_without_pivot(rows, pivots, rref):
+    got, d = linalg._eliminate(rows)
+    assert got == pivots
+    assert [[Q(v, d) for v in row] for row in rows[:len(got)]] == rref
+    assert all(not v for row in rows[len(got):] for v in row)
 
 
 def _random_matrix(rng, n):
@@ -103,7 +152,8 @@ def test_inverse_roundtrip_random():
             inv = linalg.invert(a)
         except SingularMatrixError:
             continue
-        assert linalg.mat_mul(a, inv) == linalg.identity(n)
+        assert tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*inv))
+                     for row in a) == linalg.identity(n)
         assert linalg.invert(inv) == a
         done += 1
 
@@ -127,7 +177,7 @@ def test_rank_equals_transpose_rank_random():
     for _ in range(30):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         a = linalg.matrix([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
-        assert linalg.rank(a) == linalg.rank(linalg.transpose(a))
+        assert _rank(a) == _rank(tuple(zip(*a)))
 
 
 _entries = st.one_of(st.just(Q(0)),
@@ -164,14 +214,18 @@ def _frac(x):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rational_systems())
-def test_kernel_matches_sympy(system):
+@given(_rational_systems(), st.data())
+def test_kernel_matches_sympy(system, data):
     a, b = system
     sa = _sym(a)
     m, n = len(a), len(a[0])
     r = sa.rank()
-    assert linalg.rank(a) == r
-    assert linalg.nullspace_dim(a) == n - r
+    rref, sym_pivots = sa.rref()
+    rows, a_scale = linalg._integer_rows(a)
+    pivots, last = linalg._eliminate(rows)
+    assert pivots == list(sym_pivots) and len(pivots) == r
+    assert [[Q(v, last) for v in row] for row in rows[:r]] == \
+        [[_frac(rref[i, j]) for j in range(n)] for i in range(r)]
     if _sym([row + (v,) for row, v in zip(a, b)]).rank() > r:
         with pytest.raises(NoSolutionError):
             linalg.solve_unique(a, b)
@@ -187,13 +241,30 @@ def test_kernel_matches_sympy(system):
             # d is the determinant once each row of [A | b] is cleared of denominators
             scale = prod(lcm(*(v.denominator for v in row + (c,))) for row, c in zip(a, b))
             assert d == _frac(sa.det()) * scale
+    # several right-hand sides: b and up to two more columns
+    extra = data.draw(st.lists(st.lists(_entries, min_size=m, max_size=m), max_size=2))
+    cols = tuple(zip(b, *extra))
+    if _sym([row + c for row, c in zip(a, cols)]).rank() > r:
+        with pytest.raises(NoSolutionError):
+            linalg.solve_unique(a, cols)
+    elif r < n:
+        with pytest.raises(MultipleSolutionsError):
+            linalg.solve_unique(a, cols)
+    else:
+        xs, _ = sa.gauss_jordan_solve(_sym(cols))
+        want = tuple(tuple(_frac(xs[i, j]) for j in range(len(cols[0]))) for i in range(n))
+        assert linalg.solve_unique(a, cols) == want
+        nums, d = linalg.solve_unique(a, cols, integer=True)
+        assert tuple(tuple(Q(v, d) for v in row) for row in nums) == want
     if m == n:
         d = _frac(sa.det())
-        assert linalg.det(a) == d
+        # the last pivot is the determinant of the cleared rows
+        assert (Q(last, a_scale) if len(pivots) == n else 0) == d
         if d:
             inv = sa.inv()
             assert linalg.invert(a) == tuple(tuple(_frac(inv[i, j]) for j in range(n))
                                              for i in range(n))
+            assert linalg.invert(a) == linalg.solve_unique(a, linalg.identity(n))
         else:
             with pytest.raises(SingularMatrixError):
                 linalg.invert(a)
