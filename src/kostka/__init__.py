@@ -4,8 +4,8 @@ Everything runs over exact rationals: root data and Cartan matrices for the
 types A-G, Weyl orbits and parabolic averages, vertices of the polytopes
 obtained by slicing the cone at a dominant weight, the complete list of
 extremal rays with integral scaling data, Levi induction of weight pairs,
-and independent brute-force verifiers (half-space vertex enumeration and
-Freudenthal weight multiplicities).
+and independent brute-force verifiers (the double description of the rays
+and slice vertices, and Freudenthal weight multiplicities).
 """
 
 __version__ = "0.1.0"
@@ -17,7 +17,7 @@ from .errors import KostkaError
 from .levi import (LeviWeightPair, extend_by_zero, induce, induce_between,
                    induce_sum, induce_vertex, induction_composes,
                    levi_cone_contains, levi_root_coords, restrict)
-from .oracle import (FreudenthalTable, MembershipComparison, brute_force_vertices,
+from .oracle import (FreudenthalTable, MembershipComparison, brute_force_rays, brute_force_vertices,
                      compare_membership_multiplicity, weight_multiplicity, weyl_dim)
 from .rootdata import (LeviFactor, RootSystem, components,
                        connected_subsets_containing, fundamental_weight,

@@ -20,8 +20,7 @@ from . import linalg
 from .errors import (CapExceededError, InvariantError, MultipleSolutionsError, NoSolutionError,
                      NotDominantError, NotInConeError)
 from .rootdata import (RootSystem, connected_subsets_containing, fundamental_weight,
-                       fw_to_root_coords, is_dominant, node_set, root_coords_to_fw,
-                       sub_cartan, validate_type)
+                       is_dominant, node_set, root_coords_to_fw, sub_cartan, validate_type)
 from .weyl import DEFAULT_BUDGET, OrbitBudget, orbit
 
 
@@ -74,11 +73,14 @@ def slice_inequalities(rs: RootSystem, lam) -> tuple[tuple[str, Fraction, tuple]
                  for f in cone_inequalities(rs)[r:])
 
 
-def _form_values(rs: RootSystem, lam, mu) -> linalg.Vec:
-    # the values of the cone_inequalities forms at (lam | mu), in their order
-    lam = _weight(rs, lam)
-    mu = _weight(rs, mu)
-    return lam + mu + fw_to_root_coords(rs, tuple(a - b for a, b in zip(lam, mu)))
+def _form_values(rs: RootSystem, lam, mu) -> list[int]:
+    # the values of the cone_inequalities forms at m (lam | mu), in their order, for the
+    # lcm m > 0 of the denominators: integers with the signs of the values at (lam | mu);
+    # the first 2r forms are the coordinates
+    x = _weight(rs, lam) + _weight(rs, mu)
+    m = lcm(*(v.denominator for v in x))
+    x = [v.numerator * (m // v.denominator) for v in x]
+    return x + [sum(a * v for a, v in zip(row, x) if v) for row in _integer_cone_forms(rs)[len(x):]]
 
 
 def cone_contains(rs: RootSystem, lam, mu) -> bool:

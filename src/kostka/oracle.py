@@ -1,9 +1,10 @@
 """Independent brute-force verifiers.
 
 Two deliberately different routes to results the rest of the package
-computes in closed form: slice-polytope vertices by basic-feasible-solution
-enumeration over the defining half-spaces, and weight multiplicities by the
-Freudenthal recursion, which validates cone membership on integral points.
+computes in closed form: the extreme rays of the cone and the vertices of
+its slices by the double description method over the defining half-spaces
+alone (no Levi structure, no linear solve), and weight multiplicities by
+the Freudenthal recursion, which validates cone membership on integral points.
 
 Both run in integers: the invariant form in fundamental-weight coordinates
 is cached per root system as (w, w') = w^T G w' / N with G and N integral.
@@ -14,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
-from .cone import cone_contains, slice_inequalities
+from .cone import _integer_cone_forms, cone_contains, slice_inequalities
 from .errors import (CapExceededError, InvariantError, NotDominantError,
                      NotInRootLatticeError, RankBoundExceededError)
 from .rootdata import (RootSystem, is_dominant, positive_roots, rho, root_coords_to_fw,
@@ -29,31 +29,69 @@ DEFAULT_VERTEX_RANK_BOUND = 5
 DEFAULT_DIM_CAP = 10**5
 
 
-def brute_force_vertices(rs: RootSystem, lam, max_rank: int = DEFAULT_VERTEX_RANK_BOUND) -> frozenset:
-    """Vertices of the slice polytope by exhausting square subsystems.
+def _extreme_rays(rows, dim: int) -> list[tuple[int, ...]]:
+    """Extreme rays of the cone {x >= 0 : row . x >= 0 for every row}, primitive.
 
-    Every vertex is a basic feasible solution: solve each of the C(2r, r)
-    rank-sized subsets of the 2r bounding hyperplanes and keep the unique
-    solutions satisfying all inequalities.
+    Double description (Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda
+    and Prodon, 1996) over int: start from the orthant and its unit rays,
+    keep each ray's tight constraints as a bit mask (bit j for x_j >= 0,
+    bit dim + k for row k), and add one row at a time.  Rays on the row's
+    nonnegative side stay; a new ray comes from each pair of a positive and
+    a negative ray that are adjacent, which holds iff no other ray is tight
+    on every constraint tight on both (the combinatorial test).
+    """
+    rays = [(tuple(int(i == j) for j in range(dim)), ((1 << dim) - 1) ^ (1 << i))
+            for i in range(dim)]
+    for k, row in enumerate(rows):
+        bit = 1 << (dim + k)
+        vals = [sum(a * v for a, v in zip(row, ray) if v) for ray, _ in rays]
+        plus = [(ray, mask, s) for (ray, mask), s in zip(rays, vals) if s > 0]
+        minus = [(ray, mask, s) for (ray, mask), s in zip(rays, vals) if s < 0]
+        out = [(ray, mask | bit if not s else mask) for (ray, mask), s in zip(rays, vals) if s >= 0]
+        masks = [mask for _, mask in rays]
+        for p, mp, sp in plus:
+            for n, mn, sn in minus:
+                z = mp & mn
+                # the pair's face has dimension 2: at least dim - 2 tight constraints, and
+                # no third ray tight on all of them (distinct rays have distinct masks)
+                if z.bit_count() < dim - 2 or any(m & z == z for m in masks if m != mp and m != mn):
+                    continue
+                x = [sp * b - sn * a for a, b in zip(p, n)]
+                g = gcd(*x)
+                out.append((tuple(v // g for v in x), z | bit))
+        rays = out
+    return [ray for ray, _ in rays]
+
+
+def brute_force_vertices(rs: RootSystem, lam, max_rank: int = DEFAULT_VERTEX_RANK_BOUND) -> frozenset:
+    """Vertices of the slice polytope by double description.
+
+    The slice {mu : const + coeffs . mu >= 0} is homogenised to the cone of
+    (mu, t) with t >= 0 and const t + coeffs . mu >= 0.  Its dom-mu forms
+    and t >= 0 are the orthant, so only the r rootcoef forms are added
+    (`_extreme_rays`); each extreme ray (y, t) is the vertex y / t.  Raises
+    InvariantError if a ray has t <= 0, that is if the slice is unbounded.
     """
     if rs.rank > max_rank:
         raise RankBoundExceededError(f"rank {rs.rank} exceeds the bound {max_rank}")
     lam = linalg.vector(lam)
     if not is_dominant(lam):
         raise NotDominantError(f"weight {lam} is not dominant")
-    forms = slice_inequalities(rs, lam)
+    rows, _ = linalg._integer_rows([*coeffs, const]
+                                   for _, const, coeffs in slice_inequalities(rs, lam)[rs.rank:])
     points = set()
-    for chosen in combinations(forms, rs.rank):
-        a = linalg.matrix(f[2] for f in chosen)
-        b = tuple(-f[1] for f in chosen)
-        try:
-            x = linalg.solve_unique(a, b)
-        except (linalg.NoSolutionError, linalg.MultipleSolutionsError):
-            continue
-        if all(const + sum(c * v for c, v in zip(coeffs, x)) >= 0
-               for _, const, coeffs in forms):
-            points.add(x)
+    for *y, t in _extreme_rays(rows, rs.rank + 1):
+        if t <= 0:
+            raise InvariantError(f"the slice of {rs} at {lam} is unbounded along {tuple(y)}")
+        points.add(tuple(Fraction(v, t) for v in y))
     return frozenset(points)
+
+
+def brute_force_rays(rs: RootSystem) -> frozenset:
+    """Extreme rays of the cone as primitive integer (lam | mu) vectors, by double
+    description: the dom-lambda and dom-mu forms are the orthant, and only the r
+    rootcoef forms are added (`_extreme_rays`)."""
+    return frozenset(_extreme_rays(_integer_cone_forms(rs)[2 * rs.rank:], 2 * rs.rank))
 
 
 def _integral(w) -> tuple[int, ...]:

@@ -334,6 +334,61 @@ def test_extremality_examples():
         is_extremal_ray(a1, (0,), (1,))
 
 
+def _fraction_verdicts(rs, lam, mu):
+    # cone_contains and is_extremal_ray by their definitions: the Fraction cone forms
+    # at (lam | mu) through fw_to_root_coords, and the rank of the tight ones in sympy;
+    # None in place of the extremality verdict where is_extremal_ray must raise
+    values = lam + mu + fw_to_root_coords(rs, tuple(a - b for a, b in zip(lam, mu)))
+    if any(v < 0 for v in values):
+        return False, None
+    tight = [[sympy.Rational(c.numerator, c.denominator) for c in f.coeffs]
+             for f, v in zip(cone_inequalities(rs), values) if v == 0]
+    rank = sympy.Matrix(tight).rank() if tight else 0
+    return True, 2 * rs.rank - rank == 1
+
+
+def _form_test_pairs(rng, rs):
+    r = rs.rank
+
+    def rational(lo):
+        return Q(rng.randint(lo, 6), rng.randint(1, 3))
+
+    lam = tuple(rational(0) for _ in range(r))
+    # random pairs, with mu (and sometimes lam) not dominant
+    pairs = [(tuple(rational(-1) for _ in range(r)), tuple(rational(-2) for _ in range(r)))
+             for _ in range(4)]
+    pairs += [(lam, tuple(rational(-1) for _ in range(r))) for _ in range(4)]
+    # boundary pairs: lam = mu, a zero root coefficient, scaled rays, midpoints of two rays
+    pairs.append((lam, lam))
+    c = [rng.choice((0, Q(1, 2), 1)) for _ in range(r)]
+    c[rng.randrange(r)] = 0
+    pairs.append((lam, tuple(a - b for a, b in zip(lam, root_coords_to_fw(rs, c)))))
+    rays = all_rays(rs)
+    for _ in range(4):
+        a, b = rng.choice(rays), rng.choice(rays)
+        k = Q(rng.randint(1, 5), rng.randint(1, 3))
+        pairs.append((tuple(k * x for x in a.lambda_fw), tuple(k * x for x in a.mu_fw)))
+        pairs.append((tuple((x + y) / 2 for x, y in zip(a.lambda_fw, b.lambda_fw)),
+                      tuple((x + y) / 2 for x, y in zip(a.mu_fw, b.mu_fw))))
+    return pairs
+
+
+def test_integer_form_verdicts_match_fraction_definitions():
+    rng = random.Random(83)
+    seen = set()
+    for rs in systems(6):
+        for lam, mu in _form_test_pairs(rng, rs):
+            member, extremal = _fraction_verdicts(rs, lam, mu)
+            assert cone_contains(rs, lam, mu) == member, (rs, lam, mu)
+            if extremal is None:
+                with pytest.raises(NotInConeError):
+                    is_extremal_ray(rs, lam, mu)
+            else:
+                assert is_extremal_ray(rs, lam, mu) == extremal, (rs, lam, mu)
+            seen.add(extremal)
+    assert seen == {None, False, True}
+
+
 def test_every_ray_is_extremal_small():
     for rs in systems(4):
         for ray in all_rays(rs):

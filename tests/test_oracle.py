@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as Q
 from itertools import product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import random_dominant, supported_types, systems
 from kostka import oracle
-from kostka import (FreudenthalTable, brute_force_vertices,
-                    compare_membership_multiplicity, cone_contains,
+from kostka import (FreudenthalTable, all_rays, brute_force_rays, brute_force_vertices,
+                    compare_membership_multiplicity, cone_contains, fundamental_weight,
                     fw_to_root_coords, longest_element_image, parabolic_order,
                     polytope_vertices, positive_roots, rho, root_coords_to_fw,
                     root_system, weight_multiplicity, weyl_dim, weyl_order)
@@ -44,6 +45,64 @@ def test_brute_force_matches_closed_form():
         for lam in weights:
             closed = {v.point for v in polytope_vertices(rs, lam)}
             assert closed == set(brute_force_vertices(rs, lam))
+
+
+def _closed_form(rs, lam):
+    return {v.point for v in polytope_vertices(rs, lam)}
+
+
+def test_brute_force_matches_closed_form_to_rank_8():
+    # at rho, at w_1 + w_r (2 w_1 at rank 1) and at a rational weight with zeros
+    for rs in systems(8):
+        r = rs.rank
+        ends = tuple((i == 1) + (i == r) for i in range(1, r + 1))
+        rational = tuple(Q((i + 1) % 3, 1 + i % 4) for i in range(r))
+        for lam in (rho(rs), ends, rational):
+            assert brute_force_vertices(rs, lam, max_rank=8) == _closed_form(rs, lam), (rs, lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(supported_types(7)), st.data())
+def test_brute_force_matches_closed_form_at_random_rational_weights(case, data):
+    rs = root_system(*case)
+    lam = tuple(data.draw(st.lists(st.fractions(0, 3, max_denominator=4),
+                                   min_size=rs.rank, max_size=rs.rank)))
+    assert brute_force_vertices(rs, lam, max_rank=7) == _closed_form(rs, lam)
+
+
+def test_brute_force_at_zero_and_fundamental_weights():
+    for rs in systems(6):
+        zero = (0,) * rs.rank
+        assert brute_force_vertices(rs, zero, max_rank=6) == {zero}
+        for i in rs.nodes():
+            fw = fundamental_weight(rs, i)
+            assert brute_force_vertices(rs, fw, max_rank=6) == _closed_form(rs, fw), (rs, i)
+
+
+def test_unbounded_slice_raises(monkeypatch):
+    # a real exception, not an assert, so the check survives python -O.
+    # With its rootcoef forms negated, A2's slice at rho is unbounded: the double
+    # description then finds rays with t = 0, which are not vertices.
+    a2 = root_system("A", 2)
+    forms = oracle.slice_inequalities(a2, (1, 1))
+    broken = forms[:2] + tuple((label, -const, tuple(-c for c in coeffs))
+                               for label, const, coeffs in forms[2:])
+    monkeypatch.setattr(oracle, "slice_inequalities", lambda rs, lam: broken)
+    with pytest.raises(InvariantError):
+        brute_force_vertices(a2, (1, 1))
+
+
+def _primitive(v):
+    m = lcm(*(x.denominator for x in v))
+    w = [int(x * m) for x in v]
+    g = gcd(*w)
+    return tuple(x // g for x in w)
+
+
+def test_brute_force_rays_match_all_rays():
+    # the paper's list of extremal rays is complete, by a method with no Levi solve
+    for rs in systems(12):
+        assert brute_force_rays(rs) == {_primitive(r.lambda_fw + r.mu_fw) for r in all_rays(rs)}, rs
 
 
 def test_weyl_dim_examples():
