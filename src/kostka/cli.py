@@ -294,10 +294,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KostkaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (KostkaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,10 +17,10 @@ from functools import lru_cache
 from math import comb, lcm
 
 from . import linalg
-from .errors import (CapExceededError, InvariantError, MultipleSolutionsError, NoSolutionError,
-                     NotDominantError, NotInConeError)
-from .rootdata import (RootSystem, connected_subsets_containing, fundamental_weight,
-                       is_dominant, node_set, root_coords_to_fw, sub_cartan, validate_type)
+from .errors import CapExceededError, InvariantError, NotDominantError, NotInConeError
+from .rootdata import (RootSystem, _block_inverse, _check_length, connected_subsets_containing,
+                       fundamental_weight, is_dominant, node_set, root_coords_to_fw, sub_cartan,
+                       validate_type)
 from .weyl import DEFAULT_BUDGET, OrbitBudget, orbit
 
 
@@ -48,15 +48,17 @@ def cone_inequalities(rs: RootSystem) -> tuple[LinearForm, ...]:
 
 @lru_cache(maxsize=None)
 def _integer_cone_forms(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    # the cone_inequalities forms, each cleared of denominators (same rank on any subset)
-    return tuple(map(tuple, linalg._integer_rows(f.coeffs for f in cone_inequalities(rs))[0]))
+    # the cone_inequalities forms, each an integer positive multiple of its own (same
+    # signs, same rank on any subset): the unit vectors, then C^-T's rows times det, adj's
+    n = 2 * rs.rank
+    return (tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            + tuple(row + tuple(-x for x in row) for row in rs._inverse[0]))
 
 
 def _weight(rs: RootSystem, w) -> linalg.Vec:
     # a weight from outside the module, as a Fraction vector of length rank
     w = linalg.vector(w)
-    if len(w) != rs.rank:
-        raise ValueError(f"a weight of {rs} has {rs.rank} coordinates, got {len(w)}")
+    _check_length(rs, w)
     return w
 
 
@@ -74,12 +76,11 @@ def slice_inequalities(rs: RootSystem, lam) -> tuple[tuple[str, Fraction, tuple]
 
 
 def _form_values(rs: RootSystem, lam, mu) -> list[int]:
-    # the values of the cone_inequalities forms at m (lam | mu), in their order, for the
-    # lcm m > 0 of the denominators: integers with the signs of the values at (lam | mu);
-    # the first 2r forms are the coordinates
-    x = _weight(rs, lam) + _weight(rs, mu)
-    m = lcm(*(v.denominator for v in x))
-    x = [v.numerator * (m // v.denominator) for v in x]
+    # the values of the _integer_cone_forms at m (lam | mu), in their order, for the
+    # lcm m > 0 of the denominators: integers with the signs of the cone_inequalities
+    # values at (lam | mu); the first 2r forms are the coordinates
+    _check_length(rs, lam, mu)
+    x, _ = linalg._cleared([*lam, *mu])
     return x + [sum(a * v for a, v in zip(row, x) if v) for row in _integer_cone_forms(rs)[len(x):]]
 
 
@@ -111,26 +112,14 @@ def _require_dominant(lam: linalg.Vec) -> None:
 
 
 def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tuple[tuple, int]:
-    """The integer inverse (adj, det) of the block C_L^T of the Levi of `nodes`.
-
-    (C_L^T)^-1 = adj / det.  ``inverses`` maps each block already inverted to
-    its result, for one enumeration: Levis of the same shape share a block,
-    so it is solved once, against the identity.  Raises InvariantError if
-    the block is singular or det is not positive.
-    """
+    """The integer inverse (adj, det) of the block C_L^T of the Levi of `nodes`,
+    (C_L^T)^-1 = adj / det, by ``rootdata._block_inverse``.  ``inverses`` maps each
+    block already inverted to its result, for one enumeration: Levis of the same
+    shape share a block, so it is solved once."""
     block = tuple(zip(*sub_cartan(rs, nodes)))
     out = inverses.get(block)
     if out is None:
-        k = len(block)
-        try:
-            out = linalg.solve_unique(block, [[int(a == b) for b in range(k)] for a in range(k)],
-                                      integer=True)
-        except (NoSolutionError, MultipleSolutionsError) as exc:
-            raise InvariantError(f"Levi {nodes} of {rs} has a singular Cartan matrix") from exc
-        if out[1] <= 0:
-            raise InvariantError(f"Levi {nodes} of {rs} has a Cartan matrix of "
-                                 f"nonpositive determinant")
-        inverses[block] = out
+        out = inverses[block] = _block_inverse(block, f"Levi {nodes} of {rs}")
     return out
 
 
@@ -153,12 +142,11 @@ def _levi_vertex(rs: RootSystem, lam: linalg.Vec, nodes: tuple[int, ...],
     d = 1
     if nodes:
         adj, det = _levi_inverse(rs, nodes, {} if inverses is None else inverses)
-        rhs = [(j, lam[n - 1]) for j, n in enumerate(nodes) if lam[n - 1]]
-        m = lcm(*(w.denominator for _, w in rhs))
-        rhs = [(j, w.numerator * (m // w.denominator)) for j, w in rhs]
+        support = [j for j, n in enumerate(nodes) if lam[n - 1]]
+        rhs, m = linalg._cleared([lam[nodes[j] - 1] for j in support])
         d = det * m
         for n, row in zip(nodes, adj):
-            coeffs[n - 1] = sum(row[j] * w for j, w in rhs)
+            coeffs[n - 1] = sum(row[j] * w for j, w in zip(support, rhs))
         for k, p in enumerate(root_coords_to_fw(rs, coeffs)):
             if p:
                 w = lam[k]

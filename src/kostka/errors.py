@@ -17,10 +17,6 @@ class MultipleSolutionsError(KostkaError):
     """Linear system is consistent but rank-deficient."""
 
 
-class SingularMatrixError(KostkaError):
-    """Inversion attempted on a singular matrix."""
-
-
 class EmptyNodeSetError(KostkaError):
     """An operation that needs a nonempty set of Dynkin nodes got an empty one."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import linalg
 from .cone import Vertex, _levi_vertex, vertex
 from .errors import NotDominantError, NotInLeviConeError, OverlappingLevisError
-from .rootdata import RootSystem, is_dominant, node_set, root_coords_to_fw
+from .rootdata import RootSystem, _check_length, is_dominant, node_set, root_coords_to_fw
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,14 @@ class LeviWeightPair:
 def restrict(rs: RootSystem, levi, w) -> tuple:
     """Local coordinates of an ambient weight on the Levi's nodes."""
     levi = node_set(rs, levi)
+    _check_length(rs, w)
     return tuple(w[n - 1] for n in levi)
 
 
 def extend_by_zero(rs: RootSystem, levi, lam_local) -> tuple:
     """Ambient weight agreeing with the local one on the Levi, zero elsewhere."""
     levi = node_set(rs, levi)
-    if len(lam_local) != len(levi):
-        raise ValueError("local weight length does not match the node set")
+    _check_length(rs, lam_local, levi=levi)
     if not is_dominant(lam_local):
         raise NotDominantError(f"local weight {tuple(lam_local)} is not dominant")
     out = [Fraction(0)] * rs.rank
@@ -53,8 +53,7 @@ def levi_root_coords(rs: RootSystem, levi, w_local) -> tuple:
     Cartan submatrix is block diagonal across them.
     """
     levi = node_set(rs, levi)
-    if len(w_local) != len(levi):
-        raise ValueError("local weight length does not match the node set")
+    _check_length(rs, w_local, levi=levi)
     w = [Fraction(0)] * rs.rank
     for n, x in zip(levi, linalg.vector(w_local)):
         w[n - 1] = x
@@ -65,6 +64,7 @@ def levi_root_coords(rs: RootSystem, levi, w_local) -> tuple:
 def levi_cone_contains(rs: RootSystem, levi, lam_local, mu_local) -> bool:
     """Membership in the Levi's own cone: the conjunction over its simple factors."""
     levi = node_set(rs, levi)
+    _check_length(rs, lam_local, mu_local, levi=levi)
     if not (is_dominant(lam_local) and is_dominant(mu_local)):
         return False
     diff = tuple(a - b for a, b in zip(lam_local, mu_local))
@@ -82,6 +82,7 @@ def induce_between(rs: RootSystem, inner, outer, lam_local, mu_local) -> tuple[t
     outer = node_set(rs, outer)
     if not set(inner) <= set(outer):
         raise ValueError(f"{inner} is not contained in {outer}")
+    _check_length(rs, lam_local, mu_local, levi=inner)
     # one solve: the pair is in the inner cone when both weights and c are dominant
     c = levi_root_coords(rs, inner, tuple(a - b for a, b in zip(lam_local, mu_local)))
     if not (is_dominant(lam_local) and is_dominant(mu_local) and is_dominant(c)):

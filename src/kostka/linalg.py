@@ -4,9 +4,9 @@ Vectors are tuples of :class:`fractions.Fraction`; matrices are tuples of
 row tuples.  ``Fraction`` keeps every entry reduced with a positive
 denominator, so equality of vectors and matrices is structural.
 
-Solve and inverse share one fraction-free Gauss-Jordan kernel over ``int``
-(Bareiss, Math. Comp. 22, 1968; Nakos, Turner and Williams, ACM SIGSAM
-Bull. 31, 1997).  Each row is cleared of denominators by its lcm (rows
+Solves run on one fraction-free Gauss-Jordan kernel over ``int`` (Bareiss,
+Math. Comp. 22, 1968; Nakos, Turner and Williams, ACM SIGSAM Bull. 31,
+1997).  Each row is cleared of denominators by its lcm (``_cleared``; rows
 that are all ``int`` already are used as they are); every intermediate
 entry is then a minor of that integer matrix, so each division is exact,
 and ``Fraction``s are made only from the kernel's result.  Each step
@@ -15,8 +15,8 @@ pivot column on, or from the first column without a pivot once there is
 one; the finished pivot entries are set to the last pivot at the end.
 
 ``solve_unique`` takes a right-hand side of one column (a vector) or of
-several (a matrix, one row per equation), and ``invert`` is the solve
-against the identity.  ``solve_unique(a, b, integer=True)`` is the
+several (a matrix, one row per equation); against the identity it is the
+inverse.  ``solve_unique(a, b, integer=True)`` is the
 kernel's solve without the ``Fraction``s: the integer numerators of the
 solution and their common denominator, the last pivot, which is the
 determinant for an integer square system (so against the identity the
@@ -26,10 +26,10 @@ numerators are the adjugate).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable
 
-from .errors import MultipleSolutionsError, NoSolutionError, SingularMatrixError
+from .errors import MultipleSolutionsError, NoSolutionError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -37,13 +37,6 @@ Mat = tuple[Vec, ...]
 
 def vector(entries: Iterable) -> Vec:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
-
-
-def matrix(rows: Iterable[Iterable]) -> Mat:
-    out = tuple(vector(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("rows of unequal length")
-    return out
 
 
 def identity(n: int) -> Mat:
@@ -55,22 +48,23 @@ def mat_vec(a: Mat, x) -> tuple:
     return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in a)
 
 
-def _integer_rows(rows) -> tuple[list, int]:
-    """Each row times the lcm of its denominators, and the product of those lcms.
+def _cleared(values) -> tuple[list, int]:
+    """The values times the lcm m of their denominators, as ints, and m.
 
-    A row whose entries are all ``int`` is passed through as it is.
+    Values that are all ``int`` are passed through as they are (m = 1);
+    others that are not ``Fraction``s are made ``Fraction``s first.
     """
-    out = []
-    scale = 1
-    for row in rows:
-        if all(type(v) is int for v in row):
-            out.append(row)
-            continue
-        row = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
-        m = lcm(*(v.denominator for v in row))
-        out.append([v.numerator * (m // v.denominator) for v in row])
-        scale *= m
-    return out, scale
+    if all(type(v) is int for v in values):
+        return values, 1
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    m = lcm(*(v.denominator for v in values))
+    return [v.numerator * (m // v.denominator) for v in values], m
+
+
+def _integer_rows(rows) -> tuple[list, int]:
+    """Each row cleared of denominators (``_cleared``), and the product of the lcms."""
+    out = [_cleared(row) for row in rows]
+    return [row for row, _ in out], prod(m for _, m in out)
 
 
 def _eliminate(rows: list) -> tuple[list[int], int]:
@@ -156,14 +150,3 @@ def solve_unique(a: Mat, b, *, integer: bool = False):
     nums = tuple(rows[i][ncols] for i in range(ncols))
     return (nums, d) if integer else tuple(Fraction(n, d) for n in nums)
 
-
-def invert(a: Mat) -> Mat:
-    """The inverse of a square matrix: the solve against the identity."""
-    a = [[*row] for row in a]
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("inversion needs a square matrix")
-    try:
-        return solve_unique(a, [[int(i == j) for j in range(n)] for i in range(n)])
-    except (NoSolutionError, MultipleSolutionsError):
-        raise SingularMatrixError("matrix is singular") from None

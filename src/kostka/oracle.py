@@ -15,14 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from . import linalg
 from .cone import _integer_cone_forms, cone_contains, slice_inequalities
 from .errors import (CapExceededError, InvariantError, NotDominantError,
                      NotInRootLatticeError, RankBoundExceededError)
-from .rootdata import (RootSystem, is_dominant, positive_roots, rho, root_coords_to_fw,
-                       symmetrizer)
+from .rootdata import (RootSystem, _check_length, is_dominant, positive_roots, rho,
+                       root_coords_to_fw, symmetrizer)
 from .weyl import simple_reflection
 
 DEFAULT_VERTEX_RANK_BOUND = 5
@@ -110,13 +110,11 @@ def _pairing(d, w_fw, c_root):
 def _form(rs: RootSystem):
     """(G, N, d, roots): the invariant form's integer Gram matrix and scale, the
     integer symmetrizer, and each positive root as (root coords, fw coords)."""
-    lengths = symmetrizer(rs)  # the form is unique up to a positive multiple
-    d = tuple(int(x * lcm(*(y.denominator for y in lengths))) for x in lengths)
-    # (w, alpha_j) = d_j w_j, so (w, w') = sum_j d_j w_j (C^-T w')_j
-    rows = [[dj * x for x in row] for dj, row in zip(d, rs.inverse_transpose_cartan)]
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    gram = tuple(tuple(int(x * scale) for x in row) for row in rows)
-    return gram, scale, d, tuple((a, root_coords_to_fw(rs, a)) for a in positive_roots(rs))
+    d = tuple(linalg._cleared(symmetrizer(rs))[0])  # the form is unique up to a positive multiple
+    # (w, alpha_j) = d_j w_j, so (w, w') = sum_j d_j w_j (C^-T w')_j, and C^-T = adj / det
+    adj, det = rs._inverse
+    gram = tuple(tuple(dj * x for x in row) for dj, row in zip(d, adj))
+    return gram, det, d, tuple((a, root_coords_to_fw(rs, a)) for a in positive_roots(rs))
 
 
 def _in_root_lattice(rs: RootSystem, lam, mu) -> bool:
@@ -129,6 +127,7 @@ def _in_root_lattice(rs: RootSystem, lam, mu) -> bool:
 def weyl_dim(rs: RootSystem, lam) -> int:
     """Dimension of the irreducible representation with the given highest weight."""
     lam = linalg.vector(lam)
+    _check_length(rs, lam)
     if not is_dominant(lam):
         raise NotDominantError(f"weight {lam} is not dominant")
     _, _, d, roots = _form(rs)
@@ -189,6 +188,7 @@ class FreudenthalTable:
     def multiplicity(self, mu) -> int:
         """Dimension of the weight space at mu (zero off the root-lattice coset)."""
         mu = _integral(mu)
+        _check_length(self.rs, mu)
         if not _in_root_lattice(self.rs, self.lam, mu):
             return 0
         return self._mult(mu)

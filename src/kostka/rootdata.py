@@ -11,17 +11,21 @@ Weights are plain tuples of rationals: entry k of a fundamental-weight
 vector is the pairing against the k-th simple coroot; entry j of a
 root-coordinate vector is the coefficient of the j-th simple root.  Node
 ids are 1-based in the public API.
+
+Every inverse of a Cartan block, the whole matrix or a Levi's, is the
+integer solve of ``_block_inverse``: C^-T = adj / det.  A root system
+builds its own on first use and keeps it (``RootSystem._inverse``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 from . import linalg
-from .errors import EmptyNodeSetError, UnsupportedRankError
+from .errors import EmptyNodeSetError, InvariantError, NoSolutionError, UnsupportedRankError
 
 # (lowest rank, highest rank or None for unbounded)
 RANK_BOUNDS = {
@@ -94,8 +98,18 @@ class RootSystem:
                 if i != j and cartan[i - 1][j - 1]:
                     nbrs[i].append(j)
         self._neighbors = {i: tuple(v) for i, v in nbrs.items()}
-        self.inverse_transpose_cartan = linalg.invert(linalg.matrix(zip(*cartan)))
         self._positive_roots: tuple[tuple[int, ...], ...] | None = None
+
+    @cached_property
+    def _inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(adj, det) of the transposed Cartan matrix, built on first use."""
+        return _block_inverse(tuple(zip(*self.cartan)), repr(self))
+
+    @cached_property
+    def inverse_transpose_cartan(self) -> linalg.Mat:
+        """C^-T: row j holds the j-th simple-root coefficients of the fundamental weights."""
+        adj, det = self._inverse
+        return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbors[i]
@@ -111,6 +125,31 @@ class RootSystem:
 
     def __hash__(self) -> int:
         return hash((self.letter, self.rank))
+
+
+def _block_inverse(block, owner: str) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The integer inverse (adj, det) of a Cartan block, block^-1 = adj / det, by one
+    solve against the identity.  Raises InvariantError if the block is singular (then
+    the solve is inconsistent) or det is not positive: no root system allows either."""
+    k = len(block)
+    try:
+        adj, det = linalg.solve_unique(block, [[int(a == b) for b in range(k)] for a in range(k)],
+                                       integer=True)
+    except NoSolutionError:
+        det = 0
+    if det <= 0:
+        raise InvariantError(f"{owner} has a singular Cartan matrix or one of negative determinant")
+    return adj, det
+
+
+def _check_length(rs: RootSystem, *weights, levi: tuple[int, ...] | None = None) -> None:
+    # where weights enter the package: refuse a weight of rs, or of its Levi on `levi` in
+    # local coordinates, without one coordinate per node, which zip would cut short
+    n = rs.rank if levi is None else len(levi)
+    for w in weights:
+        if len(w) != n:
+            owner = rs if levi is None else f"the Levi {levi} of {rs}"
+            raise ValueError(f"a weight of {owner} has {n} coordinates, got {len(w)}")
 
 
 @lru_cache(maxsize=None)
@@ -148,7 +187,9 @@ def is_dominant(w) -> bool:
 
 def fw_to_root_coords(rs: RootSystem, w) -> linalg.Vec:
     """Simple-root coefficients of a weight given in fundamental-weight coordinates."""
-    return linalg.mat_vec(rs.inverse_transpose_cartan, linalg.vector(w))
+    w = linalg.vector(w)
+    _check_length(rs, w)
+    return linalg.mat_vec(rs.inverse_transpose_cartan, w)
 
 
 def root_coords_to_fw(rs: RootSystem, c) -> tuple:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, InvariantError
-from .rootdata import RootSystem, node_set, parabolic_order
+from .rootdata import RootSystem, _check_length, node_set, parabolic_order
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,10 @@ class OrbitBudget:
 DEFAULT_BUDGET = OrbitBudget()
 
 
-def _canonical(w) -> tuple:
+def _canonical(rs: RootSystem, w) -> tuple:
+    # a weight from outside the module, as ints where it is integral
     vals = [Fraction(x) for x in w]
+    _check_length(rs, vals)
     if all(v.denominator == 1 for v in vals):
         return tuple(int(v) for v in vals)
     return tuple(vals)
@@ -44,7 +46,7 @@ def orbit(rs: RootSystem, w, nodes, budget: OrbitBudget = DEFAULT_BUDGET) -> fro
     nodes = node_set(rs, nodes)
     r = rs.rank
     idx_rows = [(i - 1, rs.cartan[i - 1]) for i in nodes]
-    start = _canonical(w)
+    start = _canonical(rs, w)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -81,12 +83,7 @@ def parabolic_average(rs: RootSystem, w, nodes, budget: OrbitBudget = DEFAULT_BU
     nodes = node_set(rs, nodes)
     _check_group_budget(rs, nodes, budget)
     orb = orbit(rs, w, nodes, budget)
-    n = len(orb)
-    sums = [0] * rs.rank
-    for x in orb:
-        for j, v in enumerate(x):
-            sums[j] += v
-    return tuple(Fraction(s) / n for s in sums)
+    return tuple(Fraction(sum(col)) / len(orb) for col in zip(*orb))
 
 
 def parabolic_average_direct(rs: RootSystem, w, nodes,
@@ -100,7 +97,7 @@ def parabolic_average_direct(rs: RootSystem, w, nodes,
     nodes = node_set(rs, nodes)
     order = _check_group_budget(rs, nodes, budget)
     marker = tuple(1 if (j + 1) in nodes else 0 for j in range(rs.rank))
-    start = (marker, _canonical(w))
+    start = (marker, _canonical(rs, w))
     seen = {start}
     frontier = [start]
     while frontier:
@@ -114,11 +111,7 @@ def parabolic_average_direct(rs: RootSystem, w, nodes,
         frontier = grown
     if len(seen) != order:
         raise InvariantError(f"pair orbit has {len(seen)} points, group order is {order}")
-    sums = [0] * rs.rank
-    for _, y in seen:
-        for j, v in enumerate(y):
-            sums[j] += v
-    return tuple(Fraction(s) / order for s in sums)
+    return tuple(Fraction(sum(col)) / order for col in zip(*(y for _, y in seen)))
 
 
 def longest_element_image(rs: RootSystem, w, nodes,
@@ -130,7 +123,7 @@ def longest_element_image(rs: RootSystem, w, nodes,
     """
     nodes = node_set(rs, nodes)
     _check_group_budget(rs, nodes, budget)
-    x = _canonical(w)
+    x = _canonical(rs, w)
     while True:
         for i in nodes:
             if x[i - 1] > 0:

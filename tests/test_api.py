@@ -1,0 +1,130 @@
+"""The public surface, pinned: a change to it must show up here."""
+
+import importlib
+import inspect
+
+import kostka
+from kostka import errors
+
+BUDGET = "budget=OrbitBudget(max_orbit=1000000, max_group_order=1000000)"
+
+EXPORTS = [
+    "DEFAULT_BUDGET", "FreudenthalTable", "KostkaError", "LeviFactor", "LeviWeightPair",
+    "LinearForm", "MembershipComparison", "OrbitBudget", "RayRecord", "RootSystem", "Vertex",
+    "all_rays", "brute_force_rays", "brute_force_vertices", "compare_membership_multiplicity",
+    "components", "cone", "cone_contains", "cone_inequalities", "connected_subsets_containing",
+    "errors", "extend_by_zero", "fundamental_orbit_pairs", "fundamental_weight",
+    "fw_to_root_coords", "induce", "induce_between", "induce_sum", "induce_vertex",
+    "induction_composes", "is_connected", "is_dominant", "is_extremal_ray", "levi",
+    "levi_cone_contains", "levi_factors", "levi_root_coords", "linalg", "longest_element_image",
+    "node_set", "oracle", "orbit", "parabolic_average", "parabolic_average_direct",
+    "parabolic_order", "polytope_vertices", "positive_roots", "ray_count_formula",
+    "rays_for_node", "restrict", "rho", "root_coords_to_fw", "root_system", "rootdata",
+    "simple_reflection", "sub_cartan", "vertex", "weight_multiplicity", "weyl", "weyl_dim",
+    "weyl_order",
+]
+
+FUNCTIONS = {
+    "linalg": {
+        "identity": "(n)",
+        "mat_vec": "(a, x)",
+        "solve_unique": "(a, b, *, integer=False)",
+        "vector": "(entries)",
+    },
+    "rootdata": {
+        "components": "(rs, nodes)",
+        "connected_subsets_containing": "(rs, i)",
+        "fundamental_weight": "(rs, i)",
+        "fw_to_root_coords": "(rs, w)",
+        "is_connected": "(rs, nodes)",
+        "is_dominant": "(w)",
+        "levi_factors": "(rs, nodes)",
+        "node_set": "(rs, nodes)",
+        "parabolic_order": "(rs, nodes)",
+        "positive_roots": "(rs)",
+        "rho": "(rs)",
+        "root_coords_to_fw": "(rs, c)",
+        "root_system": "(letter, rank)",
+        "sub_cartan": "(rs, nodes)",
+        "supported_types": "(max_rank)",
+        "symmetrizer": "(rs)",
+        "validate_type": "(letter, rank)",
+        "weyl_order": "(letter, rank)",
+    },
+    "weyl": {
+        "longest_element_image": f"(rs, w, nodes, {BUDGET})",
+        "orbit": f"(rs, w, nodes, {BUDGET})",
+        "parabolic_average": f"(rs, w, nodes, {BUDGET})",
+        "parabolic_average_direct": f"(rs, w, nodes, {BUDGET})",
+        "simple_reflection": "(rs, i, w)",
+    },
+    "cone": {
+        "all_rays": "(rs, *, inverses=None)",
+        "cone_contains": "(rs, lam, mu)",
+        "cone_inequalities": "(rs)",
+        "fundamental_orbit_pairs": f"(rs, {BUDGET})",
+        "is_extremal_ray": "(rs, lam, mu)",
+        "polytope_vertices": "(rs, lam)",
+        "ray_count_formula": "(letter, rank)",
+        "rays_for_node": "(rs, i, *, inverses=None)",
+        "slice_inequalities": "(rs, lam)",
+        "vertex": "(rs, lam, nodes, *, inverses=None)",
+    },
+    "levi": {
+        "extend_by_zero": "(rs, levi, lam_local)",
+        "induce": "(rs, pair)",
+        "induce_between": "(rs, inner, outer, lam_local, mu_local)",
+        "induce_sum": "(rs, pairs)",
+        "induce_vertex": "(rs, levi, lam_local, inner)",
+        "induction_composes": "(rs, pair, mid)",
+        "levi_cone_contains": "(rs, levi, lam_local, mu_local)",
+        "levi_root_coords": "(rs, levi, w_local)",
+        "restrict": "(rs, levi, w)",
+    },
+    "oracle": {
+        "brute_force_rays": "(rs)",
+        "brute_force_vertices": "(rs, lam, max_rank=5)",
+        "compare_membership_multiplicity": "(rs, lam, mu, cap=100000)",
+        "weight_multiplicity": "(rs, lam, mu, cap=100000)",
+        "weyl_dim": "(rs, lam)",
+    },
+}
+
+# (class, base class)
+ERRORS = [
+    ("BudgetExceededError", "KostkaError"), ("CapExceededError", "KostkaError"),
+    ("EmptyNodeSetError", "KostkaError"), ("InvariantError", "KostkaError"),
+    ("KostkaError", "Exception"), ("MultipleSolutionsError", "KostkaError"),
+    ("NoSolutionError", "KostkaError"), ("NotDominantError", "KostkaError"),
+    ("NotInConeError", "KostkaError"), ("NotInLeviConeError", "KostkaError"),
+    ("NotInRootLatticeError", "KostkaError"), ("OverlappingLevisError", "KostkaError"),
+    ("RankBoundExceededError", "KostkaError"), ("UnsupportedRankError", "KostkaError"),
+]
+
+
+def _signature(fn) -> str:
+    # parameters and defaults, without annotations
+    sig = inspect.signature(fn)
+    return str(sig.replace(parameters=[p.replace(annotation=p.empty)
+                                       for p in sig.parameters.values()],
+                           return_annotation=sig.empty))
+
+
+def _public_functions(name: str) -> dict[str, str]:
+    mod = importlib.import_module(f"kostka.{name}")
+    return {attr: _signature(obj) for attr, obj in sorted(vars(mod).items())
+            if not attr.startswith("_") and callable(obj) and not isinstance(obj, type)
+            and getattr(obj, "__module__", None) == mod.__name__}
+
+
+def test_package_exports():
+    assert sorted(kostka.__all__) == EXPORTS
+
+
+def test_public_functions_and_signatures():
+    assert {name: _public_functions(name) for name in FUNCTIONS} == FUNCTIONS
+
+
+def test_error_classes():
+    assert sorted((name, cls.__base__.__name__) for name, cls in vars(errors).items()
+                  if isinstance(cls, type)) == ERRORS

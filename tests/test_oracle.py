@@ -4,6 +4,7 @@ from itertools import product
 from math import gcd, lcm
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -240,6 +241,16 @@ def fresh_form():
     form.cache_clear()
     yield
     form.cache_clear()
+
+
+def test_form_matches_sympy():
+    # (w, w') = w^T G w' / N in fundamental-weight coordinates is D C^-T, for the
+    # positive integer d that symmetrizes C: (alpha_i, alpha_j) = C_ij d_j
+    for rs in systems(10):
+        gram, scale, d, _ = oracle._form(rs)
+        c, dm = sympy.Matrix(rs.cartan), sympy.diag(*d)
+        assert min(d) > 0 and gcd(*d) == 1 and c * dm == (c * dm).T
+        assert sympy.Matrix(gram) / scale == dm * c.T.inv(), rs
 
 
 def test_broken_form_raises(monkeypatch, fresh_form):

@@ -2,12 +2,16 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+import sympy
 
 from conftest import all_subsets, supported_types, systems
-from kostka import (components, connected_subsets_containing, fundamental_weight,
-                    fw_to_root_coords, is_connected, is_dominant, levi_factors,
-                    positive_roots, rho, root_coords_to_fw, root_system, sub_cartan,
-                    weyl_order)
+from kostka import (FreudenthalTable, LeviWeightPair, components, connected_subsets_containing,
+                    fundamental_weight, fw_to_root_coords, induce, induce_between,
+                    is_connected, is_dominant, levi_cone_contains, levi_factors,
+                    longest_element_image, orbit, parabolic_average, parabolic_average_direct,
+                    positive_roots, restrict, rho, root_coords_to_fw, root_system, sub_cartan,
+                    weight_multiplicity, weyl_dim, weyl_order)
+from kostka import linalg
 from kostka.errors import EmptyNodeSetError, UnsupportedRankError
 from kostka.rootdata import symmetrizer
 
@@ -91,6 +95,58 @@ def test_inverse_cartan_positivity():
     for rs in systems(8):
         for row in rs.inverse_transpose_cartan:
             assert all(x > 0 for x in row)
+
+
+def test_inverse_transpose_cartan_matches_sympy():
+    for rs in systems(10):
+        inv = sympy.Matrix(rs.cartan).T.inv()
+        assert rs.inverse_transpose_cartan == tuple(
+            tuple(Q(int(inv[i, j].p), int(inv[i, j].q)) for j in range(rs.rank))
+            for i in range(rs.rank)), rs
+
+
+def test_root_system_inverts_on_first_use_only(monkeypatch):
+    calls = []
+    solve_unique = linalg.solve_unique
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_unique(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "solve_unique", counted)
+    rs = root_system.__wrapped__("A", 60)  # a fresh system, past the cache
+    assert not calls
+    assert rs.inverse_transpose_cartan[0][0] == Q(60, 61)
+    assert len(calls) == 1
+    assert rs._inverse[1] == 61 and rs.inverse_transpose_cartan[59][59] == Q(60, 61)
+    assert len(calls) == 1
+
+
+A2, C5 = root_system("A", 2), root_system("C", 5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: weyl_dim(A2, (1, 1, 1)),
+    lambda: weyl_dim(A2, (1,)),
+    lambda: FreudenthalTable(A2, (1, 1)).multiplicity((0, 0, 5)),
+    lambda: weight_multiplicity(A2, (1, 1, 4), (0, 0)),
+    lambda: induce(C5, LeviWeightPair((1, 2, 4), (2, 1, 1), (0, 1, 0, 9))),
+    lambda: induce_between(C5, (1, 2), (1, 2, 3), (1, 1), (1, 0, 7)),
+    lambda: levi_cone_contains(C5, (1, 2, 4), (2, 1, 1, 9), (0, 1, 0)),
+    lambda: parabolic_average(A2, (1, 1, 1), (1,)),
+    lambda: parabolic_average_direct(A2, (1, 1, 1), (1,)),
+    lambda: orbit(A2, (1,), (1,)),
+    lambda: longest_element_image(A2, (1, 1, 1), (1,)),
+    lambda: restrict(A2, (1,), (1, 2, 3)),
+    lambda: fw_to_root_coords(A2, (1,)),
+], ids=["weyl_dim-long", "weyl_dim-short", "multiplicity-mu", "weight_multiplicity-lam",
+        "induce", "induce_between", "levi_cone_contains", "parabolic_average",
+        "parabolic_average_direct", "orbit", "longest_element_image", "restrict",
+        "fw_to_root_coords"])
+def test_wrong_length_weights_are_refused_at_every_entry(call):
+    # zip would cut them short, or an index run past the rank
+    with pytest.raises(ValueError, match="coordinates, got"):
+        call()
 
 
 def test_dominant_root_coords_nonnegative():
