@@ -196,7 +196,7 @@ def cmd_check(args) -> int:
     }
     if member:
         result["extremal"] = is_extremal_ray(rs, lam, mu)
-    integral = all(Fraction(x).denominator == 1 for x in lam + mu)
+    integral = all(x.denominator == 1 for x in lam + mu)
     if args.oracle and integral and is_dominant(lam):
         cmp = compare_membership_multiplicity(rs, lam, mu)
         result["in_root_lattice"] = cmp.in_root_lattice

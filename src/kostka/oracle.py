@@ -5,9 +5,12 @@ computes in closed form: the extreme rays of the cone and the vertices of
 its slices by the double description method over the defining half-spaces
 alone (no Levi structure, no linear solve), and weight multiplicities by
 the Freudenthal recursion, which validates cone membership on integral points.
+The recursion is Moody and Patera's: one root string per orbit of the
+stabiliser of a dominant weight, with the norms along a string in closed form.
 
 Both run in integers: the invariant form in fundamental-weight coordinates
-is cached per root system as (w, w') = w^T G w' / N with G and N integral.
+is cached per root system as (w, w') = w^T G w' / N with G and N integral,
+and the stabiliser orbits of the positive roots per (root system, zero nodes).
 """
 
 from __future__ import annotations
@@ -95,10 +98,11 @@ def brute_force_rays(rs: RootSystem) -> frozenset:
 
 
 def _integral(w) -> tuple[int, ...]:
-    vals = [Fraction(x) for x in w]
+    # ints pass through and an integral Fraction becomes its numerator
+    vals = tuple(x if type(x) in (int, Fraction) else Fraction(x) for x in w)
     if any(v.denominator != 1 for v in vals):
-        raise NotInRootLatticeError(f"weight {tuple(vals)} is not integral")
-    return tuple(int(v) for v in vals)
+        raise NotInRootLatticeError(f"weight {vals} is not integral")
+    return tuple(v.numerator for v in vals)
 
 
 def _pairing(d, w_fw, c_root):
@@ -115,6 +119,32 @@ def _form(rs: RootSystem):
     adj, det = rs._inverse
     gram = tuple(tuple(dj * x for x in row) for dj, row in zip(d, adj))
     return gram, det, d, tuple((a, root_coords_to_fw(rs, a)) for a in positive_roots(rs))
+
+
+@lru_cache(maxsize=None)
+def _root_orbits(rs: RootSystem, nodes: tuple[int, ...]):
+    """The positive roots up to sign in orbits of W_J, J the 0-based nodes given:
+    (root coords, fw coords, orbit size, (alpha, alpha)) of one root per orbit, the
+    size counting the orbit's positive roots.  Breadth first under beta -> +-s_j beta."""
+    _, _, d, roots = _form(rs)
+    seen, out = set(), []
+    for alpha, alpha_fw in roots:
+        if alpha in seen:
+            continue
+        seen.add(alpha)
+        orbit = [(alpha, alpha_fw)]
+        for beta, beta_fw in orbit:  # grows while it is read
+            for j in nodes:
+                # s_j beta = beta - <beta, alpha_j^vee> alpha_j, then the positive sign
+                gamma = tuple(x - beta_fw[j] * (i == j) for i, x in enumerate(beta))
+                gamma_fw = simple_reflection(rs, j + 1, beta_fw)
+                if min(gamma) < 0:
+                    gamma, gamma_fw = tuple(-x for x in gamma), tuple(-x for x in gamma_fw)
+                if gamma not in seen:
+                    seen.add(gamma)
+                    orbit.append((gamma, gamma_fw))
+        out.append((alpha, alpha_fw, len(orbit), _pairing(d, alpha_fw, alpha)))
+    return tuple(out)
 
 
 def _in_root_lattice(rs: RootSystem, lam, mu) -> bool:
@@ -147,6 +177,12 @@ def weyl_dim(rs: RootSystem, lam) -> int:
 class FreudenthalTable:
     """Weight multiplicities of one irreducible highest-weight representation.
 
+    Freudenthal's formula (Humphreys, §22.3) as Moody and Patera's recursion
+    (Bull. AMS 7, 1982): at a dominant nu with stabiliser W_J the string sum
+    f(alpha) = sum_k m(nu + k alpha) (nu + k alpha, alpha) is W_J-invariant and
+    f(-alpha) = f(alpha) on Phi_J, so one string per orbit of `_root_orbits`
+    counts for the whole orbit, its norms and pairings closed forms in k.
+
     Memoises over dominant representatives.  One table per highest weight;
     a table must not be shared while a computation is in flight.
     """
@@ -159,10 +195,9 @@ class FreudenthalTable:
         self.dim = weyl_dim(rs, self.lam)
         if self.dim > cap:
             raise CapExceededError(f"dim {self.dim} exceeds the cap {cap}")
-        self._gram, self._scale, self._d, self._roots = _form(rs)
+        self._gram, self._scale, self._d, _ = _form(rs)
         self._rho = rho(rs)
         self._memo: dict[tuple, int] = {self.lam: 1}
-        self._norms: dict[tuple, int] = {}  # N (w, w)
         self._norm_lam = self._norm2(self.lam)
         self._norm_lam_rho = self._norm2(self._shift(self.lam))
 
@@ -170,11 +205,8 @@ class FreudenthalTable:
         return tuple(x + y for x, y in zip(w, self._rho))
 
     def _norm2(self, w) -> int:
-        cached = self._norms.get(w)
-        if cached is None:
-            cached = sum(x * sum(g * y for g, y in zip(row, w)) for x, row in zip(w, self._gram) if x)
-            self._norms[w] = cached
-        return cached
+        # N (w, w)
+        return sum(x * sum(g * y for g, y in zip(row, w)) for x, row in zip(w, self._gram) if x)
 
     def _dominant_rep(self, w) -> tuple:
         while True:
@@ -200,28 +232,31 @@ class FreudenthalTable:
         cached = self._memo.get(nu)
         if cached is not None:
             return cached
-        if self._norm2(self._shift(nu)) >= self._norm_lam_rho:
+        den = self._norm_lam_rho - self._norm2(self._shift(nu))  # N ((lam+rho)^2 - (nu+rho)^2)
+        if den <= 0:
             self._memo[nu] = 0
             return 0
+        scale, norm_lam, norm_nu = self._scale, self._norm_lam, self._norm2(nu)
+        zeros = tuple(i for i, x in enumerate(nu) if not x)  # J: W_J fixes nu
         total = 0
-        for alpha, alpha_fw in self._roots:
-            prev = self._norm2(nu)
-            k = 1
+        for alpha, alpha_fw, size, aa in _root_orbits(self.rs, zeros):
+            na = _pairing(self._d, nu, alpha)
+            string, prev, k = 0, norm_nu, 1
             while True:
-                xi = tuple(x + k * y for x, y in zip(nu, alpha_fw))
-                n2 = self._norm2(xi)
-                # weights of the representation all satisfy (xi, xi) <= (lam, lam);
-                # the norm along the string is convex in k, so once it exceeds the
-                # bound while non-decreasing it stays out
-                if n2 > self._norm_lam and n2 >= prev:
+                # xi = nu + k alpha: (xi, alpha) = (nu, alpha) + k (alpha, alpha) and
+                # N (xi, xi) = N (nu, nu) + N k (2 (nu, alpha) + k (alpha, alpha)).  Weights of the
+                # representation all satisfy (xi, xi) <= (lam, lam); the norm is convex
+                # in k, so once it exceeds the bound while non-decreasing it stays out
+                n2 = norm_nu + scale * k * (2 * na + k * aa)
+                if n2 > norm_lam and n2 >= prev:
                     break
-                m = self._mult(xi)
+                m = self._mult(tuple(x + k * y for x, y in zip(nu, alpha_fw)))
                 if m:
-                    total += m * _pairing(self._d, xi, alpha)
+                    string += m * (na + k * aa)
                 prev = n2
                 k += 1
-        num = 2 * self._scale * total  # both sides of Freudenthal's formula times N
-        den = self._norm_lam_rho - self._norm2(self._shift(nu))
+            total += size * string
+        num = 2 * scale * total  # both sides of Freudenthal's formula times N
         out, rem = divmod(num, den)
         if rem or out < 0:
             raise InvariantError(f"Freudenthal recursion gave multiplicity "

@@ -8,13 +8,14 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dominant, supported_types, systems
+from conftest import all_subsets, random_dominant, supported_types, systems
 from kostka import oracle
 from kostka import (FreudenthalTable, all_rays, brute_force_rays, brute_force_vertices,
                     compare_membership_multiplicity, cone_contains, fundamental_weight,
                     fw_to_root_coords, longest_element_image, parabolic_order,
                     polytope_vertices, positive_roots, rho, root_coords_to_fw,
-                    root_system, weight_multiplicity, weyl_dim, weyl_order)
+                    root_system, simple_reflection, weight_multiplicity, weyl_dim,
+                    weyl_order)
 from kostka.errors import (CapExceededError, InvariantError, NotDominantError,
                            NotInRootLatticeError, RankBoundExceededError)
 
@@ -264,3 +265,89 @@ def test_broken_form_raises(monkeypatch, fresh_form):
     monkeypatch.setattr(oracle, "_form", lambda rs: (gram, 1, d, roots))
     with pytest.raises(InvariantError):
         weight_multiplicity(a2, (1, 1), (0, 0))
+
+
+def test_root_orbits_partition_the_positive_roots():
+    # for every node subset J: one positive representative per W_J-orbit of the
+    # positive roots up to sign, the orbit grown here under +-s_j has the stated
+    # size, and the orbits cover the positive roots exactly once
+    for rs in systems(6) + [root_system("E", 7), root_system("E", 8)]:
+        gram, scale, _, roots = oracle._form(rs)
+        by_fw = {fw: a for a, fw in roots}
+        for nodes in all_subsets(rs.rank):
+            zeros = tuple(j - 1 for j in nodes)
+            covered = set()
+            for alpha, alpha_fw, size, aa in oracle._root_orbits(rs, zeros):
+                assert by_fw.get(alpha_fw) == alpha, (rs, nodes, alpha)
+                assert scale * aa == sum(x * g * y for x, row in zip(alpha_fw, gram)
+                                         for g, y in zip(row, alpha_fw))
+                orbit, frontier = {alpha_fw}, [alpha_fw]
+                while frontier:
+                    w = frontier.pop()
+                    for j in nodes:
+                        v = simple_reflection(rs, j, w)
+                        if v not in by_fw:
+                            v = tuple(-x for x in v)
+                        if v not in orbit:
+                            orbit.add(v)
+                            frontier.append(v)
+                assert len(orbit) == size and not orbit & covered, (rs, nodes, alpha)
+                covered |= orbit
+            assert covered == set(by_fw), (rs, nodes)
+
+
+def _reference_multiplicities(rs, lam):
+    # plain Freudenthal: every positive root, every weight xi = lam - c (c >= 0 in
+    # root coordinates), norms from _form's quadratic form N (w, w') = w^T G w'
+    gram, _, _, roots = oracle._form(rs)
+
+    def form(w, v):
+        return sum(x * g * y for x, row in zip(w, gram) for g, y in zip(row, v))
+
+    def shifted(w):
+        return tuple(x + 1 for x in w)
+
+    top = form(shifted(lam), shifted(lam))
+    memo = {}
+
+    def mult(c):
+        if min(c) < 0:
+            return 0
+        if not any(c):
+            return 1
+        if c not in memo:
+            xi = tuple(a - b for a, b in zip(lam, root_coords_to_fw(rs, c)))
+            den = top - form(shifted(xi), shifted(xi))
+            if den <= 0:
+                memo[c] = 0
+            else:
+                total = 0
+                for alpha, alpha_fw in roots:
+                    k = 1
+                    while min(up := tuple(x - k * y for x, y in zip(c, alpha))) >= 0:
+                        higher = tuple(x + k * y for x, y in zip(xi, alpha_fw))
+                        total += mult(up) * form(higher, alpha_fw)
+                        k += 1
+                m, rem = divmod(2 * total, den)
+                assert rem == 0 and m >= 0, (rs, lam, xi)
+                memo[c] = m
+        return memo[c]
+    return mult
+
+
+def test_multiplicity_matches_plain_freudenthal():
+    # at every dominant mu below w1, w_r, w1 + w_r and 2 w1, for every type up to
+    # rank 4 and E6; B3, C3, F4 and G2 at mu = 0, where J mixes two root lengths
+    at_zero = set()
+    for rs in systems(4) + [root_system("E", 6)]:
+        r = rs.rank
+        for ends in {(1,), (r,), (1, r), (1, 1)}:
+            lam = tuple(ends.count(i) for i in range(1, r + 1))
+            table, reference = FreudenthalTable(rs, lam), _reference_multiplicities(rs, lam)
+            for mu in _dominant_weights_below(rs, lam):
+                diff = tuple(a - b for a, b in zip(lam, mu))
+                c = tuple(int(x) for x in fw_to_root_coords(rs, diff))
+                assert table.multiplicity(mu) == reference(c), (rs, lam, mu)
+                if not any(mu) and reference(c):
+                    at_zero.add((rs.letter, r))
+    assert {("B", 3), ("C", 3), ("F", 4), ("G", 2)} <= at_zero
