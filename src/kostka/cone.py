@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, lcm
 
 from . import linalg
 from .errors import CapExceededError, InvariantError, NotDominantError, NotInConeError
-from .rootdata import (RootSystem, _block_inverse, _check_length, connected_subsets_containing,
-                       fundamental_weight, is_dominant, node_set, root_coords_to_fw, sub_cartan,
-                       validate_type)
+from .rootdata import (RootSystem, _block_inverse, _check_length, _per_system,
+                       connected_subsets_containing, fundamental_weight, is_dominant, node_set,
+                       root_coords_to_fw, sub_cartan, validate_type)
 from .weyl import DEFAULT_BUDGET, OrbitBudget, orbit
 
 
@@ -32,7 +31,7 @@ class LinearForm:
     coeffs: tuple
 
 
-@lru_cache(maxsize=None)
+@_per_system
 def cone_inequalities(rs: RootSystem) -> tuple[LinearForm, ...]:
     """The 3r defining inequalities of the cone, in a fixed order."""
     r = rs.rank
@@ -40,13 +39,12 @@ def cone_inequalities(rs: RootSystem) -> tuple[LinearForm, ...]:
     eye = linalg.identity(r)
     forms = [LinearForm(f"dom-lambda({i + 1})", e + zero) for i, e in enumerate(eye)]
     forms += [LinearForm(f"dom-mu({i + 1})", zero + e) for i, e in enumerate(eye)]
-    for j in range(r):
-        row = rs.inverse_transpose_cartan[j]
-        forms.append(LinearForm(f"rootcoef({j + 1})", row + tuple(-x for x in row)))
+    forms += [LinearForm(f"rootcoef({j + 1})", row + tuple(-x for x in row))
+              for j, row in enumerate(rs.inverse_transpose_cartan)]
     return tuple(forms)
 
 
-@lru_cache(maxsize=None)
+@_per_system
 def _integer_cone_forms(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     # the cone_inequalities forms, each an integer positive multiple of its own (same
     # signs, same rank on any subset): the unit vectors, then C^-T's rows times det, adj's

@@ -44,10 +44,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def mat_vec(a: Mat, x) -> tuple:
-    return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in a)
-
-
 def _cleared(values) -> tuple[list, int]:
     """The values times the lcm m of their denominators, as ints, and m.
 

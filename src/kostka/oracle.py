@@ -8,23 +8,23 @@ the Freudenthal recursion, which validates cone membership on integral points.
 The recursion is Moody and Patera's: one root string per orbit of the
 stabiliser of a dominant weight, with the norms along a string in closed form.
 
-Both run in integers: the invariant form in fundamental-weight coordinates
-is cached per root system as (w, w') = w^T G w' / N with G and N integral,
-and the stabiliser orbits of the positive roots per (root system, zero nodes).
+Both run in integers.  The invariant form in fundamental-weight coordinates,
+(w, w') = w^T G w' / N with G and N integral, and the stabiliser orbits of
+the positive roots per zero node set are built on first use and kept on the
+root system, as everything derived from one is (see ``rootdata``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from . import linalg
-from .cone import _integer_cone_forms, cone_contains, slice_inequalities
+from .cone import _integer_cone_forms, cone_contains
 from .errors import (CapExceededError, InvariantError, NotDominantError,
                      NotInRootLatticeError, RankBoundExceededError)
-from .rootdata import (RootSystem, _check_length, is_dominant, positive_roots, rho,
+from .rootdata import (RootSystem, _check_length, _per_system, is_dominant, positive_roots, rho,
                        root_coords_to_fw, symmetrizer)
 from .weyl import simple_reflection
 
@@ -69,7 +69,8 @@ def _extreme_rays(rows, dim: int) -> list[tuple[int, ...]]:
 def brute_force_vertices(rs: RootSystem, lam, max_rank: int = DEFAULT_VERTEX_RANK_BOUND) -> frozenset:
     """Vertices of the slice polytope by double description.
 
-    The slice {mu : const + coeffs . mu >= 0} is homogenised to the cone of
+    The slice {mu : const + coeffs . mu >= 0}, the cone's integer forms
+    (``_integer_cone_forms``) at lam fixed, is homogenised to the cone of
     (mu, t) with t >= 0 and const t + coeffs . mu >= 0.  Its dom-mu forms
     and t >= 0 are the orthant, so only the r rootcoef forms are added
     (`_extreme_rays`); each extreme ray (y, t) is the vertex y / t.  Raises
@@ -78,10 +79,14 @@ def brute_force_vertices(rs: RootSystem, lam, max_rank: int = DEFAULT_VERTEX_RAN
     if rs.rank > max_rank:
         raise RankBoundExceededError(f"rank {rs.rank} exceeds the bound {max_rank}")
     lam = linalg.vector(lam)
+    _check_length(rs, lam)
     if not is_dominant(lam):
         raise NotDominantError(f"weight {lam} is not dominant")
-    rows, _ = linalg._integer_rows([*coeffs, const]
-                                   for _, const, coeffs in slice_inequalities(rs, lam)[rs.rank:])
+    # a rootcoef form (f | g) of the cone is f . lam + g . mu >= 0 at lam fixed; times the
+    # lcm m of lam's denominators, the row (m g | f . m lam) on (mu, t) (zip stops at r)
+    x, m = linalg._cleared(lam)
+    rows = [[m * a for a in f[rs.rank:]] + [sum(a * v for a, v in zip(f, x) if v)]
+            for f in _integer_cone_forms(rs)[2 * rs.rank:]]
     points = set()
     for *y, t in _extreme_rays(rows, rs.rank + 1):
         if t <= 0:
@@ -110,7 +115,7 @@ def _pairing(d, w_fw, c_root):
     return sum(dj * wj * cj for dj, wj, cj in zip(d, w_fw, c_root))
 
 
-@lru_cache(maxsize=None)
+@_per_system
 def _form(rs: RootSystem):
     """(G, N, d, roots): the invariant form's integer Gram matrix and scale, the
     integer symmetrizer, and each positive root as (root coords, fw coords)."""
@@ -121,7 +126,7 @@ def _form(rs: RootSystem):
     return gram, det, d, tuple((a, root_coords_to_fw(rs, a)) for a in positive_roots(rs))
 
 
-@lru_cache(maxsize=None)
+@_per_system
 def _root_orbits(rs: RootSystem, nodes: tuple[int, ...]):
     """The positive roots up to sign in orbits of W_J, J the 0-based nodes given:
     (root coords, fw coords, orbit size, (alpha, alpha)) of one root per orbit, the
@@ -148,10 +153,10 @@ def _root_orbits(rs: RootSystem, nodes: tuple[int, ...]):
 
 
 def _in_root_lattice(rs: RootSystem, lam, mu) -> bool:
-    # w = lam - mu has root coordinates C^-T w = (G w)_j / (N d_j)
-    gram, scale, d, _ = _form(rs)
+    # w = lam - mu has root coordinates C^-T w = adj w / det
+    adj, det = rs._inverse
     w = [a - b for a, b in zip(lam, mu)]
-    return all(sum(g * x for g, x in zip(row, w)) % (scale * dj) == 0 for dj, row in zip(d, gram))
+    return all(sum(a * x for a, x in zip(row, w) if x) % det == 0 for row in adj)
 
 
 def weyl_dim(rs: RootSystem, lam) -> int:

@@ -12,16 +12,18 @@ vector is the pairing against the k-th simple coroot; entry j of a
 root-coordinate vector is the coefficient of the j-th simple root.  Node
 ids are 1-based in the public API.
 
-Every inverse of a Cartan block, the whole matrix or a Levi's, is the
-integer solve of ``_block_inverse``: C^-T = adj / det.  A root system
-builds its own on first use and keeps it (``RootSystem._inverse``).
+``root_system`` caches the root systems; what is derived from one is built
+on first use and kept on it: ``RootSystem._inverse``, the integer C^-T =
+adj / det its weights' root coordinates are read from, and what
+``_per_system`` keeps in ``RootSystem._memo``.  Every inverse of a Cartan
+block, the whole matrix or a Levi's, is the integer solve of ``_block_inverse``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import factorial
 
 from . import linalg
@@ -98,7 +100,7 @@ class RootSystem:
                 if i != j and cartan[i - 1][j - 1]:
                     nbrs[i].append(j)
         self._neighbors = {i: tuple(v) for i, v in nbrs.items()}
-        self._positive_roots: tuple[tuple[int, ...], ...] | None = None
+        self._memo: dict = {}  # see _per_system
 
     @cached_property
     def _inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -125,6 +127,17 @@ class RootSystem:
 
     def __hash__(self) -> int:
         return hash((self.letter, self.rank))
+
+
+def _per_system(fn):
+    """fn(rs, *args), never None, built on the first call and kept on rs (in ``rs._memo``)."""
+    @wraps(fn)
+    def kept(rs: RootSystem, *args):
+        out = rs._memo.get((fn, args))
+        if out is None:
+            out = rs._memo[fn, args] = fn(rs, *args)
+        return out
+    return kept
 
 
 def _block_inverse(block, owner: str) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -187,9 +200,10 @@ def is_dominant(w) -> bool:
 
 def fw_to_root_coords(rs: RootSystem, w) -> linalg.Vec:
     """Simple-root coefficients of a weight given in fundamental-weight coordinates."""
-    w = linalg.vector(w)
-    _check_length(rs, w)
-    return linalg.mat_vec(rs.inverse_transpose_cartan, w)
+    x, m = linalg._cleared(tuple(w))
+    _check_length(rs, x)
+    adj, det = rs._inverse
+    return tuple(Fraction(sum(a * v for a, v in zip(row, x) if v), det * m) for row in adj)
 
 
 def root_coords_to_fw(rs: RootSystem, c) -> tuple:
@@ -339,39 +353,26 @@ def levi_factors(rs: RootSystem, nodes) -> tuple[LeviFactor, ...]:
     return tuple(out)
 
 
+@_per_system
 def positive_roots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """All positive roots in simple-root coordinates.
+    """All positive roots in simple-root coordinates, sorted.
 
-    Built level by level from the simple roots: the root string of beta in
-    the direction of alpha_i extends upward exactly when the string length
-    below beta exceeds the pairing <beta, alpha_i_vee>.
+    The closure of the simple roots under s_i beta = beta - <beta, alpha_i_vee>
+    alpha_i where that pairing is negative (Humphreys, §10.2): each
+    positive root other than a simple one is such a reflection of a lower one.
     """
-    if rs._positive_roots is None:
-        r = rs.rank
-        cartan = rs.cartan
-        layer = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-        known = set(layer)
-        while layer:
-            grown = []
-            for beta in layer:
-                for i in range(r):
-                    pairing = sum(beta[j] * cartan[j][i] for j in range(r))
-                    p = 0
-                    down = list(beta)
-                    down[i] -= 1
-                    while tuple(down) in known:
-                        p += 1
-                        down[i] -= 1
-                    if p - pairing > 0:
-                        up = list(beta)
-                        up[i] += 1
-                        up_t = tuple(up)
-                        if up_t not in known:
-                            known.add(up_t)
-                            grown.append(up_t)
-            layer = grown
-        rs._positive_roots = tuple(sorted(known))
-    return rs._positive_roots
+    r, cartan = rs.rank, rs.cartan
+    roots = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    known = set(roots)
+    for beta in roots:  # grows while it is read
+        for i in range(r):
+            pairing = sum(beta[j - 1] * cartan[j - 1][i] for j in (i + 1, *rs.neighbors(i + 1)))
+            if pairing < 0:
+                gamma = beta[:i] + (beta[i] - pairing,) + beta[i + 1:]
+                if gamma not in known:
+                    known.add(gamma)
+                    roots.append(gamma)
+    return tuple(sorted(roots))
 
 
 def weyl_order(letter: str, rank: int) -> int:

@@ -27,7 +27,6 @@ EXPORTS = [
 FUNCTIONS = {
     "linalg": {
         "identity": "(n)",
-        "mat_vec": "(a, x)",
         "solve_unique": "(a, b, *, integer=False)",
         "vector": "(entries)",
     },

@@ -167,12 +167,12 @@ def test_solve_exactness_random():
         n = rng.randint(1, 5)
         a = _random_matrix(rng, n)
         x = linalg.vector([Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)])
-        b = linalg.mat_vec(a, x)
+        b = tuple(sum(u * v for u, v in zip(row, x)) for row in a)
         try:
             got = linalg.solve_unique(a, b)
         except MultipleSolutionsError:
             continue
-        assert linalg.mat_vec(a, got) == tuple(b)
+        assert tuple(sum(u * v for u, v in zip(row, got)) for row in a) == b
 
 
 def test_rank_equals_transpose_rank_random():

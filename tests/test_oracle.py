@@ -86,10 +86,9 @@ def test_unbounded_slice_raises(monkeypatch):
     # With its rootcoef forms negated, A2's slice at rho is unbounded: the double
     # description then finds rays with t = 0, which are not vertices.
     a2 = root_system("A", 2)
-    forms = oracle.slice_inequalities(a2, (1, 1))
-    broken = forms[:2] + tuple((label, -const, tuple(-c for c in coeffs))
-                               for label, const, coeffs in forms[2:])
-    monkeypatch.setattr(oracle, "slice_inequalities", lambda rs, lam: broken)
+    forms = oracle._integer_cone_forms(a2)
+    broken = forms[:4] + tuple(tuple(-c for c in f) for f in forms[4:])
+    monkeypatch.setattr(oracle, "_integer_cone_forms", lambda rs: broken)
     with pytest.raises(InvariantError):
         brute_force_vertices(a2, (1, 1))
 
@@ -238,10 +237,8 @@ def test_membership_matches_positive_multiplicity(case):
 
 @pytest.fixture
 def fresh_form():
-    form = oracle._form
-    form.cache_clear()
-    yield
-    form.cache_clear()
+    # an A2 past root_system's cache, so tables it builds under a patch are its own
+    return root_system.__wrapped__("A", 2)
 
 
 def test_form_matches_sympy():
@@ -259,7 +256,7 @@ def test_broken_form_raises(monkeypatch, fresh_form):
     # Scale 1 claims the form is integral on the weight lattice, where A2's has
     # denominator 3: the recursion at the zero weight of the adjoint
     # representation then gives 2/3 instead of 2.
-    a2 = root_system("A", 2)
+    a2 = fresh_form
     gram, scale, d, roots = oracle._form(a2)
     assert scale == 3
     monkeypatch.setattr(oracle, "_form", lambda rs: (gram, 1, d, roots))

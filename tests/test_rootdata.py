@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction as Q
 
@@ -5,13 +7,15 @@ import pytest
 import sympy
 
 from conftest import all_subsets, supported_types, systems
-from kostka import (FreudenthalTable, LeviWeightPair, components, connected_subsets_containing,
-                    fundamental_weight, fw_to_root_coords, induce, induce_between,
-                    is_connected, is_dominant, levi_cone_contains, levi_factors,
+import kostka
+from kostka import (FreudenthalTable, LeviWeightPair, brute_force_vertices,
+                    compare_membership_multiplicity, components, cone_contains,
+                    connected_subsets_containing, fundamental_weight, fw_to_root_coords, induce,
+                    induce_between, is_connected, is_dominant, levi_cone_contains, levi_factors,
                     longest_element_image, orbit, parabolic_average, parabolic_average_direct,
                     positive_roots, restrict, rho, root_coords_to_fw, root_system, sub_cartan,
                     weight_multiplicity, weyl_dim, weyl_order)
-from kostka import linalg
+from kostka import linalg, oracle
 from kostka.errors import EmptyNodeSetError, UnsupportedRankError
 from kostka.rootdata import symmetrizer
 
@@ -122,6 +126,36 @@ def test_root_system_inverts_on_first_use_only(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_fresh_root_system_builds_its_own_tables(monkeypatch):
+    # what is derived from a root system is kept on it, not shared with an equal one
+    cached = root_system("A", 3)
+    assert cone_contains(cached, (1, 0, 1), (0, 1, 0))
+    calls = []
+    solve_unique = linalg.solve_unique
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_unique(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "solve_unique", counted)
+    fresh = root_system.__wrapped__("A", 3)
+    assert fresh == cached
+    assert cone_contains(fresh, (1, 0, 1), (0, 1, 0))
+    assert len(calls) == 1
+    assert oracle._form(fresh) is not oracle._form(cached)
+
+
+def test_only_root_system_and_build_parser_are_module_caches():
+    # a cache keyed by root systems belongs on the root system (rootdata._per_system)
+    cached = set()
+    for info in pkgutil.iter_modules(kostka.__path__):
+        mod = importlib.import_module(f"kostka.{info.name}")
+        for obj in vars(mod).values():
+            if callable(obj) and hasattr(obj, "cache_info"):
+                cached.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert cached == {"kostka.rootdata.root_system", "kostka.cli.build_parser"}
+
+
 A2, C5 = root_system("A", 2), root_system("C", 5)
 
 
@@ -139,10 +173,12 @@ A2, C5 = root_system("A", 2), root_system("C", 5)
     lambda: longest_element_image(A2, (1, 1, 1), (1,)),
     lambda: restrict(A2, (1,), (1, 2, 3)),
     lambda: fw_to_root_coords(A2, (1,)),
+    lambda: brute_force_vertices(root_system("A", 3), (1, 0)),
+    lambda: compare_membership_multiplicity(A2, (1, 1), (0, 0, 3)),
 ], ids=["weyl_dim-long", "weyl_dim-short", "multiplicity-mu", "weight_multiplicity-lam",
         "induce", "induce_between", "levi_cone_contains", "parabolic_average",
         "parabolic_average_direct", "orbit", "longest_element_image", "restrict",
-        "fw_to_root_coords"])
+        "fw_to_root_coords", "brute_force_vertices", "compare_membership_multiplicity"])
 def test_wrong_length_weights_are_refused_at_every_entry(call):
     # zip would cut them short, or an index run past the rank
     with pytest.raises(ValueError, match="coordinates, got"):
@@ -234,9 +270,17 @@ def test_positive_roots_small():
 
 
 def test_positive_root_counts():
-    for letter, r in supported_types(8):
+    for letter, r in supported_types(20):
         rs = root_system(letter, r)
-        assert len(positive_roots(rs)) == POSITIVE_ROOT_COUNTS[letter](r)
+        roots = positive_roots(rs)
+        assert len(roots) == POSITIVE_ROOT_COUNTS[letter](r)
+        # closed under the simple reflections s_i beta = beta - <beta, alpha_i_vee> alpha_i,
+        # alpha_i itself aside (it goes to -alpha_i)
+        known = set(roots)
+        for beta in roots:
+            for i, pairing in enumerate(root_coords_to_fw(rs, beta)):
+                if beta != tuple(int(j == i) for j in range(r)):
+                    assert beta[:i] + (beta[i] - pairing,) + beta[i + 1:] in known, (rs, beta, i)
 
 
 def test_weyl_orders():
