@@ -188,7 +188,11 @@ def cmd_check(args) -> int:
     rs = root_system(args.type, args.rank)
     lam = _parse_weight(args.lam, rs.rank)
     mu = _parse_weight(args.mu, rs.rank)
-    member = cone_contains(rs, lam, mu)
+    integral = all(x.denominator == 1 for x in lam + mu)
+    # with the oracle, membership is read from the comparison, which tests it
+    cmp = (compare_membership_multiplicity(rs, lam, mu)
+           if args.oracle and integral and is_dominant(lam) else None)
+    member = cmp.member if cmp is not None else cone_contains(rs, lam, mu)
     result: dict = {
         "type": rs.letter, "rank": rs.rank,
         "lambda_fw": _qlist(lam), "mu_fw": _qlist(mu),
@@ -196,9 +200,7 @@ def cmd_check(args) -> int:
     }
     if member:
         result["extremal"] = is_extremal_ray(rs, lam, mu)
-    integral = all(x.denominator == 1 for x in lam + mu)
-    if args.oracle and integral and is_dominant(lam):
-        cmp = compare_membership_multiplicity(rs, lam, mu)
+    if cmp is not None:
         result["in_root_lattice"] = cmp.in_root_lattice
         result["multiplicity"] = cmp.multiplicity
         result["oracle_agrees"] = cmp.agrees

@@ -9,9 +9,10 @@ The recursion is Moody and Patera's: one root string per orbit of the
 stabiliser of a dominant weight, with the norms along a string in closed form.
 
 Both run in integers.  The invariant form in fundamental-weight coordinates,
-(w, w') = w^T G w' / N with G and N integral, and the stabiliser orbits of
-the positive roots per zero node set are built on first use and kept on the
-root system, as everything derived from one is (see ``rootdata``).
+(w, w') = w^T G w' / N with G and N integral, the stabiliser orbits of the
+positive roots per zero node set and the Freudenthal table of each highest
+weight (up to a bound, the oldest dropped first) are built on first use and
+kept on the root system, as everything derived from one is (see ``rootdata``).
 """
 
 from __future__ import annotations
@@ -188,8 +189,9 @@ class FreudenthalTable:
     f(-alpha) = f(alpha) on Phi_J, so one string per orbit of `_root_orbits`
     counts for the whole orbit, its norms and pairings closed forms in k.
 
-    Memoises over dominant representatives.  One table per highest weight;
-    a table must not be shared while a computation is in flight.
+    Memoises over dominant representatives.  ``_table`` keeps one per highest
+    weight on its root system, shared by the requests of one thread; its memo
+    only ever gains finished entries.
     """
 
     def __init__(self, rs: RootSystem, lam, cap: int = DEFAULT_DIM_CAP):
@@ -270,9 +272,27 @@ class FreudenthalTable:
         return out
 
 
+_TABLES_PER_SYSTEM = 256  # the most tables kept on one root system, the oldest dropped first
+
+
+def _table(rs: RootSystem, lam, cap: int) -> FreudenthalTable:
+    # lam's table, kept in rs._memo beside what _per_system keeps; a failed build keeps nothing
+    lam = _integral(lam)
+    tables = rs._memo.setdefault(FreudenthalTable, {})
+    table = tables.get(lam)
+    if table is None:
+        table = FreudenthalTable(rs, lam, cap)
+        if len(tables) >= _TABLES_PER_SYSTEM:
+            del tables[next(iter(tables))]
+        tables[lam] = table
+    elif table.dim > cap:
+        raise CapExceededError(f"dim {table.dim} exceeds the cap {cap}")
+    return table
+
+
 def weight_multiplicity(rs: RootSystem, lam, mu, cap: int = DEFAULT_DIM_CAP) -> int:
-    """One-shot Freudenthal multiplicity; use the table for repeated queries."""
-    return FreudenthalTable(rs, lam, cap).multiplicity(mu)
+    """Freudenthal multiplicity from the table of lam kept on rs, built on first use."""
+    return _table(rs, lam, cap).multiplicity(mu)
 
 
 @dataclass(frozen=True)
@@ -300,5 +320,5 @@ def compare_membership_multiplicity(rs: RootSystem, lam, mu,
     mu = _integral(mu)
     member = cone_contains(rs, lam, mu)
     lattice = _in_root_lattice(rs, lam, mu)
-    mult = FreudenthalTable(rs, lam, cap).multiplicity(mu)
+    mult = _table(rs, lam, cap).multiplicity(mu)
     return MembershipComparison(member, lattice, mult)

@@ -336,6 +336,9 @@ INTERLEAVED = [
     ("rays", "--type", "C", "--rank", "3", "--format", "pretty"),
     ("rays", "--type", "C", "--rank", "3", "--format", "xml"),  # usage error
     ("vertices", "--type", "G", "--rank", "2", "--lambda", "1,1", "--format", "tsv"),
+    # the first call's Freudenthal table, kept on B3, answers this one
+    ("check", "--type", "B", "--rank", "3", "--lambda", "1,0,1", "--mu", "1,0,1",
+     "--oracle", "--format", "pretty"),
 ]
 
 
@@ -348,7 +351,7 @@ def test_interleaved_calls_match_fresh_processes(capsys, monkeypatch):
         proc = subprocess.run([sys.executable, "-m", "kostka.cli", *argv],
                               capture_output=True, text=True, env=env)
         alone.append((proc.returncode, proc.stdout, proc.stderr))
-    assert [code for code, _, _ in alone] == [0, 0, 2, 0]
+    assert [code for code, _, _ in alone] == [0, 0, 2, 0, 0]
     for argv, expect in zip(INTERLEAVED + INTERLEAVED[:1], alone + alone[:1]):
         if expect[0] == 2:
             with pytest.raises(SystemExit) as exc:

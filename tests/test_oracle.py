@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as Q
 from itertools import product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 import sympy
@@ -139,8 +139,39 @@ def test_multiplicity_rejects_non_integral():
 
 
 def test_multiplicity_cap():
+    # the cap is the caller's: a table built under a larger one is still refused,
+    # also off the root-lattice coset, where the answer would be a plain zero
+    c3 = root_system.__wrapped__("C", 3)  # fresh, so its first table is built here
     with pytest.raises(CapExceededError):
-        weight_multiplicity(root_system("C", 3), (2, 2, 2), (0, 0, 0), cap=100)
+        weight_multiplicity(c3, (2, 2, 2), (0, 0, 0), cap=100)
+    assert not c3._memo.get(FreudenthalTable)  # a failed build keeps nothing
+    assert weight_multiplicity(c3, (2, 2, 2), (0, 0, 0)) > 0
+    assert weight_multiplicity(c3, (2, 2, 2), (1, 0, 0)) == 0  # off the coset
+    for mu in ((0, 0, 0), (1, 0, 0)):
+        with pytest.raises(CapExceededError):
+            weight_multiplicity(c3, (2, 2, 2), mu, cap=100)
+        with pytest.raises(CapExceededError):
+            compare_membership_multiplicity(c3, (2, 2, 2), mu, cap=100)
+    # E6 at rho is far over the default cap, off the coset (w1) as on it (0)
+    e6 = root_system("E", 6)
+    for mu in ((1, 0, 0, 0, 0, 0), (0,) * 6):
+        with pytest.raises(CapExceededError):
+            weight_multiplicity(e6, (1,) * 6, mu)
+
+
+def test_tables_are_kept_on_their_root_system():
+    a3 = root_system("A", 3)
+    weight_multiplicity(a3, (1, 0, 1), (0, 0, 0))
+    table = a3._memo[FreudenthalTable][1, 0, 1]
+    assert compare_membership_multiplicity(a3, (1, 0, 1), (0, 1, 0)).multiplicity == 0
+    assert oracle._table(a3, (Q(1), 0, 1), oracle.DEFAULT_DIM_CAP) is table
+    root_system.cache_clear()
+    assert not root_system("A", 3)._memo.get(FreudenthalTable)
+    # bound + 1 highest weights on one root system keep the newest bound of them
+    a1, bound = root_system.__wrapped__("A", 1), oracle._TABLES_PER_SYSTEM
+    for k in range(bound + 1):
+        assert weight_multiplicity(a1, (k,), (k % 2,)) == 1
+    assert list(a1._memo[FreudenthalTable]) == [(k,) for k in range(1, bound + 1)]
 
 
 def _dominant_weights_below(rs, lam):
@@ -174,6 +205,34 @@ def test_multiplicities_total_to_weyl_dim():
                 stab = tuple(i for i in range(1, r + 1) if nu[i - 1] == 0)
                 total += m * weyl_order(letter, r) // parabolic_order(rs, stab)
         assert total == weyl_dim(rs, lam)
+
+
+def _small_highest_weights(rs):
+    # each w_i, then w1 + w_r, 2 w_r and rho where they are under the dimension cap
+    r = rs.rank
+    lams = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    lams += [tuple((j == 0) + (j == r - 1) for j in range(r)), (0,) * (r - 1) + (2,), (1,) * r]
+    return [lam for lam in dict.fromkeys(lams) if weyl_dim(rs, lam) <= oracle.DEFAULT_DIM_CAP]
+
+
+def test_positive_multiplicity_is_membership_exhaustively():
+    # every dominant integral mu in a box holding every dominant weight of V_lam:
+    # mu >= 0 and N (mu, mu) <= N (lam, lam), with G >= 0, give G_ii mu_i^2 <= N (lam, lam).
+    # The multiplicities found also total to the Weyl dimension over the W-orbits
+    for rs in systems(4) + [root_system("E", 6)]:
+        gram = oracle._form(rs)[0]
+        for lam in _small_highest_weights(rs):
+            top = sum(x * g * y for x, row in zip(lam, gram) for g, y in zip(row, lam))
+            box = [range(isqrt(top // gram[i][i]) + 1) for i in range(rs.rank)]
+            total = 0
+            for mu in product(*box):
+                m = weight_multiplicity(rs, lam, mu)
+                member = cone_contains(rs, lam, mu) and oracle._in_root_lattice(rs, lam, mu)
+                assert member == (m > 0), (rs, lam, mu, m)
+                if m:
+                    zeros = tuple(i for i in rs.nodes() if not mu[i - 1])
+                    total += m * weyl_order(rs.letter, rs.rank) // parabolic_order(rs, zeros)
+            assert total == weyl_dim(rs, lam), (rs, lam)
 
 
 def test_comparison_examples():
