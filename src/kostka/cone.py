@@ -110,14 +110,25 @@ def _require_dominant(lam: linalg.Vec) -> None:
 
 
 def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tuple[tuple, int]:
-    """The integer inverse (adj, det) of the block C_L^T of the Levi of `nodes`,
-    (C_L^T)^-1 = adj / det, by ``rootdata._block_inverse``.  ``inverses`` maps each
-    block already inverted to its result, for one enumeration: Levis of the same
-    shape share a block, so it is solved once."""
-    block = tuple(zip(*sub_cartan(rs, nodes)))
-    out = inverses.get(block)
+    """The integer inverse (adj, det) of the block C_L^T of the Levi of `nodes`
+    (ascending), (C_L^T)^-1 = adj / det, by ``rootdata._block_inverse``.
+
+    ``inverses`` maps each block already inverted to its result, for one
+    enumeration, keyed by the Levi's shape: |L| and its internal edges
+    relabelled by position, each with its two Cartan entries.  The diagonal is
+    all 2s and the other entries are zero off the edges, so the shape
+    determines the block exactly; it is read in O(|L|) from the Dynkin graph,
+    and the block (``sub_cartan``) is built only to be inverted.  Levis of the
+    same shape share a block, so it is solved once."""
+    at = {n: a for a, n in enumerate(nodes)}
+    cartan = rs.cartan
+    key = (len(nodes), tuple((a, at[m], cartan[n - 1][m - 1], cartan[m - 1][n - 1])
+                             for a, n in enumerate(nodes) for m in rs.neighbors(n)
+                             if m > n and m in at))
+    out = inverses.get(key)
     if out is None:
-        out = inverses[block] = _block_inverse(block, f"Levi {nodes} of {rs}")
+        block = tuple(zip(*sub_cartan(rs, nodes)))
+        out = inverses[key] = _block_inverse(block, f"Levi {nodes} of {rs}")
     return out
 
 

@@ -4,15 +4,21 @@ Vectors are tuples of :class:`fractions.Fraction`; matrices are tuples of
 row tuples.  ``Fraction`` keeps every entry reduced with a positive
 denominator, so equality of vectors and matrices is structural.
 
-Solves run on one fraction-free Gauss-Jordan kernel over ``int`` (Bareiss,
-Math. Comp. 22, 1968; Nakos, Turner and Williams, ACM SIGSAM Bull. 31,
-1997).  Each row is cleared of denominators by its lcm (``_cleared``; rows
-that are all ``int`` already are used as they are); every intermediate
-entry is then a minor of that integer matrix, so each division is exact,
-and ``Fraction``s are made only from the kernel's result.  Each step
-updates only the live columns, those that can still change: from the
-pivot column on, or from the first column without a pivot once there is
-one; the finished pivot entries are set to the last pivot at the end.
+Solves run on one fraction-free elimination kernel over ``int``,
+``_eliminate`` (Bareiss, Math. Comp. 22, 1968; Nakos, Turner and Williams,
+ACM SIGSAM Bull. 31, 1997).  Each row is cleared of denominators by its lcm
+(``_cleared``; rows that are all ``int`` already are used as they are), and
+``Fraction``s are made only from the kernel's result.  The kernel runs in
+two phases.  Forward is Bareiss's echelon form, where each pivot updates only
+the rows below it with a nonzero entry in its column, from that column on;
+a row left alone keeps the pivot it was last brought to and is rescaled
+lazily, when next touched.  Back substitutes from the last pivot row up
+into d times the reduced row echelon form, d the last pivot.  Every
+division is exact: forward, its result is a minor of the integer input;
+back, an entry of adj(B) times the pivot rows, B their block on the pivot
+columns.  A Dynkin block in Bourbaki order is a tree with about one
+nonzero below each pivot and about one later pivot column in each echelon
+row, so [C_L^T | I] costs O(k^2) rather than Gauss-Jordan's O(k^3).
 
 ``solve_unique`` takes a right-hand side of one column (a vector) or of
 several (a matrix, one row per equation); against the identity it is the
@@ -50,7 +56,7 @@ def _cleared(values) -> tuple[list, int]:
     Values that are all ``int`` are passed through as they are (m = 1);
     others that are not ``Fraction``s are made ``Fraction``s first.
     """
-    if all(type(v) is int for v in values):
+    if set(map(type, values)) <= {int}:
         return values, 1
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     m = lcm(*(v.denominator for v in values))
@@ -64,49 +70,86 @@ def _integer_rows(rows) -> tuple[list, int]:
 
 
 def _eliminate(rows: list) -> tuple[list[int], int]:
-    """In-place fraction-free Gauss-Jordan elimination over int.
+    """In-place fraction-free elimination over int: Bareiss forward, then back.
 
     Rows that are lists are updated in place; other rows (tuples) are
     replaced by lists.  Returns the pivot columns and the last pivot d, the
     determinant of the block on the pivot rows and columns.  Each swap
     negates the row it moves down, so d keeps its sign: for a nonsingular
     square input it is the determinant.  On return every pivot entry
-    equals d, and row i divided by d is row i of the reduced row echelon
-    form.
+    equals d, row i divided by d is row i of the reduced row echelon form,
+    and the rows past the last pivot are zero.
+
+    Forward, the pivot of column c updates only the rows below it whose
+    entry in column c is nonzero, and only from column c on (the rows below
+    are zero left of it).  A row with a zero there would only be scaled by
+    p / prev, so it is left as it is and remembers the pivot s it was last
+    brought to; its true entries are the Bareiss minors v * prev / s.  When
+    it next becomes the pivot row it is brought to prev by that exact
+    division; when it is next updated, (p * (v prev / s) - (f prev / s) * w)
+    / prev, with its multiplier f rescaled alike, folds to (p v - f w) / s.
+    Both are exact because their results are minors of the input.
+
+    Back, from the last pivot row up: with U_r the echelon row of pivot p_r
+    and F_j = d * (RREF row j), F_r = (d U_r - sum of U_r[c_j] F_j over the
+    later pivot columns c_j where U_r is nonzero) / p_r.  The division is
+    exact because F_r = adj(B) times the pivot rows, B their block on the
+    pivot columns, is integer.  Where every column from c_r to the last
+    pivot column has a pivot, F_r there is d, 0, ..., 0 and only the
+    columns after the last pivot are computed.
+
+    On a Dynkin block in Bourbaki order each pivot meets about one nonzero
+    entry below it and each echelon row about one later pivot column, so
+    [C_L^T | I] costs O(k^2) where Gauss-Jordan costs O(k^3).
     """
     for i, row in enumerate(rows):
         if type(row) is not list:
             rows[i] = list(row)
+    n = len(rows)
+    scale = [1] * n  # the pivot each row was last brought to
     pivots: list[int] = []
     prev = 1
     pr = 0
-    skipped = None  # the first column without a pivot
     for c in range(len(rows[0]) if rows else 0):
-        hit = next((i for i in range(pr, len(rows)) if rows[i][c]), None)
-        if hit is None:
-            if skipped is None:
-                skipped = c
+        hit = pr
+        while hit < n and not rows[hit][c]:
+            hit += 1
+        if hit == n:
             continue
         if hit != pr:
             rows[pr], rows[hit] = rows[hit], [-v for v in rows[pr]]
-        # earlier pivot columns are zero off their pivot rows and stay so
-        lo = c if skipped is None else skipped
-        top = rows[pr][lo:]
-        p = top[c - lo]
-        for i, row in enumerate(rows):
-            if i != pr:
-                f = row[c]
-                if f:
-                    row[lo:] = [(p * v - f * w) // prev for v, w in zip(row[lo:], top)]
-                elif p != prev:
-                    row[lo:] = [p * v // prev for v in row[lo:]]
+            scale[pr], scale[hit] = scale[hit], scale[pr]
+        top = rows[pr]
+        if scale[pr] != prev:
+            s = scale[pr]
+            top[c:] = [v * prev // s for v in top[c:]]
+        seg = top[c:]
+        p = seg[0]
+        for i in range(pr + 1, n):
+            row = rows[i]
+            f = row[c]
+            if f:
+                s = scale[i]
+                row[c:] = [(p * v - f * w) // s for v, w in zip(row[c:], seg)]
+                scale[i] = p
         pivots.append(c)
         prev = p
         pr += 1
-        if pr == len(rows):
+        if pr == n:
             break
-    for i, c in enumerate(pivots):
-        rows[i][c] = prev
+    for r in range(pr - 2, -1, -1):  # the last pivot row is already final: its pivot is d
+        row, c = rows[r], pivots[r]
+        p = row[c]  # p_r: the rows below are final, this one is still U_r
+        later = [(row[cj], rows[j]) for j, cj in enumerate(pivots[r + 1:], r + 1) if row[cj]]
+        # every column from c to the last pivot column has a pivot: there the row is d, 0, ..., 0
+        lo = pivots[-1] + 1 if pivots[-1] - c == pr - 1 - r else c
+        if lo > c:
+            row[c:lo] = [prev] + [0] * (lo - c - 1)
+        # (d U_r - the later F_j) / p_r, with d multiplied in on the first pass
+        acc, g = row[lo:], prev
+        for f, other in later:
+            acc, g = [g * a - f * w for a, w in zip(acc, other[lo:])], 1
+        row[lo:] = [g * a // p for a in acc]
     return pivots, prev
 
 

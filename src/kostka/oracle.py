@@ -319,6 +319,7 @@ def compare_membership_multiplicity(rs: RootSystem, lam, mu,
     lam = _integral(lam)
     mu = _integral(mu)
     member = cone_contains(rs, lam, mu)
-    lattice = _in_root_lattice(rs, lam, mu)
     mult = _table(rs, lam, cap).multiplicity(mu)
+    # multiplicity is 0 off the root-lattice coset, so a positive one settles the lattice
+    lattice = mult > 0 or _in_root_lattice(rs, lam, mu)
     return MembershipComparison(member, lattice, mult)

@@ -146,7 +146,7 @@ def _block_inverse(block, owner: str) -> tuple[tuple[tuple[int, ...], ...], int]
     the solve is inconsistent) or det is not positive: no root system allows either."""
     k = len(block)
     try:
-        adj, det = linalg.solve_unique(block, [[int(a == b) for b in range(k)] for a in range(k)],
+        adj, det = linalg.solve_unique(block, [(0,) * a + (1,) + (0,) * (k - a - 1) for a in range(k)],
                                        integer=True)
     except NoSolutionError:
         det = 0

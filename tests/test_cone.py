@@ -312,6 +312,31 @@ def test_one_solve_per_distinct_levi_block(monkeypatch, enumerate_, solves):
         assert len(calls) == solves
 
 
+def test_levi_inverses_are_keyed_by_shape():
+    # every connected Levi's (adj, det) inverts C_L^T, and two Levis share a dict
+    # entry exactly when their Cartan blocks are equal
+    dets = {}
+    for rs in systems(10):
+        inverses, first = {}, {}
+        levis = {s for i in rs.nodes() for s in connected_subsets_containing(rs, i)}
+        for levi in sorted(levis):
+            block = sub_cartan(rs, levi)
+            adj, det = out = cone._levi_inverse(rs, levi, inverses)
+            assert out is first.setdefault(block, out), (rs, levi)
+            k = len(levi)
+            assert [[sum(adj[a][m] * block[b][m] for m in range(k)) for b in range(k)]
+                    for a in range(k)] == [[det * (a == b) for b in range(k)] for a in range(k)]
+            if block not in dets:
+                dets[block] = sympy.Matrix(block).det()
+            assert det == dets[block], (rs, levi)
+        assert len(inverses) == len(first), rs
+    b5 = root_system("B", 5)
+    assert sub_cartan(b5, (1, 2)) != sub_cartan(b5, (4, 5))
+    inverses = {}
+    assert cone._levi_inverse(b5, (1, 2), inverses) != cone._levi_inverse(b5, (4, 5), inverses)
+    assert len(inverses) == 2
+
+
 def test_rays_distinct_per_node():
     for rs in systems(5):
         for i in range(1, rs.rank + 1):

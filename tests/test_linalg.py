@@ -208,6 +208,42 @@ def _rational_systems(draw):
     return tuple(map(tuple, a)), tuple(b)
 
 
+@st.composite
+def _sparse_systems(draw):
+    """A sparse integer matrix up to 9 rows, shaped like a Cartan block, with a
+    right-hand side.
+
+    A tree or a band of nonzero entries with zeros drawn onto the diagonal, so
+    that leading entries are zero and rows are swapped; then the rows shuffled
+    and, by draw, a column inserted that is a multiple of an earlier one (a column
+    without a pivot, with nonzero entries above), a row that is a combination
+    of two others (a rank-deficient row), and the identity appended ([A | I]).
+    """
+    m = draw(st.integers(1, 9))
+    a = [[0] * m for _ in range(m)]
+    tree = draw(st.booleans())
+    width = draw(st.integers(1, 2))
+    for i in range(m):
+        a[i][i] = draw(st.sampled_from((0, 1, 2, 2, 2, -3)))
+        # a tree joins row i to one earlier row, a band to the `width` rows before it
+        earlier = ([draw(st.integers(0, i - 1))] if i else []) if tree else range(max(0, i - width), i)
+        for j in earlier:
+            a[i][j], a[j][i] = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    a = draw(st.permutations(a))
+    if draw(st.booleans()):
+        j, k, f = draw(st.integers(0, m)), draw(st.integers(0, m - 1)), draw(st.integers(-2, 2))
+        for row in a:
+            row.insert(j, f * row[min(k, j - 1)] if j else 0)
+    if m > 2 and draw(st.booleans()):
+        src1, src2, dst = draw(st.permutations(range(m)))[:3]
+        f, g = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        a[dst] = [f * v + g * w for v, w in zip(a[src1], a[src2])]
+    if draw(st.booleans()):
+        a = [row + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
+    b = [draw(st.integers(-3, 3)) for _ in range(m)]
+    return tuple(map(tuple, a)), tuple(b)
+
+
 def _sym(rows):
     return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rows])
 
@@ -217,7 +253,7 @@ def _frac(x):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rational_systems(), st.data())
+@given(st.one_of(_rational_systems(), _sparse_systems()), st.data())
 def test_kernel_matches_sympy(system, data):
     a, b = system
     sa = _sym(a)

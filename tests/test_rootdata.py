@@ -2,6 +2,7 @@ import importlib
 import pkgutil
 import random
 from fractions import Fraction as Q
+from time import perf_counter
 
 import pytest
 import sympy
@@ -124,6 +125,20 @@ def test_root_system_inverts_on_first_use_only(monkeypatch):
     assert len(calls) == 1
     assert rs._inverse[1] == 61 and rs.inverse_transpose_cartan[59][59] == Q(60, 61)
     assert len(calls) == 1
+
+
+def test_a300_inverts_within_a_second():
+    # Levi and Cartan blocks are Dynkin trees: the kernel inverts them in O(k^2)
+    rs = root_system.__wrapped__("A", 300)  # a fresh system, past the cache
+    start = perf_counter()
+    adj, det = rs._inverse
+    took = perf_counter() - start
+    assert det == 301
+    # adj C^T = det I, with row j of C^T nonzero only at j and its neighbours
+    for i, row in enumerate(adj, 1):
+        assert [sum(row[m - 1] * rs.cartan[j - 1][m - 1] for m in (j, *rs.neighbors(j)))
+                for j in rs.nodes()] == [det * (j == i) for j in rs.nodes()]
+    assert took < 1.0, took
 
 
 def test_a_fresh_root_system_builds_its_own_tables(monkeypatch):
