@@ -2,15 +2,17 @@
 
 Output is byte-deterministic for fixed inputs.  Rationals are printed as
 "p/q" with the denominator omitted when it is 1; they never degrade to
-floats.  Exit codes: 0 success (or membership), 1 clean negative verdict,
-2 usage or domain error.
+floats.  The json and tsv tables (rays, vertices, census) go through one
+writer, ``_table``: json is one compact object per row, keyed by the
+columns; tsv is the header, then one line per row, with a list cell
+comma-joined and a bool cell printed as yes/no.  Exit codes: 0 success (or
+membership), 1 clean negative verdict, 2 usage or domain error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +23,7 @@ from .cone import (_levi_inverse, all_rays, cone_contains, is_extremal_ray, poly
                    ray_count_formula, rays_for_node)
 from .errors import KostkaError
 from .oracle import compare_membership_multiplicity
-from .rootdata import is_dominant, root_system, supported_types
+from .rootdata import RANK_BOUNDS, is_dominant, root_system, supported_types
 
 RAY_COLUMNS = ("type", "rank", "node", "levi", "k_primitive", "k_det",
                "lambda_fw", "mu_fw", "c_alpha")
@@ -35,10 +37,6 @@ def _q(x) -> str:
 
 def _qlist(v) -> list[str]:
     return [_q(x) for x in v]
-
-
-def _csv(v) -> str:
-    return ",".join(_q(x) for x in v)
 
 
 def _ratio(n: int, d: int) -> str:
@@ -87,21 +85,29 @@ def _emit(lines) -> None:
         out.write("\n")
 
 
+def _cell(x) -> str:
+    # a tsv cell: a list of formatted strings or a tuple of ints comma-joined, a bool as yes/no
+    kind = type(x)
+    if kind is list:
+        return ",".join(x)
+    if kind is tuple:
+        return ",".join(map(str, x))
+    if kind is bool:
+        return "yes" if x else "no"
+    return str(x)
+
+
+def _table(fmt: str, columns: tuple[str, ...], rows) -> None:
+    """Write rows, tuples in the order of columns, as json objects or as a tsv table."""
+    if fmt == "json":
+        encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call
+        _emit(encode(dict(zip(columns, row))) for row in rows)
+    else:
+        _emit(["\t".join(columns)])
+        _emit("\t".join(map(_cell, row)) for row in rows)
+
+
 # ---------------------------------------------------------------- rays
-
-def _ray_row(rs, ray) -> dict:
-    return {
-        "type": rs.letter,
-        "rank": rs.rank,
-        "node": ray.node,
-        "levi": list(ray.levi),
-        "k_primitive": ray.k_primitive,
-        "k_det": ray.k_det,
-        "lambda_fw": _qlist(ray.lambda_fw),
-        "mu_fw": _qlist(ray.mu_fw),
-        "c_alpha": _qlist(ray.c_alpha),
-    }
-
 
 def _scaled(k: int, v) -> tuple[int, ...]:
     # k times each entry of v, for a k that clears every denominator of v
@@ -136,22 +142,12 @@ def cmd_rays(args) -> int:
         records = rays_for_node(rs, args.node, inverses=inverses)
     else:
         records = all_rays(rs, inverses=inverses)
-    if args.format == "json":
-        _emit(json.dumps(_ray_row(rs, r), separators=(",", ":")) for r in records)
-    elif args.format == "tsv":
-        rows = ["\t".join(RAY_COLUMNS)]
-        for r in records:
-            rows.append("\t".join((
-                rs.letter, str(rs.rank), str(r.node),
-                ",".join(str(n) for n in r.levi),
-                str(r.k_primitive), str(r.k_det),
-                _csv(r.lambda_fw), _csv(r.mu_fw), _csv(r.c_alpha))))
-        _emit(rows)
+    if args.format != "pretty":
+        _table(args.format, RAY_COLUMNS,
+               ((rs.letter, rs.rank, r.node, r.levi, r.k_primitive, r.k_det,
+                 _qlist(r.lambda_fw), _qlist(r.mu_fw), _qlist(r.c_alpha)) for r in records))
     else:
-        blocks = []
-        for r in records:
-            blocks.extend(_ray_pretty(rs, r, inverses))
-        _emit(blocks)
+        _emit(line for r in records for line in _ray_pretty(rs, r, inverses))
     return 0
 
 
@@ -161,18 +157,11 @@ def cmd_vertices(args) -> int:
     rs = root_system(args.type, args.rank)
     lam = _parse_weight(args.lam, rs.rank)
     verts = polytope_vertices(rs, lam)
-    if args.format == "json":
-        _emit(json.dumps({
-            "type": rs.letter, "rank": rs.rank, "lambda_fw": _qlist(lam),
-            "levi": list(v.levi), "point_fw": _qlist(v.point), "c_alpha": _qlist(v.c_alpha),
-        }, separators=(",", ":")) for v in verts)
-    elif args.format == "tsv":
-        out = ["\t".join(VERTEX_COLUMNS)]
-        for v in verts:
-            out.append("\t".join((rs.letter, str(rs.rank), _csv(lam),
-                                  ",".join(str(n) for n in v.levi),
-                                  _csv(v.point), _csv(v.c_alpha))))
-        _emit(out)
+    if args.format != "pretty":
+        lam_fw = _qlist(lam)
+        _table(args.format, VERTEX_COLUMNS,
+               ((rs.letter, rs.rank, lam_fw, v.levi, _qlist(v.point), _qlist(v.c_alpha))
+                for v in verts))
     else:
         out = [f"slice polytope at lambda = {_combo(lam, 'w')}  "
                f"({rs.letter}{rs.rank}, {len(verts)} vertices)"]
@@ -223,34 +212,27 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------- census
 
 def cmd_census(args) -> int:
-    max_rank = args.max_rank
-    env_cap = os.environ.get("KOSTKA_MAX_RANK")
-    if env_cap:
-        max_rank = min(max_rank, int(env_cap))
-    rows = []
-    for letter, r in supported_types(max_rank):
-        enumerated = len(all_rays(root_system(letter, r)))
-        formula = ray_count_formula(letter, r)
-        rows.append((letter, r, enumerated, formula, enumerated == formula))
-    if args.format == "json":
-        _emit(json.dumps({
-            "type": t, "rank": r, "enumerated": e, "formula": f, "match": m,
-        }, separators=(",", ":")) for t, r, e, f, m in rows)
-    elif args.format == "tsv":
-        out = ["\t".join(CENSUS_COLUMNS)]
-        out += [f"{t}\t{r}\t{e}\t{f}\t{'yes' if m else 'no'}" for t, r, e, f, m in rows]
-        _emit(out)
+    matches = []
+
+    def rows():
+        for letter, r in supported_types(args.max_rank):
+            enumerated = len(all_rays(root_system(letter, r)))
+            formula = ray_count_formula(letter, r)
+            matches.append(enumerated == formula)
+            yield letter, r, enumerated, formula, matches[-1]
+
+    if args.format != "pretty":
+        _table(args.format, CENSUS_COLUMNS, rows())
     else:
-        out = [f"{'type':<5}{'rank':<6}{'rays':<7}{'formula':<9}match"]
-        out += [f"{t:<5}{r:<6}{e:<7}{f:<9}{'yes' if m else 'no'}" for t, r, e, f, m in rows]
-        _emit(out)
-    return 0 if all(m for *_, m in rows) else 1
+        _emit([f"{'type':<5}{'rank':<6}{'rays':<7}{'formula':<9}match"])
+        _emit(f"{t:<5}{r:<6}{e:<7}{f:<9}{'yes' if m else 'no'}" for t, r, e, f, m in rows())
+    return 0 if all(matches) else 1
 
 
 # ---------------------------------------------------------------- parser
 
 def _add_common(sp) -> None:
-    sp.add_argument("--type", required=True, choices=list("ABCDEFG"),
+    sp.add_argument("--type", required=True, choices=list(RANK_BOUNDS),
                     help="simple type letter")
     sp.add_argument("--rank", required=True, type=int)
     sp.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")

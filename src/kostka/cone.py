@@ -60,19 +60,6 @@ def _weight(rs: RootSystem, w) -> linalg.Vec:
     return w
 
 
-def slice_inequalities(rs: RootSystem, lam) -> tuple[tuple[str, Fraction, tuple], ...]:
-    """The 2r inequalities of the slice polytope at lam, as (label, const, coeffs).
-
-    A point mu belongs to the slice iff const + coeffs . mu >= 0 for all of
-    them.  They are the cone's dom-mu and rootcoef forms with lam fixed:
-    const is the lambda part of the form applied to lam, coeffs its mu part.
-    """
-    lam = _weight(rs, lam)
-    r = rs.rank
-    return tuple((f.label, sum(c * x for c, x in zip(f.coeffs[:r], lam)), f.coeffs[r:])
-                 for f in cone_inequalities(rs)[r:])
-
-
 def _form_values(rs: RootSystem, lam, mu) -> list[int]:
     # the values of the _integer_cone_forms at m (lam | mu), in their order, for the
     # lcm m > 0 of the denominators: integers with the signs of the cone_inequalities

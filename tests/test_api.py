@@ -66,7 +66,6 @@ FUNCTIONS = {
         "polytope_vertices": "(rs, lam)",
         "ray_count_formula": "(letter, rank)",
         "rays_for_node": "(rs, i, *, inverses=None)",
-        "slice_inequalities": "(rs, lam)",
         "vertex": "(rs, lam, nodes, *, inverses=None)",
     },
     "levi": {

@@ -58,43 +58,54 @@ def test_rays_json_roundtrip(capsys):
         assert [j + 1 for j, x in enumerate(c) if x] == row["levi"]
 
 
-def _ray_rows(fmt, letter, r, node):
-    """The records printed by `rays --node` in json or tsv, parsed to one form."""
+_INT_CELLS = {"rank", "node", "k_primitive", "k_det"}
+_WEIGHT_CELLS = {"lambda_fw", "mu_fw", "point_fw", "c_alpha"}
+
+
+def _table_rows(fmt, *argv):
+    """The records printed by a rays or vertices request in json or tsv, parsed to one form."""
     out = io.StringIO()
     with redirect_stdout(out):
-        code = main(["rays", "--type", letter, "--rank", str(r), "--node", str(node),
-                     "--format", fmt])
+        code = main([*argv, "--format", fmt])
     assert code == 0
     lines = out.getvalue().splitlines()
     if fmt == "json":
         rows = [json.loads(line) for line in lines]
     else:
         header = lines[0].split("\t")
+        assert all(line.count("\t") == len(header) - 1 for line in lines)
         rows = [dict(zip(header, line.split("\t"))) for line in lines[1:]]
         for row in rows:
-            for key in ("rank", "node", "k_primitive", "k_det"):
+            for key in _INT_CELLS & row.keys():
                 row[key] = int(row[key])
             row["levi"] = [int(n) for n in row["levi"].split(",") if n]
-            for key in ("lambda_fw", "mu_fw", "c_alpha"):
+            for key in _WEIGHT_CELLS & row.keys():
                 row[key] = row[key].split(",")
     for row in rows:
-        for key in ("lambda_fw", "mu_fw", "c_alpha"):
+        for key in _WEIGHT_CELLS & row.keys():
             row[key] = [Q(x) for x in row[key]]
     return rows
 
 
 @st.composite
-def _ray_requests(draw):
-    letter, r = draw(st.sampled_from(supported_types(8)))
-    return letter, r, draw(st.integers(1, r))
+def _table_requests(draw):
+    """argv of a `rays --node` request (rank <= 8) or of a `vertices` request at a
+    random dominant rational lambda (rank <= 6)."""
+    if draw(st.booleans()):
+        letter, r = draw(st.sampled_from(supported_types(8)))
+        return "rays", "--type", letter, "--rank", str(r), "--node", str(draw(st.integers(1, r)))
+    letter, r = draw(st.sampled_from(supported_types(6)))
+    lam = draw(st.lists(st.fractions(0, 3, max_denominator=4), min_size=r, max_size=r))
+    return "vertices", "--type", letter, "--rank", str(r), "--lambda", ",".join(map(str, lam))
 
 
-@settings(max_examples=40, deadline=None)
-@given(_ray_requests())
-def test_rays_json_and_tsv_agree(case):
-    json_rows = _ray_rows("json", *case)
-    assert json_rows == _ray_rows("tsv", *case)
-    assert len(json_rows) > 1 and json_rows[0]["levi"] == []
+@settings(max_examples=60, deadline=None)
+@given(_table_requests())
+def test_rays_json_and_tsv_agree(argv):
+    json_rows = _table_rows("json", *argv)
+    assert json_rows == _table_rows("tsv", *argv)
+    # both tables open with the record of empty levi: the ray (w_i, w_i), the vertex lambda
+    assert json_rows and json_rows[0]["levi"] == []
 
 
 def test_rays_json_count_e6(capsys):
@@ -218,11 +229,11 @@ def test_census_small(capsys):
     assert set(rows) == {("A", "1"), ("A", "2"), ("B", "2"), ("C", "2"), ("G", "2")}
 
 
-def test_census_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("KOSTKA_MAX_RANK", "1")
-    code, out, _ = run(capsys, "census", "--max-rank", "4", "--format", "tsv")
-    assert code == 0
-    assert [l.split("\t")[:2] for l in out.splitlines()[1:]] == [["A", "1"]]
+def test_census_of_no_types_is_its_header(capsys):
+    expect = {"json": "", "tsv": "type\trank\tenumerated\tformula\tmatch\n",
+              "pretty": "type rank  rays   formula  match\n"}
+    for fmt, header in expect.items():
+        assert run(capsys, "census", "--max-rank", "0", "--format", fmt) == (0, header, "")
 
 
 def test_census_d4_row(capsys):

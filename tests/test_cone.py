@@ -53,8 +53,6 @@ def test_wrong_length_weights_are_refused():
         vertex(a3, (1, 0), (1,))
     with pytest.raises(ValueError):
         polytope_vertices(a3, (1, 0, 0, 5))
-    with pytest.raises(ValueError):
-        cone.slice_inequalities(a3, (1, 0))
 
 
 def test_vertex_examples():
