@@ -19,8 +19,8 @@ from functools import lru_cache
 from math import gcd
 
 from . import __version__
-from .cone import (_levi_inverse, all_rays, cone_contains, is_extremal_ray, polytope_vertices,
-                   ray_count_formula, rays_for_node)
+from .cone import (_extremality, _levi_inverse, all_rays, polytope_vertices, ray_count_formula,
+                   rays_for_node)
 from .errors import KostkaError
 from .oracle import compare_membership_multiplicity
 from .rootdata import RANK_BOUNDS, is_dominant, root_system, supported_types
@@ -31,16 +31,13 @@ VERTEX_COLUMNS = ("type", "rank", "lambda_fw", "levi", "point_fw", "c_alpha")
 CENSUS_COLUMNS = ("type", "rank", "enumerated", "formula", "match")
 
 
-def _q(x) -> str:
-    return str(x if isinstance(x, (int, Fraction)) else Fraction(x))
-
-
 def _qlist(v) -> list[str]:
-    return [_q(x) for x in v]
+    # entries are ints or Fractions, whose str is the printed form
+    return list(map(str, v))
 
 
 def _ratio(n: int, d: int) -> str:
-    # n / d for d > 0, printed as _q prints the Fraction
+    # n / d for d > 0, printed as str prints the Fraction
     g = gcd(n, d)
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
@@ -54,9 +51,10 @@ def _terms(coeffs, sym: str) -> str:
     out = ""
     for pos, c in enumerate(coeffs, 1):
         if c:
-            mag = abs(c)
-            out += " - " if c < 0 else " + "
-            out += f"{sym}{pos}" if mag == 1 else f"{_q(mag)}*{sym}{pos}"
+            mag = str(c)
+            out += " - " if mag[0] == "-" else " + "
+            mag = mag.lstrip("-")
+            out += f"{sym}{pos}" if mag == "1" else f"{mag}*{sym}{pos}"
     return out
 
 
@@ -114,19 +112,21 @@ def _scaled(k: int, v) -> tuple[int, ...]:
     return tuple(k * x.numerator // x.denominator for x in v)
 
 
-def _ray_pretty(rs, ray, inverses: dict) -> list[str]:
+def _block_rows(adj, det) -> list[str]:
+    cells = [[_ratio(x, det) for x in row] for row in adj]
+    width = max(len(c) for row in cells for c in row)
+    return ["    " + "  ".join(c.rjust(width) for c in row) for row in cells]
+
+
+def _ray_pretty(rs, ray, inverses: dict, block_rows) -> list[str]:
     head = (f"node {ray.node}  levi {_nodes_str(ray.levi)}  "
             f"k_primitive={ray.k_primitive}  k_det={ray.k_det}")
     lines = [head]
     k = ray.k_det
     lam_str = _combo(_scaled(k, ray.lambda_fw), "w")
     if ray.levi:
-        adj, det = _levi_inverse(rs, ray.levi, inverses)
         lines.append(f"  inverse transpose Cartan on {_nodes_str(ray.levi)}:")
-        cells = [[_ratio(x, det) for x in row] for row in adj]
-        width = max(len(c) for row in cells for c in row)
-        for row in cells:
-            lines.append("    " + "  ".join(c.rjust(width) for c in row))
+        lines += block_rows(*_levi_inverse(rs, ray.levi, inverses))
         drop = _terms(_scaled(-k, ray.c_alpha), "a")
         mu_str = _combo(_scaled(k, ray.mu_fw), "w")
         lines.append(f"  ({lam_str}, {lam_str}{drop}) = ({lam_str}, {mu_str})")
@@ -147,7 +147,8 @@ def cmd_rays(args) -> int:
                ((rs.letter, rs.rank, r.node, r.levi, r.k_primitive, r.k_det,
                  _qlist(r.lambda_fw), _qlist(r.mu_fw), _qlist(r.c_alpha)) for r in records))
     else:
-        _emit(line for r in records for line in _ray_pretty(rs, r, inverses))
+        block_rows = lru_cache(maxsize=None)(_block_rows)  # each block formatted once per request
+        _emit(line for r in records for line in _ray_pretty(rs, r, inverses, block_rows))
     return 0
 
 
@@ -178,17 +179,18 @@ def cmd_check(args) -> int:
     lam = _parse_weight(args.lam, rs.rank)
     mu = _parse_weight(args.mu, rs.rank)
     integral = all(x.denominator == 1 for x in lam + mu)
-    # with the oracle, membership is read from the comparison, which tests it
+    # with the oracle, membership is read from the comparison; else None marks a non-member
     cmp = (compare_membership_multiplicity(rs, lam, mu)
            if args.oracle and integral and is_dominant(lam) else None)
-    member = cmp.member if cmp is not None else cone_contains(rs, lam, mu)
+    extremal = _extremality(rs, lam, mu) if cmp is None or cmp.member else None
+    member = extremal is not None
     result: dict = {
         "type": rs.letter, "rank": rs.rank,
         "lambda_fw": _qlist(lam), "mu_fw": _qlist(mu),
         "member": member,
     }
     if member:
-        result["extremal"] = is_extremal_ray(rs, lam, mu)
+        result["extremal"] = extremal
     if cmp is not None:
         result["in_root_lattice"] = cmp.in_root_lattice
         result["multiplicity"] = cmp.multiplicity

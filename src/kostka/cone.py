@@ -17,9 +17,9 @@ from math import comb, lcm
 
 from . import linalg
 from .errors import CapExceededError, InvariantError, NotDominantError, NotInConeError
-from .rootdata import (RootSystem, _block_inverse, _check_length, _per_system,
+from .rootdata import (RootSystem, _block_inverse, _check_length, _connected_sets, _per_system,
                        connected_subsets_containing, fundamental_weight, is_dominant, node_set,
-                       root_coords_to_fw, sub_cartan, validate_type)
+                       sub_cartan, validate_type)
 from .weyl import DEFAULT_BUDGET, OrbitBudget, orbit
 
 
@@ -119,37 +119,43 @@ def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tup
     return out
 
 
+def _levi_solve(rs: RootSystem, lam: linalg.Vec, nodes: tuple[int, ...],
+                inverses: dict) -> tuple[list[int], int, dict[int, int]]:
+    """C_L^T c = lam|_L on the Levi L of `nodes` (ascending, nonempty), solved in
+    integers: c's numerators over d, in the order of `nodes`, d, and the pairings
+    sum_n c_n C[n][k] at L's outside neighbours k, keyed by k.
+
+    With m the lcm of lam|_L's denominators, c = adj (m lam|_L) / (det m) from
+    the block's inverse (``_levi_inverse``, shared through ``inverses``), over
+    lam's nonzero coordinates on L only; d = det m, det C_L for integral lam.
+    The point lam - (pairings of c) is zero on L, lam_k - pairing / d at each
+    outside neighbour k and lam elsewhere.  Raises InvariantError if the block
+    is singular or its determinant is not positive.
+    """
+    adj, det = _levi_inverse(rs, nodes, inverses)
+    support = [j for j, n in enumerate(nodes) if lam[n - 1]]
+    rhs, m = linalg._cleared([lam[nodes[j] - 1] for j in support])
+    c = [sum(row[j] * w for j, w in zip(support, rhs)) for row in adj]
+    outside = {k for n in nodes for k in rs.neighbors(n)}.difference(nodes)
+    return c, det * m, {k: sum(x * rs.cartan[n - 1][k - 1] for n, x in zip(nodes, c))
+                        for k in outside}
+
+
 def _levi_vertex(rs: RootSystem, lam: linalg.Vec, nodes: tuple[int, ...],
                  inverses: dict | None = None) -> tuple[Vertex, int]:
-    """The vertex on `nodes` and the common denominator d of its c_alpha.
-
-    c solves C_L^T c = lam|_L on the Levi L of `nodes`, read from the block's
-    integer inverse (``_levi_inverse``, shared through ``inverses``):
-    with m the lcm of lam|_L's denominators, c = adj (m lam|_L) / (det m),
-    a product over lam's nonzero coordinates on L only, so d = det m (d = 1
-    for the empty set) and d is det C_L when lam is integral.  The point
-    lam - (pairings of c) is zero on L, where the pairings are lam, and
-    differs from lam elsewhere only on L's neighbours.  Raises
-    InvariantError if the block is singular or its determinant is not
-    positive.
-    """
-    coeffs = [0] * rs.rank
-    point = list(lam)
-    d = 1
-    if nodes:
-        adj, det = _levi_inverse(rs, nodes, {} if inverses is None else inverses)
-        support = [j for j, n in enumerate(nodes) if lam[n - 1]]
-        rhs, m = linalg._cleared([lam[nodes[j] - 1] for j in support])
-        d = det * m
-        for n, row in zip(nodes, adj):
-            coeffs[n - 1] = sum(row[j] * w for j, w in zip(support, rhs))
-        for k, p in enumerate(root_coords_to_fw(rs, coeffs)):
-            if p:
-                w = lam[k]
-                point[k] = Fraction(w.numerator * d - p * w.denominator, w.denominator * d)
+    """The vertex on `nodes` (ascending), with its minimal node set, and the common
+    denominator d of its c_alpha (1 for the empty set), read from ``_levi_solve``."""
     zero = Fraction(0)
-    c_alpha = tuple(Fraction(x, d) if x else zero for x in coeffs)
-    return Vertex(tuple(point), tuple(n for n in nodes if coeffs[n - 1]), c_alpha), d
+    if not nodes:
+        return Vertex(tuple(lam), (), (zero,) * rs.rank), 1
+    c, d, pairings = _levi_solve(rs, lam, nodes, {} if inverses is None else inverses)
+    point, c_alpha = list(lam), [zero] * rs.rank
+    for n, x in zip(nodes, c):
+        point[n - 1], c_alpha[n - 1] = zero, Fraction(x, d)
+    for k, p in pairings.items():
+        w = lam[k - 1]
+        point[k - 1] = Fraction(w.numerator * d - p * w.denominator, w.denominator * d)
+    return Vertex(tuple(point), tuple(n for n, x in zip(nodes, c) if x), tuple(c_alpha)), d
 
 
 def vertex(rs: RootSystem, lam, nodes, *, inverses: dict | None = None) -> Vertex:
@@ -158,11 +164,10 @@ def vertex(rs: RootSystem, lam, nodes, *, inverses: dict | None = None) -> Verte
     Solves <x, alpha_i_vee> = 0 for i in `nodes` together with agreement of
     the remaining simple-root coefficients with lam; the unique solution is
     lam minus a combination of the simple roots indexed by `nodes`, read
-    from the integer inverse of the Levi Cartan block (``_levi_vertex``,
-    which `rays_for_node` reads every ray from).  ``inverses`` shares the
-    inverses across calls of one enumeration; without it the block is
-    inverted afresh.  The returned node set is minimal: nodes whose
-    coefficient vanishes are dropped.
+    from the integer inverse of the Levi Cartan block (``_levi_vertex``).
+    ``inverses`` shares the inverses across calls of one enumeration;
+    without it the block is inverted afresh.  The returned node set is
+    minimal: nodes whose coefficient vanishes are dropped.
     """
     lam = _weight(rs, lam)
     _require_dominant(lam)
@@ -176,67 +181,64 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
     vertices correspond one to one to the node sets S each of whose
     connected components meets the support of lam, and S is the minimal
     defining node set of its vertex.  Each connected piece meeting the
-    support is solved once by `vertex`, and pieces of the same shape share
-    one inverse of their Cartan block; the vertex of S is lam minus the sum
-    of the drops lam - point of its components, and its c_alpha is the sum
-    of theirs.  Raises CapExceededError, before any solve, when there are
-    more than VERTEX_CAP such node sets.  Ordered by node set (size, then
-    lexicographic).
+    support is grown once, from its smallest support node and never through
+    a smaller one, and solved once (``_levi_solve``; pieces of one shape share
+    a block inverse), keeping only its c_alpha and its drops lam - point at
+    its outside neighbours.  The vertex of S is zero on S and lam minus its
+    components' drops elsewhere; its c_alpha is the sum of theirs.  Raises
+    CapExceededError, before any solve, when there are more than VERTEX_CAP
+    such node sets.  Ordered by node set (size, then lexicographic).
     """
     lam = _weight(rs, lam)
     _require_dominant(lam)
-    found: set[tuple[int, ...]] = set()
+    pieces: list[tuple[int, ...]] = []
+    banned = 0  # the support nodes already grown from
     for i in rs.nodes():
         if lam[i - 1]:
-            found.update(connected_subsets_containing(rs, i))
-    pieces = sorted(found, key=lambda p: (len(p), p))
+            pieces += _connected_sets(rs, i, banned)
+            banned |= 1 << i
+    pieces.sort(key=lambda p: (len(p), p))
     bits = [sum(1 << n for n in p) for p in pieces]
+    near = [sum(1 << m for m in {m for n in p for m in (n, *rs.neighbors(n))}) for p in pieces]
     # later[j]: the pieces after j that miss piece j and its neighbours, as a bit mask
-    later = []
-    for j, p in enumerate(pieces):
-        near = bits[j]
-        for n in p:
-            for m in rs.neighbors(n):
-                near |= 1 << m
-        later.append(sum(1 << k for k in range(j + 1, len(pieces)) if not bits[k] & near))
+    later = [sum(1 << k for k in range(j + 1, len(pieces)) if not bits[k] & near[j])
+             for j in range(len(pieces))]
     # each node set as (index of the set it extends, piece added); the empty set first
     sets = [(0, -1)]
     stack = [(0, (1 << len(pieces)) - 1)]  # (set index, pieces it may be extended by)
     while stack:
         k, free = stack.pop()
-        rest = free
-        while rest:
-            low = rest & -rest
-            rest ^= low
+        while free:  # lowest piece first; later[j] has no piece at or below j
+            low = free & -free
+            free ^= low
             j = low.bit_length() - 1
             if len(sets) == VERTEX_CAP:
                 raise CapExceededError(f"the slice polytope of {rs} at this weight has "
                                        f"more than {VERTEX_CAP} vertices")
             stack.append((len(sets), free & later[j]))
             sets.append((k, j))
+    zero = Fraction(0)
     solved = []
     inverses: dict = {}
     for p in pieces:
-        v = vertex(rs, lam, p, inverses=inverses)
-        if v.levi != p:
-            raise InvariantError(f"vertex of {rs} at {lam} on {p} has minimal node set {v.levi}")
-        # off the piece, the drop lam - point is supported on the piece's neighbours
-        solved.append((v, [(m, x - y) for m, (x, y) in enumerate(zip(lam, v.point))
-                           if x != y and m + 1 not in p]))
-    out = [_levi_vertex(rs, lam, ())[0]]
+        c, d, pairings = _levi_solve(rs, lam, p, inverses)
+        if not all(c):
+            raise InvariantError(f"vertex of {rs} at {lam} on {p} has a zero root coefficient")
+        solved.append((p, [Fraction(x, d) for x in c],
+                       [(k - 1, Fraction(q, d)) for k, q in pairings.items()]))
+    out = [Vertex(lam, (), (zero,) * rs.rank)]
     for k, j in sets[1:]:
         base = out[k]
-        v, drop = solved[j]
+        p, c, drops = solved[j]
         point = list(base.point)
         c_alpha = list(base.c_alpha)
         # the set's other pieces are not adjacent to this one, so on its nodes
-        # the point and c_alpha are this piece's alone
-        for n in v.levi:
-            point[n - 1] = v.point[n - 1]
-            c_alpha[n - 1] = v.c_alpha[n - 1]
-        for m, d in drop:
-            point[m] -= d
-        out.append(Vertex(tuple(point), tuple(sorted(base.levi + v.levi)), tuple(c_alpha)))
+        # the point (zero) and c_alpha are this piece's alone
+        for n, x in zip(p, c):
+            point[n - 1], c_alpha[n - 1] = zero, x
+        for m, x in drops:
+            point[m] -= x
+        out.append(Vertex(tuple(point), tuple(sorted(base.levi + p)), tuple(c_alpha)))
     return tuple(sorted(out, key=lambda v: (len(v.levi), v.levi)))
 
 
@@ -267,11 +269,11 @@ def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tu
     These are the vertices of the slice polytope at w_i: one for the empty
     node set (the pair (w_i, w_i)) and one for every connected subdiagram L
     containing node i, read as `vertex` reads them (``_levi_vertex``): c_alpha
-    is the column of node i in the integer inverse adj / det of C_L^T, so a ray costs
-    O(|L|) once its block is inverted, and each distinct block is inverted
-    once per call (or once per ``inverses`` dict, which the caller may share
-    with other enumerations).  The common denominator d is ``k_det``, the
-    determinant of the Levi Cartan submatrix, and ``k_primitive`` is the
+    is the column of node i in the integer inverse adj / det of C_L^T and mu
+    is w_i less the pairings at L's outside neighbours, O(|L|) once the block
+    is inverted, once per call (or per ``inverses`` dict, which the caller may
+    share with other enumerations).  The common denominator d is ``k_det``,
+    the determinant of the Levi Cartan submatrix, and ``k_primitive`` is the
     least common denominator of ``c_alpha``, d / gcd(d, numerators).
     """
     lam = linalg.vector(fundamental_weight(rs, i))
@@ -298,14 +300,22 @@ def all_rays(rs: RootSystem, *, inverses: dict | None = None) -> tuple[RayRecord
     return tuple(out)
 
 
+def _extremality(rs: RootSystem, lam, mu) -> bool | None:
+    # whether the pair spans an extremal ray (the rank of the forms tight at it); None off the cone
+    values = _form_values(rs, lam, mu)
+    if any(v < 0 for v in values):
+        return None
+    tight = [row for row, v in zip(_integer_cone_forms(rs), values) if not v]
+    return 2 * rs.rank - len(linalg._forward(tight)[0]) == 1
+
+
 def is_extremal_ray(rs: RootSystem, lam, mu) -> bool:
     """Tight-constraint test: the pair spans an extremal ray iff the
     inequalities vanishing at it cut out a one-dimensional subspace."""
-    values = _form_values(rs, lam, mu)
-    if any(v < 0 for v in values):
+    out = _extremality(rs, lam, mu)
+    if out is None:
         raise NotInConeError(f"({tuple(lam)}, {tuple(mu)}) is not in the cone")
-    tight = [row for row, v in zip(_integer_cone_forms(rs), values) if not v]
-    return 2 * rs.rank - len(linalg._eliminate(tight)[0]) == 1
+    return out
 
 
 def ray_count_formula(letter: str, rank: int) -> int:

@@ -9,16 +9,12 @@ Solves run on one fraction-free elimination kernel over ``int``,
 ACM SIGSAM Bull. 31, 1997).  Each row is cleared of denominators by its lcm
 (``_cleared``; rows that are all ``int`` already are used as they are), and
 ``Fraction``s are made only from the kernel's result.  The kernel runs in
-two phases.  Forward is Bareiss's echelon form, where each pivot updates only
-the rows below it with a nonzero entry in its column, from that column on;
-a row left alone keeps the pivot it was last brought to and is rescaled
-lazily, when next touched.  Back substitutes from the last pivot row up
-into d times the reduced row echelon form, d the last pivot.  Every
-division is exact: forward, its result is a minor of the integer input;
-back, an entry of adj(B) times the pivot rows, B their block on the pivot
-columns.  A Dynkin block in Bourbaki order is a tree with about one
-nonzero below each pivot and about one later pivot column in each echelon
-row, so [C_L^T | I] costs O(k^2) rather than Gauss-Jordan's O(k^3).
+two phases: ``_forward``, Bareiss's echelon form (all a rank needs), then
+``_back``, which substitutes up into d times the reduced row echelon form,
+d the last pivot.  Every division is exact.  A Dynkin block in Bourbaki
+order is a tree with about one nonzero below each pivot and about one
+later pivot column in each echelon row, so [C_L^T | I] costs O(k^2)
+rather than Gauss-Jordan's O(k^3).
 
 ``solve_unique`` takes a right-hand side of one column (a vector) or of
 several (a matrix, one row per equation); against the identity it is the
@@ -70,37 +66,29 @@ def _integer_rows(rows) -> tuple[list, int]:
 
 
 def _eliminate(rows: list) -> tuple[list[int], int]:
-    """In-place fraction-free elimination over int: Bareiss forward, then back.
+    """In-place fraction-free elimination over int, ``_forward`` then ``_back``:
+    the pivot columns and the last pivot d, the determinant of the block on the
+    pivot rows and columns (each swap negates the row it moves down, so d keeps
+    its sign).  List rows are updated in place, tuple rows replaced by lists; on
+    return row i / d is row i of the RREF and the rows past the last pivot are zero.
+    """
+    pivots, d = _forward(rows)
+    _back(rows, pivots, d)
+    return pivots, d
 
-    Rows that are lists are updated in place; other rows (tuples) are
-    replaced by lists.  Returns the pivot columns and the last pivot d, the
-    determinant of the block on the pivot rows and columns.  Each swap
-    negates the row it moves down, so d keeps its sign: for a nonsingular
-    square input it is the determinant.  On return every pivot entry
-    equals d, row i divided by d is row i of the reduced row echelon form,
-    and the rows past the last pivot are zero.
 
-    Forward, the pivot of column c updates only the rows below it whose
-    entry in column c is nonzero, and only from column c on (the rows below
-    are zero left of it).  A row with a zero there would only be scaled by
-    p / prev, so it is left as it is and remembers the pivot s it was last
-    brought to; its true entries are the Bareiss minors v * prev / s.  When
-    it next becomes the pivot row it is brought to prev by that exact
-    division; when it is next updated, (p * (v prev / s) - (f prev / s) * w)
-    / prev, with its multiplier f rescaled alike, folds to (p v - f w) / s.
-    Both are exact because their results are minors of the input.
+def _forward(rows: list) -> tuple[list[int], int]:
+    """Bareiss's echelon form in place, of rows as ``_eliminate`` takes them: the
+    pivot columns (their count is the rank) and the last pivot d.  On return
+    each pivot row is its echelon row U_r, and the rows past the last pivot are zero.
 
-    Back, from the last pivot row up: with U_r the echelon row of pivot p_r
-    and F_j = d * (RREF row j), F_r = (d U_r - sum of U_r[c_j] F_j over the
-    later pivot columns c_j where U_r is nonzero) / p_r.  The division is
-    exact because F_r = adj(B) times the pivot rows, B their block on the
-    pivot columns, is integer.  Where every column from c_r to the last
-    pivot column has a pivot, F_r there is d, 0, ..., 0 and only the
-    columns after the last pivot are computed.
-
-    On a Dynkin block in Bourbaki order each pivot meets about one nonzero
-    entry below it and each echelon row about one later pivot column, so
-    [C_L^T | I] costs O(k^2) where Gauss-Jordan costs O(k^3).
+    The pivot of column c updates only the rows below it whose entry in column
+    c is nonzero, and only from column c on (the rows below are zero left of
+    it).  A row with a zero there would only be scaled by p / prev, so it is
+    left alone and remembers the pivot s it was last brought to: its true
+    entries are v * prev / s.  As the next pivot row it is brought to prev by
+    that exact division; when next updated, (p * (v prev / s) - (f prev / s)
+    * w) / prev folds to (p v - f w) / s.  Both results are minors of the input.
     """
     for i, row in enumerate(rows):
         if type(row) is not list:
@@ -137,20 +125,32 @@ def _eliminate(rows: list) -> tuple[list[int], int]:
         pr += 1
         if pr == n:
             break
-    for r in range(pr - 2, -1, -1):  # the last pivot row is already final: its pivot is d
+    return pivots, prev
+
+
+def _back(rows: list, pivots: list[int], d: int) -> None:
+    """``_forward``'s echelon rows, of last pivot d, to d times the reduced row
+    echelon form, in place from the last pivot row up: with U_r the echelon row
+    of pivot p_r and F_j = d * (RREF row j), F_r = (d U_r - the sum of U_r[c_j]
+    F_j over the later pivot columns c_j) / p_r, exact because F_r is adj(B)
+    times the pivot rows, B their block on the pivot columns.  Where every
+    column from c_r to the last pivot column has a pivot, F_r is d, 0, ..., 0
+    there and only the later columns are computed.
+    """
+    n = len(pivots)
+    for r in range(n - 2, -1, -1):  # the last pivot row is already final: its pivot is d
         row, c = rows[r], pivots[r]
         p = row[c]  # p_r: the rows below are final, this one is still U_r
         later = [(row[cj], rows[j]) for j, cj in enumerate(pivots[r + 1:], r + 1) if row[cj]]
         # every column from c to the last pivot column has a pivot: there the row is d, 0, ..., 0
-        lo = pivots[-1] + 1 if pivots[-1] - c == pr - 1 - r else c
+        lo = pivots[-1] + 1 if pivots[-1] - c == n - 1 - r else c
         if lo > c:
-            row[c:lo] = [prev] + [0] * (lo - c - 1)
+            row[c:lo] = [d] + [0] * (lo - c - 1)
         # (d U_r - the later F_j) / p_r, with d multiplied in on the first pass
-        acc, g = row[lo:], prev
+        acc, g = row[lo:], d
         for f, other in later:
             acc, g = [g * a - f * w for a, w in zip(acc, other[lo:])], 1
         row[lo:] = [g * a // p for a in acc]
-    return pivots, prev
 
 
 def solve_unique(a: Mat, b, *, integer: bool = False):

@@ -244,27 +244,33 @@ def components(rs: RootSystem, nodes) -> tuple[tuple[int, ...], ...]:
     return tuple(comps)
 
 
+def _connected_sets(rs: RootSystem, i: int, banned: int = 0) -> list[tuple[int, ...]]:
+    """The connected node sets containing i and no node of the mask `banned` (node n
+    at 1 << n), unordered, each grown once: a set hands its children only the
+    neighbours it has not tried, and the node added last brings its new ones."""
+    out = []
+    stack = [((i,), 0, banned | 1 << i)]  # (set, untried frontier, nodes it may not add)
+    while stack:
+        nodes, frontier, seen = stack.pop()
+        out.append(tuple(sorted(nodes)))
+        frontier |= sum(1 << m for m in rs.neighbors(nodes[-1]) if not seen >> m & 1)
+        seen |= frontier
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            stack.append((nodes + (low.bit_length() - 1,), frontier, seen))
+    return out
+
+
 def connected_subsets_containing(rs: RootSystem, i: int) -> list[tuple[int, ...]]:
     """All node sets containing i with connected induced subgraph.
 
-    Grown from {i} by repeatedly attaching neighbours, so it never touches
-    the full power set; ordered by size then lexicographically.
+    Grown from {i} by attaching neighbours, each set once (``_connected_sets``),
+    so it never touches the full power set; ordered by size then lexicographically.
     """
     if not 1 <= i <= rs.rank:
         raise ValueError(f"node {i} out of range 1..{rs.rank}")
-    seed = frozenset((i,))
-    found = {seed}
-    stack = [seed]
-    while stack:
-        cur = stack.pop()
-        for n in cur:
-            for nb in rs.neighbors(n):
-                if nb not in cur:
-                    grown = cur | {nb}
-                    if grown not in found:
-                        found.add(grown)
-                        stack.append(grown)
-    return sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
+    return sorted(_connected_sets(rs, i), key=lambda t: (len(t), t))
 
 
 def sub_cartan(rs: RootSystem, nodes) -> tuple[tuple[int, ...], ...]:

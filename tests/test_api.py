@@ -1,7 +1,9 @@
 """The public surface, pinned: a change to it must show up here."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import kostka
 from kostka import errors
@@ -121,6 +123,13 @@ def test_package_exports():
 
 def test_public_functions_and_signatures():
     assert {name: _public_functions(name) for name in FUNCTIONS} == FUNCTIONS
+
+
+def test_package_has_no_assert():
+    # invariants raise real exceptions: an assert statement is dropped under python -O
+    for path in sorted(Path(kostka.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)], path.name
 
 
 def test_error_classes():

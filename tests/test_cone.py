@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_subsets, random_dominant, supported_types, systems
@@ -116,6 +116,39 @@ def test_polytope_vertices_match_exhaustive_rule(case):
     for v in got:
         assert v.c_alpha == fw_to_root_coords(rs, tuple(a - b for a, b in zip(lam, v.point)))
         assert tuple(j for j, c in enumerate(v.c_alpha, 1) if c) == v.levi
+
+
+@st.composite
+def _levi_cases(draw):
+    """A system of rank at most 8, a dominant weight, integral or rational and zero on
+    some nodes, and any node set, connected or not."""
+    letter, r = draw(st.sampled_from(supported_types(8)))
+    coord = st.one_of(st.just(0), st.integers(1, 3), st.builds(Q, st.integers(1, 5), st.integers(2, 3)))
+    lam = tuple(draw(coord) for _ in range(r))
+    return root_system(letter, r), lam, tuple(sorted(draw(st.sets(st.integers(1, r)))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_levi_cases())
+@example((root_system("A", 6), (0, 0, 0, 1, Q(1, 2), 2), (1, 2, 4, 5)))  # a component where lam is 0
+@example((root_system("E", 7), (Q(2, 3), 0, 0, 0, 0, 0, 1), (1, 3, 6, 7)))
+def test_vertex_matches_an_independent_levi_solve(case):
+    # sympy solves C_L^T c = lam|_L; the vertex is lam minus the pairings of c
+    rs, lam, nodes = case
+    got = vertex(rs, lam, nodes)
+    c = [Q(0)] * rs.rank
+    if nodes:
+        block = sympy.Matrix(sub_cartan(rs, nodes)).T
+        rhs = sympy.Matrix([sympy.Rational(str(lam[n - 1])) for n in nodes])
+        for n, x in zip(nodes, block.LUsolve(rhs)):
+            c[n - 1] = Q(int(x.p), int(x.q))
+    r = range(rs.rank)
+    assert got.c_alpha == tuple(c)
+    assert got.point == tuple(lam[k] - sum(c[n] * rs.cartan[n][k] for n in r) for k in r)
+    # a component where lam is zero has zero coefficients and leaves the minimal levi
+    assert got.levi == tuple(sorted(n for comp in components(rs, nodes)
+                                    if any(lam[m - 1] for m in comp) for n in comp))
+    assert all(type(x) is Q for x in got.point + got.c_alpha)
 
 
 def test_polytope_vertices_cap(monkeypatch):
@@ -283,6 +316,8 @@ def test_levi_solve_checks_its_invariant(monkeypatch, block):
         rays_for_node(c3, 2)
     with pytest.raises(InvariantError):
         levi_root_coords(c3, (2,), (1,))
+    with pytest.raises(InvariantError):
+        polytope_vertices(c3, (1, 1, 1))
 
 
 @pytest.mark.parametrize("enumerate_, solves", [

@@ -252,6 +252,15 @@ def _frac(x):
     return Q(int(x.p), int(x.q))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_rational_systems(), _sparse_systems()))
+def test_forward_phase_pivot_count_is_the_rank(system):
+    # is_extremal_ray reads a rank from the forward phase alone
+    a, _ = system
+    rows, _ = linalg._integer_rows(a)
+    assert len(linalg._forward(rows)[0]) == _sym(a).rank()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_rational_systems(), _sparse_systems()), st.data())
 def test_kernel_matches_sympy(system, data):
