@@ -33,14 +33,17 @@ class LinearForm:
 
 @_per_system
 def cone_inequalities(rs: RootSystem) -> tuple[LinearForm, ...]:
-    """The 3r defining inequalities of the cone, in a fixed order."""
+    """The 3r defining inequalities of the cone, in a fixed order: dominance of lam,
+    dominance of mu, then the simple-root coefficients of lam - mu, row j of
+    (C^-T | -C^-T) with C^-T = adj / det from ``rs._inverse``."""
     r = rs.rank
     zero = (Fraction(0),) * r
-    eye = linalg.identity(r)
+    eye = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
+    adj, det = rs._inverse
     forms = [LinearForm(f"dom-lambda({i + 1})", e + zero) for i, e in enumerate(eye)]
     forms += [LinearForm(f"dom-mu({i + 1})", zero + e) for i, e in enumerate(eye)]
-    forms += [LinearForm(f"rootcoef({j + 1})", row + tuple(-x for x in row))
-              for j, row in enumerate(rs.inverse_transpose_cartan)]
+    forms += [LinearForm(f"rootcoef({j + 1})", tuple(Fraction(x, det) for x in row)
+                         + tuple(Fraction(-x, det) for x in row)) for j, row in enumerate(adj)]
     return tuple(forms)
 
 

@@ -10,11 +10,7 @@ class UnsupportedRankError(KostkaError):
 
 
 class NoSolutionError(KostkaError):
-    """Linear system is inconsistent."""
-
-
-class MultipleSolutionsError(KostkaError):
-    """Linear system is consistent but rank-deficient."""
+    """A matrix to invert is singular."""
 
 
 class EmptyNodeSetError(KostkaError):

@@ -1,49 +1,35 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact integer linear algebra: one fraction-free elimination kernel.
 
-Vectors are tuples of :class:`fractions.Fraction`; matrices are tuples of
-row tuples.  ``Fraction`` keeps every entry reduced with a positive
-denominator, so equality of vectors and matrices is structural.
-
-Solves run on one fraction-free elimination kernel over ``int``,
-``_eliminate`` (Bareiss, Math. Comp. 22, 1968; Nakos, Turner and Williams,
-ACM SIGSAM Bull. 31, 1997).  Each row is cleared of denominators by its lcm
-(``_cleared``; rows that are all ``int`` already are used as they are), and
-``Fraction``s are made only from the kernel's result.  The kernel runs in
-two phases: ``_forward``, Bareiss's echelon form (all a rank needs), then
-``_back``, which substitutes up into d times the reduced row echelon form,
-d the last pivot.  Every division is exact.  A Dynkin block in Bourbaki
-order is a tree with about one nonzero below each pivot and about one
-later pivot column in each echelon row, so [C_L^T | I] costs O(k^2)
+The kernel, ``_eliminate`` (Bareiss, Math. Comp. 22, 1968; Nakos, Turner and
+Williams, ACM SIGSAM Bull. 31, 1997), works on integer rows in place and
+runs in two phases: ``_forward``, Bareiss's echelon form (all a rank needs),
+then ``_back``, which substitutes up into d times the reduced row echelon
+form, d the last pivot.  Every division is exact.  A Dynkin block in
+Bourbaki order is a tree with about one nonzero below each pivot and about
+one later pivot column in each echelon row, so [C_L^T | I] costs O(k^2)
 rather than Gauss-Jordan's O(k^3).
 
-``solve_unique`` takes a right-hand side of one column (a vector) or of
-several (a matrix, one row per equation); against the identity it is the
-inverse.  ``solve_unique(a, b, integer=True)`` is the
-kernel's solve without the ``Fraction``s: the integer numerators of the
-solution and their common denominator, the last pivot, which is the
-determinant for an integer square system (so against the identity the
-numerators are the adjugate).
+``solve_unique(a)`` is the integer inverse of a square integer matrix: the
+adjugate and the determinant, from one elimination of [a | I].  Rationals
+meet the kernel only at its callers: ``vector`` makes a weight a tuple of
+``Fraction``s, and ``_cleared`` turns rational values into integers over the
+lcm of their denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from itertools import chain
+from math import lcm
 from typing import Iterable
 
-from .errors import MultipleSolutionsError, NoSolutionError
+from .errors import NoSolutionError
 
 Vec = tuple[Fraction, ...]
-Mat = tuple[Vec, ...]
 
 
 def vector(entries: Iterable) -> Vec:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
-
-
-def identity(n: int) -> Mat:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def _cleared(values) -> tuple[list, int]:
@@ -57,12 +43,6 @@ def _cleared(values) -> tuple[list, int]:
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     m = lcm(*(v.denominator for v in values))
     return [v.numerator * (m // v.denominator) for v in values], m
-
-
-def _integer_rows(rows) -> tuple[list, int]:
-    """Each row cleared of denominators (``_cleared``), and the product of the lcms."""
-    out = [_cleared(row) for row in rows]
-    return [row for row, _ in out], prod(m for _, m in out)
 
 
 def _eliminate(rows: list) -> tuple[list[int], int]:
@@ -153,39 +133,24 @@ def _back(rows: list, pivots: list[int], d: int) -> None:
         row[lo:] = [g * a // p for a in acc]
 
 
-def solve_unique(a: Mat, b, *, integer: bool = False):
-    """Solve A x = b, insisting on a unique solution.
+def solve_unique(a) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The integer inverse of the square integer matrix a: (adj, det) with
+    a^-1 = adj / det, adj the adjugate and det the determinant, sign included.
+    The rows of a are read, not changed.
 
-    b is a vector, or a matrix of several right-hand sides given by its
-    rows (one per equation); the solution is then a matrix of the same
-    shape as b, one row per unknown.
-
-    With ``integer=True`` the result is the kernel's own, without the
-    ``Fraction``s: the integer numerators n and the last pivot d, x = n / d.
-    d is the determinant of A once each row of [A | b] is cleared of
-    denominators, so it is det A when A and b are integer and A is square;
-    it may be negative and n / d need not be reduced.
-
-    Raises :class:`NoSolutionError` on inconsistent systems and
-    :class:`MultipleSolutionsError` on consistent rank-deficient ones.
+    Raises :class:`NoSolutionError` if a is singular, ``ValueError`` if a is
+    not square (or its rows are ragged) and ``TypeError`` if an entry is not
+    an ``int``: the kernel's floor divisions are exact only on integers.
     """
-    a = [[*row] for row in a]
-    b = [*b]
-    if len(a) != len(b):
-        raise ValueError("matrix/vector size mismatch")
-    ncols = len(a[0]) if a else 0
-    if any(len(r) != ncols for r in a):
-        raise ValueError("rows of unequal length")
-    columns = bool(b) and isinstance(b[0], (tuple, list))
-    rows, _ = _integer_rows(row + [*v] if columns else row + [v] for row, v in zip(a, b))
-    pivots, d = _eliminate(rows)
-    if pivots and pivots[-1] >= ncols:
-        raise NoSolutionError("inconsistent linear system")
-    if len(pivots) < ncols:
-        raise MultipleSolutionsError("rank-deficient linear system")
-    if columns:
-        nums = tuple(tuple(rows[i][ncols:]) for i in range(ncols))
-        return (nums, d) if integer else tuple(tuple(Fraction(n, d) for n in row) for row in nums)
-    nums = tuple(rows[i][ncols] for i in range(ncols))
-    return (nums, d) if integer else tuple(Fraction(n, d) for n in nums)
-
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"not a square matrix: {n} rows of lengths {sorted({len(row) for row in a})}")
+    if not set(map(type, chain.from_iterable(a))) <= {int}:
+        raise TypeError("solve_unique takes a matrix of ints")
+    zeros = (0,) * n
+    rows = [[*row, *zeros[:i], 1, *zeros[i + 1:]] for i, row in enumerate(a)]
+    pivots, det = _eliminate(rows)
+    # [a | I] has rank n: a is singular exactly when a pivot falls in I
+    if n and pivots[-1] >= n:
+        raise NoSolutionError("singular matrix")
+    return tuple(tuple(row[n:]) for row in rows), det

@@ -107,12 +107,6 @@ class RootSystem:
         """(adj, det) of the transposed Cartan matrix, built on first use."""
         return _block_inverse(tuple(zip(*self.cartan)), repr(self))
 
-    @cached_property
-    def inverse_transpose_cartan(self) -> linalg.Mat:
-        """C^-T: row j holds the j-th simple-root coefficients of the fundamental weights."""
-        adj, det = self._inverse
-        return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
-
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbors[i]
 
@@ -141,13 +135,11 @@ def _per_system(fn):
 
 
 def _block_inverse(block, owner: str) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The integer inverse (adj, det) of a Cartan block, block^-1 = adj / det, by one
-    solve against the identity.  Raises InvariantError if the block is singular (then
-    the solve is inconsistent) or det is not positive: no root system allows either."""
-    k = len(block)
+    """The integer inverse (adj, det) of a Cartan block, block^-1 = adj / det
+    (``linalg.solve_unique``).  Raises InvariantError if the block is singular or
+    det is not positive: no root system allows either."""
     try:
-        adj, det = linalg.solve_unique(block, [(0,) * a + (1,) + (0,) * (k - a - 1) for a in range(k)],
-                                       integer=True)
+        adj, det = linalg.solve_unique(block)
     except NoSolutionError:
         det = 0
     if det <= 0:

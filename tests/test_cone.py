@@ -43,6 +43,28 @@ def test_cone_inequalities_shape():
     assert all(len(f.coeffs) == 6 for f in forms)
 
 
+def test_cone_inequalities_pinned():
+    # the H-description: lam and mu dominant, then the simple-root coefficients of
+    # lam - mu, whose rows are C^-T | -C^-T; each integer form is a positive multiple
+    for rs in systems(10):
+        r = rs.rank
+        forms = cone_inequalities(rs)
+        assert [f.label for f in forms] == ([f"dom-lambda({i})" for i in rs.nodes()]
+                                            + [f"dom-mu({i})" for i in rs.nodes()]
+                                            + [f"rootcoef({j})" for j in rs.nodes()]), rs
+        assert all(type(x) is Q for f in forms for x in f.coeffs)
+        assert [f.coeffs for f in forms[:2 * r]] == [tuple(int(i == j) for j in range(2 * r))
+                                                    for i in range(2 * r)]
+        inv = sympy.Matrix(rs.cartan).T.inv()
+        want = [tuple(Q(int(inv[j, i].p), int(inv[j, i].q)) for i in range(r)) for j in range(r)]
+        assert [f.coeffs for f in forms[2 * r:]] == [row + tuple(-x for x in row) for row in want], rs
+        integer = cone._integer_cone_forms(rs)
+        assert len(integer) == len(forms)
+        for f, row in zip(forms, integer):
+            scale = next(x / c for x, c in zip(row, f.coeffs) if c)
+            assert scale > 0 and row == tuple(scale * c for c in f.coeffs), (rs, f.label)
+
+
 def test_wrong_length_weights_are_refused():
     a3 = root_system("A", 3)
     with pytest.raises(ValueError):
@@ -274,11 +296,11 @@ def test_rays_for_node_match_independent_derivation(case):
     for ray in rays[1:]:
         levi = ray.levi
         # the old derivation: a solve for c_alpha, then a separate determinant
-        solved = linalg.solve_unique(tuple(zip(*sub_cartan(rs, levi))),
-                                     tuple(int(n == i) for n in levi))
+        solved = sympy.Matrix(sub_cartan(rs, levi)).T.LUsolve(
+            sympy.Matrix([int(n == i) for n in levi]))
         c_alpha = [Q(0)] * rs.rank
         for n, c in zip(levi, solved):
-            c_alpha[n - 1] = c
+            c_alpha[n - 1] = Q(int(c.p), int(c.q))
         assert ray.lambda_fw == fw
         assert ray.c_alpha == tuple(c_alpha)
         assert ray.k_det == sympy.Matrix(sub_cartan(rs, levi)).det()

@@ -8,45 +8,96 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kostka import linalg
-from kostka.errors import MultipleSolutionsError, NoSolutionError
+from kostka.errors import NoSolutionError
+
+
+class _RankDeficient(Exception):
+    """A consistent linear system without a unique solution."""
+
+
+def _solve(a, b, integer=False):
+    """A x = b over the rationals on the package's kernel, a reference for the tests.
+
+    b is a vector, or a matrix of several right-hand sides given by its rows (one
+    per equation); the solution has b's shape, one row per unknown.  With
+    integer=True it is the kernel's (numerators, d), x = numerators / d.  Raises
+    NoSolutionError on an inconsistent system and _RankDeficient on a consistent
+    rank-deficient one.
+    """
+    ncols = len(a[0]) if a else 0
+    columns = bool(b) and isinstance(b[0], (tuple, list))
+    rows = [linalg._cleared([*row, *(v if columns else (v,))])[0] for row, v in zip(a, b)]
+    pivots, d = linalg._eliminate(rows)
+    if pivots and pivots[-1] >= ncols:
+        raise NoSolutionError("inconsistent linear system")
+    if len(pivots) < ncols:
+        raise _RankDeficient("rank-deficient linear system")
+    if columns:
+        nums = tuple(tuple(rows[i][ncols:]) for i in range(ncols))
+        x = tuple(tuple(Q(n, d) for n in row) for row in nums)
+    else:
+        nums = tuple(rows[i][ncols] for i in range(ncols))
+        x = tuple(Q(n, d) for n in nums)
+    return (nums, d) if integer else x
+
+
+def _identity(n):
+    return tuple(tuple(Q(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def _cleared_rows(a):
+    # each row cleared of denominators, and the product of the lcms
+    out = [linalg._cleared(row) for row in a]
+    return [row for row, _ in out], prod(m for _, m in out)
 
 
 def test_solve_1x1():
-    assert linalg.solve_unique([[2]], [1]) == (Q(1, 2),)
+    assert _solve([[2]], [1]) == (Q(1, 2),)
 
 
 def test_solve_c2_cartan_system():
     # 2x - y = 1, -2x + 2y = 0  =>  x = y = 1 (by hand elimination)
-    assert linalg.solve_unique([[2, -1], [-2, 2]], [1, 0]) == (1, 1)
+    assert _solve([[2, -1], [-2, 2]], [1, 0]) == (1, 1)
     # several right-hand sides, given as the rows of a matrix: one row per unknown back
-    assert linalg.solve_unique([[2, -1], [-2, 2]], [[1, 1, 0], [0, 0, 1]]) == \
+    assert _solve([[2, -1], [-2, 2]], [[1, 1, 0], [0, 0, 1]]) == \
         ((1, 1, Q(1, 2)), (1, 1, 1))
 
 
 def test_solve_inconsistent():
     with pytest.raises(NoSolutionError):
-        linalg.solve_unique([[1, 1], [2, 2]], [1, 3])
+        _solve([[1, 1], [2, 2]], [1, 3])
     with pytest.raises(NoSolutionError):
-        linalg.solve_unique([[1, 1], [2, 2]], [[1, 1], [2, 3]])
+        _solve([[1, 1], [2, 2]], [[1, 1], [2, 3]])
 
 
 def test_solve_underdetermined():
-    with pytest.raises(MultipleSolutionsError):
-        linalg.solve_unique([[1, 1], [2, 2]], [1, 2])
-    with pytest.raises(MultipleSolutionsError):
-        linalg.solve_unique([[1, 1], [2, 2]], [[1, 1], [2, 2]])
+    with pytest.raises(_RankDeficient):
+        _solve([[1, 1], [2, 2]], [1, 2])
+    with pytest.raises(_RankDeficient):
+        _solve([[1, 1], [2, 2]], [[1, 1], [2, 2]])
 
 
 def test_solve_unique_integer_examples():
+    # the integer inverse: the adjugate and the determinant, sign included
+    assert linalg.solve_unique([[2, -1], [-2, 2]]) == (((2, 1), (2, 2)), 2)
+    assert linalg.solve_unique([[0, 1], [1, 0]]) == (((0, -1), (-1, 0)), -1)
+    assert linalg.solve_unique(()) == ((), 1)
+    with pytest.raises(NoSolutionError):
+        linalg.solve_unique([[1, 1], [2, 2]])
+    # integers only: an exact floor division needs them, and a Fraction entry would
+    # pass through the kernel's // to a wrong verdict
+    with pytest.raises(TypeError):
+        linalg.solve_unique([[Q(1, 2), Q(1, 3)], [Q(1, 5), 2]])
+    with pytest.raises(ValueError):
+        linalg.solve_unique([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):
+        linalg.solve_unique([[1, 2], [3]])
     # the last pivot is the determinant of an integer square system, sign included
-    assert linalg.solve_unique([[2, -1], [-2, 2]], [1, 0], integer=True) == ((2, 2), 2)
-    assert linalg.solve_unique([[0, 1], [1, 0]], [3, 5], integer=True) == ((-5, -3), -1)
-    assert linalg.solve_unique([[Q(1, 2)]], [Q(1, 3)], integer=True) == ((2,), 3)
-    # against the identity the numerators are the adjugate
-    assert linalg.solve_unique([[2, -1], [-2, 2]], [[1, 0], [0, 1]], integer=True) == \
-        (((2, 1), (2, 2)), 2)
-    with pytest.raises(MultipleSolutionsError):
-        linalg.solve_unique([[1, 1], [2, 2]], [1, 2], integer=True)
+    assert _solve([[2, -1], [-2, 2]], [1, 0], integer=True) == ((2, 2), 2)
+    assert _solve([[0, 1], [1, 0]], [3, 5], integer=True) == ((-5, -3), -1)
+    assert _solve([[Q(1, 2)]], [Q(1, 3)], integer=True) == ((2,), 3)
+    with pytest.raises(_RankDeficient):
+        _solve([[1, 1], [2, 2]], [1, 2], integer=True)
 
 
 def test_vector_keeps_fractions():
@@ -60,44 +111,49 @@ def test_vector_keeps_fractions():
 
 
 def test_invert_1x1():
-    assert linalg.solve_unique([[2]], linalg.identity(1)) == ((Q(1, 2),),)
+    assert _solve([[2]], _identity(1)) == ((Q(1, 2),),)
+    assert linalg.solve_unique([[2]]) == (((1,),), 2)
 
 
 def test_invert_c2_cartan():
-    inv = linalg.solve_unique([[2, -1], [-2, 2]], linalg.identity(2))
+    inv = _solve([[2, -1], [-2, 2]], _identity(2))
     assert inv == ((1, Q(1, 2)), (1, 1))  # = (1/2) * [[2,1],[2,2]]
-    assert inv == linalg.solve_unique([[2, -1], [-2, 2]], [(1, 0), (0, 1)])
+    assert inv == _solve([[2, -1], [-2, 2]], [(1, 0), (0, 1)])
 
 
 def test_invert_identity():
-    assert linalg.solve_unique(linalg.identity(3), linalg.identity(3)) == linalg.identity(3)
+    assert _solve(_identity(3), _identity(3)) == _identity(3)
+    eye = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    assert linalg.solve_unique(eye) == (eye, 1)
 
 
 def test_invert_singular():
     # the identity has full rank, so [A | I] is inconsistent for a singular A
     with pytest.raises(NoSolutionError):
-        linalg.solve_unique([[1, 2], [2, 4]], linalg.identity(2))
+        _solve([[1, 2], [2, 4]], _identity(2))
+    with pytest.raises(NoSolutionError):
+        linalg.solve_unique([[1, 2], [2, 4]])
 
 
 def _rank(a):
-    return len(linalg._eliminate(linalg._integer_rows(a)[0])[0])
+    return len(linalg._eliminate(_cleared_rows(a)[0])[0])
 
 
 def _det(a):
     # the last pivot over the scale of the cleared rows, 0 without a full set of pivots
-    rows, scale = linalg._integer_rows(a)
+    rows, scale = _cleared_rows(a)
     pivots, d = linalg._eliminate(rows)
     return Q(d, scale) if len(pivots) == len(a) else 0
 
 
 def test_rank_examples():
     assert _rank(((0, 0), (0, 0))) == 0
-    assert _rank(linalg.identity(4)) == 4
+    assert _rank(_identity(4)) == 4
     assert _rank(((1, 2), (2, 4))) == 1
 
 
 def test_nullspace_dim_examples():
-    assert 3 - _rank(linalg.identity(3)) == 0
+    assert 3 - _rank(_identity(3)) == 0
     assert 3 - _rank(((0, 0, 0),)) == 3
     assert 2 - _rank(((1, -1),)) == 1
     assert 5 - _rank(()) == 5
@@ -118,8 +174,8 @@ def test_eliminate_takes_tuple_rows():
     rows = [(2, -1, 0), (-1, 2, -1), (0, -1, 2)]
     as_lists = [list(r) for r in rows]
     # rows that are all int need no clearing and are passed through as they are
-    assert linalg._integer_rows(rows) == (rows, 1)
-    assert all(got is row for got, row in zip(linalg._integer_rows(rows)[0], rows))
+    assert [linalg._cleared(row) for row in rows] == [(row, 1) for row in rows]
+    assert all(linalg._cleared(row)[0] is row for row in rows)
     assert linalg._eliminate(rows) == linalg._eliminate(as_lists) == ([0, 1, 2], 4)
     assert rows == as_lists == [[4, 0, 0], [0, 4, 0], [0, 0, 4]]
 
@@ -152,12 +208,12 @@ def test_inverse_roundtrip_random():
         n = rng.randint(1, 5)
         a = _random_matrix(rng, n)
         try:
-            inv = linalg.solve_unique(a, linalg.identity(n))
+            inv = _solve(a, _identity(n))
         except NoSolutionError:
             continue
         assert tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*inv))
-                     for row in a) == linalg.identity(n)
-        assert linalg.solve_unique(inv, linalg.identity(n)) == a
+                     for row in a) == _identity(n)
+        assert _solve(inv, _identity(n)) == a
         done += 1
 
 
@@ -169,8 +225,8 @@ def test_solve_exactness_random():
         x = linalg.vector([Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)])
         b = tuple(sum(u * v for u, v in zip(row, x)) for row in a)
         try:
-            got = linalg.solve_unique(a, b)
-        except MultipleSolutionsError:
+            got = _solve(a, b)
+        except _RankDeficient:
             continue
         assert tuple(sum(u * v for u, v in zip(row, got)) for row in a) == b
 
@@ -209,15 +265,11 @@ def _rational_systems(draw):
 
 
 @st.composite
-def _sparse_systems(draw):
-    """A sparse integer matrix up to 9 rows, shaped like a Cartan block, with a
-    right-hand side.
+def _sparse_blocks(draw):
+    """A sparse square integer matrix up to 9 rows, shaped like a Cartan block.
 
     A tree or a band of nonzero entries with zeros drawn onto the diagonal, so
-    that leading entries are zero and rows are swapped; then the rows shuffled
-    and, by draw, a column inserted that is a multiple of an earlier one (a column
-    without a pivot, with nonzero entries above), a row that is a combination
-    of two others (a rank-deficient row), and the identity appended ([A | I]).
+    that leading entries are zero and rows are swapped; then the rows shuffled.
     """
     m = draw(st.integers(1, 9))
     a = [[0] * m for _ in range(m)]
@@ -229,7 +281,19 @@ def _sparse_systems(draw):
         earlier = ([draw(st.integers(0, i - 1))] if i else []) if tree else range(max(0, i - width), i)
         for j in earlier:
             a[i][j], a[j][i] = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
-    a = draw(st.permutations(a))
+    return draw(st.permutations(a))
+
+
+@st.composite
+def _sparse_systems(draw):
+    """A ``_sparse_blocks`` matrix with a right-hand side.
+
+    By draw, a column inserted that is a multiple of an earlier one (a column
+    without a pivot, with nonzero entries above), a row that is a combination
+    of two others (a rank-deficient row), and the identity appended ([A | I]).
+    """
+    a = draw(_sparse_blocks())
+    m = len(a)
     if draw(st.booleans()):
         j, k, f = draw(st.integers(0, m)), draw(st.integers(0, m - 1)), draw(st.integers(-2, 2))
         for row in a:
@@ -242,6 +306,51 @@ def _sparse_systems(draw):
         a = [row + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
     b = [draw(st.integers(-3, 3)) for _ in range(m)]
     return tuple(map(tuple, a)), tuple(b)
+
+
+@st.composite
+def _square_int_matrices(draw):
+    """A square integer matrix with tuple or list rows: a ``_sparse_blocks`` one,
+    made singular by draw (a row set to a multiple of another, or to zero), or a
+    permutation matrix (det -1 for an odd permutation)."""
+    if draw(st.booleans()):
+        a = draw(_sparse_blocks())
+        m = len(a)
+        if draw(st.booleans()):
+            src, dst = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+            f = draw(st.integers(-2, 2)) if src != dst else 0
+            a[dst] = [f * v for v in a[src]]
+    else:
+        perm = draw(st.permutations(range(draw(st.integers(1, 9)))))
+        a = [[int(j == p) for j in range(len(perm))] for p in perm]
+    kind = draw(st.sampled_from((tuple, list)))
+    return kind(map(kind, a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_int_matrices(), st.data())
+def test_solve_unique_is_the_integer_inverse(a, data):
+    n = len(a)
+    rows, entries = list(a), [list(row) for row in a]
+    want = int(sympy.Matrix(a).det())
+    if want:
+        adj, det = linalg.solve_unique(a)
+        assert det == want
+        assert type(det) is int and all(type(x) is int for row in adj for x in row)
+        assert [[sum(adj[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)] \
+            == [[det * (i == j) for j in range(n)] for i in range(n)]
+    else:
+        with pytest.raises(NoSolutionError):
+            linalg.solve_unique(a)
+    # the caller's rows are read, not changed
+    assert all(got is row for got, row in zip(a, rows)) and [list(row) for row in a] == entries
+    i = data.draw(st.integers(0, n - 1))
+    with pytest.raises(ValueError):  # ragged
+        linalg.solve_unique([row[:-1] if k == i else row for k, row in enumerate(a)])
+    with pytest.raises(ValueError):  # not square
+        linalg.solve_unique([*a, a[i]])
+    with pytest.raises(TypeError):
+        linalg.solve_unique([(Q(row[0]), *row[1:]) if k == i else row for k, row in enumerate(a)])
 
 
 def _sym(rows):
@@ -257,7 +366,7 @@ def _frac(x):
 def test_forward_phase_pivot_count_is_the_rank(system):
     # is_extremal_ray reads a rank from the forward phase alone
     a, _ = system
-    rows, _ = linalg._integer_rows(a)
+    rows, _ = _cleared_rows(a)
     assert len(linalg._forward(rows)[0]) == _sym(a).rank()
 
 
@@ -269,21 +378,21 @@ def test_kernel_matches_sympy(system, data):
     m, n = len(a), len(a[0])
     r = sa.rank()
     rref, sym_pivots = sa.rref()
-    rows, a_scale = linalg._integer_rows(a)
+    rows, a_scale = _cleared_rows(a)
     pivots, last = linalg._eliminate(rows)
     assert pivots == list(sym_pivots) and len(pivots) == r
     assert [[Q(v, last) for v in row] for row in rows[:r]] == \
         [[_frac(rref[i, j]) for j in range(n)] for i in range(r)]
     if _sym([row + (v,) for row, v in zip(a, b)]).rank() > r:
         with pytest.raises(NoSolutionError):
-            linalg.solve_unique(a, b)
+            _solve(a, b)
     elif r < n:
-        with pytest.raises(MultipleSolutionsError):
-            linalg.solve_unique(a, b)
+        with pytest.raises(_RankDeficient):
+            _solve(a, b)
     else:
         x, _ = sa.gauss_jordan_solve(_sym([(v,) for v in b]))
-        assert linalg.solve_unique(a, b) == tuple(_frac(v) for v in x)
-        nums, d = linalg.solve_unique(a, b, integer=True)
+        assert _solve(a, b) == tuple(_frac(v) for v in x)
+        nums, d = _solve(a, b, integer=True)
         assert tuple(Q(v, d) for v in nums) == tuple(_frac(v) for v in x)
         if m == n:
             # d is the determinant once each row of [A | b] is cleared of denominators
@@ -294,15 +403,15 @@ def test_kernel_matches_sympy(system, data):
     cols = tuple(zip(b, *extra))
     if _sym([row + c for row, c in zip(a, cols)]).rank() > r:
         with pytest.raises(NoSolutionError):
-            linalg.solve_unique(a, cols)
+            _solve(a, cols)
     elif r < n:
-        with pytest.raises(MultipleSolutionsError):
-            linalg.solve_unique(a, cols)
+        with pytest.raises(_RankDeficient):
+            _solve(a, cols)
     else:
         xs, _ = sa.gauss_jordan_solve(_sym(cols))
         want = tuple(tuple(_frac(xs[i, j]) for j in range(len(cols[0]))) for i in range(n))
-        assert linalg.solve_unique(a, cols) == want
-        nums, d = linalg.solve_unique(a, cols, integer=True)
+        assert _solve(a, cols) == want
+        nums, d = _solve(a, cols, integer=True)
         assert tuple(tuple(Q(v, d) for v in row) for row in nums) == want
     if m == n:
         d = _frac(sa.det())
@@ -310,8 +419,8 @@ def test_kernel_matches_sympy(system, data):
         assert (Q(last, a_scale) if len(pivots) == n else 0) == d
         if d:
             inv = sa.inv()
-            assert linalg.solve_unique(a, linalg.identity(n)) == \
+            assert _solve(a, _identity(n)) == \
                 tuple(tuple(_frac(inv[i, j]) for j in range(n)) for i in range(n))
         else:
             with pytest.raises(NoSolutionError):
-                linalg.solve_unique(a, linalg.identity(n))
+                _solve(a, _identity(n))

@@ -96,16 +96,20 @@ def test_conversion_roundtrip_random():
 
 
 def test_inverse_cartan_positivity():
-    # dominant weights pair strictly positively with the fundamental coweights
+    # dominant weights pair strictly positively with the fundamental coweights:
+    # C^-T = adj / det is positive entrywise
     for rs in systems(8):
-        for row in rs.inverse_transpose_cartan:
+        adj, det = rs._inverse
+        assert det > 0
+        for row in adj:
             assert all(x > 0 for x in row)
 
 
 def test_inverse_transpose_cartan_matches_sympy():
     for rs in systems(10):
         inv = sympy.Matrix(rs.cartan).T.inv()
-        assert rs.inverse_transpose_cartan == tuple(
+        adj, det = rs._inverse
+        assert tuple(tuple(Q(x, det) for x in row) for row in adj) == tuple(
             tuple(Q(int(inv[i, j].p), int(inv[i, j].q)) for j in range(rs.rank))
             for i in range(rs.rank)), rs
 
@@ -121,9 +125,10 @@ def test_root_system_inverts_on_first_use_only(monkeypatch):
     monkeypatch.setattr(linalg, "solve_unique", counted)
     rs = root_system.__wrapped__("A", 60)  # a fresh system, past the cache
     assert not calls
-    assert rs.inverse_transpose_cartan[0][0] == Q(60, 61)
+    adj, det = rs._inverse
+    assert Q(adj[0][0], det) == Q(60, 61)
     assert len(calls) == 1
-    assert rs._inverse[1] == 61 and rs.inverse_transpose_cartan[59][59] == Q(60, 61)
+    assert rs._inverse[0] is adj and det == 61 and Q(adj[59][59], det) == Q(60, 61)
     assert len(calls) == 1
 
 
