@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 
 from . import __version__
@@ -47,11 +47,11 @@ def _nodes_str(nodes) -> str:
 
 
 def _terms(coeffs, sym: str) -> str:
-    """Render the nonzero entries of a coordinate vector as ' + w1 - 2*w4'."""
+    """Render the nonzero entries of a coordinate vector, as ints, Fractions or
+    their printed cells, as ' + w1 - 2*w4'."""
     out = ""
-    for pos, c in enumerate(coeffs, 1):
-        if c:
-            mag = str(c)
+    for pos, mag in enumerate(map(str, coeffs), 1):
+        if mag != "0":
             out += " - " if mag[0] == "-" else " + "
             mag = mag.lstrip("-")
             out += f"{sym}{pos}" if mag == "1" else f"{mag}*{sym}{pos}"
@@ -155,19 +155,28 @@ def cmd_rays(args) -> int:
 # ---------------------------------------------------------------- vertices
 
 def cmd_vertices(args) -> int:
+    """The vertex table, printed from the vertices' integers: every vertex of
+    one polytope is over one denominator, so each cell is one numerator's
+    ``_ratio``, formatted once per distinct numerator in the request."""
     rs = root_system(args.type, args.rank)
     lam = _parse_weight(args.lam, rs.rank)
     verts = polytope_vertices(rs, lam)
+    r = rs.rank
+    cell = lru_cache(maxsize=None)(partial(_ratio, d=verts[0].denominator))
+
+    def cells(numerators) -> list[str]:
+        return list(map(cell, numerators))
+
     if args.format != "pretty":
         lam_fw = _qlist(lam)
         _table(args.format, VERTEX_COLUMNS,
-               ((rs.letter, rs.rank, lam_fw, v.levi, _qlist(v.point), _qlist(v.c_alpha))
+               ((rs.letter, r, lam_fw, v.levi, cells(v.numerators[:r]), cells(v.numerators[r:]))
                 for v in verts))
     else:
         out = [f"slice polytope at lambda = {_combo(lam, 'w')}  "
-               f"({rs.letter}{rs.rank}, {len(verts)} vertices)"]
-        for v in verts:
-            out.append(f"  levi {_nodes_str(v.levi):<12} point {_combo(v.point, 'w')}")
+               f"({rs.letter}{r}, {len(verts)} vertices)"]
+        out += [f"  levi {_nodes_str(v.levi):<12} point {_combo(cells(v.numerators[:r]), 'w')}"
+                for v in verts]
         _emit(out)
     return 0
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm
 
 from . import linalg
@@ -77,26 +78,52 @@ def cone_contains(rs: RootSystem, lam, mu) -> bool:
     return all(v >= 0 for v in _form_values(rs, lam, mu))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Vertex:
     """A vertex of a slice polytope with its minimal defining node set.
 
-    ``c_alpha`` holds the simple-root coefficients of lam - point, supported
-    exactly on ``levi``.
+    Held in integers: ``numerators`` are the rank numerators of the point,
+    then those of ``c_alpha``, all over the one ``denominator`` > 0 (not
+    necessarily least).  ``point`` and ``c_alpha`` are made from them as
+    ``Fraction`` tuples on first read; ``c_alpha`` holds the simple-root
+    coefficients of lam - point, supported exactly on ``levi``.  Equality
+    and hash are by value: by levi, point and c_alpha.
     """
 
-    point: linalg.Vec
     levi: tuple[int, ...]
-    c_alpha: linalg.Vec
+    numerators: tuple[int, ...]
+    denominator: int
+
+    @cached_property
+    def point(self) -> linalg.Vec:
+        d = self.denominator
+        return tuple(Fraction(n, d) for n in self.numerators[:len(self.numerators) // 2])
+
+    @cached_property
+    def c_alpha(self) -> linalg.Vec:
+        d = self.denominator
+        return tuple(Fraction(n, d) for n in self.numerators[len(self.numerators) // 2:])
+
+    def _value(self) -> tuple:
+        return self.levi, self.point, self.c_alpha
+
+    def __eq__(self, other):
+        if not isinstance(other, Vertex):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
 
 
 # the most node sets, hence vertices, polytope_vertices enumerates for one weight
 VERTEX_CAP = 1 << 16
 
 
-def _require_dominant(lam: linalg.Vec) -> None:
+def _require_dominant(lam) -> None:
+    # the one refusal of a non-dominant weight, printed as the CLI reads one: -1,1/2
     if not is_dominant(lam):
-        raise NotDominantError(f"weight {lam} is not dominant")
+        raise NotDominantError(f"weight {','.join(map(str, lam))} is not dominant")
 
 
 def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tuple[tuple, int]:
@@ -122,11 +149,12 @@ def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tup
     return out
 
 
-def _levi_solve(rs: RootSystem, lam: linalg.Vec, nodes: tuple[int, ...],
+def _levi_solve(rs: RootSystem, lam, nodes: tuple[int, ...],
                 inverses: dict) -> tuple[list[int], int, dict[int, int]]:
     """C_L^T c = lam|_L on the Levi L of `nodes` (ascending, nonempty), solved in
     integers: c's numerators over d, in the order of `nodes`, d, and the pairings
-    sum_n c_n C[n][k] at L's outside neighbours k, keyed by k.
+    sum_n c_n C[n][k] at L's outside neighbours k, keyed by k.  lam's entries
+    are ints or Fractions.
 
     With m the lcm of lam|_L's denominators, c = adj (m lam|_L) / (det m) from
     the block's inverse (``_levi_inverse``, shared through ``inverses``), over
@@ -139,26 +167,44 @@ def _levi_solve(rs: RootSystem, lam: linalg.Vec, nodes: tuple[int, ...],
     support = [j for j, n in enumerate(nodes) if lam[n - 1]]
     rhs, m = linalg._cleared([lam[nodes[j] - 1] for j in support])
     c = [sum(row[j] * w for j, w in zip(support, rhs)) for row in adj]
-    outside = {k for n in nodes for k in rs.neighbors(n)}.difference(nodes)
-    return c, det * m, {k: sum(x * rs.cartan[n - 1][k - 1] for n, x in zip(nodes, c))
-                        for k in outside}
+    inside = set(nodes)
+    pairings: dict[int, int] = {}
+    for n, x in zip(nodes, c):  # over the edges from L to its outside neighbours
+        for k in rs.neighbors(n):
+            if k not in inside:
+                pairings[k] = pairings.get(k, 0) + x * rs.cartan[n - 1][k - 1]
+    return c, det * m, pairings
 
 
-def _levi_vertex(rs: RootSystem, lam: linalg.Vec, nodes: tuple[int, ...],
-                 inverses: dict | None = None) -> tuple[Vertex, int]:
-    """The vertex on `nodes` (ascending), with its minimal node set, and the common
-    denominator d of its c_alpha (1 for the empty set), read from ``_levi_solve``."""
-    zero = Fraction(0)
-    if not nodes:
-        return Vertex(tuple(lam), (), (zero,) * rs.rank), 1
-    c, d, pairings = _levi_solve(rs, lam, nodes, {} if inverses is None else inverses)
-    point, c_alpha = list(lam), [zero] * rs.rank
-    for n, x in zip(nodes, c):
-        point[n - 1], c_alpha[n - 1] = zero, Fraction(x, d)
-    for k, p in pairings.items():
-        w = lam[k - 1]
-        point[k - 1] = Fraction(w.numerator * d - p * w.denominator, w.denominator * d)
-    return Vertex(tuple(point), tuple(n for n, x in zip(nodes, c) if x), tuple(c_alpha)), d
+def _pieces(rs: RootSystem, lam: linalg.Vec, pieces,
+            inverses: dict) -> tuple[list[int], int, list[tuple]]:
+    """The node sets `pieces` (each ascending, nonempty, none adjacent to another
+    that one vertex combines it with) solved by ``_levi_solve``, all over one
+    denominator D = m lcm(dets), m the lcm of lam's denominators and dets the
+    pieces' block determinants: lam's numerators over D then r zeros (the
+    numerators of the vertex on no nodes), D, and per piece its updates (index,
+    numerator) of the point (zero on it) and of c_alpha, then its drops (index,
+    numerator) at its outside neighbours."""
+    r = rs.rank
+    x, m = linalg._cleared(lam)  # each piece is solved at m lam, with d its det
+    solved = [(p, *_levi_solve(rs, x, p, inverses)) for p in pieces]
+    big = lcm(*(d for _, _, d, _ in solved))
+    out = []
+    for p, c, d, pairings in solved:
+        s = big // d
+        out.append(([(n - 1, 0) for n in p] + [(r + n - 1, s * y) for n, y in zip(p, c)],
+                    [(k - 1, s * q) for k, q in pairings.items()]))
+    return [big * y for y in x] + [0] * r, big * m, out
+
+
+def _extend(base, updates, drops) -> list[int]:
+    # numerators of a vertex extended by one piece: set on the piece, less its drops
+    out = list(base)
+    for i, y in updates:
+        out[i] = y
+    for i, y in drops:
+        out[i] -= y
+    return out
 
 
 def vertex(rs: RootSystem, lam, nodes, *, inverses: dict | None = None) -> Vertex:
@@ -167,14 +213,20 @@ def vertex(rs: RootSystem, lam, nodes, *, inverses: dict | None = None) -> Verte
     Solves <x, alpha_i_vee> = 0 for i in `nodes` together with agreement of
     the remaining simple-root coefficients with lam; the unique solution is
     lam minus a combination of the simple roots indexed by `nodes`, read
-    from the integer inverse of the Levi Cartan block (``_levi_vertex``).
+    from the integer inverse of the Levi Cartan block and held in integers
+    as `polytope_vertices` holds its vertices (``_pieces``).
     ``inverses`` shares the inverses across calls of one enumeration;
     without it the block is inverted afresh.  The returned node set is
     minimal: nodes whose coefficient vanishes are dropped.
     """
     lam = _weight(rs, lam)
     _require_dominant(lam)
-    return _levi_vertex(rs, lam, node_set(rs, nodes), inverses)[0]
+    nodes = node_set(rs, nodes)
+    if inverses is None:
+        inverses = {}
+    base, big, solved = _pieces(rs, lam, [nodes] if nodes else [], inverses)
+    out = _extend(base, *solved[0]) if nodes else base
+    return Vertex(tuple(n for n in nodes if out[rs.rank + n - 1]), tuple(out), big)
 
 
 def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
@@ -188,9 +240,12 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
     a smaller one, and solved once (``_levi_solve``; pieces of one shape share
     a block inverse), keeping only its c_alpha and its drops lam - point at
     its outside neighbours.  The vertex of S is zero on S and lam minus its
-    components' drops elsewhere; its c_alpha is the sum of theirs.  Raises
-    CapExceededError, before any solve, when there are more than VERTEX_CAP
-    such node sets.  Ordered by node set (size, then lexicographic).
+    components' drops elsewhere; its c_alpha is the sum of theirs.  All of
+    this is integer arithmetic over one denominator for the whole polytope
+    (``_pieces``), which every returned Vertex shares; their Fractions are
+    made only when read.  Raises CapExceededError, before any solve, when
+    there are more than VERTEX_CAP such node sets.  Ordered by node set
+    (size, then lexicographic).
     """
     lam = _weight(rs, lam)
     _require_dominant(lam)
@@ -220,28 +275,18 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
                                        f"more than {VERTEX_CAP} vertices")
             stack.append((len(sets), free & later[j]))
             sets.append((k, j))
-    zero = Fraction(0)
-    solved = []
-    inverses: dict = {}
-    for p in pieces:
-        c, d, pairings = _levi_solve(rs, lam, p, inverses)
-        if not all(c):
+    base, big, solved = _pieces(rs, lam, pieces, {})
+    for p, (updates, _) in zip(pieces, solved):
+        # the point's zeros on p, then c_alpha on p: positive, as p meets lam's support
+        if not all(y for _, y in updates[len(p):]):
             raise InvariantError(f"vertex of {rs} at {lam} on {p} has a zero root coefficient")
-        solved.append((p, [Fraction(x, d) for x in c],
-                       [(k - 1, Fraction(q, d)) for k, q in pairings.items()]))
-    out = [Vertex(lam, (), (zero,) * rs.rank)]
+    out = [Vertex((), tuple(base), big)]
     for k, j in sets[1:]:
-        base = out[k]
-        p, c, drops = solved[j]
-        point = list(base.point)
-        c_alpha = list(base.c_alpha)
+        prev = out[k]
         # the set's other pieces are not adjacent to this one, so on its nodes
         # the point (zero) and c_alpha are this piece's alone
-        for n, x in zip(p, c):
-            point[n - 1], c_alpha[n - 1] = zero, x
-        for m, x in drops:
-            point[m] -= x
-        out.append(Vertex(tuple(point), tuple(sorted(base.levi + p)), tuple(c_alpha)))
+        out.append(Vertex(tuple(sorted(prev.levi + pieces[j])),
+                          tuple(_extend(prev.numerators, *solved[j])), big))
     return tuple(sorted(out, key=lambda v: (len(v.levi), v.levi)))
 
 
@@ -271,7 +316,7 @@ def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tu
 
     These are the vertices of the slice polytope at w_i: one for the empty
     node set (the pair (w_i, w_i)) and one for every connected subdiagram L
-    containing node i, read as `vertex` reads them (``_levi_vertex``): c_alpha
+    containing node i, read as `vertex` reads them (``_levi_solve``): c_alpha
     is the column of node i in the integer inverse adj / det of C_L^T and mu
     is w_i less the pairings at L's outside neighbours, O(|L|) once the block
     is inverted, once per call (or per ``inverses`` dict, which the caller may
@@ -282,11 +327,17 @@ def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tu
     lam = linalg.vector(fundamental_weight(rs, i))
     if inverses is None:
         inverses = {}
-    records = []
-    for nodes in [(), *connected_subsets_containing(rs, i)]:
-        v, d = _levi_vertex(rs, lam, nodes, inverses)
-        records.append(RayRecord(i, nodes, lam, v.point, v.c_alpha,
-                                 lcm(*(v.c_alpha[n - 1].denominator for n in nodes)), d))
+    zero = Fraction(0)
+    records = [RayRecord(i, (), lam, lam, (zero,) * rs.rank, 1, 1)]
+    for nodes in connected_subsets_containing(rs, i):
+        c, d, pairings = _levi_solve(rs, lam, nodes, inverses)
+        mu, c_alpha = list(lam), [zero] * rs.rank
+        for n, x in zip(nodes, c):
+            mu[n - 1], c_alpha[n - 1] = zero, Fraction(x, d)
+        for k, p in pairings.items():
+            mu[k - 1] = Fraction(lam[k - 1].numerator * d - p, d)  # lam is integral
+        records.append(RayRecord(i, nodes, lam, tuple(mu), tuple(c_alpha),
+                                 lcm(*(c_alpha[n - 1].denominator for n in nodes)), d))
     return tuple(records)
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from dataclasses import dataclass
 
 from . import linalg
-from .cone import Vertex, _levi_vertex, vertex
+from .cone import Vertex, _levi_solve, vertex
 from .errors import NotDominantError, NotInLeviConeError, OverlappingLevisError
 from .rootdata import RootSystem, _check_length, is_dominant, node_set, root_coords_to_fw
 
@@ -48,17 +48,20 @@ def extend_by_zero(rs: RootSystem, levi, lam_local) -> tuple:
 def levi_root_coords(rs: RootSystem, levi, w_local) -> tuple:
     """Coefficients of the Levi's simple roots expressing a local weight.
 
-    One solve of the whole Levi block, the vertex solve of `cone.vertex` on
-    the weight extended by zero; the components do not interact because the
-    Cartan submatrix is block diagonal across them.
+    One solve of the whole Levi block, the vertex solve of `cone.vertex`
+    (``_levi_solve``) on the weight extended by zero, read as c over d on the
+    Levi alone; the components do not interact because the Cartan submatrix
+    is block diagonal across them.
     """
     levi = node_set(rs, levi)
     _check_length(rs, w_local, levi=levi)
-    w = [Fraction(0)] * rs.rank
+    if not levi:
+        return ()
+    w = [0] * rs.rank
     for n, x in zip(levi, linalg.vector(w_local)):
         w[n - 1] = x
-    c_alpha = _levi_vertex(rs, tuple(w), levi)[0].c_alpha
-    return tuple(c_alpha[n - 1] for n in levi)
+    c, d, _ = _levi_solve(rs, w, levi, {})
+    return tuple(Fraction(x, d) for x in c)
 
 
 def levi_cone_contains(rs: RootSystem, levi, lam_local, mu_local) -> bool:

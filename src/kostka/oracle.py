@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .cone import _integer_cone_forms, cone_contains
+from .cone import _integer_cone_forms, _require_dominant, cone_contains
 from .errors import (CapExceededError, InvariantError, NotDominantError,
                      NotInRootLatticeError, RankBoundExceededError)
 from .rootdata import (RootSystem, _check_length, _per_system, is_dominant, positive_roots, rho,
@@ -81,8 +81,7 @@ def brute_force_vertices(rs: RootSystem, lam, max_rank: int = DEFAULT_VERTEX_RAN
         raise RankBoundExceededError(f"rank {rs.rank} exceeds the bound {max_rank}")
     lam = linalg.vector(lam)
     _check_length(rs, lam)
-    if not is_dominant(lam):
-        raise NotDominantError(f"weight {lam} is not dominant")
+    _require_dominant(lam)
     # a rootcoef form (f | g) of the cone is f . lam + g . mu >= 0 at lam fixed; times the
     # lcm m of lam's denominators, the row (m g | f . m lam) on (mu, t) (zip stops at r)
     x, m = linalg._cleared(lam)
@@ -164,8 +163,7 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     """Dimension of the irreducible representation with the given highest weight."""
     lam = linalg.vector(lam)
     _check_length(rs, lam)
-    if not is_dominant(lam):
-        raise NotDominantError(f"weight {lam} is not dominant")
+    _require_dominant(lam)
     _, _, d, roots = _form(rs)
     r = rho(rs)
     # integer pairings wherever lam is integral

@@ -1,6 +1,8 @@
 """The public surface, pinned: a change to it must show up here."""
 
 import ast
+import dataclasses
+import fractions
 import importlib
 import inspect
 import os
@@ -93,6 +95,15 @@ FUNCTIONS = {
     },
 }
 
+# the fields of the public records, in constructor order; a Vertex holds its point and
+# c_alpha as integer numerators over one denominator and reads them as Fractions
+RECORDS = {
+    "LeviWeightPair": ("levi", "lambda_fw", "mu_fw"),
+    "LinearForm": ("label", "coeffs"),
+    "RayRecord": ("node", "levi", "lambda_fw", "mu_fw", "c_alpha", "k_primitive", "k_det"),
+    "Vertex": ("levi", "numerators", "denominator"),
+}
+
 # (class, base class)
 ERRORS = [
     ("BudgetExceededError", "KostkaError"), ("CapExceededError", "KostkaError"),
@@ -126,6 +137,13 @@ def test_package_exports():
 
 def test_public_functions_and_signatures():
     assert {name: _public_functions(name) for name in FUNCTIONS} == FUNCTIONS
+
+
+def test_record_fields():
+    assert {name: tuple(f.name for f in dataclasses.fields(getattr(kostka, name)))
+            for name in RECORDS} == RECORDS
+    v = kostka.vertex(kostka.root_system("A", 2), (1, 0), (1,))
+    assert (v.point, v.c_alpha) == ((0, fractions.Fraction(1, 2)), (fractions.Fraction(1, 2), 0))
 
 
 def test_package_has_no_assert():

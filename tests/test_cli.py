@@ -166,6 +166,33 @@ def test_vertices_rejects_bad_lambda(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("lam, printed", [("-1,1", "-1,1"), ("1/2, -3/4", "1/2,-3/4")])
+def test_vertices_refuses_a_non_dominant_weight_as_typed(capsys, lam, printed):
+    code, out, err = run(capsys, "vertices", "--type", "A", "--rank", "2", f"--lambda={lam}")
+    assert (code, out, err) == (2, "", f"error: weight {printed} is not dominant\n")
+
+
+@pytest.mark.parametrize("argv, enumerate_", [
+    (("vertices", "--type", "B", "--rank", "4", "--lambda", "1,0,1/2,2"), "polytope_vertices"),
+    (("rays", "--type", "E", "--rank", "6", "--node", "4"), "rays_for_node"),
+])
+@pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+def test_one_public_enumeration_per_request(monkeypatch, capsys, argv, enumerate_, fmt):
+    # the benchmark's tracer counts vertices and rays at these public names; a request
+    # that enumerated through a private helper would leave its counter at zero
+    calls = []
+    public = getattr(kostka.cli, enumerate_)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return public(*args, **kwargs)
+
+    monkeypatch.setattr(kostka.cli, enumerate_, counted)
+    assert main([*argv, "--format", fmt]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out
+
+
 def test_vertices_size_guard(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "vertices", "--type", "A", "--rank", "26",

@@ -1,4 +1,7 @@
+import io
+import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction as Q
 from math import lcm
 
@@ -15,6 +18,7 @@ from kostka import (all_rays, brute_force_vertices, cli, components, cone, cone_
                     rho, root_coords_to_fw, root_system, sub_cartan, vertex)
 from kostka.errors import (CapExceededError, InvariantError, NotDominantError,
                            NotInConeError)
+from kostka.oracle import DEFAULT_VERTEX_RANK_BOUND
 
 C4_GOLDEN_NODE3 = {
     ((0, 0, 1, 0), (0, 0, 1, 0)),
@@ -138,6 +142,61 @@ def test_polytope_vertices_match_exhaustive_rule(case):
     for v in got:
         assert v.c_alpha == fw_to_root_coords(rs, tuple(a - b for a, b in zip(lam, v.point)))
         assert tuple(j for j, c in enumerate(v.c_alpha, 1) if c) == v.levi
+
+
+def _printed_vertices(fmt, rs, lam):
+    """(levi, point cells, c_alpha cells) of each row of a json or tsv vertices request."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["vertices", "--type", rs.letter, "--rank", str(rs.rank), "--format", fmt,
+                         "--lambda", ",".join(map(str, lam))]) == 0
+    if fmt == "json":
+        return [(tuple(row["levi"]), row["point_fw"], row["c_alpha"])
+                for row in map(json.loads, out.getvalue().splitlines())]
+    rows = [line.split("\t") for line in out.getvalue().splitlines()[1:]]
+    return [(tuple(int(n) for n in levi.split(",") if n), point.split(","), c.split(","))
+            for _, _, _, levi, point, c in rows]
+
+
+@st.composite
+def _rational_slices(draw):
+    """A system of rank at most the brute-force bound, a rational dominant weight and a node."""
+    letter, r = draw(st.sampled_from(supported_types(DEFAULT_VERTEX_RANK_BOUND)))
+    lam = tuple(draw(st.fractions(0, 3, max_denominator=6)) for _ in range(r))
+    return root_system(letter, r), lam, draw(st.integers(1, r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_slices())
+@example((root_system("B", 5), (Q(1, 2), 0, Q(2, 3), 0, Q(5, 6)), 3))
+def test_integer_vertices_match_independent_references(case):
+    # the vertices are held as integers over one denominator and read as Fractions;
+    # both readings are checked against double description and the root coordinates
+    rs, lam, i = case
+    got = polytope_vertices(rs, lam)
+    assert len({v.denominator for v in got}) == 1  # the CLI formats each table over one
+    assert {v.point for v in got} == brute_force_vertices(rs, lam)
+    for v in got:
+        assert v.c_alpha == fw_to_root_coords(rs, tuple(a - b for a, b in zip(lam, v.point)))
+        assert vertex(rs, lam, v.levi) == v
+        assert all(type(x) is Q for x in v.point + v.c_alpha)
+    printed = [(v.levi, list(map(str, v.point)), list(map(str, v.c_alpha))) for v in got]
+    for fmt in ("json", "tsv"):
+        assert _printed_vertices(fmt, rs, lam) == printed
+    fw = tuple(Q(x) for x in fundamental_weight(rs, i))
+    for ray in rays_for_node(rs, i):
+        assert ray.c_alpha == fw_to_root_coords(rs, tuple(a - b for a, b in zip(fw, ray.mu_fw)))
+        assert vertex(rs, fw, ray.levi).point == ray.mu_fw
+
+
+def test_vertex_equality_is_by_value():
+    # numerators over different denominators that give the same Fractions are one vertex
+    a = cone.Vertex((1,), (0, 3, 1, 0), 2)
+    b = cone.Vertex((1,), (0, 6, 2, 0), 4)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert (a.point, a.c_alpha) == ((0, Q(3, 2)), (Q(1, 2), 0))
+    assert a != cone.Vertex((1, 2), (0, 3, 1, 0), 2)
+    assert a != cone.Vertex((1,), (0, 3, 1, 0), 3)
 
 
 @st.composite

@@ -40,6 +40,14 @@ def test_brute_force_needs_dominant():
         brute_force_vertices(root_system("A", 2), (1, -1))
 
 
+def test_one_refusal_of_a_non_dominant_weight():
+    # the library refuses a non-dominant weight as the CLI reads one
+    a2 = root_system("A", 2)
+    for refuse in (polytope_vertices, brute_force_vertices, weyl_dim):
+        with pytest.raises(NotDominantError, match="^weight 1/2,-1 is not dominant$"):
+            refuse(a2, (Q(1, 2), -1))
+
+
 def test_brute_force_matches_closed_form():
     rng = random.Random(41)
     for rs in systems(3):
