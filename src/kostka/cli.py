@@ -107,11 +107,6 @@ def _table(fmt: str, columns: tuple[str, ...], rows) -> None:
 
 # ---------------------------------------------------------------- rays
 
-def _scaled(k: int, v) -> tuple[int, ...]:
-    # k times each entry of v, for a k that clears every denominator of v
-    return tuple(k * x.numerator // x.denominator for x in v)
-
-
 def _block_rows(adj, det) -> list[str]:
     cells = [[_ratio(x, det) for x in row] for row in adj]
     width = max(len(c) for row in cells for c in row)
@@ -122,13 +117,12 @@ def _ray_pretty(rs, ray, inverses: dict, block_rows) -> list[str]:
     head = (f"node {ray.node}  levi {_nodes_str(ray.levi)}  "
             f"k_primitive={ray.k_primitive}  k_det={ray.k_det}")
     lines = [head]
-    k = ray.k_det
-    lam_str = _combo(_scaled(k, ray.lambda_fw), "w")
+    lam_str = _combo((0,) * (ray.node - 1) + (ray.k_det,), "w")  # k_det w_node
     if ray.levi:
         lines.append(f"  inverse transpose Cartan on {_nodes_str(ray.levi)}:")
         lines += block_rows(*_levi_inverse(rs, ray.levi, inverses))
-        drop = _terms(_scaled(-k, ray.c_alpha), "a")
-        mu_str = _combo(_scaled(k, ray.mu_fw), "w")
+        drop = _terms([-n for n in ray.numerators[rs.rank:]], "a")
+        mu_str = _combo(ray.numerators[:rs.rank], "w")
         lines.append(f"  ({lam_str}, {lam_str}{drop}) = ({lam_str}, {mu_str})")
     else:
         lines.append(f"  ({lam_str}, {lam_str})")
@@ -136,19 +130,27 @@ def _ray_pretty(rs, ray, inverses: dict, block_rows) -> list[str]:
 
 
 def cmd_rays(args) -> int:
+    """The ray table, printed from the records' integers: a json or tsv cell is
+    ``_ratio`` of a numerator over k_det, once per distinct pair in the request,
+    the lambda_fw cells once per node; pretty prints k_det times each entry,
+    which is the numerators."""
     rs = root_system(args.type, args.rank)
     inverses: dict = {}  # Levi block inverses, shared by the rays and the pretty blocks
     if args.node is not None:
         records = rays_for_node(rs, args.node, inverses=inverses)
     else:
         records = all_rays(rs, inverses=inverses)
+    r = rs.rank
     if args.format != "pretty":
+        ratio = lru_cache(maxsize=None)(_ratio)
+        lam_cells = lru_cache(maxsize=None)(lambda i: [str(int(j == i)) for j in range(1, r + 1)])
         _table(args.format, RAY_COLUMNS,
-               ((rs.letter, rs.rank, r.node, r.levi, r.k_primitive, r.k_det,
-                 _qlist(r.lambda_fw), _qlist(r.mu_fw), _qlist(r.c_alpha)) for r in records))
+               ((rs.letter, r, ray.node, ray.levi, ray.k_primitive, ray.k_det, lam_cells(ray.node),
+                 [ratio(n, ray.k_det) for n in ray.numerators[:r]],
+                 [ratio(n, ray.k_det) for n in ray.numerators[r:]]) for ray in records))
     else:
         block_rows = lru_cache(maxsize=None)(_block_rows)  # each block formatted once per request
-        _emit(line for r in records for line in _ray_pretty(rs, r, inverses, block_rows))
+        _emit(line for ray in records for line in _ray_pretty(rs, ray, inverses, block_rows))
     return 0
 
 

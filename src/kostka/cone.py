@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from . import linalg
 from .errors import CapExceededError, InvariantError, NotDominantError, NotInConeError
@@ -78,6 +78,12 @@ def cone_contains(rs: RootSystem, lam, mu) -> bool:
     return all(v >= 0 for v in _form_values(rs, lam, mu))
 
 
+def _over(numerators, d: int, half: int) -> linalg.Vec:
+    # the first (half 0) or second (half 1) half of the numerators as Fractions over d
+    r = len(numerators) // 2
+    return tuple(Fraction(n, d) for n in numerators[half * r:(half + 1) * r])
+
+
 @dataclass(frozen=True, eq=False)
 class Vertex:
     """A vertex of a slice polytope with its minimal defining node set.
@@ -96,13 +102,11 @@ class Vertex:
 
     @cached_property
     def point(self) -> linalg.Vec:
-        d = self.denominator
-        return tuple(Fraction(n, d) for n in self.numerators[:len(self.numerators) // 2])
+        return _over(self.numerators, self.denominator, 0)
 
     @cached_property
     def c_alpha(self) -> linalg.Vec:
-        d = self.denominator
-        return tuple(Fraction(n, d) for n in self.numerators[len(self.numerators) // 2:])
+        return _over(self.numerators, self.denominator, 1)
 
     def _value(self) -> tuple:
         return self.levi, self.point, self.c_alpha
@@ -294,21 +298,38 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
 class RayRecord:
     """One extremal ray of the cone.
 
-    ``(lambda_fw, mu_fw)`` is the rational generator with lambda a
-    fundamental weight; ``c_alpha`` holds the simple-root coefficients of
-    lambda - mu (supported exactly on ``levi``).  ``k_primitive`` is the
-    least positive scaling making the pair integral with integral root
-    coefficients; ``k_det`` is the determinant of the Levi Cartan
-    submatrix, which also scales onto the lattice but need not be least.
+    Held in integers: ``numerators`` are the rank numerators of mu, then those
+    of ``c_alpha``, over ``k_det``, the determinant of the Levi Cartan
+    submatrix (1 for the empty ``levi``).  ``(lambda_fw, mu_fw)`` is the
+    rational generator with lambda the fundamental weight of ``node``, and
+    ``c_alpha`` the simple-root coefficients of lambda - mu (supported exactly
+    on ``levi``): ``Fraction`` tuples made on first read.  ``k_primitive`` is
+    the least positive scaling making the pair integral with integral root
+    coefficients; k_det also scales onto the lattice but need not be least.
+    Equality and hash are by value, which with k_det in it is by the fields.
     """
 
     node: int
     levi: tuple[int, ...]
-    lambda_fw: linalg.Vec
-    mu_fw: linalg.Vec
-    c_alpha: linalg.Vec
-    k_primitive: int
+    numerators: tuple[int, ...]
     k_det: int
+
+    @cached_property
+    def lambda_fw(self) -> linalg.Vec:
+        return tuple(Fraction(int(j == self.node - 1)) for j in range(len(self.numerators) // 2))
+
+    @cached_property
+    def mu_fw(self) -> linalg.Vec:
+        return _over(self.numerators, self.k_det, 0)
+
+    @cached_property
+    def c_alpha(self) -> linalg.Vec:
+        return _over(self.numerators, self.k_det, 1)
+
+    @cached_property
+    def k_primitive(self) -> int:
+        # the lcm of c_alpha's denominators, all of which divide k_det
+        return self.k_det // gcd(self.k_det, *self.numerators[len(self.numerators) // 2:])
 
 
 def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tuple[RayRecord, ...]:
@@ -317,27 +338,26 @@ def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tu
     These are the vertices of the slice polytope at w_i: one for the empty
     node set (the pair (w_i, w_i)) and one for every connected subdiagram L
     containing node i, read as `vertex` reads them (``_levi_solve``): c_alpha
-    is the column of node i in the integer inverse adj / det of C_L^T and mu
+    is the column of node i in the integer inverse adj / det of C_L^T, and mu
     is w_i less the pairings at L's outside neighbours, O(|L|) once the block
     is inverted, once per call (or per ``inverses`` dict, which the caller may
-    share with other enumerations).  The common denominator d is ``k_det``,
-    the determinant of the Levi Cartan submatrix, and ``k_primitive`` is the
-    least common denominator of ``c_alpha``, d / gcd(d, numerators).
+    share with other enumerations).  w_i is integral and i is in L, so over
+    d = ``k_det`` mu's numerators are zero on L, minus the pairings at the
+    outside neighbours and zero elsewhere; no ``Fraction`` is made.
     """
-    lam = linalg.vector(fundamental_weight(rs, i))
+    lam = fundamental_weight(rs, i)
     if inverses is None:
         inverses = {}
-    zero = Fraction(0)
-    records = [RayRecord(i, (), lam, lam, (zero,) * rs.rank, 1, 1)]
+    r = rs.rank
+    records = [RayRecord(i, (), lam + (0,) * r, 1)]
     for nodes in connected_subsets_containing(rs, i):
         c, d, pairings = _levi_solve(rs, lam, nodes, inverses)
-        mu, c_alpha = list(lam), [zero] * rs.rank
+        out = [0] * (2 * r)
         for n, x in zip(nodes, c):
-            mu[n - 1], c_alpha[n - 1] = zero, Fraction(x, d)
+            out[r + n - 1] = x
         for k, p in pairings.items():
-            mu[k - 1] = Fraction(lam[k - 1].numerator * d - p, d)  # lam is integral
-        records.append(RayRecord(i, nodes, lam, tuple(mu), tuple(c_alpha),
-                                 lcm(*(c_alpha[n - 1].denominator for n in nodes)), d))
+            out[k - 1] = -p
+        records.append(RayRecord(i, nodes, tuple(out), d))
     return tuple(records)
 
 

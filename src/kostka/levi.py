@@ -12,8 +12,8 @@ from fractions import Fraction
 from dataclasses import dataclass
 
 from . import linalg
-from .cone import Vertex, _levi_solve, vertex
-from .errors import NotDominantError, NotInLeviConeError, OverlappingLevisError
+from .cone import Vertex, _levi_solve, _require_dominant, vertex
+from .errors import NotInLeviConeError, OverlappingLevisError
 from .rootdata import RootSystem, _check_length, is_dominant, node_set, root_coords_to_fw
 
 
@@ -37,8 +37,7 @@ def extend_by_zero(rs: RootSystem, levi, lam_local) -> tuple:
     """Ambient weight agreeing with the local one on the Levi, zero elsewhere."""
     levi = node_set(rs, levi)
     _check_length(rs, lam_local, levi=levi)
-    if not is_dominant(lam_local):
-        raise NotDominantError(f"local weight {tuple(lam_local)} is not dominant")
+    _require_dominant(lam_local)
     out = [Fraction(0)] * rs.rank
     for n, v in zip(levi, lam_local):
         out[n - 1] = Fraction(v)

@@ -23,10 +23,9 @@ from math import gcd
 
 from . import linalg
 from .cone import _integer_cone_forms, _require_dominant, cone_contains
-from .errors import (CapExceededError, InvariantError, NotDominantError,
-                     NotInRootLatticeError, RankBoundExceededError)
-from .rootdata import (RootSystem, _check_length, _per_system, is_dominant, positive_roots, rho,
-                       root_coords_to_fw, symmetrizer)
+from .errors import CapExceededError, InvariantError, NotInRootLatticeError, RankBoundExceededError
+from .rootdata import (RootSystem, _check_length, _per_system, positive_roots, rho, root_coords_to_fw,
+                       symmetrizer)
 from .weyl import simple_reflection
 
 DEFAULT_VERTEX_RANK_BOUND = 5
@@ -195,8 +194,7 @@ class FreudenthalTable:
     def __init__(self, rs: RootSystem, lam, cap: int = DEFAULT_DIM_CAP):
         self.rs = rs
         self.lam = _integral(lam)
-        if not is_dominant(self.lam):
-            raise NotDominantError(f"highest weight {self.lam} must be dominant")
+        _require_dominant(self.lam)
         self.dim = weyl_dim(rs, self.lam)
         if self.dim > cap:
             raise CapExceededError(f"dim {self.dim} exceeds the cap {cap}")

@@ -96,11 +96,12 @@ FUNCTIONS = {
 }
 
 # the fields of the public records, in constructor order; a Vertex holds its point and
-# c_alpha as integer numerators over one denominator and reads them as Fractions
+# c_alpha as integer numerators over one denominator, a RayRecord its mu and c_alpha
+# over k_det, and both read them as Fractions
 RECORDS = {
     "LeviWeightPair": ("levi", "lambda_fw", "mu_fw"),
     "LinearForm": ("label", "coeffs"),
-    "RayRecord": ("node", "levi", "lambda_fw", "mu_fw", "c_alpha", "k_primitive", "k_det"),
+    "RayRecord": ("node", "levi", "numerators", "k_det"),
     "Vertex": ("levi", "numerators", "denominator"),
 }
 
@@ -144,6 +145,10 @@ def test_record_fields():
             for name in RECORDS} == RECORDS
     v = kostka.vertex(kostka.root_system("A", 2), (1, 0), (1,))
     assert (v.point, v.c_alpha) == ((0, fractions.Fraction(1, 2)), (fractions.Fraction(1, 2), 0))
+    ray = kostka.rays_for_node(kostka.root_system("A", 2), 1)[1]
+    assert ray == kostka.RayRecord(1, (1,), (0, 1, 1, 0), 2)
+    assert ((ray.lambda_fw, ray.mu_fw, ray.c_alpha, ray.k_primitive)
+            == ((1, 0), (0, fractions.Fraction(1, 2)), (fractions.Fraction(1, 2), 0), 2))
 
 
 def test_package_has_no_assert():

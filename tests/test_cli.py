@@ -137,6 +137,63 @@ def test_rays_deterministic_bytes(capsys):
     assert first == second
 
 
+@st.composite
+def _ray_requests(draw):
+    """A type of rank at most 10 and one of its nodes."""
+    letter, r = draw(st.sampled_from(supported_types(10)))
+    return letter, r, draw(st.integers(1, r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ray_requests())
+def test_rays_cells_are_the_library_values(case):
+    # each cell printed from the integers is str of the library's Fraction, and each
+    # pretty pair is the one built from k_det times the library's values
+    letter, r, i = case
+    rays = kostka.rays_for_node(root_system(letter, r), i)
+    argv = ["rays", "--type", letter, "--rank", str(r), "--node", str(i), "--format"]
+    printed = {}
+    for fmt in ("json", "tsv", "pretty"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main([*argv, fmt]) == 0
+        printed[fmt] = out.getvalue().splitlines()
+    pairs = [line for line in printed["pretty"] if line.startswith("  (")]
+    for ray, row, line, pair in zip(rays, printed["json"], printed["tsv"][1:], pairs, strict=True):
+        cells = [[str(x) for x in v] for v in (ray.lambda_fw, ray.mu_fw, ray.c_alpha)]
+        head = [letter, r, ray.node, list(ray.levi), ray.k_primitive, ray.k_det]
+        assert list(json.loads(row).values()) == head + cells
+        assert line.split("\t") == ([letter, str(r), str(ray.node), ",".join(map(str, ray.levi)),
+                                      str(ray.k_primitive), str(ray.k_det)]
+                                     + [",".join(c) for c in cells])
+        k = ray.k_det
+        lam = kostka.cli._combo([k * x for x in ray.lambda_fw], "w")
+        if ray.levi:
+            drop = kostka.cli._terms([-k * x for x in ray.c_alpha], "a")
+            mu = kostka.cli._combo([k * x for x in ray.mu_fw], "w")
+            assert pair == f"  ({lam}, {lam}{drop}) = ({lam}, {mu})"
+        else:
+            assert pair == f"  ({lam}, {lam})"
+
+
+class _NoFraction:
+    # stands in for Fraction where the rays path must make none
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was made on the integer rays path")
+
+
+def test_rays_make_no_fraction(capsys, monkeypatch):
+    # records hold integers over k_det and every cell is printed from them
+    requests = [("rays", "--type", letter, "--rank", str(r), *node, "--format", fmt)
+                for letter, r, node in (("A", 1, ()), ("C", 5, ()), ("G", 2, ()), ("E", 7, ()),
+                                        ("D", 9, ("--node", "4")), ("F", 4, ("--node", "2")))
+                for fmt in ("json", "tsv", "pretty")]
+    expect = [run(capsys, *argv) for argv in requests]
+    for module in (kostka.cone, kostka.cli, kostka.linalg):
+        monkeypatch.setattr(module, "Fraction", _NoFraction)
+    assert [run(capsys, *argv) for argv in requests] == expect
+
+
 def test_vertices_counts(capsys):
     code, out, _ = run(capsys, "vertices", "--type", "C", "--rank", "2",
                        "--lambda", "1,1", "--format", "json")

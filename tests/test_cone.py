@@ -337,6 +337,22 @@ def test_ray_records_are_consistent():
             assert all((k * c).denominator == 1 for c in ray.c_alpha)
 
 
+def test_all_rays_are_the_rays_of_each_node_in_turn():
+    for rs in systems(8):
+        assert all_rays(rs) == tuple(ray for i in rs.nodes() for ray in rays_for_node(rs, i))
+
+
+def test_records_of_one_ray_compare_and_hash_equal():
+    e6 = root_system("E", 6)
+    first, second = rays_for_node(e6, 4), rays_for_node(e6, 4)
+    for ray in first:
+        ray.mu_fw, ray.c_alpha, ray.k_primitive  # read on one record only
+    rebuilt = [cone.RayRecord(r.node, r.levi, tuple(list(r.numerators)), r.k_det) for r in first]
+    assert first == second == tuple(rebuilt)
+    assert [hash(r) for r in first] == [hash(r) for r in second] == [hash(r) for r in rebuilt]
+    assert len(set(first + second)) == len(first)
+
+
 @st.composite
 def _ray_nodes(draw):
     """A system of rank at most 10 and one of its nodes."""
@@ -351,7 +367,8 @@ def test_rays_for_node_match_independent_derivation(case):
     rays = rays_for_node(rs, i)
     fw = tuple(Q(x) for x in fundamental_weight(rs, i))
     assert [r.levi for r in rays] == [()] + connected_subsets_containing(rs, i)
-    assert rays[0] == cone.RayRecord(i, (), fw, fw, (0,) * rs.rank, 1, 1)
+    assert rays[0] == cone.RayRecord(i, (), fundamental_weight(rs, i) + (0,) * rs.rank, 1)
+    assert (rays[0].lambda_fw, rays[0].mu_fw, rays[0].k_primitive) == (fw, fw, 1)
     for ray in rays[1:]:
         levi = ray.levi
         # the old derivation: a solve for c_alpha, then a separate determinant
@@ -360,11 +377,17 @@ def test_rays_for_node_match_independent_derivation(case):
         c_alpha = [Q(0)] * rs.rank
         for n, c in zip(levi, solved):
             c_alpha[n - 1] = Q(int(c.p), int(c.q))
+        det = int(sympy.Matrix(sub_cartan(rs, levi)).det())
+        mu = tuple(a - b for a, b in zip(fw, root_coords_to_fw(rs, c_alpha)))
+        # the record of these values, over the determinant
+        scaled = [det * x for x in mu + tuple(c_alpha)]
+        assert all(x.denominator == 1 for x in scaled)
+        assert ray == cone.RayRecord(i, levi, tuple(x.numerator for x in scaled), det)
         assert ray.lambda_fw == fw
         assert ray.c_alpha == tuple(c_alpha)
-        assert ray.k_det == sympy.Matrix(sub_cartan(rs, levi)).det()
+        assert ray.k_det == det
         assert ray.k_primitive == lcm(*(c.denominator for c in c_alpha))
-        assert ray.mu_fw == tuple(a - b for a, b in zip(fw, root_coords_to_fw(rs, c_alpha)))
+        assert ray.mu_fw == mu
         assert all(type(x) is Q for x in ray.mu_fw + ray.c_alpha)
 
 

@@ -20,6 +20,9 @@ def test_extend_by_zero_examples():
     assert extend_by_zero(c4, (1, 2), (0, 0)) == (0, 0, 0, 0)
     with pytest.raises(NotDominantError):
         extend_by_zero(c4, (3,), (-1,))
+    # refused as the CLI prints a weight, not as a tuple of Fraction reprs
+    with pytest.raises(NotDominantError, match="^weight 1/2,-1 is not dominant$"):
+        extend_by_zero(root_system("A", 2), (1, 2), (Q(1, 2), -1))
     with pytest.raises(ValueError):
         extend_by_zero(c4, (3,), (1, 2))
 

@@ -46,6 +46,10 @@ def test_one_refusal_of_a_non_dominant_weight():
     for refuse in (polytope_vertices, brute_force_vertices, weyl_dim):
         with pytest.raises(NotDominantError, match="^weight 1/2,-1 is not dominant$"):
             refuse(a2, (Q(1, 2), -1))
+    with pytest.raises(NotDominantError, match="^weight 1,-1 is not dominant$"):
+        FreudenthalTable(a2, (1, -1))
+    with pytest.raises(NotDominantError, match="^weight 1,-1 is not dominant$"):
+        weight_multiplicity(a2, (1, -1), (0, 0))
 
 
 def test_brute_force_matches_closed_form():
