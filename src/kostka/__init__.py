@@ -24,7 +24,7 @@ from .rootdata import (LeviFactor, RootSystem, components,
                        fw_to_root_coords, is_connected, is_dominant, levi_factors,
                        node_set, parabolic_order, positive_roots, rho,
                        root_coords_to_fw, root_system, sub_cartan, weyl_order)
-from .weyl import (DEFAULT_BUDGET, OrbitBudget, longest_element_image, orbit,
-                   parabolic_average, parabolic_average_direct, simple_reflection)
+from .weyl import (longest_element_image, orbit, parabolic_average, parabolic_average_direct,
+                   simple_reflection)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,9 +19,9 @@ from math import comb, gcd, lcm
 from . import linalg
 from .errors import CapExceededError, InvariantError, NotDominantError, NotInConeError
 from .rootdata import (RootSystem, _block_inverse, _check_length, _connected_sets, _per_system,
-                       connected_subsets_containing, fundamental_weight, is_dominant, node_set,
-                       sub_cartan, validate_type)
-from .weyl import DEFAULT_BUDGET, OrbitBudget, orbit
+                       _weight, connected_subsets_containing, fundamental_weight, is_dominant,
+                       node_set, sub_cartan, validate_type)
+from .weyl import orbit
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,6 @@ def _integer_cone_forms(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     n = 2 * rs.rank
     return (tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
             + tuple(row + tuple(-x for x in row) for row in rs._inverse[0]))
-
-
-def _weight(rs: RootSystem, w) -> linalg.Vec:
-    # a weight from outside the module, as a Fraction vector of length rank
-    w = linalg.vector(w)
-    _check_length(rs, w)
-    return w
 
 
 def _form_values(rs: RootSystem, lam, mu) -> list[int]:
@@ -211,24 +204,20 @@ def _extend(base, updates, drops) -> list[int]:
     return out
 
 
-def vertex(rs: RootSystem, lam, nodes, *, inverses: dict | None = None) -> Vertex:
+def vertex(rs: RootSystem, lam, nodes) -> Vertex:
     """The slice-polytope vertex obtained by zeroing the pairings on `nodes`.
 
     Solves <x, alpha_i_vee> = 0 for i in `nodes` together with agreement of
     the remaining simple-root coefficients with lam; the unique solution is
     lam minus a combination of the simple roots indexed by `nodes`, read
     from the integer inverse of the Levi Cartan block and held in integers
-    as `polytope_vertices` holds its vertices (``_pieces``).
-    ``inverses`` shares the inverses across calls of one enumeration;
-    without it the block is inverted afresh.  The returned node set is
-    minimal: nodes whose coefficient vanishes are dropped.
+    as `polytope_vertices` holds its vertices (``_pieces``).  The returned
+    node set is minimal: nodes whose coefficient vanishes are dropped.
     """
     lam = _weight(rs, lam)
     _require_dominant(lam)
     nodes = node_set(rs, nodes)
-    if inverses is None:
-        inverses = {}
-    base, big, solved = _pieces(rs, lam, [nodes] if nodes else [], inverses)
+    base, big, solved = _pieces(rs, lam, [nodes] if nodes else [], {})
     out = _extend(base, *solved[0]) if nodes else base
     return Vertex(tuple(n for n in nodes if out[rs.rank + n - 1]), tuple(out), big)
 
@@ -407,8 +396,7 @@ def ray_count_formula(letter: str, rank: int) -> int:
     return comb(rank + 1, 3) + comb(rank + 1, 2) + rank  # path graphs: A, B, C, F4, G2
 
 
-def fundamental_orbit_pairs(rs: RootSystem,
-                            budget: OrbitBudget = DEFAULT_BUDGET) -> tuple[tuple[linalg.Vec, linalg.Vec], ...]:
+def fundamental_orbit_pairs(rs: RootSystem) -> tuple[tuple[linalg.Vec, linalg.Vec], ...]:
     """All pairs (w_i, x) with x in the full Weyl orbit of w_i.
 
     These generate the extremal rays of the relaxed cone in which the
@@ -417,6 +405,6 @@ def fundamental_orbit_pairs(rs: RootSystem,
     out = []
     for i in range(1, rs.rank + 1):
         fw = linalg.vector(fundamental_weight(rs, i))
-        for x in sorted(orbit(rs, fw, rs.nodes(), budget)):
+        for x in sorted(orbit(rs, fw, rs.nodes())):
             out.append((fw, linalg.vector(x)))
     return tuple(out)

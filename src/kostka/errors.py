@@ -18,7 +18,7 @@ class EmptyNodeSetError(KostkaError):
 
 
 class BudgetExceededError(KostkaError):
-    """A Weyl orbit or group enumeration would exceed the configured budget."""
+    """A Weyl orbit or group enumeration would exceed its bound (``weyl.MAX_*``)."""
 
 
 class NotDominantError(KostkaError):
@@ -38,11 +38,11 @@ class OverlappingLevisError(KostkaError):
 
 
 class RankBoundExceededError(KostkaError):
-    """Brute-force vertex enumeration refused: rank above the configured bound."""
+    """Brute-force vertex enumeration refused: rank above its bound."""
 
 
 class CapExceededError(KostkaError):
-    """Representation dimension exceeds the configured cap."""
+    """A representation or a slice polytope exceeds its size cap."""
 
 
 class NotInRootLatticeError(KostkaError):

@@ -24,10 +24,12 @@ from math import gcd
 from . import linalg
 from .cone import _integer_cone_forms, _require_dominant, cone_contains
 from .errors import CapExceededError, InvariantError, NotInRootLatticeError, RankBoundExceededError
-from .rootdata import (RootSystem, _check_length, _per_system, positive_roots, rho, root_coords_to_fw,
-                       symmetrizer)
+from .rootdata import (RootSystem, _check_length, _per_system, _weight, positive_roots, rho,
+                       root_coords_to_fw, symmetrizer)
 from .weyl import simple_reflection
 
+# the bounds, read on each call: the highest rank brute_force_vertices takes, and the
+# largest representation a FreudenthalTable is built or read for
 DEFAULT_VERTEX_RANK_BOUND = 5
 DEFAULT_DIM_CAP = 10**5
 
@@ -66,7 +68,7 @@ def _extreme_rays(rows, dim: int) -> list[tuple[int, ...]]:
     return [ray for ray, _ in rays]
 
 
-def brute_force_vertices(rs: RootSystem, lam, max_rank: int = DEFAULT_VERTEX_RANK_BOUND) -> frozenset:
+def brute_force_vertices(rs: RootSystem, lam) -> frozenset:
     """Vertices of the slice polytope by double description.
 
     The slice {mu : const + coeffs . mu >= 0}, the cone's integer forms
@@ -76,10 +78,10 @@ def brute_force_vertices(rs: RootSystem, lam, max_rank: int = DEFAULT_VERTEX_RAN
     (`_extreme_rays`); each extreme ray (y, t) is the vertex y / t.  Raises
     InvariantError if a ray has t <= 0, that is if the slice is unbounded.
     """
-    if rs.rank > max_rank:
-        raise RankBoundExceededError(f"rank {rs.rank} exceeds the bound {max_rank}")
-    lam = linalg.vector(lam)
-    _check_length(rs, lam)
+    if rs.rank > DEFAULT_VERTEX_RANK_BOUND:
+        raise RankBoundExceededError(
+            f"rank {rs.rank} exceeds the bound {DEFAULT_VERTEX_RANK_BOUND}")
+    lam = _weight(rs, lam)
     _require_dominant(lam)
     # a rootcoef form (f | g) of the cone is f . lam + g . mu >= 0 at lam fixed; times the
     # lcm m of lam's denominators, the row (m g | f . m lam) on (mu, t) (zip stops at r)
@@ -105,7 +107,7 @@ def _integral(w) -> tuple[int, ...]:
     # ints pass through and an integral Fraction becomes its numerator
     vals = tuple(x if type(x) in (int, Fraction) else Fraction(x) for x in w)
     if any(v.denominator != 1 for v in vals):
-        raise NotInRootLatticeError(f"weight {vals} is not integral")
+        raise NotInRootLatticeError(f"weight {','.join(map(str, vals))} is not integral")
     return tuple(v.numerator for v in vals)
 
 
@@ -160,13 +162,11 @@ def _in_root_lattice(rs: RootSystem, lam, mu) -> bool:
 
 def weyl_dim(rs: RootSystem, lam) -> int:
     """Dimension of the irreducible representation with the given highest weight."""
-    lam = linalg.vector(lam)
-    _check_length(rs, lam)
+    lam = _weight(rs, lam)
     _require_dominant(lam)
     _, _, d, roots = _form(rs)
     r = rho(rs)
-    # integer pairings wherever lam is integral
-    shifted = tuple((x.numerator if x.denominator == 1 else x) + y for x, y in zip(lam, r))
+    shifted = tuple(x + y for x, y in zip(lam, r))  # integer pairings where lam is integral
     num = den = 1
     for alpha, _ in roots:
         num *= _pairing(d, shifted, alpha)
@@ -191,13 +191,13 @@ class FreudenthalTable:
     only ever gains finished entries.
     """
 
-    def __init__(self, rs: RootSystem, lam, cap: int = DEFAULT_DIM_CAP):
+    def __init__(self, rs: RootSystem, lam):
         self.rs = rs
         self.lam = _integral(lam)
         _require_dominant(self.lam)
         self.dim = weyl_dim(rs, self.lam)
-        if self.dim > cap:
-            raise CapExceededError(f"dim {self.dim} exceeds the cap {cap}")
+        if self.dim > DEFAULT_DIM_CAP:
+            raise CapExceededError(f"dim {self.dim} exceeds the cap {DEFAULT_DIM_CAP}")
         self._gram, self._scale, self._d, _ = _form(rs)
         self._rho = rho(rs)
         self._memo: dict[tuple, int] = {self.lam: 1}
@@ -271,24 +271,24 @@ class FreudenthalTable:
 _TABLES_PER_SYSTEM = 256  # the most tables kept on one root system, the oldest dropped first
 
 
-def _table(rs: RootSystem, lam, cap: int) -> FreudenthalTable:
+def _table(rs: RootSystem, lam) -> FreudenthalTable:
     # lam's table, kept in rs._memo beside what _per_system keeps; a failed build keeps nothing
     lam = _integral(lam)
     tables = rs._memo.setdefault(FreudenthalTable, {})
     table = tables.get(lam)
     if table is None:
-        table = FreudenthalTable(rs, lam, cap)
+        table = FreudenthalTable(rs, lam)
         if len(tables) >= _TABLES_PER_SYSTEM:
             del tables[next(iter(tables))]
         tables[lam] = table
-    elif table.dim > cap:
-        raise CapExceededError(f"dim {table.dim} exceeds the cap {cap}")
+    elif table.dim > DEFAULT_DIM_CAP:  # built before the cap was lowered
+        raise CapExceededError(f"dim {table.dim} exceeds the cap {DEFAULT_DIM_CAP}")
     return table
 
 
-def weight_multiplicity(rs: RootSystem, lam, mu, cap: int = DEFAULT_DIM_CAP) -> int:
+def weight_multiplicity(rs: RootSystem, lam, mu) -> int:
     """Freudenthal multiplicity from the table of lam kept on rs, built on first use."""
-    return _table(rs, lam, cap).multiplicity(mu)
+    return _table(rs, lam).multiplicity(mu)
 
 
 @dataclass(frozen=True)
@@ -304,8 +304,7 @@ class MembershipComparison:
         return (self.member and self.in_root_lattice) == (self.multiplicity > 0)
 
 
-def compare_membership_multiplicity(rs: RootSystem, lam, mu,
-                                    cap: int = DEFAULT_DIM_CAP) -> MembershipComparison:
+def compare_membership_multiplicity(rs: RootSystem, lam, mu) -> MembershipComparison:
     """Cross-check the inequality test against an actual multiplicity.
 
     Membership of a dominant integral pair in the cone plus integrality of
@@ -315,7 +314,7 @@ def compare_membership_multiplicity(rs: RootSystem, lam, mu,
     lam = _integral(lam)
     mu = _integral(mu)
     member = cone_contains(rs, lam, mu)
-    mult = _table(rs, lam, cap).multiplicity(mu)
+    mult = _table(rs, lam).multiplicity(mu)
     # multiplicity is 0 off the root-lattice coset, so a positive one settles the lattice
     lattice = mult > 0 or _in_root_lattice(rs, lam, mu)
     return MembershipComparison(member, lattice, mult)

@@ -157,6 +157,15 @@ def _check_length(rs: RootSystem, *weights, levi: tuple[int, ...] | None = None)
             raise ValueError(f"a weight of {owner} has {n} coordinates, got {len(w)}")
 
 
+def _weight(rs: RootSystem, w) -> tuple:
+    # a weight from outside the package, of length rank: ints where it is integral, else Fractions
+    vals = linalg.vector(w)
+    _check_length(rs, vals)
+    if all(v.denominator == 1 for v in vals):
+        return tuple(v.numerator for v in vals)
+    return vals
+
+
 @lru_cache(maxsize=None)
 def root_system(letter: str, rank: int) -> RootSystem:
     """Build the root system of the given type under the Bourbaki numbering."""

@@ -3,33 +3,22 @@
 Group elements are never materialised; everything works on orbits of
 coordinate vectors.  Integral weights are kept as plain int tuples, which
 makes the orbit closures considerably faster than Fraction arithmetic.
+
+Two module constants, read on each call, bound the work: an orbit has at most
+MAX_ORBIT points, and the averages refuse a subgroup of more than
+MAX_GROUP_ORDER elements before enumerating it (BudgetExceededError).  The
+longest element's image is unbounded, as its greedy walk enumerates nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, InvariantError
-from .rootdata import RootSystem, _check_length, node_set, parabolic_order
+from .rootdata import RootSystem, _weight, node_set, parabolic_order
 
-
-@dataclass(frozen=True)
-class OrbitBudget:
-    max_orbit: int = 10**6
-    max_group_order: int = 10**6
-
-
-DEFAULT_BUDGET = OrbitBudget()
-
-
-def _canonical(rs: RootSystem, w) -> tuple:
-    # a weight from outside the module, as ints where it is integral
-    vals = [Fraction(x) for x in w]
-    _check_length(rs, vals)
-    if all(v.denominator == 1 for v in vals):
-        return tuple(int(v) for v in vals)
-    return tuple(vals)
+MAX_ORBIT = 10**6
+MAX_GROUP_ORDER = 10**6
 
 
 def simple_reflection(rs: RootSystem, i: int, w) -> tuple:
@@ -41,12 +30,12 @@ def simple_reflection(rs: RootSystem, i: int, w) -> tuple:
     return tuple(w[j] - c * row[j] for j in range(rs.rank))
 
 
-def orbit(rs: RootSystem, w, nodes, budget: OrbitBudget = DEFAULT_BUDGET) -> frozenset:
+def orbit(rs: RootSystem, w, nodes) -> frozenset:
     """Orbit of a weight under the Weyl subgroup generated by the given nodes."""
     nodes = node_set(rs, nodes)
     r = rs.rank
     idx_rows = [(i - 1, rs.cartan[i - 1]) for i in nodes]
-    start = _canonical(rs, w)
+    start = _weight(rs, w)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -57,37 +46,35 @@ def orbit(rs: RootSystem, w, nodes, budget: OrbitBudget = DEFAULT_BUDGET) -> fro
                 if c:
                     y = tuple(x[j] - c * row[j] for j in range(r))
                     if y not in seen:
-                        if len(seen) >= budget.max_orbit:
-                            raise BudgetExceededError(
-                                f"orbit exceeds max_orbit={budget.max_orbit}")
+                        if len(seen) >= MAX_ORBIT:
+                            raise BudgetExceededError(f"orbit exceeds max_orbit={MAX_ORBIT}")
                         seen.add(y)
                         grown.append(y)
         frontier = grown
     return frozenset(seen)
 
 
-def _check_group_budget(rs, nodes, budget):
+def _check_group_order(rs, nodes):
     order = parabolic_order(rs, nodes)
-    if order > budget.max_group_order:
+    if order > MAX_GROUP_ORDER:
         raise BudgetExceededError(
-            f"parabolic group order {order} exceeds max_group_order={budget.max_group_order}")
+            f"parabolic group order {order} exceeds max_group_order={MAX_GROUP_ORDER}")
     return order
 
 
-def parabolic_average(rs: RootSystem, w, nodes, budget: OrbitBudget = DEFAULT_BUDGET) -> tuple:
+def parabolic_average(rs: RootSystem, w, nodes) -> tuple:
     """Average of a weight over the parabolic Weyl subgroup of the given nodes.
 
     The group average equals the plain orbit average: every orbit point is
     hit by the same number of group elements (orbit-stabiliser).
     """
     nodes = node_set(rs, nodes)
-    _check_group_budget(rs, nodes, budget)
-    orb = orbit(rs, w, nodes, budget)
+    _check_group_order(rs, nodes)
+    orb = orbit(rs, w, nodes)
     return tuple(Fraction(sum(col)) / len(orb) for col in zip(*orb))
 
 
-def parabolic_average_direct(rs: RootSystem, w, nodes,
-                             budget: OrbitBudget = DEFAULT_BUDGET) -> tuple:
+def parabolic_average_direct(rs: RootSystem, w, nodes) -> tuple:
     """The same average by brute-force enumeration of the whole subgroup.
 
     Walks the orbit of the pair (regular marker, w); the marker has trivial
@@ -95,9 +82,9 @@ def parabolic_average_direct(rs: RootSystem, w, nodes,
     an independent cross-check for :func:`parabolic_average`.
     """
     nodes = node_set(rs, nodes)
-    order = _check_group_budget(rs, nodes, budget)
+    order = _check_group_order(rs, nodes)
     marker = tuple(1 if (j + 1) in nodes else 0 for j in range(rs.rank))
-    start = (marker, _canonical(rs, w))
+    start = (marker, _weight(rs, w))
     seen = {start}
     frontier = [start]
     while frontier:
@@ -114,16 +101,16 @@ def parabolic_average_direct(rs: RootSystem, w, nodes,
     return tuple(Fraction(sum(col)) / order for col in zip(*(y for _, y in seen)))
 
 
-def longest_element_image(rs: RootSystem, w, nodes,
-                          budget: OrbitBudget = DEFAULT_BUDGET) -> tuple:
+def longest_element_image(rs: RootSystem, w, nodes) -> tuple:
     """Image of a weight under the longest element of the parabolic subgroup.
 
     Computed as the unique orbit point that is anti-dominant on the given
-    nodes, reached by greedily reflecting away positive coordinates.
+    nodes, reached by greedily reflecting away positive coordinates: each
+    reflection leaves one positive root of J fewer pairing positively with
+    the weight, so there are at most |Phi^+_J| of them.
     """
     nodes = node_set(rs, nodes)
-    _check_group_budget(rs, nodes, budget)
-    x = _canonical(rs, w)
+    x = _weight(rs, w)
     while True:
         for i in nodes:
             if x[i - 1] > 0:

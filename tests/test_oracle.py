@@ -28,11 +28,12 @@ def test_brute_force_examples():
     assert brute_force_vertices(a1, (1,)) == frozenset({(1,), (0,)})
 
 
-def test_brute_force_rank_bound():
-    with pytest.raises(RankBoundExceededError):
+def test_brute_force_rank_bound(monkeypatch):
+    with pytest.raises(RankBoundExceededError, match="^rank 6 exceeds the bound 5$"):
         brute_force_vertices(root_system("A", 6), (1,) * 6)
     # a raised bound lets it through
-    assert brute_force_vertices(root_system("A", 6), (0,) * 6, max_rank=6)
+    monkeypatch.setattr(oracle, "DEFAULT_VERTEX_RANK_BOUND", 6)
+    assert brute_force_vertices(root_system("A", 6), (0,) * 6)
 
 
 def test_brute_force_needs_dominant():
@@ -65,14 +66,15 @@ def _closed_form(rs, lam):
     return {v.point for v in polytope_vertices(rs, lam)}
 
 
-def test_brute_force_matches_closed_form_to_rank_8():
+def test_brute_force_matches_closed_form_to_rank_8(monkeypatch):
     # at rho, at w_1 + w_r (2 w_1 at rank 1) and at a rational weight with zeros
+    monkeypatch.setattr(oracle, "DEFAULT_VERTEX_RANK_BOUND", 8)
     for rs in systems(8):
         r = rs.rank
         ends = tuple((i == 1) + (i == r) for i in range(1, r + 1))
         rational = tuple(Q((i + 1) % 3, 1 + i % 4) for i in range(r))
         for lam in (rho(rs), ends, rational):
-            assert brute_force_vertices(rs, lam, max_rank=8) == _closed_form(rs, lam), (rs, lam)
+            assert brute_force_vertices(rs, lam) == _closed_form(rs, lam), (rs, lam)
 
 
 @settings(max_examples=40, deadline=None)
@@ -81,16 +83,20 @@ def test_brute_force_matches_closed_form_at_random_rational_weights(case, data):
     rs = root_system(*case)
     lam = tuple(data.draw(st.lists(st.fractions(0, 3, max_denominator=4),
                                    min_size=rs.rank, max_size=rs.rank)))
-    assert brute_force_vertices(rs, lam, max_rank=7) == _closed_form(rs, lam)
+    # patched here, not by the function-scoped monkeypatch fixture, which hypothesis refuses
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "DEFAULT_VERTEX_RANK_BOUND", 7)
+        assert brute_force_vertices(rs, lam) == _closed_form(rs, lam)
 
 
-def test_brute_force_at_zero_and_fundamental_weights():
+def test_brute_force_at_zero_and_fundamental_weights(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_VERTEX_RANK_BOUND", 6)
     for rs in systems(6):
         zero = (0,) * rs.rank
-        assert brute_force_vertices(rs, zero, max_rank=6) == {zero}
+        assert brute_force_vertices(rs, zero) == {zero}
         for i in rs.nodes():
             fw = fundamental_weight(rs, i)
-            assert brute_force_vertices(rs, fw, max_rank=6) == _closed_form(rs, fw), (rs, i)
+            assert brute_force_vertices(rs, fw) == _closed_form(rs, fw), (rs, i)
 
 
 def test_unbounded_slice_raises(monkeypatch):
@@ -144,26 +150,33 @@ def test_multiplicity_examples():
 
 def test_multiplicity_rejects_non_integral():
     a1 = root_system("A", 1)
-    with pytest.raises(NotInRootLatticeError):
+    with pytest.raises(NotInRootLatticeError, match="^weight 1/2 is not integral$"):
         weight_multiplicity(a1, (Q(1, 2),), (0,))
-    with pytest.raises(NotInRootLatticeError):
+    with pytest.raises(NotInRootLatticeError, match="^weight 1/2 is not integral$"):
         weight_multiplicity(a1, (2,), (Q(1, 2),))
+    # printed as the CLI reads a weight
+    with pytest.raises(NotInRootLatticeError, match="^weight 1/2,1 is not integral$"):
+        weight_multiplicity(root_system("A", 2), (Q(1, 2), 1), (0, 0))
 
 
-def test_multiplicity_cap():
-    # the cap is the caller's: a table built under a larger one is still refused,
+def test_multiplicity_cap(monkeypatch):
+    # the cap is read on each call: a table built under a larger one is still refused,
     # also off the root-lattice coset, where the answer would be a plain zero
     c3 = root_system.__wrapped__("C", 3)  # fresh, so its first table is built here
-    with pytest.raises(CapExceededError):
-        weight_multiplicity(c3, (2, 2, 2), (0, 0, 0), cap=100)
+    monkeypatch.setattr(oracle, "DEFAULT_DIM_CAP", 100)
+    with pytest.raises(CapExceededError, match="^dim 19683 exceeds the cap 100$"):
+        weight_multiplicity(c3, (2, 2, 2), (0, 0, 0))
     assert not c3._memo.get(FreudenthalTable)  # a failed build keeps nothing
+    monkeypatch.undo()
     assert weight_multiplicity(c3, (2, 2, 2), (0, 0, 0)) > 0
     assert weight_multiplicity(c3, (2, 2, 2), (1, 0, 0)) == 0  # off the coset
+    monkeypatch.setattr(oracle, "DEFAULT_DIM_CAP", 100)
     for mu in ((0, 0, 0), (1, 0, 0)):
         with pytest.raises(CapExceededError):
-            weight_multiplicity(c3, (2, 2, 2), mu, cap=100)
+            weight_multiplicity(c3, (2, 2, 2), mu)
         with pytest.raises(CapExceededError):
-            compare_membership_multiplicity(c3, (2, 2, 2), mu, cap=100)
+            compare_membership_multiplicity(c3, (2, 2, 2), mu)
+    monkeypatch.undo()
     # E6 at rho is far over the default cap, off the coset (w1) as on it (0)
     e6 = root_system("E", 6)
     for mu in ((1, 0, 0, 0, 0, 0), (0,) * 6):
@@ -171,16 +184,17 @@ def test_multiplicity_cap():
             weight_multiplicity(e6, (1,) * 6, mu)
 
 
-def test_tables_are_kept_on_their_root_system():
+def test_tables_are_kept_on_their_root_system(monkeypatch):
     a3 = root_system("A", 3)
     weight_multiplicity(a3, (1, 0, 1), (0, 0, 0))
     table = a3._memo[FreudenthalTable][1, 0, 1]
     assert compare_membership_multiplicity(a3, (1, 0, 1), (0, 1, 0)).multiplicity == 0
-    assert oracle._table(a3, (Q(1), 0, 1), oracle.DEFAULT_DIM_CAP) is table
+    assert oracle._table(a3, (Q(1), 0, 1)) is table
     root_system.cache_clear()
     assert not root_system("A", 3)._memo.get(FreudenthalTable)
     # bound + 1 highest weights on one root system keep the newest bound of them
-    a1, bound = root_system.__wrapped__("A", 1), oracle._TABLES_PER_SYSTEM
+    a1, bound = root_system.__wrapped__("A", 1), 8
+    monkeypatch.setattr(oracle, "_TABLES_PER_SYSTEM", bound)
     for k in range(bound + 1):
         assert weight_multiplicity(a1, (k,), (k % 2,)) == 1
     assert list(a1._memo[FreudenthalTable]) == [(k,) for k in range(1, bound + 1)]

@@ -3,12 +3,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import all_subsets, random_dominant, systems
+from conftest import all_subsets, random_dominant, supported_types, systems
 from kostka import weyl
-from kostka import (OrbitBudget, fw_to_root_coords, is_connected,
-                    longest_element_image, orbit, parabolic_average,
-                    parabolic_average_direct, parabolic_order, rho, root_system,
-                    simple_reflection, weyl_order)
+from kostka import (fw_to_root_coords, is_connected, longest_element_image, orbit,
+                    parabolic_average, parabolic_average_direct, parabolic_order, rho,
+                    root_system, simple_reflection, weyl_order)
 from kostka.errors import BudgetExceededError, InvariantError
 
 
@@ -40,10 +39,11 @@ def test_orbit_examples():
     assert len(orbit(c2, (1, 0), (1, 2))) == 4
 
 
-def test_orbit_budget():
+def test_orbit_budget(monkeypatch):
     a2 = root_system("A", 2)
-    with pytest.raises(BudgetExceededError):
-        orbit(a2, (1, 1), (1, 2), OrbitBudget(max_orbit=3))
+    monkeypatch.setattr(weyl, "MAX_ORBIT", 3)
+    with pytest.raises(BudgetExceededError, match="^orbit exceeds max_orbit=3$"):
+        orbit(a2, (1, 1), (1, 2))
 
 
 def test_orbit_of_rho_has_group_size():
@@ -60,10 +60,17 @@ def test_average_examples():
     assert parabolic_average(c2, (1, 0), (1, 2)) == (0, 0)
 
 
-def test_average_group_budget():
+def test_average_group_budget(monkeypatch):
+    # at the default bound, E7's 2903040-point orbit of rho is refused before it is built
+    e7 = root_system("E", 7)
+    for average in (parabolic_average, parabolic_average_direct):
+        with pytest.raises(BudgetExceededError, match="^parabolic group order 2903040 "
+                                                      "exceeds max_group_order=1000000$"):
+            average(e7, rho(e7), e7.nodes())
     e6 = root_system("E", 6)
+    monkeypatch.setattr(weyl, "MAX_GROUP_ORDER", 1000)
     with pytest.raises(BudgetExceededError):
-        parabolic_average(e6, rho(e6), e6.nodes(), OrbitBudget(max_group_order=1000))
+        parabolic_average(e6, rho(e6), e6.nodes())
 
 
 def test_average_is_parabolic_invariant():
@@ -128,6 +135,15 @@ def test_longest_element_is_antidominant_orbit_point():
             img = longest_element_image(rs, w, nodes)
             assert all(img[i - 1] <= 0 for i in nodes)
             assert img in orbit(rs, w, nodes)
+
+
+def test_longest_element_sends_rho_to_minus_rho():
+    # w_0 rho = -rho in every type; the greedy walk enumerates no group, so no group bound
+    # applies, also where the Weyl group has far more than weyl.MAX_GROUP_ORDER elements
+    for letter, r in supported_types(12):
+        rs = root_system(letter, r)
+        assert longest_element_image(rs, rho(rs), rs.nodes()) == tuple(-x for x in rho(rs)), rs
+    assert weyl_order("E", 8) > weyl.MAX_GROUP_ORDER
 
 
 def test_rho_plus_longest_rho_is_twice_average():
