@@ -66,9 +66,11 @@ def _combo(coeffs, sym: str) -> str:
     return ("-" if terms[1] == "-" else "") + terms[3:]
 
 
-def _parse_weight(text: str, rank: int) -> tuple[Fraction, ...]:
+def _parse_weight(text: str, rank: int) -> tuple[int | Fraction, ...]:
+    # a plain integer token is read by int, which equals its Fraction and prints the same
     try:
-        coords = tuple(Fraction(tok.strip()) for tok in text.split(","))
+        coords = tuple(int(tok) if tok.isdecimal() else Fraction(tok.strip())
+                       for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse weight {text!r}: {exc}") from None
     if len(coords) != rank:
@@ -287,8 +289,49 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _fast_args(argv) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` read from the parser's own actions,
+    for a command, then exactly spelled long options, each at most once, as
+    '--opt value' or '--opt=value' with a valid value; None for anything else."""
+    root = build_parser()
+    cmds = next(a for a in root._actions if isinstance(a, argparse._SubParsersAction))
+    sub = cmds.choices.get(argv[0]) if argv else None
+    if sub is None:
+        return None
+    got: dict = {}
+    tokens = iter(argv[1:])
+    try:
+        for tok in tokens:
+            opt, eq, text = tok.partition("=")
+            a = sub._option_string_actions.get(opt)
+            if a in got or type(a) not in (argparse._StoreAction, argparse._StoreTrueAction):
+                return None  # help, an abbreviation, '--', a repeat or an unknown token
+            if a.nargs == 0 and not eq:  # a flag
+                got[a] = a.const
+                continue
+            text = text if eq else next(tokens, "-")
+            if a.nargs is not None or text == "--" or not eq and text.startswith("-"):
+                return None  # a value on a flag, or one that argparse may read as an option
+            got[a] = a.type(text) if a.type else text
+            if a.choices is not None and got[a] not in a.choices:
+                return None
+        ns = {cmds.dest: argv[0]}
+        for a in sub._actions:
+            if a in got:
+                ns[a.dest] = got[a]
+            elif a.required:
+                return None
+            elif a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+                ns[a.dest] = a.default
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return argparse.Namespace(**ns, **{k: v for k, v in sub._defaults.items() if k not in ns})
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the fast path declines all but plain argv; argparse parses the rest as always
+    args = _fast_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (KostkaError, ValueError) as exc:

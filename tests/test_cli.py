@@ -1,11 +1,13 @@
+import argparse
 import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import supported_types
 import kostka
 from kostka import fundamental_weight, root_coords_to_fw, root_system
-from kostka.cli import main
+from kostka.cli import _fast_args, _parse_weight, build_parser, main
 
 
 def run(capsys, *argv):
@@ -455,3 +457,199 @@ def test_interleaved_calls_match_fresh_processes(capsys, monkeypatch):
         else:
             code = main(list(argv))
         assert (code, *capsys.readouterr()) == expect, argv
+
+
+# ---------------------------------------------------------------- argv fast path
+
+def _subparsers():
+    root = build_parser()
+    return next(a for a in root._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _options(sub):
+    return [a for a in sub._actions if type(a) is not argparse._HelpAction]
+
+
+def _argparse(argv):
+    """build_parser().parse_args(argv), or None where it exits."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
+def test_options_are_plain_stores_or_flags():
+    # _fast_args models these two kinds; an option of another kind must be modelled or declined
+    root = build_parser()
+    assert {type(a) for a in root._actions} == {
+        argparse._HelpAction, argparse._VersionAction, argparse._SubParsersAction}
+    for sub in _subparsers().values():
+        options = _options(sub)
+        for a in options:
+            assert (type(a) is argparse._StoreAction and a.nargs is None
+                    or type(a) is argparse._StoreTrueAction), a
+            assert not (a.type and isinstance(a.default, str)), a  # argparse would convert it
+        assert len({a.dest for a in options}) == len(options)
+
+
+_VALUES = ["A", "E", "Z", "a", "json", "tsv", "pretty", "xml", "3", "6", " 3", "+3", "3.0",
+           "\u0663", "", "-1", "-1,2", "-1, 2", "1,0,1", "0,0,1", "1/2,1,0", "--", "-h", "x", "a=b"]
+_JUNK = ["-h", "--help", "--version", "--", "--lam", "--fo", "--ora", "--bogus", "extra", "-",
+         "-x", "-1"]
+
+
+@st.composite
+def _argvs(draw):
+    """A command and its options, each as '--opt value' or '--opt=value' with a
+    value that is often valid, then sometimes a duplicate, a dropped or a
+    swapped token, or a token of _JUNK or _VALUES anywhere."""
+    subs = _subparsers()
+    command = draw(st.sampled_from(sorted(subs)))
+    argv = [command]
+    for a in draw(st.permutations(_options(subs[command]))):
+        if not (a.required or draw(st.booleans())):
+            continue
+        opt = a.option_strings[-1]
+        if a.nargs == 0:
+            argv.append(opt if draw(st.integers(0, 9)) else f"{opt}={draw(st.sampled_from(_VALUES))}")
+            continue
+        good = list(a.choices) if a.choices else ["3", "2"] if a.type else ["1,0,1", "0,1"]
+        value = draw(st.sampled_from(good) if draw(st.integers(0, 3)) else st.sampled_from(_VALUES))
+        argv += [f"{opt}={value}"] if draw(st.booleans()) else [opt, value]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(argv)))
+        kind = draw(st.sampled_from(["junk", "value", "dup", "drop", "command"]))
+        if kind == "junk":
+            argv.insert(k, draw(st.sampled_from(_JUNK)))
+        elif kind == "value":
+            argv.insert(k, draw(st.sampled_from(_VALUES)))
+        elif kind == "command":
+            argv.insert(k, draw(st.sampled_from(sorted(subs))))
+        elif argv and k < len(argv):
+            if kind == "dup":
+                argv.append(argv[k])
+            else:
+                del argv[k]
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(_argvs())
+def test_fast_args_are_argparse_or_nothing(argv):
+    fast = _fast_args(argv)
+    if fast is not None:
+        expect = _argparse(argv)
+        assert expect is not None and repr(fast) == repr(expect), argv
+        assert fast == expect
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--type", "A", "--rank", "2", "--lambda", "1,1", "--mu", "-1,2"],
+    ["check", "--type", "A", "--rank", "2", "--lambda=1,1", "--mu=2,-1", "--oracle=yes"],
+    ["check", "--type", "A", "--rank", "2", "--lam", "1,1", "--mu", "0,0"],
+    ["check", "--type", "A", "--rank", "2", "--lambda", "1,1", "--mu", "0,0", "--mu", "1,1"],
+    ["check", "--type", "A", "--rank", "2", "--lambda", "1,1", "--mu", "-1, 2"],
+    ["rays", "--type", "A", "--rank", "3", "--node", "-1"],
+    ["rays", "--type", "A", "--rank", "3.0"],
+    ["rays", "--type", "A", "--rank", "3", "--", "--node", "1"],
+    ["vertices", "--type", "A", "--rank", "2", "--lambda=--"],
+    ["census", "--version"], ["census", "-h"], ["--version"], ["census", "extra"], [],
+])
+def test_fast_args_decline_what_argparse_must_read(argv):
+    assert _fast_args(argv) is None
+
+
+def _plain_argvs():
+    """Every command with each of its options, its required ones too, valid
+    values, spelled '--opt value' and then '--opt=value'."""
+    for command, sub in sorted(_subparsers().items()):
+        options = _options(sub)
+        for extra in options:
+            argv_sep, argv_eq = [command], [command]
+            for a in options:
+                if a.required or a is extra:
+                    if a.nargs == 0:
+                        argv_sep.append(a.option_strings[-1])
+                        argv_eq.append(a.option_strings[-1])
+                        continue
+                    value = next(iter(a.choices)) if a.choices else "1" if a.type else "1,0"
+                    argv_sep += [a.option_strings[-1], value]
+                    argv_eq.append(f"{a.option_strings[-1]}={value}")
+            yield argv_sep
+            yield argv_eq
+
+
+def _readme_argvs():
+    readme = Path(kostka.__file__).parents[2] / "README.md"
+    for line in readme.read_text().splitlines():
+        if line.startswith("kostka "):
+            yield shlex.split(line.split("|")[0].split("#")[0])[1:]
+
+
+def test_plain_argv_takes_the_fast_path():
+    plain = list(_plain_argvs())
+    readme = list(_readme_argvs())
+    assert len(plain) >= 2 * 4 and len(readme) >= 4
+    for argv in plain + readme + [list(argv) for argv in INTERLEAVED]:
+        fast = _fast_args(argv)
+        expect = _argparse(argv)
+        assert (fast is None) == (expect is None), argv  # only INTERLEAVED's usage error exits
+        assert fast == expect, argv
+
+
+def test_main_parses_plain_argv_without_argparse(capsys, monkeypatch):
+    expect = [run(capsys, *argv) for argv in INTERLEAVED[:2]]
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", None)  # a call raises TypeError
+    assert [run(capsys, *argv) for argv in INTERLEAVED[:2]] == expect
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    for argv in INTERLEAVED[:2]:
+        expect = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["kostka", *argv])
+        code = main()
+        assert (code, *capsys.readouterr()) == expect
+
+
+def test_a_value_beginning_with_a_dash_is_joined_with_equals(capsys):
+    head = ("check", "--type", "A", "--rank", "2", "--lambda", "1,1")
+    with pytest.raises(SystemExit) as exc:
+        main([*head, "--mu", "-1,2"])
+    assert exc.value.code == 2
+    assert "argument --mu: expected one argument" in capsys.readouterr().err
+    assert run(capsys, *head, "--mu=-1,2") == (1, "member: no\n", "")
+
+
+# ---------------------------------------------------------------- weight tokens
+
+def _weight_by_fraction(text):
+    """The coordinates that Fraction reads from comma-separated text, or the
+    message of _parse_weight's refusal."""
+    try:
+        return tuple(Q(tok.strip()) for tok in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"cannot parse weight {text!r}: {exc}"
+
+
+_TOKENS = (st.sampled_from(["0", "1", "12", "007", "\u0663", "\uff17", "\u00b2", "-1", "+2", " 3",
+                            "4 ", "\t5", " -6 ", "1/2", "-3/4", "1.5", "1e3", "1_0", "", " ",
+                            "1/0", "x", "--1", "-", "+"])
+           | st.integers(-10 ** 30, 10 ** 30).map(str)
+           | st.text("0123456789+-/._e \u0663", max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_TOKENS, min_size=1, max_size=4), st.integers(1, 4))
+def test_weights_parse_as_fractions_do(tokens, rank):
+    text = ",".join(tokens)
+    expect = _weight_by_fraction(text)
+    if isinstance(expect, tuple) and len(expect) != rank:
+        expect = f"weight {text!r} has {len(expect)} coordinates, expected {rank}"
+    try:
+        got = _parse_weight(text, rank)
+    except ValueError as exc:
+        got = str(exc)
+    assert got == expect
+    if isinstance(expect, tuple):
+        assert list(map(str, got)) == list(map(str, expect))
