@@ -4,9 +4,10 @@ Output is byte-deterministic for fixed inputs.  Rationals are printed as
 "p/q" with the denominator omitted when it is 1; they never degrade to
 floats.  The json and tsv tables (rays, vertices, census) go through one
 writer, ``_table``: json is one compact object per row, keyed by the
-columns; tsv is the header, then one line per row, with a list cell
-comma-joined and a bool cell printed as yes/no.  Exit codes: 0 success (or
-membership), 1 clean negative verdict, 2 usage or domain error.
+columns, each cell spelled as ``json.dumps`` spells it (``_json_cell``); tsv
+is the header, then one line per row, with a list cell comma-joined and a
+bool cell printed as yes/no.  No zero entry is formatted.  Exit codes: 0
+success (or membership), 1 clean negative verdict, 2 usage or domain error.
 """
 
 from __future__ import annotations
@@ -16,14 +17,16 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import chain, compress
 from math import gcd
+from operator import neg
 
 from . import __version__
 from .cone import (_extremality, _levi_inverse, all_rays, polytope_vertices, ray_count_formula,
                    rays_for_node)
 from .errors import KostkaError
 from .oracle import compare_membership_multiplicity
-from .rootdata import RANK_BOUNDS, is_dominant, root_system, supported_types
+from .rootdata import RANK_BOUNDS, is_dominant, root_system, supported_types, validate_type
 
 RAY_COLUMNS = ("type", "rank", "node", "levi", "k_primitive", "k_det",
                "lambda_fw", "mu_fw", "c_alpha")
@@ -48,10 +51,11 @@ def _nodes_str(nodes) -> str:
 
 def _terms(coeffs, sym: str) -> str:
     """Render the nonzero entries of a coordinate vector, as ints, Fractions or
-    their printed cells, as ' + w1 - 2*w4'."""
+    their printed cells, as ' + w1 - 2*w4'; a zero number is skipped unread."""
     out = ""
-    for pos, mag in enumerate(map(str, coeffs), 1):
-        if mag != "0":
+    for pos, x in compress(enumerate(coeffs, 1), coeffs):
+        mag = str(x)
+        if mag != "0":  # a printed zero cell
             out += " - " if mag[0] == "-" else " + "
             mag = mag.lstrip("-")
             out += f"{sym}{pos}" if mag == "1" else f"{mag}*{sym}{pos}"
@@ -67,9 +71,9 @@ def _combo(coeffs, sym: str) -> str:
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int | Fraction, ...]:
-    # a plain integer token is read by int, which equals its Fraction and prints the same
+    # an integer token ('-' then digits, or digits) is read by int: it prints as its Fraction
     try:
-        coords = tuple(int(tok) if tok.isdecimal() else Fraction(tok.strip())
+        coords = tuple(int(tok) if tok.removeprefix("-").isdecimal() else Fraction(tok.strip())
                        for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse weight {text!r}: {exc}") from None
@@ -97,11 +101,23 @@ def _cell(x) -> str:
     return str(x)
 
 
+def _json_cell(x) -> str:
+    # a cell as json.dumps spells it; no printed rational or type letter needs an escape
+    kind = type(x)
+    if kind is list:
+        return '["' + '","'.join(x) + '"]' if x else "[]"
+    if kind is tuple:
+        return "[" + ",".join(map(str, x)) + "]"
+    if kind is bool:
+        return "true" if x else "false"
+    return f'"{x}"' if kind is str else str(x)
+
+
 def _table(fmt: str, columns: tuple[str, ...], rows) -> None:
     """Write rows, tuples in the order of columns, as json objects or as a tsv table."""
     if fmt == "json":
-        encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call
-        _emit(encode(dict(zip(columns, row))) for row in rows)
+        line = "{" + ",".join(f'"{c}":%s' for c in columns) + "}"
+        _emit(line % tuple(map(_json_cell, row)) for row in rows)
     else:
         _emit(["\t".join(columns)])
         _emit("\t".join(map(_cell, row)) for row in rows)
@@ -109,21 +125,22 @@ def _table(fmt: str, columns: tuple[str, ...], rows) -> None:
 
 # ---------------------------------------------------------------- rays
 
-def _block_rows(adj, det) -> list[str]:
-    cells = [[_ratio(x, det) for x in row] for row in adj]
-    width = max(len(c) for row in cells for c in row)
-    return ["    " + "  ".join(c.rjust(width) for c in row) for row in cells]
+def _block_rows(adj, det, ratio) -> list[str]:
+    cells = [[ratio(x, det) for x in row] for row in adj]
+    width = max(map(len, chain.from_iterable(cells)))
+    return ["    " + "  ".join([c.rjust(width) for c in row]) for row in cells]
 
 
-def _ray_pretty(rs, ray, inverses: dict, block_rows) -> list[str]:
+def _ray_pretty(rs, ray, inverses: dict, blocks: dict, ratio) -> list[str]:
     head = (f"node {ray.node}  levi {_nodes_str(ray.levi)}  "
             f"k_primitive={ray.k_primitive}  k_det={ray.k_det}")
     lines = [head]
     lam_str = _combo((0,) * (ray.node - 1) + (ray.k_det,), "w")  # k_det w_node
     if ray.levi:
         lines.append(f"  inverse transpose Cartan on {_nodes_str(ray.levi)}:")
-        lines += block_rows(*_levi_inverse(rs, ray.levi, inverses))
-        drop = _terms([-n for n in ray.numerators[rs.rank:]], "a")
+        inv = _levi_inverse(rs, ray.levi, inverses)  # `blocks` keys by id: no O(|L|^2) hash
+        lines += blocks.get(id(inv)) or blocks.setdefault(id(inv), _block_rows(*inv, ratio))
+        drop = _terms(tuple(map(neg, ray.numerators[rs.rank:])), "a")
         mu_str = _combo(ray.numerators[:rs.rank], "w")
         lines.append(f"  ({lam_str}, {lam_str}{drop}) = ({lam_str}, {mu_str})")
     else:
@@ -133,9 +150,9 @@ def _ray_pretty(rs, ray, inverses: dict, block_rows) -> list[str]:
 
 def cmd_rays(args) -> int:
     """The ray table, printed from the records' integers: a json or tsv cell is
-    ``_ratio`` of a numerator over k_det, once per distinct pair in the request,
-    the lambda_fw cells once per node; pretty prints k_det times each entry,
-    which is the numerators."""
+    ``_ratio`` of a nonzero numerator over k_det (c on the Levi, mu at its
+    outside neighbours), once per distinct pair in the request, any other the
+    shared "0"; pretty prints k_det times each entry, which is the numerators."""
     rs = root_system(args.type, args.rank)
     inverses: dict = {}  # Levi block inverses, shared by the rays and the pretty blocks
     if args.node is not None:
@@ -143,16 +160,23 @@ def cmd_rays(args) -> int:
     else:
         records = all_rays(rs, inverses=inverses)
     r = rs.rank
+    ratio = lru_cache(maxsize=None)(_ratio)  # each distinct cell formatted once per request
     if args.format != "pretty":
-        ratio = lru_cache(maxsize=None)(_ratio)
         lam_cells = lru_cache(maxsize=None)(lambda i: [str(int(j == i)) for j in range(1, r + 1)])
+
+        def cells(numerators, d) -> list[str]:
+            out = ["0"] * r
+            for j in compress(range(r), numerators):
+                out[j] = ratio(numerators[j], d)
+            return out
+
         _table(args.format, RAY_COLUMNS,
                ((rs.letter, r, ray.node, ray.levi, ray.k_primitive, ray.k_det, lam_cells(ray.node),
-                 [ratio(n, ray.k_det) for n in ray.numerators[:r]],
-                 [ratio(n, ray.k_det) for n in ray.numerators[r:]]) for ray in records))
+                 cells(ray.numerators[:r], ray.k_det), cells(ray.numerators[r:], ray.k_det))
+                for ray in records))
     else:
-        block_rows = lru_cache(maxsize=None)(_block_rows)  # each block formatted once per request
-        _emit(line for ray in records for line in _ray_pretty(rs, ray, inverses, block_rows))
+        blocks: dict = {}  # the rows of each block in `inverses`, formatted once per request
+        _emit(line for ray in records for line in _ray_pretty(rs, ray, inverses, blocks, ratio))
     return 0
 
 
@@ -162,8 +186,9 @@ def cmd_vertices(args) -> int:
     """The vertex table, printed from the vertices' integers: every vertex of
     one polytope is over one denominator, so each cell is one numerator's
     ``_ratio``, formatted once per distinct numerator in the request."""
+    validate_type(args.type, args.rank)  # its refusal first, then the weight's, before any build
+    lam = _parse_weight(args.lam, args.rank)
     rs = root_system(args.type, args.rank)
-    lam = _parse_weight(args.lam, rs.rank)
     verts = polytope_vertices(rs, lam)
     r = rs.rank
     cell = lru_cache(maxsize=None)(partial(_ratio, d=verts[0].denominator))
@@ -188,9 +213,10 @@ def cmd_vertices(args) -> int:
 # ---------------------------------------------------------------- check
 
 def cmd_check(args) -> int:
+    validate_type(args.type, args.rank)  # as in cmd_vertices
+    lam = _parse_weight(args.lam, args.rank)
+    mu = _parse_weight(args.mu, args.rank)
     rs = root_system(args.type, args.rank)
-    lam = _parse_weight(args.lam, rs.rank)
-    mu = _parse_weight(args.mu, rs.rank)
     integral = all(x.denominator == 1 for x in lam + mu)
     # with the oracle, membership is read from the comparison; else None marks a non-member
     cmp = (compare_membership_multiplicity(rs, lam, mu)
@@ -289,12 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _commands() -> argparse._SubParsersAction:
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def _fast_args(argv) -> argparse.Namespace | None:
     """``build_parser().parse_args(argv)`` read from the parser's own actions,
     for a command, then exactly spelled long options, each at most once, as
     '--opt value' or '--opt=value' with a valid value; None for anything else."""
-    root = build_parser()
-    cmds = next(a for a in root._actions if isinstance(a, argparse._SubParsersAction))
+    cmds = _commands()
     sub = cmds.choices.get(argv[0]) if argv else None
     if sub is None:
         return None
@@ -331,7 +360,13 @@ def _fast_args(argv) -> argparse.Namespace | None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the fast path declines all but plain argv; argparse parses the rest as always
-    args = _fast_args(argv) or build_parser().parse_args(argv)
+    args = _fast_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
+        sub = _commands().choices[args.command]
+        for a in sub._actions:  # argparse keeps [] for '--opt=--', never a value
+            if type(getattr(args, a.dest, None)) is list:
+                sub.error(f"argument {a.option_strings[-1]}: expected one argument")
     try:
         return args.func(args)
     except (KostkaError, ValueError) as exc:

@@ -20,7 +20,7 @@ from . import linalg
 from .errors import CapExceededError, InvariantError, NotDominantError, NotInConeError
 from .rootdata import (RootSystem, _block_inverse, _check_length, _connected_sets, _per_system,
                        _weight, connected_subsets_containing, fundamental_weight, is_dominant,
-                       node_set, sub_cartan, validate_type)
+                       node_set, validate_type)
 from .weyl import orbit
 
 
@@ -130,18 +130,19 @@ def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tup
     ``inverses`` maps each block already inverted to its result, for one
     enumeration, keyed by the Levi's shape: |L| and its internal edges
     relabelled by position, each with its two Cartan entries.  The diagonal is
-    all 2s and the other entries are zero off the edges, so the shape
-    determines the block exactly; it is read in O(|L|) from the Dynkin graph,
-    and the block (``sub_cartan``) is built only to be inverted.  Levis of the
-    same shape share a block, so it is solved once."""
+    all 2s and the other entries are zero off the edges, so the shape fixes
+    the block exactly: it is read in O(|L|) from the Dynkin graph, and the
+    block is built from it only to be inverted.  Levis of the same shape share
+    a block, so it is solved once."""
     at = {n: a for a, n in enumerate(nodes)}
-    cartan = rs.cartan
-    key = (len(nodes), tuple((a, at[m], cartan[n - 1][m - 1], cartan[m - 1][n - 1])
-                             for a, n in enumerate(nodes) for m in rs.neighbors(n)
-                             if m > n and m in at))
+    cartan, nbrs, k = rs.cartan, rs._neighbors, len(nodes)
+    key = (k, *[(a, at[m], cartan[n - 1][m - 1], cartan[m - 1][n - 1])
+                for a, n in enumerate(nodes) for m in nbrs[n] if m > n and m in at])
     out = inverses.get(key)
     if out is None:
-        block = tuple(zip(*sub_cartan(rs, nodes)))
+        block = [[2 * (a == b) for b in range(k)] for a in range(k)]
+        for a, b, x, y in key[1:]:  # C_L[a][b] = x and C_L[b][a] = y, transposed
+            block[a][b], block[b][a] = y, x
         out = inverses[key] = _block_inverse(block, f"Levi {nodes} of {rs}")
     return out
 
@@ -154,22 +155,25 @@ def _levi_solve(rs: RootSystem, lam, nodes: tuple[int, ...],
     are ints or Fractions.
 
     With m the lcm of lam|_L's denominators, c = adj (m lam|_L) / (det m) from
-    the block's inverse (``_levi_inverse``, shared through ``inverses``), over
-    lam's nonzero coordinates on L only; d = det m, det C_L for integral lam.
-    The point lam - (pairings of c) is zero on L, lam_k - pairing / d at each
-    outside neighbour k and lam elsewhere.  Raises InvariantError if the block
-    is singular or its determinant is not positive.
+    the block's inverse (``_levi_inverse``, shared through ``inverses``), one
+    pass over adj per node of lam's support on L (for w_i, adj's one column);
+    d = det m, det C_L for integral lam.  The point lam - (pairings of c) is
+    zero on L, lam_k - pairing / d at each outside neighbour k and lam
+    elsewhere.  Raises InvariantError if the block is singular or its
+    determinant is not positive.
     """
     adj, det = _levi_inverse(rs, nodes, inverses)
     support = [j for j, n in enumerate(nodes) if lam[n - 1]]
     rhs, m = linalg._cleared([lam[nodes[j] - 1] for j in support])
-    c = [sum(row[j] * w for j, w in zip(support, rhs)) for row in adj]
-    inside = set(nodes)
+    c = [0] * len(nodes)
+    for j, w in zip(support, rhs):
+        c = [x + row[j] * w for x, row in zip(c, adj)]
+    cartan, nbrs, inside = rs.cartan, rs._neighbors, set(nodes)
     pairings: dict[int, int] = {}
     for n, x in zip(nodes, c):  # over the edges from L to its outside neighbours
-        for k in rs.neighbors(n):
+        for k in nbrs[n]:
             if k not in inside:
-                pairings[k] = pairings.get(k, 0) + x * rs.cartan[n - 1][k - 1]
+                pairings[k] = pairings.get(k, 0) + x * cartan[n - 1][k - 1]
     return c, det * m, pairings
 
 
@@ -315,7 +319,7 @@ class RayRecord:
     def c_alpha(self) -> linalg.Vec:
         return _over(self.numerators, self.k_det, 1)
 
-    @cached_property
+    @property
     def k_primitive(self) -> int:
         # the lcm of c_alpha's denominators, all of which divide k_det
         return self.k_det // gcd(self.k_det, *self.numerators[len(self.numerators) // 2:])

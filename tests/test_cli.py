@@ -13,13 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import supported_types
 import kostka
 from kostka import fundamental_weight, root_coords_to_fw, root_system
-from kostka.cli import _fast_args, _parse_weight, build_parser, main
+from kostka.cli import (CENSUS_COLUMNS, RAY_COLUMNS, VERTEX_COLUMNS, _fast_args, _parse_weight,
+                        _table, build_parser, main)
+from kostka.rootdata import RANK_BOUNDS
 
 
 def run(capsys, *argv):
@@ -99,6 +101,32 @@ def _table_requests(draw):
     letter, r = draw(st.sampled_from(supported_types(6)))
     lam = draw(st.lists(st.fractions(0, 3, max_denominator=4), min_size=r, max_size=r))
     return "vertices", "--type", letter, "--rank", str(r), "--lambda", ",".join(map(str, lam))
+
+
+_JSON_CELLS = st.one_of(
+    st.sampled_from(list(RANK_BOUNDS)),  # a type letter
+    st.integers(-10 ** 20, 10 ** 20),
+    st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=5).map(tuple),
+    st.lists(st.sampled_from(["0", "1", "-3/4", "22/7", "-1"]) | st.fractions().map(str),
+             max_size=5),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([RAY_COLUMNS, VERTEX_COLUMNS, CENSUS_COLUMNS]).flatmap(
+    lambda columns: st.tuples(st.just(columns), st.lists(
+        st.tuples(*[_JSON_CELLS] * len(columns)), max_size=4))))
+@example((CENSUS_COLUMNS, [("A", 0, (), [], False), ("G", -1, (-3,), ["-3/4"], True)]))
+def test_json_rows_are_json_dumps_rows(case):
+    # the row writer spells every kind of cell as json.dumps does: a type letter, an
+    # int, a tuple of ints, a list of printed rationals, a bool, the empty ones too
+    columns, rows = case
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _table("json", columns, rows)
+    assert out.getvalue() == "".join(
+        json.dumps(dict(zip(columns, row)), separators=(",", ":")) + "\n" for row in rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -612,6 +640,43 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
         assert (code, *capsys.readouterr()) == expect
 
 
+def test_an_option_valued_dash_dash_is_a_usage_error(capsys):
+    # argparse hands '--opt=--' over as [], which no command reads: refused with a usage line
+    for command, sub in sorted(_subparsers().items()):
+        options = _options(sub)
+        for a in options:
+            argv = [command]
+            for b in options:
+                value = next(iter(b.choices)) if b.choices else "1" if b.type else "1,0"
+                if b is a or b.required:
+                    argv.append(f"{b.option_strings[-1]}={'--' if b is a else value}")
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            err = capsys.readouterr().err
+            assert exc.value.code == 2, argv
+            assert err.startswith("usage: kostka ") and "Traceback" not in err, argv
+            assert f"argument {a.option_strings[-1]}: " in err, argv
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("vertices", "--type", "A", "--rank", "100000", "--lambda=1"),
+     "error: weight '1' has 1 coordinates, expected 100000\n"),
+    (("check", "--type", "A", "--rank", "100000", "--lambda=1", "--mu=0"),
+     "error: weight '1' has 1 coordinates, expected 100000\n"),
+    (("check", "--type", "A", "--rank", "3", "--lambda=1,0,0", "--mu=0,x,0"),
+     "error: cannot parse weight '0,x,0': Invalid literal for Fraction: 'x'\n"),
+    (("vertices", "--type", "G", "--rank", "3", "--lambda=1"),
+     "error: type G needs rank in [2, 2], got 3\n"),
+])
+def test_a_weight_is_checked_before_the_root_system_is_built(capsys, monkeypatch, argv, err):
+    # the type, then each weight, are refused as they always were, and before any Cartan matrix
+    def unbuilt(*args):
+        raise AssertionError("root_system was called")
+
+    monkeypatch.setattr(kostka.cli, "root_system", unbuilt)
+    assert run(capsys, *argv) == (2, "", err)
+
+
 def test_a_value_beginning_with_a_dash_is_joined_with_equals(capsys):
     head = ("check", "--type", "A", "--rank", "2", "--lambda", "1,1")
     with pytest.raises(SystemExit) as exc:
@@ -653,3 +718,7 @@ def test_weights_parse_as_fractions_do(tokens, rank):
     assert got == expect
     if isinstance(expect, tuple):
         assert list(map(str, got)) == list(map(str, expect))
+
+
+def test_integer_tokens_parse_with_int():
+    assert list(map(type, _parse_weight("1,-1,0,-0,-12", 5))) == [int] * 5

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_subsets, random_dominant, supported_types, systems
-from kostka import (all_rays, brute_force_vertices, cli, components, cone, cone_contains,
+from kostka import (RootSystem, all_rays, brute_force_vertices, cli, components, cone, cone_contains,
                     cone_inequalities, connected_subsets_containing, fundamental_orbit_pairs,
                     fundamental_weight, fw_to_root_coords, is_extremal_ray,
                     levi_root_coords, linalg, parabolic_average, polytope_vertices, ray_count_formula, rays_for_node,
@@ -405,23 +405,24 @@ def test_rays_are_the_slice_vertices_at_the_fundamental_weight(case):
         assert is_extremal_ray(rs, r.lambda_fw, r.mu_fw)
 
 
-@pytest.mark.parametrize("block", [
-    lambda k: ((0,) * k,) * k,
-    lambda k: tuple(tuple(-2 * (a == b) for b in range(k)) for a in range(k)),  # det < 0, k odd
-], ids=["singular", "negative-determinant"])
-def test_levi_solve_checks_its_invariant(monkeypatch, block):
-    monkeypatch.setattr(cone, "sub_cartan", lambda rs, nodes: block(len(nodes)))
-    c3 = root_system("C", 3)
+@pytest.mark.parametrize("entry", [-2, -3], ids=["singular", "negative-determinant"])
+def test_levi_solve_checks_its_invariant(entry):
+    # C3 with (entry, entry) on the edge 2-3: the Levi block on {2, 3}, built from
+    # those Cartan entries, is [[2, -2], [-2, 2]] (singular) or [[2, -3], [-3, 2]]
+    # (determinant -5), and every entry point to the Levi solve refuses it
+    cartan = [list(row) for row in root_system("C", 3).cartan]
+    cartan[1][2] = cartan[2][1] = entry
+    bad = RootSystem("C", 3, tuple(map(tuple, cartan)))
     with pytest.raises(InvariantError):
-        vertex(c3, (1, 1, 1), (2,))
+        vertex(bad, (1, 1, 1), (2, 3))
     with pytest.raises(InvariantError):
-        vertex(c3, (0, 0, 0), (2,))
+        vertex(bad, (0, 0, 0), (2, 3))
     with pytest.raises(InvariantError):
-        rays_for_node(c3, 2)
+        rays_for_node(bad, 2)
     with pytest.raises(InvariantError):
-        levi_root_coords(c3, (2,), (1,))
+        levi_root_coords(bad, (2, 3), (1, 0))
     with pytest.raises(InvariantError):
-        polytope_vertices(c3, (1, 1, 1))
+        polytope_vertices(bad, (1, 1, 1))
 
 
 @pytest.mark.parametrize("enumerate_, solves", [
