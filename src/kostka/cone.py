@@ -60,7 +60,8 @@ def _integer_cone_forms(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
 def _form_values(rs: RootSystem, lam, mu) -> list[int]:
     # the values of the _integer_cone_forms at m (lam | mu), in their order, for the
     # lcm m > 0 of the denominators: integers with the signs of the cone_inequalities
-    # values at (lam | mu); the first 2r forms are the coordinates
+    # values at (lam | mu); the first 2r forms are the coordinates.  adj's rows, not a
+    # forest solve: the same integers, but at rank <= 6 the rows cost less than a tree walk
     _check_length(rs, lam, mu)
     x, _ = linalg._cleared([*lam, *mu])
     return x + [sum(a * v for a, v in zip(row, x) if v) for row in _integer_cone_forms(rs)[len(x):]]
@@ -125,7 +126,8 @@ def _require_dominant(lam) -> None:
 
 def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tuple[tuple, int]:
     """The integer inverse (adj, det) of the block C_L^T of the Levi of `nodes`
-    (ascending), (C_L^T)^-1 = adj / det, by ``rootdata._block_inverse``.
+    (ascending), (C_L^T)^-1 = adj / det, by ``rootdata._block_inverse``; rays
+    read c as a column of it, and the pretty ray block prints it.
 
     ``inverses`` maps each block already inverted to its result, for one
     enumeration, keyed by the Levi's shape: |L| and its internal edges
@@ -147,38 +149,67 @@ def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tup
     return out
 
 
-def _levi_solve(rs: RootSystem, lam, nodes: tuple[int, ...],
-                inverses: dict) -> tuple[list[int], int, dict[int, int]]:
+def _pairings(rs: RootSystem, nodes: tuple[int, ...], c) -> dict[int, int]:
+    # sum_n c_n C[n][k] at the outside neighbours k of the Levi of `nodes`, keyed by k
+    cartan, nbrs, inside = rs.cartan, rs._neighbors, set(nodes)
+    out: dict[int, int] = {}
+    for n, x in zip(nodes, c):  # over the edges from L to its outside neighbours
+        for k in nbrs[n]:
+            if k not in inside:
+                out[k] = out.get(k, 0) + x * cartan[n - 1][k - 1]
+    return out
+
+
+def _levi_solve(rs: RootSystem, lam, nodes: tuple[int, ...]) -> tuple[list[int], int, dict[int, int]]:
     """C_L^T c = lam|_L on the Levi L of `nodes` (ascending, nonempty), solved in
     integers: c's numerators over d, in the order of `nodes`, d, and the pairings
     sum_n c_n C[n][k] at L's outside neighbours k, keyed by k.  lam's entries
     are ints or Fractions.
 
-    With m the lcm of lam|_L's denominators, c = adj (m lam|_L) / (det m) from
-    the block's inverse (``_levi_inverse``, shared through ``inverses``), one
-    pass over adj per node of lam's support on L (for w_i, adj's one column);
-    d = det m, det C_L for integral lam.  The point lam - (pairings of c) is
-    zero on L, lam_k - pairing / d at each outside neighbour k and lam
-    elsewhere.  Raises InvariantError if the block is singular or its
-    determinant is not positive.
+    The integers of the adjugate formula, c = adj (m lam|_L) and d = det C_L m
+    with m the lcm of lam|_L's denominators, in O(|L|) with no block built:
+    each tree of L's Dynkin forest is eliminated from its leaves to its
+    smallest node, an order with no fill-in (Parter, SIAM Rev. 3, 1961).  Node
+    u keeps its subtree's determinant D_u, the product P_u of its children's D
+    and its right-hand side B_u with them eliminated; c is substituted back
+    from the roots over det = the product of the roots' D, dividing exactly
+    by each D_u.  The point lam - (pairings of c) is zero on L, lam_k -
+    pairing / d at each outside neighbour k and lam elsewhere.  Raises
+    InvariantError if some D_u, a principal minor of C_L, is not positive.
     """
-    adj, det = _levi_inverse(rs, nodes, inverses)
-    support = [j for j, n in enumerate(nodes) if lam[n - 1]]
-    rhs, m = linalg._cleared([lam[nodes[j] - 1] for j in support])
-    c = [0] * len(nodes)
-    for j, w in zip(support, rhs):
-        c = [x + row[j] * w for x, row in zip(c, adj)]
-    cartan, nbrs, inside = rs.cartan, rs._neighbors, set(nodes)
-    pairings: dict[int, int] = {}
-    for n, x in zip(nodes, c):  # over the edges from L to its outside neighbours
-        for k in nbrs[n]:
-            if k not in inside:
-                pairings[k] = pairings.get(k, 0) + x * cartan[n - 1][k - 1]
-    return c, det * m, pairings
+    b, m = linalg._cleared([lam[n - 1] for n in nodes])
+    cartan, nbrs, k = rs.cartan, rs._neighbors, len(nodes)
+    at = {n: a for a, n in enumerate(nodes)}
+    parent, order = [None] * k, []  # each tree depth first from its root: parents first
+    for root in range(k):
+        if parent[root] is None:
+            parent[root], stack = -1, [root]
+            while stack:
+                order.append(u := stack.pop())
+                for v in map(at.get, nbrs[nodes[u]]):
+                    if v is not None and parent[v] is None:
+                        parent[v] = u
+                        stack.append(v)
+    dets, prods, det = [2] * k, [1] * k, 1
+    for v in reversed(order):  # leaves first: v's children are folded into it
+        d, u = dets[v], parent[v]
+        if d <= 0:
+            raise InvariantError(f"Levi {nodes} of {rs} has a Cartan minor that is not positive")
+        if u < 0:
+            det *= d
+            continue
+        x, y, p = nodes[u] - 1, nodes[v] - 1, prods[u]  # C_L^T[u][v] = C[y][x]
+        dets[u] = dets[u] * d - cartan[y][x] * cartan[x][y] * prods[v] * p
+        b[u], prods[u] = b[u] * d - cartan[y][x] * b[v] * p, p * d
+    c = [0] * k
+    for v in order:  # roots first: D_v c_v + P_v C_L^T[v][u] c_u = B_v, over det
+        u = parent[v]
+        e = cartan[nodes[u] - 1][nodes[v] - 1] * prods[v] * c[u] if u >= 0 else 0
+        c[v] = (b[v] * det - e) // dets[v]
+    return c, det * m, _pairings(rs, nodes, c)
 
 
-def _pieces(rs: RootSystem, lam: linalg.Vec, pieces,
-            inverses: dict) -> tuple[list[int], int, list[tuple]]:
+def _pieces(rs: RootSystem, lam: linalg.Vec, pieces) -> tuple[list[int], int, list[tuple]]:
     """The node sets `pieces` (each ascending, nonempty, none adjacent to another
     that one vertex combines it with) solved by ``_levi_solve``, all over one
     denominator D = m lcm(dets), m the lcm of lam's denominators and dets the
@@ -188,7 +219,7 @@ def _pieces(rs: RootSystem, lam: linalg.Vec, pieces,
     numerator) at its outside neighbours."""
     r = rs.rank
     x, m = linalg._cleared(lam)  # each piece is solved at m lam, with d its det
-    solved = [(p, *_levi_solve(rs, x, p, inverses)) for p in pieces]
+    solved = [(p, *_levi_solve(rs, x, p)) for p in pieces]
     big = lcm(*(d for _, _, d, _ in solved))
     out = []
     for p, c, d, pairings in solved:
@@ -213,15 +244,15 @@ def vertex(rs: RootSystem, lam, nodes) -> Vertex:
 
     Solves <x, alpha_i_vee> = 0 for i in `nodes` together with agreement of
     the remaining simple-root coefficients with lam; the unique solution is
-    lam minus a combination of the simple roots indexed by `nodes`, read
-    from the integer inverse of the Levi Cartan block and held in integers
-    as `polytope_vertices` holds its vertices (``_pieces``).  The returned
-    node set is minimal: nodes whose coefficient vanishes are dropped.
+    lam minus a combination of the simple roots indexed by `nodes`, solved on
+    the Levi's Dynkin forest with no block inverse (``_levi_solve``) and held
+    in integers as `polytope_vertices` holds its vertices (``_pieces``).  The
+    returned node set is minimal: nodes whose coefficient vanishes are dropped.
     """
     lam = _weight(rs, lam)
     _require_dominant(lam)
     nodes = node_set(rs, nodes)
-    base, big, solved = _pieces(rs, lam, [nodes] if nodes else [], {})
+    base, big, solved = _pieces(rs, lam, [nodes] if nodes else [])
     out = _extend(base, *solved[0]) if nodes else base
     return Vertex(tuple(n for n in nodes if out[rs.rank + n - 1]), tuple(out), big)
 
@@ -234,9 +265,9 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
     connected components meets the support of lam, and S is the minimal
     defining node set of its vertex.  Each connected piece meeting the
     support is grown once, from its smallest support node and never through
-    a smaller one, and solved once (``_levi_solve``; pieces of one shape share
-    a block inverse), keeping only its c_alpha and its drops lam - point at
-    its outside neighbours.  The vertex of S is zero on S and lam minus its
+    a smaller one, and solved once on its Dynkin tree in O(|piece|) with no
+    block inverse (``_levi_solve``), keeping only its c_alpha and its drops
+    lam - point at its outside neighbours.  The vertex of S is zero on S and lam minus its
     components' drops elsewhere; its c_alpha is the sum of theirs.  All of
     this is integer arithmetic over one denominator for the whole polytope
     (``_pieces``), which every returned Vertex shares; their Fractions are
@@ -272,7 +303,7 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
                                        f"more than {VERTEX_CAP} vertices")
             stack.append((len(sets), free & later[j]))
             sets.append((k, j))
-    base, big, solved = _pieces(rs, lam, pieces, {})
+    base, big, solved = _pieces(rs, lam, pieces)
     for p, (updates, _) in zip(pieces, solved):
         # the point's zeros on p, then c_alpha on p: positive, as p meets lam's support
         if not all(y for _, y in updates[len(p):]):
@@ -330,13 +361,14 @@ def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tu
 
     These are the vertices of the slice polytope at w_i: one for the empty
     node set (the pair (w_i, w_i)) and one for every connected subdiagram L
-    containing node i, read as `vertex` reads them (``_levi_solve``): c_alpha
-    is the column of node i in the integer inverse adj / det of C_L^T, and mu
-    is w_i less the pairings at L's outside neighbours, O(|L|) once the block
-    is inverted, once per call (or per ``inverses`` dict, which the caller may
-    share with other enumerations).  w_i is integral and i is in L, so over
-    d = ``k_det`` mu's numerators are zero on L, minus the pairings at the
-    outside neighbours and zero elsewhere; no ``Fraction`` is made.
+    containing node i, with the integers `vertex` solves for: c_alpha is the
+    column of node i in the integer inverse adj / det of C_L^T
+    (``_levi_inverse``), and mu is w_i less the pairings at L's outside
+    neighbours, O(|L|) once the block is inverted, once per call (or per
+    ``inverses`` dict, which the caller may share with other enumerations).
+    w_i is integral and i is in L, so over d = ``k_det`` mu's numerators are
+    zero on L, minus the pairings at the outside neighbours and zero
+    elsewhere; no ``Fraction`` is made.
     """
     lam = fundamental_weight(rs, i)
     if inverses is None:
@@ -344,11 +376,12 @@ def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tu
     r = rs.rank
     records = [RayRecord(i, (), lam + (0,) * r, 1)]
     for nodes in connected_subsets_containing(rs, i):
-        c, d, pairings = _levi_solve(rs, lam, nodes, inverses)
+        adj, d = _levi_inverse(rs, nodes, inverses)
+        c = [row[nodes.index(i)] for row in adj]
         out = [0] * (2 * r)
         for n, x in zip(nodes, c):
             out[r + n - 1] = x
-        for k, p in pairings.items():
+        for k, p in _pairings(rs, nodes, c).items():
             out[k - 1] = -p
         records.append(RayRecord(i, nodes, tuple(out), d))
     return tuple(records)

@@ -47,10 +47,10 @@ def extend_by_zero(rs: RootSystem, levi, lam_local) -> tuple:
 def levi_root_coords(rs: RootSystem, levi, w_local) -> tuple:
     """Coefficients of the Levi's simple roots expressing a local weight.
 
-    One solve of the whole Levi block, the vertex solve of `cone.vertex`
-    (``_levi_solve``) on the weight extended by zero, read as c over d on the
-    Levi alone; the components do not interact because the Cartan submatrix
-    is block diagonal across them.
+    The vertex solve of `cone.vertex` (``_levi_solve``) on the weight extended
+    by zero, read as c over d on the Levi alone: each component of the Levi's
+    Dynkin forest is eliminated on its own, in O(|levi|), with no block
+    inverse, as the Cartan submatrix is block diagonal across them.
     """
     levi = node_set(rs, levi)
     _check_length(rs, w_local, levi=levi)
@@ -59,7 +59,7 @@ def levi_root_coords(rs: RootSystem, levi, w_local) -> tuple:
     w = [0] * rs.rank
     for n, x in zip(levi, linalg.vector(w_local)):
         w[n - 1] = x
-    c, d, _ = _levi_solve(rs, w, levi, {})
+    c, d, _ = _levi_solve(rs, w, levi)
     return tuple(Fraction(x, d) for x in c)
 
 

@@ -19,6 +19,7 @@ from kostka import (RootSystem, all_rays, brute_force_vertices, cli, components,
 from kostka.errors import (CapExceededError, InvariantError, NotDominantError,
                            NotInConeError)
 from kostka.oracle import DEFAULT_VERTEX_RANK_BOUND
+from kostka.rootdata import _block_inverse
 
 C4_GOLDEN_NODE3 = {
     ((0, 0, 1, 0), (0, 0, 1, 0)),
@@ -425,15 +426,70 @@ def test_levi_solve_checks_its_invariant(entry):
         polytope_vertices(bad, (1, 1, 1))
 
 
+@st.composite
+def _forest_solves(draw):
+    """A system of rank at most 10, any nonempty node set, connected or not, and a
+    weight with zero, integral and rational entries, zero on whole components at times."""
+    letter, r = draw(st.sampled_from(supported_types(10)))
+    coord = st.one_of(st.just(0), st.integers(1, 4), st.builds(Q, st.integers(-5, 5), st.integers(2, 6)))
+    lam = [draw(coord) for _ in range(r)]
+    nodes = tuple(sorted(draw(st.sets(st.integers(1, r), min_size=1))))
+    rs = root_system(letter, r)
+    for comp in components(rs, nodes):
+        if draw(st.booleans()):
+            for n in comp:
+                lam[n - 1] = 0
+    return rs, tuple(lam), nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forest_solves())
+@example((root_system("E", 8), (1, 0, Q(1, 2), 0, 0, 0, 0, 2), tuple(range(1, 9))))
+@example((root_system("D", 6), (0, 0, 0, 0, 1, 0), (1, 2, 5, 6)))  # a component where lam is 0
+@example((root_system("F", 4), (Q(1, 3), 0, 0, Q(1, 2)), (1, 2, 3, 4)))
+@example((root_system("G", 2), (0, Q(2, 5)), (1, 2)))
+def test_forest_solve_is_the_adjugate_formula(case):
+    # the same integers as c = adj (m lam|_L), d = det m from the block inverse of
+    # C_L^T, not only the same Fractions: the polytope's denominator is the lcm of the d
+    rs, lam, nodes = case
+    adj, det = _block_inverse(tuple(zip(*sub_cartan(rs, nodes))), "C_L^T")
+    rhs, m = linalg._cleared([lam[n - 1] for n in nodes])
+    c = [sum(a * b for a, b in zip(row, rhs)) for row in adj]
+    pairings = {}
+    for n, x in zip(nodes, c):
+        for k in rs.neighbors(n):
+            if k not in nodes:
+                pairings[k] = pairings.get(k, 0) + x * rs.cartan[n - 1][k - 1]
+    got = cone._levi_solve(rs, lam, nodes)
+    assert got == (c, det * m, pairings)
+    assert all(type(x) is int for x in got[0] + [got[1], *got[2].values()])
+
+
+def test_slices_scale_in_rank_without_a_block_inverse(monkeypatch):
+    # A300 at w1: 301 vertices, each from one O(|L|) forest solve and none from an
+    # inverse of its O(|L|^2) block; the vertex on {1..k} is w_{k+1} / (k+1), 0 for k = 300
+    def refuse(*args, **kwargs):
+        raise AssertionError("a slice solve inverted a block")
+
+    rs = root_system("A", 300)
+    monkeypatch.setattr(linalg, "solve_unique", refuse)
+    verts = polytope_vertices(rs, fundamental_weight(rs, 1))
+    assert len(verts) == 301
+    for k, v in enumerate(verts):
+        assert v.levi == tuple(range(1, k + 1))
+        assert v.point == tuple(Q(int(j == k), k + 1) for j in range(300))
+
+
 @pytest.mark.parametrize("enumerate_, solves", [
     (lambda: cli.main(["rays", "--type", "A", "--rank", "16", "--node", "8",
                        "--format", "pretty"]), 16),
     (lambda: all_rays(root_system("A", 12)), 12),
     (lambda: all_rays(root_system("E", 8)), 17),
-    (lambda: polytope_vertices(root_system("A", 9), rho(root_system("A", 9))), 9),
+    (lambda: polytope_vertices(root_system("A", 9), rho(root_system("A", 9))), 0),
 ], ids=["cli-rays-A16-node8-pretty", "all_rays-A12", "all_rays-E8", "polytope_vertices-A9-rho"])
 def test_one_solve_per_distinct_levi_block(monkeypatch, enumerate_, solves):
-    # 72, 364, 160 and 45 Levis; the same count on a second call: no cache outlives a call
+    # 72, 364, 160 and 45 Levis; the same count on a second call: no cache outlives a call.
+    # The rays read block inverses; the slice pieces are solved on the Dynkin forest
     for letter, r in (("A", 16), ("A", 12), ("E", 8), ("A", 9)):
         root_system(letter, r)
     calls = []

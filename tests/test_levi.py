@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import systems
+from kostka import levi as levi_module
 from kostka import linalg
 from kostka import (LeviWeightPair, cone_contains, components, extend_by_zero,
                     induce, induce_sum, induce_vertex, induction_composes,
@@ -52,17 +53,21 @@ def test_induce_rejects_outside_pairs():
 
 
 def test_induce_solves_the_inner_levi_once(monkeypatch):
-    solves = []
-    solve_unique = linalg.solve_unique
+    # one Levi solve, on the Dynkin forest: no block is inverted
+    solves, inverses = [], []
+    levi_solve, solve_unique = levi_module._levi_solve, linalg.solve_unique
 
-    def counted(*args, **kwargs):
-        solves.append(args)
-        return solve_unique(*args, **kwargs)
+    def counted(calls, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(linalg, "solve_unique", counted)
+    monkeypatch.setattr(levi_module, "_levi_solve", counted(solves, levi_solve))
+    monkeypatch.setattr(linalg, "solve_unique", counted(inverses, solve_unique))
     c5 = root_system("C", 5)
     lam, mu = induce(c5, LeviWeightPair((1, 2, 4), (2, 1, 1), (0, 1, 0)))
-    assert len(solves) == 1
+    assert (len(solves), len(inverses)) == (1, 0)
     assert (lam, mu) == ((2, 1, 0, 1, 0), (0, 1, Q(7, 6), 0, Q(1, 2)))
     # the refusal keeps its class and message
     with pytest.raises(NotInLeviConeError) as exc:
