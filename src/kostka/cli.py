@@ -70,11 +70,17 @@ def _combo(coeffs, sym: str) -> str:
     return ("-" if terms[1] == "-" else "") + terms[3:]
 
 
+def _printable(x: Fraction) -> Fraction:
+    str(x)  # a ValueError past Python's int string limit, as 1e4300 would be when printed
+    return x
+
+
 def _parse_weight(text: str, rank: int) -> tuple[int | Fraction, ...]:
-    # an integer token ('-' then digits, or digits) is read by int: it prints as its Fraction
+    # an integer token ('-' then digits, or digits) is read by int: it prints as its Fraction,
+    # and int refuses it past the limit; any other is read by Fraction and printed once
     try:
-        coords = tuple(int(tok) if tok.removeprefix("-").isdecimal() else Fraction(tok.strip())
-                       for tok in text.split(","))
+        coords = tuple(int(tok) if tok.removeprefix("-").isdecimal()
+                       else _printable(Fraction(tok.strip())) for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse weight {text!r}: {exc}") from None
     if len(coords) != rank:

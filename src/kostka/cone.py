@@ -36,16 +36,12 @@ class LinearForm:
 def cone_inequalities(rs: RootSystem) -> tuple[LinearForm, ...]:
     """The 3r defining inequalities of the cone, in a fixed order: dominance of lam,
     dominance of mu, then the simple-root coefficients of lam - mu, row j of
-    (C^-T | -C^-T) with C^-T = adj / det from ``rs._inverse``."""
-    r = rs.rank
-    zero = (Fraction(0),) * r
-    eye = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
-    adj, det = rs._inverse
-    forms = [LinearForm(f"dom-lambda({i + 1})", e + zero) for i, e in enumerate(eye)]
-    forms += [LinearForm(f"dom-mu({i + 1})", zero + e) for i, e in enumerate(eye)]
-    forms += [LinearForm(f"rootcoef({j + 1})", tuple(Fraction(x, det) for x in row)
-                         + tuple(Fraction(-x, det) for x in row)) for j, row in enumerate(adj)]
-    return tuple(forms)
+    (C^-T | -C^-T) with C^-T = adj / det from ``rs._inverse``: the
+    ``_integer_cone_forms``, the last r over det."""
+    r, det = rs.rank, rs._inverse[1]
+    labels = [f"{name}({i})" for name in ("dom-lambda", "dom-mu", "rootcoef") for i in rs.nodes()]
+    return tuple(LinearForm(label, tuple(Fraction(x, det if k >= 2 * r else 1) for x in form))
+                 for k, (label, form) in enumerate(zip(labels, _integer_cone_forms(rs))))
 
 
 @_per_system
@@ -60,11 +56,11 @@ def _integer_cone_forms(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
 def _form_values(rs: RootSystem, lam, mu) -> list[int]:
     # the values of the _integer_cone_forms at m (lam | mu), in their order, for the
     # lcm m > 0 of the denominators: integers with the signs of the cone_inequalities
-    # values at (lam | mu); the first 2r forms are the coordinates.  adj's rows, not a
+    # values at (lam | mu): the 2r coordinates, then adj m (lam - mu).  adj's rows, not a
     # forest solve: the same integers, but at rank <= 6 the rows cost less than a tree walk
     _check_length(rs, lam, mu)
     x, _ = linalg._cleared([*lam, *mu])
-    return x + [sum(a * v for a, v in zip(row, x) if v) for row in _integer_cone_forms(rs)[len(x):]]
+    return x + rs._root_numerators([a - b for a, b in zip(x, x[rs.rank:])])  # zip stops at r
 
 
 def cone_contains(rs: RootSystem, lam, mu) -> bool:
@@ -161,10 +157,10 @@ def _pairings(rs: RootSystem, nodes: tuple[int, ...], c) -> dict[int, int]:
 
 
 def _levi_solve(rs: RootSystem, lam, nodes: tuple[int, ...]) -> tuple[list[int], int, dict[int, int]]:
-    """C_L^T c = lam|_L on the Levi L of `nodes` (ascending, nonempty), solved in
+    """C_L^T c = lam|_L on the Levi L of `nodes` (ascending), solved in
     integers: c's numerators over d, in the order of `nodes`, d, and the pairings
     sum_n c_n C[n][k] at L's outside neighbours k, keyed by k.  lam's entries
-    are ints or Fractions.
+    are ints or Fractions, read as lam[n - 1] for n in L (a weight, or a dict).
 
     The integers of the adjugate formula, c = adj (m lam|_L) and d = det C_L m
     with m the lcm of lam|_L's denominators, in O(|L|) with no block built:

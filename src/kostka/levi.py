@@ -11,10 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from dataclasses import dataclass
 
-from . import linalg
 from .cone import Vertex, _levi_solve, _require_dominant, vertex
 from .errors import NotInLeviConeError, OverlappingLevisError
-from .rootdata import RootSystem, _check_length, is_dominant, node_set, root_coords_to_fw
+from .rootdata import RootSystem, _check_length, is_dominant, node_set
 
 
 @dataclass(frozen=True)
@@ -38,28 +37,21 @@ def extend_by_zero(rs: RootSystem, levi, lam_local) -> tuple:
     levi = node_set(rs, levi)
     _check_length(rs, lam_local, levi=levi)
     _require_dominant(lam_local)
-    out = [Fraction(0)] * rs.rank
-    for n, v in zip(levi, lam_local):
-        out[n - 1] = Fraction(v)
-    return tuple(out)
+    return _at(dict(zip(levi, lam_local)), rs.nodes())
+
+
+def _solve(rs: RootSystem, levi: tuple[int, ...], w_local) -> tuple[list[int], int, dict[int, int]]:
+    # ``_levi_solve`` on a local weight of a checked Levi: c's numerators, d > 0, pairings
+    return _levi_solve(rs, {n - 1: x for n, x in zip(levi, w_local)}, levi)
 
 
 def levi_root_coords(rs: RootSystem, levi, w_local) -> tuple:
-    """Coefficients of the Levi's simple roots expressing a local weight.
-
-    The vertex solve of `cone.vertex` (``_levi_solve``) on the weight extended
-    by zero, read as c over d on the Levi alone: each component of the Levi's
-    Dynkin forest is eliminated on its own, in O(|levi|), with no block
-    inverse, as the Cartan submatrix is block diagonal across them.
-    """
+    """Coefficients of the Levi's simple roots expressing a local weight: c over d
+    from the vertex solve of `cone.vertex` (``_levi_solve``), in O(|levi|) on the
+    Levi's Dynkin forest with no block inverse."""
     levi = node_set(rs, levi)
     _check_length(rs, w_local, levi=levi)
-    if not levi:
-        return ()
-    w = [0] * rs.rank
-    for n, x in zip(levi, linalg.vector(w_local)):
-        w[n - 1] = x
-    c, d, _ = _levi_solve(rs, w, levi)
+    c, d, _ = _solve(rs, levi, w_local)
     return tuple(Fraction(x, d) for x in c)
 
 
@@ -69,38 +61,48 @@ def levi_cone_contains(rs: RootSystem, levi, lam_local, mu_local) -> bool:
     _check_length(rs, lam_local, mu_local, levi=levi)
     if not (is_dominant(lam_local) and is_dominant(mu_local)):
         return False
-    diff = tuple(a - b for a, b in zip(lam_local, mu_local))
-    return all(c >= 0 for c in levi_root_coords(rs, levi, diff))
+    return is_dominant(_solve(rs, levi, [a - b for a, b in zip(lam_local, mu_local)])[0])
+
+
+def _lift(rs: RootSystem, inner: tuple[int, ...], lam_local, mu_local) -> tuple[dict, dict]:
+    # the lift of a pair on the checked Levi `inner` as {node: value}, zero where absent, from
+    # one solve: the pair is in the inner cone when both weights and c are dominant
+    _check_length(rs, lam_local, mu_local, levi=inner)
+    c, d, pairings = _solve(rs, inner, [a - b for a, b in zip(lam_local, mu_local)])
+    if not (is_dominant(lam_local) and is_dominant(mu_local) and is_dominant(c)):
+        raise NotInLeviConeError(
+            f"({tuple(lam_local)}, {tuple(mu_local)}) is not in the cone of {inner}")
+    mu = {k: Fraction(-p, d) for k, p in pairings.items()}
+    mu.update(zip(inner, mu_local))
+    return dict(zip(inner, lam_local)), mu
+
+
+def _at(w: dict, nodes) -> tuple:
+    # a weight held as {node: value}, zero where absent, read on `nodes`: each entry a Fraction
+    zero = Fraction(0)
+    return tuple(Fraction(w[n]) if n in w else zero for n in nodes)
 
 
 def induce_between(rs: RootSystem, inner, outer, lam_local, mu_local) -> tuple[tuple, tuple]:
     """Lift a pair from an inner Levi to an outer one containing it.
 
-    The lifted pair keeps the same simple-root coefficients: the first
-    weight is the extension by zero, the second is that extension minus the
-    original root combination re-read in the outer system.
+    The lifted pair keeps the same simple-root coefficients c: the first weight
+    is the extension by zero, the second that extension minus C^T c, read from
+    the one solve of c: mu on the inner Levi, minus c's pairings (over d) at
+    its outside neighbours, and zero elsewhere.
     """
     inner = node_set(rs, inner)
     outer = node_set(rs, outer)
     if not set(inner) <= set(outer):
         raise ValueError(f"{inner} is not contained in {outer}")
-    _check_length(rs, lam_local, mu_local, levi=inner)
-    # one solve: the pair is in the inner cone when both weights and c are dominant
-    c = levi_root_coords(rs, inner, tuple(a - b for a, b in zip(lam_local, mu_local)))
-    if not (is_dominant(lam_local) and is_dominant(mu_local) and is_dominant(c)):
-        raise NotInLeviConeError(
-            f"({tuple(lam_local)}, {tuple(mu_local)}) is not in the cone of {inner}")
-    lam = extend_by_zero(rs, inner, lam_local)
-    full = [Fraction(0)] * rs.rank
-    for n, x in zip(inner, c):
-        full[n - 1] = x
-    drop = root_coords_to_fw(rs, full)
-    return tuple(lam[n - 1] for n in outer), tuple(lam[n - 1] - drop[n - 1] for n in outer)
+    lam, mu = _lift(rs, inner, lam_local, mu_local)
+    return _at(lam, outer), _at(mu, outer)
 
 
 def induce(rs: RootSystem, pair: LeviWeightPair) -> tuple[tuple, tuple]:
     """Lift a Levi weight pair all the way up to the ambient system."""
-    return induce_between(rs, pair.levi, rs.nodes(), pair.lambda_fw, pair.mu_fw)
+    lam, mu = _lift(rs, node_set(rs, pair.levi), pair.lambda_fw, pair.mu_fw)
+    return _at(lam, rs.nodes()), _at(mu, rs.nodes())
 
 
 def induce_vertex(rs: RootSystem, levi, lam_local, inner) -> Vertex:
@@ -120,9 +122,8 @@ def induction_composes(rs: RootSystem, pair: LeviWeightPair, mid) -> bool:
     """Whether lifting through an intermediate Levi agrees with lifting directly."""
     mid = node_set(rs, mid)
     direct = induce(rs, pair)
-    lam_mid, mu_mid = induce_between(rs, pair.levi, mid, pair.lambda_fw, pair.mu_fw)
-    two_step = induce_between(rs, mid, rs.nodes(), lam_mid, mu_mid)
-    return direct == two_step
+    via = induce_between(rs, pair.levi, mid, pair.lambda_fw, pair.mu_fw)
+    return direct == induce_between(rs, mid, rs.nodes(), *via)
 
 
 def induce_sum(rs: RootSystem, pairs) -> tuple[tuple, tuple]:
@@ -134,10 +135,9 @@ def induce_sum(rs: RootSystem, pairs) -> tuple[tuple, tuple]:
         if used & nodes:
             raise OverlappingLevisError(f"node sets overlap at {sorted(used & nodes)}")
         used |= nodes
-    lam_total = [Fraction(0)] * rs.rank
-    mu_total = [Fraction(0)] * rs.rank
+    lam, mu = {}, {}
     for p in pairs:
-        lam, mu = induce(rs, p)
-        lam_total = [a + b for a, b in zip(lam_total, lam)]
-        mu_total = [a + b for a, b in zip(mu_total, mu)]
-    return tuple(lam_total), tuple(mu_total)
+        for total, part in zip((lam, mu), _lift(rs, node_set(rs, p.levi), p.lambda_fw, p.mu_fw)):
+            for k, x in part.items():
+                total[k] = total.get(k, 0) + x
+    return _at(lam, rs.nodes()), _at(mu, rs.nodes())

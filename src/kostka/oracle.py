@@ -155,9 +155,8 @@ def _root_orbits(rs: RootSystem, nodes: tuple[int, ...]):
 
 def _in_root_lattice(rs: RootSystem, lam, mu) -> bool:
     # w = lam - mu has root coordinates C^-T w = adj w / det
-    adj, det = rs._inverse
-    w = [a - b for a, b in zip(lam, mu)]
-    return all(sum(a * x for a, x in zip(row, w) if x) % det == 0 for row in adj)
+    det = rs._inverse[1]
+    return all(n % det == 0 for n in rs._root_numerators([a - b for a, b in zip(lam, mu)]))
 
 
 def weyl_dim(rs: RootSystem, lam) -> int:

@@ -107,6 +107,10 @@ class RootSystem:
         """(adj, det) of the transposed Cartan matrix, built on first use."""
         return _block_inverse(tuple(zip(*self.cartan)), repr(self))
 
+    def _root_numerators(self, x) -> list[int]:
+        # adj x for an integer weight x: its simple-root coefficients over _inverse's det
+        return [sum(a * v for a, v in zip(row, x) if v) for row in self._inverse[0]]
+
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbors[i]
 
@@ -178,7 +182,11 @@ def root_system(letter: str, rank: int) -> RootSystem:
 
 
 def node_set(rs: RootSystem, nodes) -> tuple[int, ...]:
-    out = tuple(sorted({int(n) for n in nodes}))
+    ids = {n: int(n) for n in nodes}
+    for n, i in ids.items():
+        if i != n:  # int() would cut 1.5 down to node 1
+            raise ValueError(f"node ids must be integers: {n!r}")
+    out = tuple(sorted(set(ids.values())))
     if out and (out[0] < 1 or out[-1] > rs.rank):
         raise ValueError(f"node ids must lie in 1..{rs.rank}: {out}")
     return out
@@ -203,8 +211,7 @@ def fw_to_root_coords(rs: RootSystem, w) -> linalg.Vec:
     """Simple-root coefficients of a weight given in fundamental-weight coordinates."""
     x, m = linalg._cleared(tuple(w))
     _check_length(rs, x)
-    adj, det = rs._inverse
-    return tuple(Fraction(sum(a * v for a, v in zip(row, x) if v), det * m) for row in adj)
+    return tuple(Fraction(n, rs._inverse[1] * m) for n in rs._root_numerators(x))
 
 
 def root_coords_to_fw(rs: RootSystem, c) -> tuple:

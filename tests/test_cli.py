@@ -658,6 +658,10 @@ def test_an_option_valued_dash_dash_is_a_usage_error(capsys):
             assert f"argument {a.option_strings[-1]}: " in err, argv
 
 
+_UNPRINTABLE = ("error: cannot parse weight '1e4300': Exceeds the limit (4300 digits) for integer "
+                "string conversion; use sys.set_int_max_str_digits() to increase the limit\n")
+
+
 @pytest.mark.parametrize("argv, err", [
     (("vertices", "--type", "A", "--rank", "100000", "--lambda=1"),
      "error: weight '1' has 1 coordinates, expected 100000\n"),
@@ -667,6 +671,9 @@ def test_an_option_valued_dash_dash_is_a_usage_error(capsys):
      "error: cannot parse weight '0,x,0': Invalid literal for Fraction: 'x'\n"),
     (("vertices", "--type", "G", "--rank", "3", "--lambda=1"),
      "error: type G needs rank in [2, 2], got 3\n"),
+    # a coordinate past Python's int string limit could be read but never printed
+    (("vertices", "--type", "A", "--rank", "1", "--lambda", "1e4300"), _UNPRINTABLE),
+    (("check", "--type", "A", "--rank", "1", "--lambda", "1", "--mu", "1e4300"), _UNPRINTABLE),
 ])
 def test_a_weight_is_checked_before_the_root_system_is_built(capsys, monkeypatch, argv, err):
     # the type, then each weight, are refused as they always were, and before any Cartan matrix
@@ -689,10 +696,15 @@ def test_a_value_beginning_with_a_dash_is_joined_with_equals(capsys):
 # ---------------------------------------------------------------- weight tokens
 
 def _weight_by_fraction(text):
-    """The coordinates that Fraction reads from comma-separated text, or the
+    """The coordinates that Fraction reads from comma-separated text, each
+    formatted as it is read (so one too long to print is refused), or the
     message of _parse_weight's refusal."""
     try:
-        return tuple(Q(tok.strip()) for tok in text.split(","))
+        out = []
+        for tok in text.split(","):
+            out.append(Q(tok.strip()))
+            str(out[-1])
+        return tuple(out)
     except (ValueError, ZeroDivisionError) as exc:
         return f"cannot parse weight {text!r}: {exc}"
 
@@ -706,6 +718,7 @@ _TOKENS = (st.sampled_from(["0", "1", "12", "007", "\u0663", "\uff17", "\u00b2",
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_TOKENS, min_size=1, max_size=4), st.integers(1, 4))
+@example(tokens=["1e4300"], rank=1)
 def test_weights_parse_as_fractions_do(tokens, rank):
     text = ",".join(tokens)
     expect = _weight_by_fraction(text)

@@ -2,16 +2,20 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import systems
+from conftest import supported_types, systems
+import kostka
 from kostka import levi as levi_module
-from kostka import linalg
+from kostka import linalg, rootdata
 from kostka import (LeviWeightPair, cone_contains, components, extend_by_zero,
-                    induce, induce_sum, induce_vertex, induction_composes,
+                    induce, induce_between, induce_sum, induce_vertex, induction_composes,
                     levi_cone_contains, levi_root_coords, rays_for_node,
                     restrict, root_system, vertex)
-from kostka.errors import (NotDominantError, NotInLeviConeError,
+from kostka.errors import (KostkaError, NotDominantError, NotInLeviConeError,
                            OverlappingLevisError)
+from kostka.rootdata import _check_length, is_dominant, node_set, root_coords_to_fw
 
 
 def test_extend_by_zero_examples():
@@ -53,7 +57,8 @@ def test_induce_rejects_outside_pairs():
 
 
 def test_induce_solves_the_inner_levi_once(monkeypatch):
-    # one Levi solve, on the Dynkin forest: no block is inverted
+    # one Levi solve, on the Dynkin forest: no block is inverted, and the lift is read
+    # from the solve's pairings, not re-derived through root_coords_to_fw
     solves, inverses = [], []
     levi_solve, solve_unique = levi_module._levi_solve, linalg.solve_unique
 
@@ -63,12 +68,20 @@ def test_induce_solves_the_inner_levi_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
+    def unused(*args):
+        raise AssertionError("root_coords_to_fw called")
+
     monkeypatch.setattr(levi_module, "_levi_solve", counted(solves, levi_solve))
     monkeypatch.setattr(linalg, "solve_unique", counted(inverses, solve_unique))
+    monkeypatch.setattr(rootdata, "root_coords_to_fw", unused)
+    monkeypatch.setattr(kostka, "root_coords_to_fw", unused)
     c5 = root_system("C", 5)
-    lam, mu = induce(c5, LeviWeightPair((1, 2, 4), (2, 1, 1), (0, 1, 0)))
+    pair = LeviWeightPair((1, 2, 4), (2, 1, 1), (0, 1, 0))
+    lam, mu = induce(c5, pair)
     assert (len(solves), len(inverses)) == (1, 0)
     assert (lam, mu) == ((2, 1, 0, 1, 0), (0, 1, Q(7, 6), 0, Q(1, 2)))
+    assert induction_composes(c5, pair, (1, 2, 3, 4))
+    assert (len(solves), len(inverses)) == (4, 0)  # one solve per lift: direct, up to mid, on
     # the refusal keeps its class and message
     with pytest.raises(NotInLeviConeError) as exc:
         induce(c5, LeviWeightPair((1, 2), (1, 0), (0, 1)))
@@ -205,3 +218,130 @@ def test_rays_are_lifts_of_zero():
                 zero = (0,) * len(ray.levi)
                 lam, mu = induce(rs, LeviWeightPair(ray.levi, lam_local, zero))
                 assert (lam, mu) == (ray.lambda_fw, ray.mu_fw)
+
+
+# ---------------------------------------------------------------- lifts against Fraction lifts
+
+def _fraction_solve(a, b):
+    # Gauss-Jordan over Fractions: the x with a x = b, for a square invertible a
+    n = len(b)
+    rows = [[Q(v) for v in row] + [Q(y)] for row, y in zip(a, b)]
+    for i in range(n):
+        p = next(k for k in range(i, n) if rows[k][i])
+        rows[i], rows[p] = rows[p], rows[i]
+        rows[i] = [v / rows[i][i] for v in rows[i]]
+        for k in range(n):
+            if k != i and rows[k][i]:
+                rows[k] = [v - rows[k][i] * w for v, w in zip(rows[k], rows[i])]
+    return tuple(row[n] for row in rows)
+
+
+def _reference_root_coords(rs, levi, w_local):
+    # C_L^T c = w on the Levi, solved apart from the package
+    levi = node_set(rs, levi)
+    _check_length(rs, w_local, levi=levi)
+    return _fraction_solve([[rs.cartan[n - 1][k - 1] for n in levi] for k in levi], w_local)
+
+
+def _reference_contains(rs, levi, lam_local, mu_local):
+    levi = node_set(rs, levi)
+    _check_length(rs, lam_local, mu_local, levi=levi)
+    diff = tuple(a - b for a, b in zip(lam_local, mu_local))
+    return (is_dominant(lam_local) and is_dominant(mu_local)
+            and is_dominant(_reference_root_coords(rs, levi, diff)))
+
+
+def _reference_lift(rs, inner, outer, lam_local, mu_local):
+    # the Fraction lift: lam_local extended by zero, less root_coords_to_fw of c
+    inner, outer = node_set(rs, inner), node_set(rs, outer)
+    if not set(inner) <= set(outer):
+        raise ValueError(f"{inner} is not contained in {outer}")
+    _check_length(rs, lam_local, mu_local, levi=inner)
+    c = _reference_root_coords(rs, inner, tuple(a - b for a, b in zip(lam_local, mu_local)))
+    if not (is_dominant(lam_local) and is_dominant(mu_local) and is_dominant(c)):
+        raise NotInLeviConeError(
+            f"({tuple(lam_local)}, {tuple(mu_local)}) is not in the cone of {inner}")
+    lam, full = [Q(0)] * rs.rank, [Q(0)] * rs.rank
+    for n, v, x in zip(inner, lam_local, c):
+        lam[n - 1], full[n - 1] = Q(v), x
+    drop = root_coords_to_fw(rs, full)
+    return tuple(lam[n - 1] for n in outer), tuple(lam[n - 1] - drop[n - 1] for n in outer)
+
+
+def _reference_sum(rs, pairs):
+    used = set()
+    for p in pairs:
+        nodes = set(node_set(rs, p.levi))
+        if used & nodes:
+            raise OverlappingLevisError(f"node sets overlap at {sorted(used & nodes)}")
+        used |= nodes
+    lam, mu = [Q(0)] * rs.rank, [Q(0)] * rs.rank
+    for p in pairs:
+        lam_p, mu_p = _reference_lift(rs, p.levi, rs.nodes(), p.lambda_fw, p.mu_fw)
+        lam, mu = [a + b for a, b in zip(lam, lam_p)], [a + b for a, b in zip(mu, mu_p)]
+    return tuple(lam), tuple(mu)
+
+
+def _outcome(fn, *args):
+    # the value, or the class and message of the refusal
+    try:
+        return fn(*args)
+    except (ValueError, KostkaError) as exc:
+        return type(exc), str(exc)
+
+
+def _all_fractions(value):
+    # every entry of a returned tuple, or of a returned pair of tuples, is a Fraction
+    if value and isinstance(value[0], tuple):
+        return all(map(_all_fractions, value))
+    return all(type(x) is Q for x in value)
+
+
+_RATIONALS = st.integers(0, 3) | st.fractions(0, 3, max_denominator=4)
+
+
+@st.composite
+def _levi_pairs(draw):
+    letter, r = draw(st.sampled_from(supported_types(8)))
+    rs = root_system(letter, r)
+    inner = tuple(n for n in rs.nodes() if draw(st.booleans()))
+    outer = tuple(n for n in rs.nodes() if n in inner or draw(st.booleans()))
+    lam = tuple(draw(_RATIONALS) for _ in inner)
+    if inner and draw(st.integers(0, 7)) == 0:
+        lam = (-1, *lam[1:])
+    if draw(st.booleans()):  # lam less a combination of the Levi's roots: often in its cone
+        c = [draw(st.fractions(0, 1, max_denominator=3)) for _ in inner]
+        mu = tuple(x - sum(y * rs.cartan[m - 1][n - 1] for m, y in zip(inner, c))
+                   for n, x in zip(inner, lam))
+    else:
+        mu = tuple(draw(_RATIONALS) for _ in inner)
+    return rs, inner, outer, lam, mu
+
+
+@settings(max_examples=300, deadline=None)
+@given(_levi_pairs())
+def test_lifts_match_the_fraction_lifts(case):
+    rs, inner, outer, lam, mu = case
+    pair = LeviWeightPair(inner, lam, mu)
+    rest = tuple(n for n in rs.nodes() if n not in outer)
+    other = LeviWeightPair(rest, (1,) * len(rest), (0,) * len(rest))
+    for got, expect in [
+        (_outcome(induce_between, rs, inner, outer, lam, mu),
+         _outcome(_reference_lift, rs, inner, outer, lam, mu)),
+        (_outcome(induce_between, rs, outer, inner, lam, mu),
+         _outcome(_reference_lift, rs, outer, inner, lam, mu)),
+        (_outcome(induce, rs, pair), _outcome(_reference_lift, rs, inner, rs.nodes(), lam, mu)),
+        (_outcome(induce_sum, rs, [pair, other]), _outcome(_reference_sum, rs, [pair, other])),
+        (_outcome(levi_root_coords, rs, inner, tuple(a - b for a, b in zip(lam, mu))),
+         _outcome(_reference_root_coords, rs, inner, tuple(a - b for a, b in zip(lam, mu)))),
+        (_outcome(levi_cone_contains, rs, inner, lam, mu),
+         _outcome(_reference_contains, rs, inner, lam, mu)),
+    ]:
+        assert got == expect
+        if isinstance(got, tuple) and not (got and isinstance(got[0], type)):  # not a refusal
+            assert _all_fractions(got)
+    direct = _outcome(_reference_lift, rs, inner, rs.nodes(), lam, mu)
+    if isinstance(direct[0], type):
+        assert _outcome(induction_composes, rs, pair, outer) == direct
+    else:
+        assert induction_composes(rs, pair, outer)

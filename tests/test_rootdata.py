@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import random
+import re
 from fractions import Fraction as Q
 from time import perf_counter
 
@@ -13,9 +14,9 @@ from kostka import (FreudenthalTable, LeviWeightPair, brute_force_vertices,
                     compare_membership_multiplicity, components, cone_contains,
                     connected_subsets_containing, fundamental_weight, fw_to_root_coords, induce,
                     induce_between, is_connected, is_dominant, levi_cone_contains, levi_factors,
-                    longest_element_image, orbit, parabolic_average, parabolic_average_direct,
-                    positive_roots, restrict, rho, root_coords_to_fw, root_system, sub_cartan,
-                    weight_multiplicity, weyl_dim, weyl_order)
+                    levi_root_coords, longest_element_image, node_set, orbit, parabolic_average,
+                    parabolic_average_direct, positive_roots, restrict, rho, root_coords_to_fw,
+                    root_system, sub_cartan, vertex, weight_multiplicity, weyl_dim, weyl_order)
 from kostka import linalg, oracle
 from kostka.errors import EmptyNodeSetError, UnsupportedRankError
 from kostka.rootdata import symmetrizer
@@ -203,6 +204,19 @@ def test_wrong_length_weights_are_refused_at_every_entry(call):
     # zip would cut them short, or an index run past the rank
     with pytest.raises(ValueError, match="coordinates, got"):
         call()
+
+
+def test_node_ids_must_be_integers():
+    a3 = root_system("A", 3)
+    # int() would cut 1.5 down to node 1 and 2.9 to node 2
+    with pytest.raises(ValueError, match=r"^node ids must be integers: 1\.5$"):
+        node_set(a3, [1.5, 2.9])
+    assert node_set(a3, [3, 2.0, Q(1)]) == (1, 2, 3)
+    for call, bad in [(lambda: vertex(a3, (1, 1, 1), [1.5]), "1.5"),
+                      (lambda: orbit(a3, (1, 0, 0), (1, Q(5, 2))), "Fraction(5, 2)"),
+                      (lambda: levi_root_coords(a3, (1, 2.5), (1, 1)), "2.5")]:
+        with pytest.raises(ValueError, match=f"^node ids must be integers: {re.escape(bad)}$"):
+            call()
 
 
 def test_dominant_root_coords_nonnegative():
