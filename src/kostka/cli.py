@@ -2,18 +2,21 @@
 
 Output is byte-deterministic for fixed inputs.  Rationals are printed as
 "p/q" with the denominator omitted when it is 1; they never degrade to
-floats.  The json and tsv tables (rays, vertices, census) go through one
-writer, ``_table``: json is one compact object per row, keyed by the
-columns, each cell spelled as ``json.dumps`` spells it (``_json_cell``); tsv
-is the header, then one line per row, with a list cell comma-joined and a
-bool cell printed as yes/no.  No zero entry is formatted.  Exit codes: 0
-success (or membership), 1 clean negative verdict, 2 usage or domain error.
+floats.  The json and tsv tables (rays, vertices, census) and check's json
+object go through one writer, ``_table``: json is one compact object per
+row, keyed by the columns, each cell spelled as ``json.dumps`` spells it
+(``_json_cell``), with no ``json`` module loaded; tsv is the header, then one
+line per row, with a list cell comma-joined and a bool cell printed as
+yes/no.  No zero entry is formatted.  Beyond the package, importing this
+module loads only ``fractions``, ``argparse`` and what they import (records
+are named tuples, not dataclasses).  Exit codes: 0 success (or membership), 1
+clean negative verdict, 2 usage or domain error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -75,12 +78,30 @@ def _printable(x: Fraction) -> Fraction:
     return x
 
 
+_EXPONENT = re.compile(r"(.*[eE][-+]?)(\d+(?:_\d+)*)\Z", re.S)  # a token's exponent digits
+
+
+def _fraction(tok: str) -> Fraction:
+    """``Fraction(tok)`` for a stripped token, but an exponent over the int string
+    limit by more than the token's length is read as the least such, so
+    10**exponent is never made: with either one the value is 0 or too long to
+    print.  (Fraction's int refuses an exponent of more digits than the limit.)"""
+    limit = sys.get_int_max_str_digits()
+    m = _EXPONENT.match(tok) if limit else None
+    if m and len(m[2]) - m[2].count("_") <= limit and int(m[2]) > limit + len(tok):
+        try:
+            return Fraction(f"{m[1]}{limit + len(tok) + 1}")
+        except ValueError:
+            pass  # Fraction(tok) refuses it too, before it reads the exponent
+    return Fraction(tok)
+
+
 def _parse_weight(text: str, rank: int) -> tuple[int | Fraction, ...]:
     # an integer token ('-' then digits, or digits) is read by int: it prints as its Fraction,
-    # and int refuses it past the limit; any other is read by Fraction and printed once
+    # and int refuses it past the limit; any other is read by _fraction and printed once
     try:
         coords = tuple(int(tok) if tok.removeprefix("-").isdecimal()
-                       else _printable(Fraction(tok.strip())) for tok in text.split(","))
+                       else _printable(_fraction(tok.strip())) for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse weight {text!r}: {exc}") from None
     if len(coords) != rank:
@@ -237,19 +258,15 @@ def cmd_check(args) -> int:
     if member:
         result["extremal"] = extremal
     if cmp is not None:
-        result["in_root_lattice"] = cmp.in_root_lattice
-        result["multiplicity"] = cmp.multiplicity
-        result["oracle_agrees"] = cmp.agrees
+        result.update(in_root_lattice=cmp.in_root_lattice, multiplicity=cmp.multiplicity,
+                      oracle_agrees=cmp.agrees)
     if args.format == "json":
-        _emit([json.dumps(result, separators=(",", ":"))])
+        _table("json", tuple(result), [tuple(result.values())])
     else:
-        lines = [f"member: {'yes' if member else 'no'}"]
-        if member:
-            lines.append(f"extremal: {'yes' if result['extremal'] else 'no'}")
-        if "multiplicity" in result:
-            lines.append(f"in_root_lattice: {'yes' if result['in_root_lattice'] else 'no'}")
-            lines.append(f"multiplicity: {result['multiplicity']}")
-            lines.append(f"oracle: {'agree' if result['oracle_agrees'] else 'MISMATCH'}")
+        lines = [f"{key}: {_cell(result[key])}" for key in
+                 ("member", "extremal", "in_root_lattice", "multiplicity") if key in result]
+        if cmp is not None:
+            lines.append(f"oracle: {'agree' if cmp.agrees else 'MISMATCH'}")
         elif args.oracle:
             lines.append("oracle: skipped (needs integral dominant weights)")
         _emit(lines)

@@ -11,7 +11,7 @@ Dynkin subdiagrams through that node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
@@ -24,12 +24,10 @@ from .rootdata import (RootSystem, _block_inverse, _check_length, _connected_set
 from .weyl import orbit
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(namedtuple("LinearForm", "label coeffs")):
     """One defining inequality, as a linear functional on (lam | mu)."""
 
-    label: str
-    coeffs: tuple
+    __slots__ = ()
 
 
 @_per_system
@@ -74,8 +72,7 @@ def _over(numerators, d: int, half: int) -> linalg.Vec:
     return tuple(Fraction(n, d) for n in numerators[half * r:(half + 1) * r])
 
 
-@dataclass(frozen=True, eq=False)
-class Vertex:
+class Vertex(namedtuple("Vertex", "levi numerators denominator")):
     """A vertex of a slice polytope with its minimal defining node set.
 
     Held in integers: ``numerators`` are the rank numerators of the point,
@@ -83,12 +80,9 @@ class Vertex:
     necessarily least).  ``point`` and ``c_alpha`` are made from them as
     ``Fraction`` tuples on first read; ``c_alpha`` holds the simple-root
     coefficients of lam - point, supported exactly on ``levi``.  Equality
-    and hash are by value: by levi, point and c_alpha.
+    and hash are by value: by levi, point and c_alpha, so unlike the other
+    records a Vertex is not equal to the tuple of its fields.
     """
-
-    levi: tuple[int, ...]
-    numerators: tuple[int, ...]
-    denominator: int
 
     @cached_property
     def point(self) -> linalg.Vec:
@@ -102,9 +96,10 @@ class Vertex:
         return self.levi, self.point, self.c_alpha
 
     def __eq__(self, other):
-        if not isinstance(other, Vertex):
-            return NotImplemented
-        return self._value() == other._value()
+        return isinstance(other, Vertex) and self._value() == other._value()
+
+    def __ne__(self, other):  # else tuple's, by the fields
+        return not self == other
 
     def __hash__(self):
         return hash(self._value())
@@ -314,8 +309,7 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
     return tuple(sorted(out, key=lambda v: (len(v.levi), v.levi)))
 
 
-@dataclass(frozen=True)
-class RayRecord:
+class RayRecord(namedtuple("RayRecord", "node levi numerators k_det")):
     """One extremal ray of the cone.
 
     Held in integers: ``numerators`` are the rank numerators of mu, then those
@@ -326,13 +320,9 @@ class RayRecord:
     on ``levi``): ``Fraction`` tuples made on first read.  ``k_primitive`` is
     the least positive scaling making the pair integral with integral root
     coefficients; k_det also scales onto the lattice but need not be least.
-    Equality and hash are by value, which with k_det in it is by the fields.
+    Equality and hash are the tuple's, by the fields, which with k_det in them
+    is by value.
     """
-
-    node: int
-    levi: tuple[int, ...]
-    numerators: tuple[int, ...]
-    k_det: int
 
     @cached_property
     def lambda_fw(self) -> linalg.Vec:

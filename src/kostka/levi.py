@@ -8,21 +8,18 @@ can never be silently confused.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from dataclasses import dataclass
 
 from .cone import Vertex, _levi_solve, _require_dominant, vertex
 from .errors import NotInLeviConeError, OverlappingLevisError
 from .rootdata import RootSystem, _check_length, is_dominant, node_set
 
 
-@dataclass(frozen=True)
-class LeviWeightPair:
+class LeviWeightPair(namedtuple("LeviWeightPair", "levi lambda_fw mu_fw")):
     """A weight pair living on a Levi subsystem, in local coordinates."""
 
-    levi: tuple[int, ...]
-    lambda_fw: tuple
-    mu_fw: tuple
+    __slots__ = ()
 
 
 def restrict(rs: RootSystem, levi, w) -> tuple:

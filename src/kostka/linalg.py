@@ -18,10 +18,10 @@ lcm of their denominators.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Iterable
 
 from .errors import NoSolutionError
 

@@ -17,7 +17,7 @@ kept on the root system, as everything derived from one is (see ``rootdata``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -290,13 +290,11 @@ def weight_multiplicity(rs: RootSystem, lam, mu) -> int:
     return _table(rs, lam).multiplicity(mu)
 
 
-@dataclass(frozen=True)
-class MembershipComparison:
+class MembershipComparison(namedtuple("MembershipComparison",
+                                       "member in_root_lattice multiplicity")):
     """Cone membership versus weight multiplicity for one integral pair."""
 
-    member: bool
-    in_root_lattice: bool
-    multiplicity: int
+    __slots__ = ()
 
     @property
     def agrees(self) -> bool:

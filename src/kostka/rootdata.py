@@ -21,7 +21,7 @@ block, the whole matrix or a Levi's, is the integer solve of ``_block_inverse``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from math import factorial
@@ -286,17 +286,14 @@ def sub_cartan(rs: RootSystem, nodes) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(rs.cartan[a - 1][b - 1] for b in nodes) for a in nodes)
 
 
-@dataclass(frozen=True)
-class LeviFactor:
+class LeviFactor(namedtuple("LeviFactor", "letter rank nodes")):
     """One simple factor of a Levi subsystem.
 
     ``nodes`` are the ambient node ids in ascending order; local node k of
     the factor is ``nodes[k-1]``.
     """
 
-    letter: str
-    rank: int
-    nodes: tuple[int, ...]
+    __slots__ = ()
 
 
 def _relative_lengths(cartan) -> tuple[Fraction, ...]:

@@ -1,7 +1,6 @@
 """The public surface, pinned: a change to it must show up here."""
 
 import ast
-import dataclasses
 import fractions
 import importlib
 import inspect
@@ -101,15 +100,30 @@ BOUNDS = {
     "weyl": {"MAX_GROUP_ORDER": 10**6, "MAX_ORBIT": 10**6},
 }
 
-# the fields of the public records, in constructor order; a Vertex holds its point and
-# c_alpha as integer numerators over one denominator, a RayRecord its mu and c_alpha
-# over k_det, and both read them as Fractions
+# the fields of the public records, named tuples, in constructor order; a Vertex holds
+# its point and c_alpha as integer numerators over one denominator, a RayRecord its mu
+# and c_alpha over k_det, and both read them as Fractions
 RECORDS = {
+    "LeviFactor": ("letter", "rank", "nodes"),
     "LeviWeightPair": ("levi", "lambda_fw", "mu_fw"),
     "LinearForm": ("label", "coeffs"),
+    "MembershipComparison": ("member", "in_root_lattice", "multiplicity"),
     "RayRecord": ("node", "levi", "numerators", "k_det"),
     "Vertex": ("levi", "numerators", "denominator"),
 }
+
+# what `import kostka.cli` may load beyond the interpreter's own modules: the package,
+# __future__, and fractions and argparse with what they import (fractions, decimal,
+# _decimal, numbers, argparse and gettext, where the site has loaded re and typing)
+CLI_IMPORTS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import __future__, argparse, fractions
+allowed = set(sys.modules) - before
+import kostka.cli
+print(*sorted(set(sys.modules) - before - allowed))
+"""
 
 # (class, base class)
 ERRORS = [
@@ -153,14 +167,59 @@ def test_bounds():
 
 
 def test_record_fields():
-    assert {name: tuple(f.name for f in dataclasses.fields(getattr(kostka, name)))
-            for name in RECORDS} == RECORDS
+    assert {name: getattr(kostka, name)._fields for name in RECORDS} == RECORDS
     v = kostka.vertex(kostka.root_system("A", 2), (1, 0), (1,))
     assert (v.point, v.c_alpha) == ((0, fractions.Fraction(1, 2)), (fractions.Fraction(1, 2), 0))
     ray = kostka.rays_for_node(kostka.root_system("A", 2), 1)[1]
     assert ray == kostka.RayRecord(1, (1,), (0, 1, 1, 0), 2)
     assert ((ray.lambda_fw, ray.mu_fw, ray.c_alpha, ray.k_primitive)
             == ((1, 0), (0, fractions.Fraction(1, 2)), (fractions.Fraction(1, 2), 0), 2))
+
+
+def test_records_are_named_tuples():
+    # _replace and _asdict for dataclasses.replace and asdict; a record unpacks and equals
+    # the tuple of its fields, except a Vertex, which is equal by value only
+    rs = kostka.root_system("A", 2)
+    ray = kostka.rays_for_node(rs, 1)[1]
+    node, levi, numerators, k_det = ray
+    assert ray == (node, levi, numerators, k_det) and hash(ray) == hash(tuple(ray))
+    assert ray._replace(k_det=4) == kostka.RayRecord(1, (1,), (0, 1, 1, 0), 4)
+    assert ray._asdict() == {"node": 1, "levi": (1,), "numerators": (0, 1, 1, 0), "k_det": 2}
+    assert kostka.LeviWeightPair((1,), (1,), (1,)) == ((1,), (1,), (1,))
+    assert kostka.levi_factors(rs, (1, 2)) == (("A", 2, (1, 2)),)
+    v = kostka.vertex(rs, (1, 0), (1,))
+    assert v != tuple(v) and not v == tuple(v)
+    for name in RECORDS:
+        if name not in ("Vertex", "RayRecord"):  # the two with cached properties
+            assert getattr(kostka, name).__slots__ == ()
+
+
+def test_a_vertex_is_equal_by_value():
+    # two spellings of one vertex, numerators and denominator doubled
+    rs = kostka.root_system("B", 3)
+    v = kostka.vertex(rs, (1, 1, 1), (2, 3))
+    w = kostka.Vertex(v.levi, tuple(2 * n for n in v.numerators), 2 * v.denominator)
+    assert tuple(v) != tuple(w)
+    assert v == w and not v != w and hash(v) == hash(w)
+    other = kostka.Vertex(v.levi, v.numerators, v.denominator + 1)
+    assert v != other and not v == other
+
+
+def test_ray_record_repr():
+    ray = kostka.rays_for_node(kostka.root_system("A", 2), 1)[1]
+    assert repr(ray) == "RayRecord(node=1, levi=(1,), numerators=(0, 1, 1, 0), k_det=2)"
+
+
+def test_cli_imports_only_fractions_and_argparse():
+    # in a fresh interpreter, with site and without it (which may load typing itself):
+    # no dataclasses, inspect, json or typing
+    src = str(Path(kostka.__file__).parents[1])
+    for flags in (["-I"], ["-I", "-S"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", CLI_IMPORTS, src],
+                              capture_output=True, text=True, check=True)
+        added = proc.stdout.split()
+        assert "kostka.cli" in added
+        assert [m for m in added if m != "kostka" and not m.startswith("kostka.")] == []
 
 
 def test_package_has_no_assert():

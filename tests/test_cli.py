@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 
 from conftest import supported_types
 import kostka
-from kostka import fundamental_weight, root_coords_to_fw, root_system
+from kostka import (compare_membership_multiplicity, cone_contains, fundamental_weight,
+                    is_dominant, is_extremal_ray, root_coords_to_fw, root_system)
+from kostka.errors import KostkaError
 from kostka.cli import (CENSUS_COLUMNS, RAY_COLUMNS, VERTEX_COLUMNS, _fast_args, _parse_weight,
                         _table, build_parser, main)
 from kostka.rootdata import RANK_BOUNDS
@@ -331,6 +334,55 @@ def test_check_rational_input(capsys):
                        "--lambda", "1/2", "--mu", "1/2", "--format", "json")
     assert code == 0
     assert json.loads(out)["member"]
+
+
+_CHECK_COORDS = st.integers(-1, 2) | st.fractions(-1, 2, max_denominator=3)
+
+
+@st.composite
+def _check_requests(draw):
+    """A check request at rank <= 4: lambda dominant or not, integral or not, and mu
+    either lambda less a nonnegative combination of simple roots (often a member) or
+    drawn alone; with --oracle or without it."""
+    letter, r = draw(st.sampled_from(supported_types(4)))
+    rs = root_system(letter, r)
+    lam = draw(st.lists(_CHECK_COORDS, min_size=r, max_size=r))
+    if draw(st.booleans()):
+        c = draw(st.lists(st.integers(0, 2) | st.fractions(0, 1, max_denominator=2),
+                          min_size=r, max_size=r))
+        mu = [x - sum(y * rs.cartan[m][n] for m, y in enumerate(c)) for n, x in enumerate(lam)]
+    else:
+        mu = draw(st.lists(_CHECK_COORDS, min_size=r, max_size=r))
+    return letter, r, lam, mu, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_check_requests())
+@example(("A", 1, [2], [0], True))  # a member, extremal, with the oracle's three cells
+@example(("C", 2, [1, 1], [Q(1, 2), -1], False))  # a rational non-member
+def test_check_json_is_json_dumps(case):
+    # the one object of `check --format json` is spelled as json.dumps spells the result
+    letter, r, lam, mu, oracle = case
+    rs = root_system(letter, r)
+    argv = ["check", "--type", letter, "--rank", str(r), "--lambda=" + ",".join(map(str, lam)),
+            "--mu=" + ",".join(map(str, mu)), "--format", "json"] + ["--oracle"] * oracle
+    try:
+        member = cone_contains(rs, lam, mu)
+        result = {"type": letter, "rank": r, "lambda_fw": list(map(str, lam)),
+                  "mu_fw": list(map(str, mu)), "member": member}
+        if member:
+            result["extremal"] = is_extremal_ray(rs, lam, mu)
+        if oracle and all(Q(x).denominator == 1 for x in lam + mu) and is_dominant(lam):
+            cmp = compare_membership_multiplicity(rs, lam, mu)
+            result.update(in_root_lattice=cmp.in_root_lattice, multiplicity=cmp.multiplicity,
+                          oracle_agrees=cmp.agrees)
+        expect = (0 if member else 1, json.dumps(result, separators=(",", ":")) + "\n")
+    except KostkaError:  # a representation over the oracle's cap
+        expect = (2, "")
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert (code, out.getvalue()) == expect
 
 
 def test_census_small(capsys):
@@ -719,6 +771,8 @@ _TOKENS = (st.sampled_from(["0", "1", "12", "007", "\u0663", "\uff17", "\u00b2",
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_TOKENS, min_size=1, max_size=4), st.integers(1, 4))
 @example(tokens=["1e4300"], rank=1)
+@example(tokens=["0.0001e4301", "1e9999"], rank=2)  # printable, then the least exponent
+@example(tokens=["0e9999", "-0.5E-9999", "x1e9999"], rank=3)
 def test_weights_parse_as_fractions_do(tokens, rank):
     text = ",".join(tokens)
     expect = _weight_by_fraction(text)
@@ -731,6 +785,28 @@ def test_weights_parse_as_fractions_do(tokens, rank):
     assert got == expect
     if isinstance(expect, tuple):
         assert list(map(str, got)) == list(map(str, expect))
+
+
+_HUGE = ["0e99999999", "-0E-99999999", "1e10000000", "1e-10000000", "-2.5E+99999999",
+         "1e" + "1_" * 3000 + "1"]
+
+
+def test_a_huge_exponent_never_reaches_fraction(capsys, monkeypatch):
+    # Fraction makes 10**exponent first: for these, from seconds to never
+    def fraction(text, *args):
+        m = re.search(r"[eE][-+]?([\d_]+)\s*$", text) if isinstance(text, str) else None
+        if m and len(m[1].replace("_", "").lstrip("0")) > 5:  # an exponent of 10**5 or more
+            raise AssertionError(f"Fraction({text[:20]!r}...) makes 10**exponent")
+        return Q(text, *args)
+
+    monkeypatch.setattr(kostka.cli, "Fraction", fraction)
+    assert _parse_weight("0e99999999,-0E-99999999", 2) == (0, 0)
+    for tok in _HUGE[2:]:
+        with pytest.raises(ValueError, match="cannot parse weight .*: Exceeds the limit"):
+            _parse_weight(tok, 1)
+        assert run(capsys, "vertices", "--type", "A", "--rank", "1", f"--lambda={tok}")[0] == 2
+    assert run(capsys, "vertices", "--type", "A", "--rank", "1", "--lambda", _HUGE[0]) == (
+        0, "slice polytope at lambda = 0  (A1, 1 vertices)\n  levi {}           point 0\n", "")
 
 
 def test_integer_tokens_parse_with_int():
