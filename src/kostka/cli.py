@@ -3,14 +3,14 @@
 Output is byte-deterministic for fixed inputs.  Rationals are printed as
 "p/q" with the denominator omitted when it is 1; they never degrade to
 floats.  The json and tsv tables (rays, vertices, census) and check's json
-object go through one writer, ``_table``: json is one compact object per
-row, keyed by the columns, each cell spelled as ``json.dumps`` spells it
-(``_json_cell``), with no ``json`` module loaded; tsv is the header, then one
-line per row, with a list cell comma-joined and a bool cell printed as
-yes/no.  No zero entry is formatted.  Beyond the package, importing this
-module loads only ``fractions``, ``argparse`` and what they import (records
-are named tuples, not dataclasses).  Exit codes: 0 success (or membership), 1
-clean negative verdict, 2 usage or domain error.
+object go through one writer, ``_table``: json is one compact object per row,
+keyed by the columns, each cell spelled as ``json.dumps`` spells it; tsv is
+the header, then one line per row, a list cell comma-joined and a bool yes/no.
+A cell the same on every row is spelled once, into the row template, and each
+other column by one speller (``_SPELLINGS``).  No zero entry is formatted.
+Importing this module loads no ``json``: beyond the package only ``fractions``,
+``argparse`` and what they import (records are named tuples).  Exit codes: 0
+success (or membership), 1 clean negative verdict, 2 usage or domain error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import gcd
 from operator import neg
 
@@ -37,11 +37,6 @@ VERTEX_COLUMNS = ("type", "rank", "lambda_fw", "levi", "point_fw", "c_alpha")
 CENSUS_COLUMNS = ("type", "rank", "enumerated", "formula", "match")
 
 
-def _qlist(v) -> list[str]:
-    # entries are ints or Fractions, whose str is the printed form
-    return list(map(str, v))
-
-
 def _ratio(n: int, d: int) -> str:
     # n / d for d > 0, printed as str prints the Fraction
     g = gcd(n, d)
@@ -49,7 +44,7 @@ def _ratio(n: int, d: int) -> str:
 
 
 def _nodes_str(nodes) -> str:
-    return "{" + ",".join(str(n) for n in nodes) + "}"
+    return "{" + ",".join(map(str, nodes)) + "}"
 
 
 def _terms(coeffs, sym: str) -> str:
@@ -58,19 +53,20 @@ def _terms(coeffs, sym: str) -> str:
     out = ""
     for pos, x in compress(enumerate(coeffs, 1), coeffs):
         mag = str(x)
-        if mag != "0":  # a printed zero cell
-            out += " - " if mag[0] == "-" else " + "
-            mag = mag.lstrip("-")
-            out += f"{sym}{pos}" if mag == "1" else f"{mag}*{sym}{pos}"
+        out += " - " if mag[0] == "-" else " + "
+        mag = mag.lstrip("-")
+        out += f"{sym}{pos}" if mag == "1" else f"{mag}*{sym}{pos}"
     return out
+
+
+def _lead(terms: str) -> str:
+    # rendered terms as a signed combination like 'w1 + 2*w4'
+    return ("-" if terms[1] == "-" else "") + terms[3:] if terms else "0"
 
 
 def _combo(coeffs, sym: str) -> str:
     """Render a coordinate vector as a signed combination like 'w1 + 2*w4'."""
-    terms = _terms(coeffs, sym)
-    if not terms:
-        return "0"
-    return ("-" if terms[1] == "-" else "") + terms[3:]
+    return _lead(_terms(coeffs, sym))
 
 
 def _printable(x: Fraction) -> Fraction:
@@ -110,44 +106,49 @@ def _parse_weight(text: str, rank: int) -> tuple[int | Fraction, ...]:
 
 
 def _emit(lines) -> None:
-    out = sys.stdout
-    for line in lines:
-        out.write(line)
-        out.write("\n")
+    if lines := list(lines):  # one write, not two a line
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _cell(x) -> str:
-    # a tsv cell: a list of formatted strings or a tuple of ints comma-joined, a bool as yes/no
-    kind = type(x)
-    if kind is list:
-        return ",".join(x)
-    if kind is tuple:
-        return ",".join(map(str, x))
-    if kind is bool:
-        return "yes" if x else "no"
-    return str(x)
+    return ("no", "yes")[x] if type(x) is bool else str(x)  # a bool or an int as tsv spells it
 
 
-def _json_cell(x) -> str:
-    # a cell as json.dumps spells it; no printed rational or type letter needs an escape
-    kind = type(x)
-    if kind is list:
-        return '["' + '","'.join(x) + '"]' if x else "[]"
-    if kind is tuple:
-        return "[" + ",".join(map(str, x)) + "]"
-    if kind is bool:
-        return "true" if x else "false"
-    return f'"{x}"' if kind is str else str(x)
+def _joined_ints(cells):
+    # tuples of ints comma-joined, each distinct int spelled once
+    spelled = {n: str(n) for n in {*chain.from_iterable(cells)}}.__getitem__
+    return map(",".join, map(map, repeat(spelled), cells))
 
 
-def _table(fmt: str, columns: tuple[str, ...], rows) -> None:
-    """Write rows, tuples in the order of columns, as json objects or as a tsv table."""
-    if fmt == "json":
-        line = "{" + ",".join(f'"{c}":%s' for c in columns) + "}"
-        _emit(line % tuple(map(_json_cell, row)) for row in rows)
-    else:
+# per format, each kind of cell as (template, speller of a column of them); a list holds
+# printed cells, none of which needs a json escape
+_SPELLINGS = {
+    "json": {str: ('"%s"', iter), int: ("%s", iter), tuple: ("[%s]", _joined_ints),
+             bool: ("%s", partial(map, ("false", "true").__getitem__)),
+             list: ("%s", partial(map, lambda x: '["' + '","'.join(x) + '"]' if x else "[]"))},
+    "tsv": {str: ("%s", iter), int: ("%s", iter), tuple: ("%s", _joined_ints),
+            bool: ("%s", partial(map, _cell)), list: ("%s", partial(map, ",".join))},
+}
+
+
+def _table(fmt: str, columns: tuple[str, ...], rows, fixed: dict | None = None) -> None:
+    """Write rows as json objects or as a tsv table.  ``fixed`` maps columns to their
+    one cell, spelled once into the row template; a row holds the other columns' cells
+    in order, each column's of one kind: one speller, chosen by its first, spells all."""
+    spellings, fixed, rows = _SPELLINGS[fmt], fixed or {}, list(rows)
+    if fmt == "tsv":
         _emit(["\t".join(columns)])
-        _emit("\t".join(map(_cell, row)) for row in rows)
+    varying, parts, spelled = iter(zip(*rows)), [], []  # the other cells, column by column
+    for column in columns if rows else ():
+        cells = [fixed[column]] if column in fixed else next(varying)
+        part, speller = spellings[type(cells[0])]
+        if column in fixed:
+            part %= next(speller(cells))
+        else:
+            spelled.append(speller(cells))
+        parts.append(f'"{column}":{part}' if fmt == "json" else part)
+    line = "{" + ",".join(parts) + "}" if fmt == "json" else "\t".join(parts)
+    _emit(map(line.__mod__, zip(*spelled)) if spelled else [line] * len(rows))
 
 
 # ---------------------------------------------------------------- rays
@@ -191,16 +192,20 @@ def cmd_rays(args) -> int:
     if args.format != "pretty":
         lam_cells = lru_cache(maxsize=None)(lambda i: [str(int(j == i)) for j in range(1, r + 1)])
 
-        def cells(numerators, d) -> list[str]:
-            out = ["0"] * r
-            for j in compress(range(r), numerators):
-                out[j] = ratio(numerators[j], d)
-            return out
+        def cells(ray) -> tuple[list[str], list[str]]:  # mu_fw and c_alpha
+            out = ["0"] * (2 * r)
+            for j in compress(range(2 * r), ray.numerators):
+                out[j] = ratio(ray.numerators[j], ray.k_det)
+            return out[:r], out[r:]
 
-        _table(args.format, RAY_COLUMNS,
-               ((rs.letter, r, ray.node, ray.levi, ray.k_primitive, ray.k_det, lam_cells(ray.node),
-                 cells(ray.numerators[:r], ray.k_det), cells(ray.numerators[r:], ray.k_det))
-                for ray in records))
+        fixed = {"type": rs.letter, "rank": r}
+        if args.node is None:
+            rows = ((ray.node, ray.levi, ray.k_primitive, ray.k_det, lam_cells(ray.node),
+                     *cells(ray)) for ray in records)
+        else:  # node and lambda_fw are fixed cells too
+            fixed.update(node=args.node, lambda_fw=lam_cells(args.node))
+            rows = ((ray.levi, ray.k_primitive, ray.k_det, *cells(ray)) for ray in records)
+        _table(args.format, RAY_COLUMNS, rows, fixed)
     else:
         blocks: dict = {}  # the rows of each block in `inverses`, formatted once per request
         _emit(line for ray in records for line in _ray_pretty(rs, ray, inverses, blocks, ratio))
@@ -217,22 +222,22 @@ def cmd_vertices(args) -> int:
     lam = _parse_weight(args.lam, args.rank)
     rs = root_system(args.type, args.rank)
     verts = polytope_vertices(rs, lam)
-    r = rs.rank
-    cell = lru_cache(maxsize=None)(partial(_ratio, d=verts[0].denominator))
-
-    def cells(numerators) -> list[str]:
-        return list(map(cell, numerators))
-
+    r, d = rs.rank, verts[0].denominator
     if args.format != "pretty":
-        lam_fw = _qlist(lam)
+        # every numerator is a cell: each distinct one is spelled once
+        cell = {n: _ratio(n, d) for n in {*chain.from_iterable(v.numerators for v in verts)}}.get
         _table(args.format, VERTEX_COLUMNS,
-               ((rs.letter, r, lam_fw, v.levi, cells(v.numerators[:r]), cells(v.numerators[r:]))
-                for v in verts))
+               ((v.levi, list(map(cell, v.numerators[:r])), list(map(cell, v.numerators[r:])))
+                for v in verts),
+               {"type": rs.letter, "rank": r, "lambda_fw": list(map(str, lam))})
     else:
+        # each (node, numerator) term of a point spelled once, its zeros never
+        term = lru_cache(maxsize=None)(lambda i, n: _terms((0,) * i + (_ratio(n, d),), "w"))
         out = [f"slice polytope at lambda = {_combo(lam, 'w')}  "
                f"({rs.letter}{r}, {len(verts)} vertices)"]
-        out += [f"  levi {_nodes_str(v.levi):<12} point {_combo(cells(v.numerators[:r]), 'w')}"
-                for v in verts]
+        out += [f"  levi {_nodes_str(v.levi):<12} point "
+                f"{_lead(''.join(map(term, compress(range(r), p), filter(None, p))))}"
+                for v, p in zip(verts, (v.numerators[:r] for v in verts))]
         _emit(out)
     return 0
 
@@ -252,7 +257,7 @@ def cmd_check(args) -> int:
     member = extremal is not None
     result: dict = {
         "type": rs.letter, "rank": rs.rank,
-        "lambda_fw": _qlist(lam), "mu_fw": _qlist(mu),
+        "lambda_fw": list(map(str, lam)), "mu_fw": list(map(str, mu)),
         "member": member,
     }
     if member:

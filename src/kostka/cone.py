@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb, gcd, lcm
+from operator import or_
 
 from . import linalg
 from .errors import CapExceededError, InvariantError, NotDominantError, NotInConeError
@@ -103,6 +104,9 @@ class Vertex(namedtuple("Vertex", "levi numerators denominator")):
 
     def __hash__(self):
         return hash(self._value())
+
+    # no order: a tuple's, by the fields, would disagree with ==
+    __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented
 
 
 # the most node sets, hence vertices, polytope_vertices enumerates for one weight
@@ -200,34 +204,25 @@ def _levi_solve(rs: RootSystem, lam, nodes: tuple[int, ...]) -> tuple[list[int],
     return c, det * m, _pairings(rs, nodes, c)
 
 
-def _pieces(rs: RootSystem, lam: linalg.Vec, pieces) -> tuple[list[int], int, list[tuple]]:
+def _pieces(rs: RootSystem, lam: linalg.Vec, pieces) -> tuple[list[int], int, list[list]]:
     """The node sets `pieces` (each ascending, nonempty, none adjacent to another
     that one vertex combines it with) solved by ``_levi_solve``, all over one
     denominator D = m lcm(dets), m the lcm of lam's denominators and dets the
     pieces' block determinants: lam's numerators over D then r zeros (the
-    numerators of the vertex on no nodes), D, and per piece its updates (index,
-    numerator) of the point (zero on it) and of c_alpha, then its drops (index,
-    numerator) at its outside neighbours."""
+    numerators of the vertex on no nodes), D, and per piece its patch, the (index,
+    numerator) terms that extend a vertex by it when added: c_alpha on it, one per
+    node, then less lam on it and its drops at its outside neighbours."""
     r = rs.rank
     x, m = linalg._cleared(lam)  # each piece is solved at m lam, with d its det
     solved = [(p, *_levi_solve(rs, x, p)) for p in pieces]
     big = lcm(*(d for _, _, d, _ in solved))
+    base = [big * y for y in x] + [0] * r
     out = []
     for p, c, d, pairings in solved:
         s = big // d
-        out.append(([(n - 1, 0) for n in p] + [(r + n - 1, s * y) for n, y in zip(p, c)],
-                    [(k - 1, s * q) for k, q in pairings.items()]))
-    return [big * y for y in x] + [0] * r, big * m, out
-
-
-def _extend(base, updates, drops) -> list[int]:
-    # numerators of a vertex extended by one piece: set on the piece, less its drops
-    out = list(base)
-    for i, y in updates:
-        out[i] = y
-    for i, y in drops:
-        out[i] -= y
-    return out
+        out.append([(r + n - 1, s * y) for n, y in zip(p, c)] + [(n - 1, -base[n - 1]) for n in p]
+                   + [(k - 1, -s * q) for k, q in pairings.items()])
+    return base, big * m, out
 
 
 def vertex(rs: RootSystem, lam, nodes) -> Vertex:
@@ -243,8 +238,9 @@ def vertex(rs: RootSystem, lam, nodes) -> Vertex:
     lam = _weight(rs, lam)
     _require_dominant(lam)
     nodes = node_set(rs, nodes)
-    base, big, solved = _pieces(rs, lam, [nodes] if nodes else [])
-    out = _extend(base, *solved[0]) if nodes else base
+    out, big, patches = _pieces(rs, lam, [nodes] if nodes else [])
+    for i, y in patches[0] if nodes else ():
+        out[i] += y
     return Vertex(tuple(n for n in nodes if out[rs.rank + n - 1]), tuple(out), big)
 
 
@@ -257,14 +253,14 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
     defining node set of its vertex.  Each connected piece meeting the
     support is grown once, from its smallest support node and never through
     a smaller one, and solved once on its Dynkin tree in O(|piece|) with no
-    block inverse (``_levi_solve``), keeping only its c_alpha and its drops
-    lam - point at its outside neighbours.  The vertex of S is zero on S and lam minus its
-    components' drops elsewhere; its c_alpha is the sum of theirs.  All of
-    this is integer arithmetic over one denominator for the whole polytope
-    (``_pieces``), which every returned Vertex shares; their Fractions are
-    made only when read.  Raises CapExceededError, before any solve, when
-    there are more than VERTEX_CAP such node sets.  Ordered by node set
-    (size, then lexicographic).
+    block inverse (``_levi_solve``).  The vertex of S is zero on S and lam less
+    its components' drops elsewhere; its c_alpha is the sum of theirs.  The S
+    are enumerated depth first, each a smaller S plus a piece that neither
+    meets nor neighbours it, whose patch (``_pieces``) extends that S's
+    numerators, over one denominator every returned Vertex shares (Fractions
+    are made only when read); then one sort of the set indices orders them by
+    size, then lexicographically, and each Vertex is made once, in that order.
+    Raises CapExceededError, before any solve, past VERTEX_CAP node sets.
     """
     lam = _weight(rs, lam)
     _require_dominant(lam)
@@ -274,14 +270,18 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
         if lam[i - 1]:
             pieces += _connected_sets(rs, i, banned)
             banned |= 1 << i
-    pieces.sort(key=lambda p: (len(p), p))
-    bits = [sum(1 << n for n in p) for p in pieces]
-    near = [sum(1 << m for m in {m for n in p for m in (n, *rs.neighbors(n))}) for p in pieces]
-    # later[j]: the pieces after j that miss piece j and its neighbours, as a bit mask
-    later = [sum(1 << k for k in range(j + 1, len(pieces)) if not bits[k] & near[j])
-             for j in range(len(pieces))]
-    # each node set as (index of the set it extends, piece added); the empty set first
-    sets = [(0, -1)]
+    r, nbrs = rs.rank, rs._neighbors
+    hit = dict.fromkeys(rs.nodes(), 0)  # the pieces on each node, as a bit mask
+    for j, p in enumerate(pieces):
+        for n in p:
+            hit[n] |= 1 << j
+    # touch[n]: the pieces on or next to n; later[j]: those after j missing it and its neighbours
+    touch = {n: reduce(or_, map(hit.get, nbrs[n]), t) for n, t in hit.items()}
+    later = [-2 << j & ~reduce(or_, map(touch.get, p)) for j, p in enumerate(pieces)]
+    # each node set as (index of the set it extends, piece added), the empty set first,
+    # beside its levi and its key (size << r) - sum of 1 << r - n over it: by size, then lex
+    sets, levis, keys = [(0, -1)], [()], [0]
+    steps = [(len(p) << r) - sum(1 << r - n for n in p) for p in pieces]
     stack = [(0, (1 << len(pieces)) - 1)]  # (set index, pieces it may be extended by)
     while stack:
         k, free = stack.pop()
@@ -294,19 +294,23 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
                                        f"more than {VERTEX_CAP} vertices")
             stack.append((len(sets), free & later[j]))
             sets.append((k, j))
-    base, big, solved = _pieces(rs, lam, pieces)
-    for p, (updates, _) in zip(pieces, solved):
-        # the point's zeros on p, then c_alpha on p: positive, as p meets lam's support
-        if not all(y for _, y in updates[len(p):]):
+            levis.append(tuple(sorted(levis[k] + pieces[j])))
+            keys.append(keys[k] + steps[j])
+    base, big, patches = _pieces(rs, lam, pieces)
+    for p, patch in zip(pieces, patches):
+        # c_alpha on p leads its patch: positive, as p meets lam's support
+        if not all(y for _, y in patch[:len(p)]):
             raise InvariantError(f"vertex of {rs} at {lam} on {p} has a zero root coefficient")
-    out = [Vertex((), tuple(base), big)]
+    # a set's numerators are its parent's plus the patch of the piece it adds, which
+    # its other pieces neither meet nor neighbour
+    numerators = [tuple(base)]
     for k, j in sets[1:]:
-        prev = out[k]
-        # the set's other pieces are not adjacent to this one, so on its nodes
-        # the point (zero) and c_alpha are this piece's alone
-        out.append(Vertex(tuple(sorted(prev.levi + pieces[j])),
-                          tuple(_extend(prev.numerators, *solved[j])), big))
-    return tuple(sorted(out, key=lambda v: (len(v.levi), v.levi)))
+        out = list(numerators[k])
+        for i, y in patches[j]:
+            out[i] += y
+        numerators.append(tuple(out))
+    return tuple([Vertex(levis[i], numerators[i], big)
+                  for i in sorted(range(len(sets)), key=keys.__getitem__)])
 
 
 class RayRecord(namedtuple("RayRecord", "node levi numerators k_det")):

@@ -4,11 +4,14 @@ import ast
 import fractions
 import importlib
 import inspect
+import operator
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import kostka
 from kostka import errors
@@ -203,6 +206,20 @@ def test_a_vertex_is_equal_by_value():
     assert v == w and not v != w and hash(v) == hash(w)
     other = kostka.Vertex(v.levi, v.numerators, v.denominator + 1)
     assert v != other and not v == other
+
+
+def test_a_vertex_has_no_order():
+    # a tuple's order, by the fields, would put v before w although v == w
+    rs = kostka.root_system("B", 3)
+    v = kostka.vertex(rs, (1, 1, 1), (2, 3))
+    w = kostka.Vertex(v.levi, tuple(2 * n for n in v.numerators), 2 * v.denominator)
+    for a, b in ((v, w), (w, v), (v, v)):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(a, b)
+    with pytest.raises(TypeError):
+        sorted([w, v])
+    assert sorted([w, v], key=lambda x: x.levi) == [w, v]
 
 
 def test_ray_record_repr():

@@ -106,30 +106,59 @@ def _table_requests(draw):
     return "vertices", "--type", letter, "--rank", str(r), "--lambda", ",".join(map(str, lam))
 
 
-_JSON_CELLS = st.one_of(
+_CELL_KINDS = [
     st.sampled_from(list(RANK_BOUNDS)),  # a type letter
     st.integers(-10 ** 20, 10 ** 20),
     st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=5).map(tuple),
     st.lists(st.sampled_from(["0", "1", "-3/4", "22/7", "-1"]) | st.fractions().map(str),
              max_size=5),
     st.booleans(),
-)
+]
+
+
+@st.composite
+def _tables(draw):
+    """Columns, rows with the cells of each column of one kind, and a set of the
+    columns drawn as fixed, where every row repeats the first row's cell."""
+    columns = draw(st.sampled_from([RAY_COLUMNS, VERTEX_COLUMNS, CENSUS_COLUMNS]))
+    rows = draw(st.lists(st.tuples(*[draw(st.sampled_from(_CELL_KINDS)) for _ in columns]),
+                         max_size=4))
+    fixed = draw(st.sets(st.sampled_from(columns)))
+    return columns, [tuple(rows[0][k] if c in fixed else x for k, (c, x) in
+                           enumerate(zip(columns, row))) for row in rows], fixed
+
+
+def _written(fmt, columns, rows, fixed=frozenset()):
+    # what _table writes for rows, given the columns in `fixed` as fixed cells
+    cells = {c: rows[0][k] for k, c in enumerate(columns) if c in fixed} if rows else {}
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _table(fmt, columns, [tuple(x for c, x in zip(columns, row) if c not in fixed)
+                              for row in rows], cells)
+    return out.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([RAY_COLUMNS, VERTEX_COLUMNS, CENSUS_COLUMNS]).flatmap(
-    lambda columns: st.tuples(st.just(columns), st.lists(
-        st.tuples(*[_JSON_CELLS] * len(columns)), max_size=4))))
-@example((CENSUS_COLUMNS, [("A", 0, (), [], False), ("G", -1, (-3,), ["-3/4"], True)]))
+@given(_tables())
+@example((CENSUS_COLUMNS, [("A", 0, (), [], False), ("G", -1, (-3,), ["-3/4"], True)], set()))
+@example((VERTEX_COLUMNS, [("B", 2, [], (), ["1", "-1/2"], []),
+                          ("B", 2, [], (1,), ["0", "0"], ["1"])], {"type", "rank", "lambda_fw"}))
+@example((CENSUS_COLUMNS, [("C", 3, 1, 1, True)] * 2, set(CENSUS_COLUMNS)))
 def test_json_rows_are_json_dumps_rows(case):
     # the row writer spells every kind of cell as json.dumps does: a type letter, an
-    # int, a tuple of ints, a list of printed rationals, a bool, the empty ones too
-    columns, rows = case
-    out = io.StringIO()
-    with redirect_stdout(out):
-        _table("json", columns, rows)
-    assert out.getvalue() == "".join(
+    # int, a tuple of ints, a list of printed rationals, a bool, the empty ones too,
+    # whether written in each row or once as a fixed cell
+    columns, rows, fixed = case
+    assert _written("json", columns, rows, fixed) == "".join(
         json.dumps(dict(zip(columns, row)), separators=(",", ":")) + "\n" for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables())
+@example((RAY_COLUMNS, [("A", 1, 1, (), 1, 1, ["1"], ["1"], ["0"])] * 3, {"lambda_fw", "levi"}))
+def test_tsv_fixed_cells_are_the_cells_of_every_row(case):
+    columns, rows, fixed = case
+    assert _written("tsv", columns, rows, fixed) == _written("tsv", columns, rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,6 +236,52 @@ def test_rays_cells_are_the_library_values(case):
             assert pair == f"  ({lam}, {lam}{drop}) = ({lam}, {mu})"
         else:
             assert pair == f"  ({lam}, {lam})"
+
+
+@st.composite
+def _vertex_requests(draw):
+    """A type of rank at most 6 and a dominant lambda: regular, sparse or rational."""
+    letter, r = draw(st.sampled_from(supported_types(6)))
+    kind = draw(st.sampled_from(["regular", "sparse", "rational"]))
+    if kind == "regular":
+        lam = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
+    elif kind == "sparse":
+        lam = [0] * r
+        for i in draw(st.sets(st.integers(0, r - 1), min_size=1, max_size=2)):
+            lam[i] = draw(st.integers(1, 3))
+    else:
+        lam = draw(st.lists(st.fractions(0, 3, max_denominator=3), min_size=r, max_size=r))
+    return letter, r, tuple(lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vertex_requests())
+@example(("D", 9, (1, 2, 1, 3, 1, 2, 2, 1, 3)))  # 512 vertices
+@example(("E", 8, (0, 1, 0, 0, 2, 0, 0, 0)))
+@example(("B", 9, (Q(1, 2), 0, 1, Q(2, 3), 0, 0, 1, 0, 3)))
+def test_vertex_rows_are_the_library_values(case):
+    # each json and tsv row's levi, point_fw and c_alpha, and each pretty row's levi
+    # and point, are the library's values, vertex by vertex in the library's order
+    letter, r, lam = case
+    verts = kostka.polytope_vertices(root_system(letter, r), lam)
+    lam_cells = [str(x) for x in lam]
+    argv = ["vertices", "--type", letter, "--rank", str(r), "--lambda", ",".join(lam_cells)]
+    printed = {}
+    for fmt in ("json", "tsv", "pretty"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main([*argv, "--format", fmt]) == 0
+        printed[fmt] = out.getvalue().splitlines()
+    assert len(printed["pretty"]) == len(verts) + 1
+    for v, row, line, pretty in zip(verts, printed["json"], printed["tsv"][1:],
+                                    printed["pretty"][1:], strict=True):
+        levi, point, c = ([str(x) for x in cells] for cells in (v.levi, v.point, v.c_alpha))
+        assert json.loads(row) == {"type": letter, "rank": r, "lambda_fw": lam_cells,
+                                   "levi": list(v.levi), "point_fw": point, "c_alpha": c}
+        assert line.split("\t") == [letter, str(r),
+                                    *(",".join(x) for x in (lam_cells, levi, point, c))]
+        nodes = "{" + ",".join(levi) + "}"
+        assert pretty == f"  levi {nodes:<12} point {kostka.cli._combo(v.point, 'w')}"
 
 
 class _NoFraction:
