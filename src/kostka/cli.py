@@ -25,8 +25,8 @@ from math import gcd
 from operator import neg
 
 from . import __version__
-from .cone import (_extremality, _levi_inverse, all_rays, polytope_vertices, ray_count_formula,
-                   rays_for_node)
+from .cone import (_is_ray, _levi_inverse, all_rays, cone_contains, polytope_vertices,
+                   ray_count_formula, rays_for_node)
 from .errors import KostkaError
 from .oracle import compare_membership_multiplicity
 from .rootdata import RANK_BOUNDS, is_dominant, root_system, supported_types, validate_type
@@ -250,18 +250,17 @@ def cmd_check(args) -> int:
     mu = _parse_weight(args.mu, args.rank)
     rs = root_system(args.type, args.rank)
     integral = all(x.denominator == 1 for x in lam + mu)
-    # with the oracle, membership is read from the comparison; else None marks a non-member
+    # membership is read once: from the comparison with the oracle, else from cone_contains
     cmp = (compare_membership_multiplicity(rs, lam, mu)
            if args.oracle and integral and is_dominant(lam) else None)
-    extremal = _extremality(rs, lam, mu) if cmp is None or cmp.member else None
-    member = extremal is not None
+    member = cmp.member if cmp is not None else cone_contains(rs, lam, mu)
     result: dict = {
         "type": rs.letter, "rank": rs.rank,
         "lambda_fw": list(map(str, lam)), "mu_fw": list(map(str, mu)),
         "member": member,
     }
     if member:
-        result["extremal"] = extremal
+        result["extremal"] = _is_ray(rs, lam, mu)
     if cmp is not None:
         result.update(in_root_lattice=cmp.in_root_lattice, multiplicity=cmp.multiplicity,
                       oracle_agrees=cmp.agrees)

@@ -390,22 +390,28 @@ def all_rays(rs: RootSystem, *, inverses: dict | None = None) -> tuple[RayRecord
     return tuple(out)
 
 
-def _extremality(rs: RootSystem, lam, mu) -> bool | None:
-    # whether the pair spans an extremal ray (the rank of the forms tight at it); None off the cone
+def is_extremal_ray(rs: RootSystem, lam, mu) -> bool:
+    """Tight-constraint test: the pair spans an extremal ray iff the
+    inequalities vanishing at it cut out a one-dimensional subspace."""
     values = _form_values(rs, lam, mu)
     if any(v < 0 for v in values):
-        return None
+        raise NotInConeError(f"({tuple(lam)}, {tuple(mu)}) is not in the cone")
     tight = [row for row, v in zip(_integer_cone_forms(rs), values) if not v]
     return 2 * rs.rank - len(linalg._forward(tight)[0]) == 1
 
 
-def is_extremal_ray(rs: RootSystem, lam, mu) -> bool:
-    """Tight-constraint test: the pair spans an extremal ray iff the
-    inequalities vanishing at it cut out a one-dimensional subspace."""
-    out = _extremality(rs, lam, mu)
-    if out is None:
-        raise NotInConeError(f"({tuple(lam)}, {tuple(mu)}) is not in the cone")
-    return out
+def _is_ray(rs: RootSystem, lam, mu) -> bool:
+    """Whether a member pair spans an extremal ray, by the paper's classification:
+    the rays are the pairs (w_i, v) for the vertices v of the slice at w_i, that is
+    lam = t w_i, and the support L of lam - mu's simple-root coefficients c empty or
+    connected with mu zero on L.  Connected and i in L need no test: on a component
+    K of L that misses i, C_K^T c_K = (lam - mu)|_K = 0 would give c_K = 0.  c is
+    read only when lam = t w_i, from adj's rows as membership reads them, with no
+    rank computation; ``is_extremal_ray`` answers the same by rank, independently."""
+    if sum(map(bool, lam)) != 1:
+        return False
+    x, _ = linalg._cleared([a - b for a, b in zip(lam, mu)])
+    return not any(m for m, c in zip(mu, rs._root_numerators(x)) if c)
 
 
 def ray_count_formula(letter: str, rank: int) -> int:

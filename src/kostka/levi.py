@@ -116,11 +116,19 @@ def induce_vertex(rs: RootSystem, levi, lam_local, inner) -> Vertex:
 
 
 def induction_composes(rs: RootSystem, pair: LeviWeightPair, mid) -> bool:
-    """Whether lifting through an intermediate Levi agrees with lifting directly."""
+    """Whether lifting through an intermediate Levi agrees with lifting directly.
+
+    Each node set is normalised once.  The lift to `mid` is the direct lift read
+    on `mid`, so the pair is lifted twice: from its Levi, then that lift from `mid`.
+    """
     mid = node_set(rs, mid)
-    direct = induce(rs, pair)
-    via = induce_between(rs, pair.levi, mid, pair.lambda_fw, pair.mu_fw)
-    return direct == induce_between(rs, mid, rs.nodes(), *via)
+    levi = node_set(rs, pair.levi)
+    lam, mu = _lift(rs, levi, pair.lambda_fw, pair.mu_fw)
+    if not set(levi) <= set(mid):
+        raise ValueError(f"{levi} is not contained in {mid}")
+    nodes = rs.nodes()
+    up = _lift(rs, mid, _at(lam, mid), _at(mu, mid))
+    return (_at(lam, nodes), _at(mu, nodes)) == tuple(_at(w, nodes) for w in up)
 
 
 def induce_sum(rs: RootSystem, pairs) -> tuple[tuple, tuple]:

@@ -9,8 +9,10 @@ The recursion is Moody and Patera's: one root string per orbit of the
 stabiliser of a dominant weight, with the norms along a string in closed form.
 
 Both run in integers.  The invariant form in fundamental-weight coordinates,
-(w, w') = w^T G w' / N with G and N integral, the stabiliser orbits of the
-positive roots per zero node set and the Freudenthal table of each highest
+(w, w') = w^T G w' / N with G and N integral; a table of the positive roots
+(each root's pairing vector, its norm, and the index of +-s_j beta for every
+node j); the stabiliser orbits of the positive roots per zero node set,
+walked on that table's indices; and the Freudenthal table of each highest
 weight (up to a bound, the oldest dropped first) are built on first use and
 kept on the root system, as everything derived from one is (see ``rootdata``).
 """
@@ -20,13 +22,13 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
+from operator import add, mul
 
 from . import linalg
 from .cone import _integer_cone_forms, _require_dominant, cone_contains
 from .errors import CapExceededError, InvariantError, NotInRootLatticeError, RankBoundExceededError
-from .rootdata import (RootSystem, _check_length, _per_system, _weight, positive_roots, rho,
+from .rootdata import (RootSystem, _check_length, _per_system, _weight, positive_roots,
                        root_coords_to_fw, symmetrizer)
-from .weyl import simple_reflection
 
 # the bounds, read on each call: the highest rank brute_force_vertices takes, and the
 # largest representation a FreudenthalTable is built or read for
@@ -104,16 +106,13 @@ def brute_force_rays(rs: RootSystem) -> frozenset:
 
 
 def _integral(w) -> tuple[int, ...]:
-    # ints pass through and an integral Fraction becomes its numerator
+    # an all-int weight passes straight through; an integral Fraction becomes its numerator
+    if all(type(x) is int for x in w):
+        return tuple(w)
     vals = tuple(x if type(x) in (int, Fraction) else Fraction(x) for x in w)
     if any(v.denominator != 1 for v in vals):
         raise NotInRootLatticeError(f"weight {','.join(map(str, vals))} is not integral")
     return tuple(v.numerator for v in vals)
-
-
-def _pairing(d, w_fw, c_root):
-    # invariant form of a weight (fw coords) against a root combination (root coords)
-    return sum(dj * wj * cj for dj, wj, cj in zip(d, w_fw, c_root))
 
 
 @_per_system
@@ -128,28 +127,46 @@ def _form(rs: RootSystem):
 
 
 @_per_system
+def _root_table(rs: RootSystem):
+    """(paired, norms, reflected, den) over the positive roots beta in ``_form``'s
+    order: (d_j beta_j)_j, whose dot product with a weight w in fw coords is (w, beta);
+    (beta, beta); per 0-based node j the index of +-s_j beta; and prod (rho, beta),
+    the denominator of Weyl's dimension formula."""
+    _, _, d, roots = _form(rs)
+    index = {a: b for b, (a, _) in enumerate(roots)}
+    paired = tuple(tuple(map(mul, d, a)) for a, _ in roots)
+    # s_j beta = beta - <beta, alpha_j^vee> alpha_j, a positive root unless beta = alpha_j,
+    # whose image -alpha_j is beta up to sign: the only image not in `index`
+    reflected = tuple(tuple(index.get(a[:j] + (a[j] - c,) + a[j + 1:], b) if c else b
+                            for j, c in enumerate(a_fw))
+                      for b, (a, a_fw) in enumerate(roots))
+    norms = tuple(sum(map(mul, a_fw, p)) for (_, a_fw), p in zip(roots, paired))
+    den = 1
+    for p in paired:
+        den *= sum(p)  # rho is all ones
+    return paired, norms, reflected, den
+
+
+@_per_system
 def _root_orbits(rs: RootSystem, nodes: tuple[int, ...]):
     """The positive roots up to sign in orbits of W_J, J the 0-based nodes given:
-    (root coords, fw coords, orbit size, (alpha, alpha)) of one root per orbit, the
-    size counting the orbit's positive roots.  Breadth first under beta -> +-s_j beta."""
-    _, _, d, roots = _form(rs)
-    seen, out = set(), []
-    for alpha, alpha_fw in roots:
-        if alpha in seen:
+    (root coords, fw coords, orbit size, (alpha, alpha), (d_j alpha_j)_j) of one root per
+    orbit, the size counting the orbit's positive roots.  Breadth first on the
+    indices of ``_root_table`` under beta -> +-s_j beta."""
+    _, _, _, roots = _form(rs)
+    paired, norms, reflected, _ = _root_table(rs)
+    seen, out = [False] * len(roots), []
+    for b, (alpha, alpha_fw) in enumerate(roots):
+        if seen[b]:
             continue
-        seen.add(alpha)
-        orbit = [(alpha, alpha_fw)]
-        for beta, beta_fw in orbit:  # grows while it is read
-            for j in nodes:
-                # s_j beta = beta - <beta, alpha_j^vee> alpha_j, then the positive sign
-                gamma = tuple(x - beta_fw[j] * (i == j) for i, x in enumerate(beta))
-                gamma_fw = simple_reflection(rs, j + 1, beta_fw)
-                if min(gamma) < 0:
-                    gamma, gamma_fw = tuple(-x for x in gamma), tuple(-x for x in gamma_fw)
-                if gamma not in seen:
-                    seen.add(gamma)
-                    orbit.append((gamma, gamma_fw))
-        out.append((alpha, alpha_fw, len(orbit), _pairing(d, alpha_fw, alpha)))
+        seen[b] = True
+        orbit = [b]
+        for c in orbit:  # grows while it is read
+            for g in (reflected[c][j] for j in nodes):
+                if not seen[g]:
+                    seen[g] = True
+                    orbit.append(g)
+        out.append((alpha, alpha_fw, len(orbit), norms[b], paired[b]))
     return tuple(out)
 
 
@@ -163,13 +180,11 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     """Dimension of the irreducible representation with the given highest weight."""
     lam = _weight(rs, lam)
     _require_dominant(lam)
-    _, _, d, roots = _form(rs)
-    r = rho(rs)
-    shifted = tuple(x + y for x, y in zip(lam, r))  # integer pairings where lam is integral
-    num = den = 1
-    for alpha, _ in roots:
-        num *= _pairing(d, shifted, alpha)
-        den *= _pairing(d, r, alpha)
+    paired, _, _, den = _root_table(rs)
+    shifted = tuple(x + 1 for x in lam)  # lam + rho: integer pairings where lam is integral
+    num = 1
+    for p in paired:
+        num *= sum(map(mul, shifted, p))
     out, rem = divmod(num, den)
     if rem:
         raise InvariantError(f"Weyl dimension formula gave {Fraction(num, den)} for {lam}")
@@ -197,24 +212,27 @@ class FreudenthalTable:
         self.dim = weyl_dim(rs, self.lam)
         if self.dim > DEFAULT_DIM_CAP:
             raise CapExceededError(f"dim {self.dim} exceeds the cap {DEFAULT_DIM_CAP}")
-        self._gram, self._scale, self._d, _ = _form(rs)
-        self._rho = rho(rs)
+        self._gram, self._scale, _, _ = _form(rs)
         self._memo: dict[tuple, int] = {self.lam: 1}
+        # N (w + rho, w + rho) = N (w, w) + 2 w . G rho + N (rho, rho): G is symmetric, rho all ones
+        self._g_rho = tuple(map(sum, self._gram))
+        self._norm_rho = sum(self._g_rho)
         self._norm_lam = self._norm2(self.lam)
-        self._norm_lam_rho = self._norm2(self._shift(self.lam))
-
-    def _shift(self, w):
-        return tuple(x + y for x, y in zip(w, self._rho))
+        self._norm_lam_rho = (self._norm_lam + 2 * sum(map(mul, self.lam, self._g_rho))
+                              + self._norm_rho)
 
     def _norm2(self, w) -> int:
         # N (w, w)
-        return sum(x * sum(g * y for g, y in zip(row, w)) for x, row in zip(w, self._gram) if x)
+        return sum(x * sum(map(mul, row, w)) for x, row in zip(w, self._gram) if x)
 
     def _dominant_rep(self, w) -> tuple:
+        # reflect in the first simple root w pairs negatively with: s_i w = w - w_i alpha_i,
+        # alpha_i being row i of the Cartan matrix
+        cartan = self.rs.cartan
         while True:
             for i, v in enumerate(w):
                 if v < 0:
-                    w = simple_reflection(self.rs, i + 1, w)
+                    w = tuple([x - v * y for x, y in zip(w, cartan[i])])
                     break
             else:
                 return tuple(w)
@@ -231,19 +249,22 @@ class FreudenthalTable:
         return self._dominant_mult(self._dominant_rep(w))
 
     def _dominant_mult(self, nu: tuple) -> int:
-        cached = self._memo.get(nu)
+        memo = self._memo
+        cached = memo.get(nu)
         if cached is not None:
             return cached
-        den = self._norm_lam_rho - self._norm2(self._shift(nu))  # N ((lam+rho)^2 - (nu+rho)^2)
+        norm_nu = self._norm2(nu)
+        # N ((lam + rho)^2 - (nu + rho)^2)
+        den = self._norm_lam_rho - norm_nu - 2 * sum(map(mul, nu, self._g_rho)) - self._norm_rho
         if den <= 0:
-            self._memo[nu] = 0
+            memo[nu] = 0
             return 0
-        scale, norm_lam, norm_nu = self._scale, self._norm_lam, self._norm2(nu)
+        scale, norm_lam = self._scale, self._norm_lam
         zeros = tuple(i for i, x in enumerate(nu) if not x)  # J: W_J fixes nu
         total = 0
-        for alpha, alpha_fw, size, aa in _root_orbits(self.rs, zeros):
-            na = _pairing(self._d, nu, alpha)
-            string, prev, k = 0, norm_nu, 1
+        for _, alpha_fw, size, aa, paired in _root_orbits(self.rs, zeros):
+            na = sum(map(mul, nu, paired))
+            string, prev, k, xi = 0, norm_nu, 1, nu
             while True:
                 # xi = nu + k alpha: (xi, alpha) = (nu, alpha) + k (alpha, alpha) and
                 # N (xi, xi) = N (nu, nu) + N k (2 (nu, alpha) + k (alpha, alpha)).  Weights of the
@@ -252,7 +273,10 @@ class FreudenthalTable:
                 n2 = norm_nu + scale * k * (2 * na + k * aa)
                 if n2 > norm_lam and n2 >= prev:
                     break
-                m = self._mult(tuple(x + k * y for x, y in zip(nu, alpha_fw)))
+                xi = tuple(map(add, xi, alpha_fw))
+                m = memo.get(xi)  # a dominant xi may be known: no reflection then
+                if m is None:
+                    m = self._mult(xi)
                 if m:
                     string += m * (na + k * aa)
                 prev = n2

@@ -404,6 +404,27 @@ def test_check_oracle(capsys):
     assert row["multiplicity"] == 0 and row["oracle_agrees"]
 
 
+@pytest.mark.parametrize("argv, verdict", [
+    (("--type", "E", "--rank", "6", "--lambda", "1,0,0,0,0,1", "--mu", "0,0,0,0,0,0",
+      "--oracle"), "extremal: no"),
+    (("--type", "C", "--rank", "4", "--lambda", "0,0,3,0", "--mu", "1,0,0,2"), "extremal: yes"),
+])
+def test_check_evaluates_the_cone_forms_once(monkeypatch, capsys, argv, verdict):
+    # a member pair's form values are computed once, by the membership test, with the
+    # oracle or without it; extremality is read without them
+    calls = []
+    form_values = kostka.cone._form_values
+
+    def counted(*args):
+        calls.append(args)
+        return form_values(*args)
+
+    monkeypatch.setattr(kostka.cone, "_form_values", counted)
+    code, out, _ = run(capsys, "check", *argv)
+    assert code == 0 and "member: yes" in out and verdict in out
+    assert len(calls) == 1
+
+
 def test_check_rational_input(capsys):
     code, out, _ = run(capsys, "check", "--type", "A", "--rank", "1",
                        "--lambda", "1/2", "--mu", "1/2", "--format", "json")

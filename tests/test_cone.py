@@ -7,7 +7,7 @@ from math import lcm
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_subsets, random_dominant, supported_types, systems
@@ -606,6 +606,40 @@ def test_integer_form_verdicts_match_fraction_definitions():
                 assert is_extremal_ray(rs, lam, mu) == extremal, (rs, lam, mu)
             seen.add(extremal)
     assert seen == {None, False, True}
+
+
+@st.composite
+def _member_pairs(draw):
+    """A member pair of a type up to rank 8: a scaled ray, the sum of two rays (one
+    ray scaled when they coincide), or a dominant lam less a nonnegative integer
+    combination of simple roots that leaves mu dominant."""
+    letter, r = draw(st.sampled_from(supported_types(8)))
+    rs = root_system(letter, r)
+    kind = draw(st.sampled_from(("ray", "sum", "random")))
+    if kind == "random":
+        lam = draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
+        c = draw(st.lists(st.integers(0, 2), min_size=r, max_size=r))
+        mu = [x - sum(y * rs.cartan[m][n] for m, y in enumerate(c)) for n, x in enumerate(lam)]
+        assume(min(mu) >= 0)
+        return rs, tuple(lam), tuple(mu)
+    rays = all_rays(rs)
+    a, b = draw(st.sampled_from(rays)), draw(st.sampled_from(rays))
+    if kind == "ray":
+        t = draw(st.fractions(Q(1, 3), 3, max_denominator=3))
+        return rs, tuple(t * x for x in a.lambda_fw), tuple(t * x for x in a.mu_fw)
+    return (rs, tuple(x + y for x, y in zip(a.lambda_fw, b.lambda_fw)),
+            tuple(x + y for x, y in zip(a.mu_fw, b.mu_fw)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_member_pairs())
+@example((root_system("E", 6), (0,) * 6, (0,) * 6))  # the apex: no ray
+@example((root_system("D", 5), (0, 1, 0, 0, 0), (0, 1, 0, 0, 0)))  # (w_i, w_i): a ray
+@example((root_system("B", 4), (0, 0, 0, 1), (0, 0, 0, 1)))
+def test_check_classifies_extremality_as_the_rank_test(case):
+    # check's classification by the paper's theorem against the independent rank test
+    rs, lam, mu = case
+    assert cone._is_ray(rs, lam, mu) == is_extremal_ray(rs, lam, mu), case
 
 
 def test_every_ray_is_extremal_small():

@@ -81,7 +81,8 @@ def test_induce_solves_the_inner_levi_once(monkeypatch):
     assert (len(solves), len(inverses)) == (1, 0)
     assert (lam, mu) == ((2, 1, 0, 1, 0), (0, 1, Q(7, 6), 0, Q(1, 2)))
     assert induction_composes(c5, pair, (1, 2, 3, 4))
-    assert (len(solves), len(inverses)) == (4, 0)  # one solve per lift: direct, up to mid, on
+    # one solve per distinct lift: direct (read on mid too), then on from mid
+    assert (len(solves), len(inverses)) == (3, 0)
     # the refusal keeps its class and message
     with pytest.raises(NotInLeviConeError) as exc:
         induce(c5, LeviWeightPair((1, 2), (1, 0), (0, 1)))

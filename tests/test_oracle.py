@@ -359,7 +359,7 @@ def test_root_orbits_partition_the_positive_roots():
         for nodes in all_subsets(rs.rank):
             zeros = tuple(j - 1 for j in nodes)
             covered = set()
-            for alpha, alpha_fw, size, aa in oracle._root_orbits(rs, zeros):
+            for alpha, alpha_fw, size, aa, _ in oracle._root_orbits(rs, zeros):
                 assert by_fw.get(alpha_fw) == alpha, (rs, nodes, alpha)
                 assert scale * aa == sum(x * g * y for x, row in zip(alpha_fw, gram)
                                          for g, y in zip(row, alpha_fw))
@@ -376,6 +376,16 @@ def test_root_orbits_partition_the_positive_roots():
                 assert len(orbit) == size and not orbit & covered, (rs, nodes, alpha)
                 covered |= orbit
             assert covered == set(by_fw), (rs, nodes)
+
+
+def test_root_table_reflects_the_positive_roots():
+    # the index of +-s_j beta per root and node, against weyl's reflection of beta
+    for rs in systems(5) + [root_system("E", 8)]:
+        _, _, _, roots = oracle._form(rs)
+        for (alpha, alpha_fw), images in zip(roots, oracle._root_table(rs)[2]):
+            for j, b in enumerate(images, 1):
+                image = simple_reflection(rs, j, alpha_fw)
+                assert roots[b][1] in (image, tuple(-x for x in image)), (rs, alpha, j)
 
 
 def _reference_multiplicities(rs, lam):
