@@ -8,21 +8,22 @@ keyed by the columns, each cell spelled as ``json.dumps`` spells it; tsv is
 the header, then one line per row, a list cell comma-joined and a bool yes/no.
 A cell the same on every row is spelled once, into the row template, and each
 other column by one speller (``_SPELLINGS``).  No zero entry is formatted.
-Importing this module loads no ``json``: beyond the package only ``fractions``,
-``argparse`` and what they import (records are named tuples).  Exit codes: 0
-success (or membership), 1 clean negative verdict, 2 usage or domain error.
+Importing this module loads no ``json`` and no ``argparse``: beyond the package
+only ``fractions`` and what it imports (records are named tuples).  A plain
+request is parsed from the command table ``_COMMANDS``; argparse is loaded only
+for help, version, abbreviations and errors.  Exit codes: 0 success (or
+membership), 1 clean negative verdict, 2 usage or domain error.
 """
 
 from __future__ import annotations
 
-import argparse
-import re
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, compress, repeat
 from math import gcd
 from operator import neg
+from types import SimpleNamespace
 
 from . import __version__
 from .cone import (_is_ray, _levi_inverse, all_rays, cone_contains, polytope_vertices,
@@ -74,19 +75,21 @@ def _printable(x: Fraction) -> Fraction:
     return x
 
 
-_EXPONENT = re.compile(r"(.*[eE][-+]?)(\d+(?:_\d+)*)\Z", re.S)  # a token's exponent digits
-
-
 def _fraction(tok: str) -> Fraction:
     """``Fraction(tok)`` for a stripped token, but an exponent over the int string
     limit by more than the token's length is read as the least such, so
     10**exponent is never made: with either one the value is 0 or too long to
     print.  (Fraction's int refuses an exponent of more digits than the limit.)"""
     limit = sys.get_int_max_str_digits()
-    m = _EXPONENT.match(tok) if limit else None
-    if m and len(m[2]) - m[2].count("_") <= limit and int(m[2]) > limit + len(tok):
+    # the exponent: after the last e, a sign, then \d+(_\d+)*, read without a regex
+    # (compiling one costs the import 0.4 ms)
+    e = max(tok.rfind("e"), tok.rfind("E"))
+    head = e + 1 + (tok[e + 1:e + 2] in ("+", "-"))
+    digits = tok[head:]
+    if (limit and e >= 0 and all(map(str.isdecimal, digits.split("_")))
+            and len(digits) - digits.count("_") <= limit and int(digits) > limit + len(tok)):
         try:
-            return Fraction(f"{m[1]}{limit + len(tok) + 1}")
+            return Fraction(f"{tok[:head]}{limit + len(tok) + 1}")
         except ValueError:
             pass  # Fraction(tok) refuses it too, before it reads the exponent
     return Fraction(tok)
@@ -299,89 +302,87 @@ def cmd_census(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(sp) -> None:
-    sp.add_argument("--type", required=True, choices=list(RANK_BOUNDS),
-                    help="simple type letter")
-    sp.add_argument("--rank", required=True, type=int)
-    sp.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
+# every command once, as (handler, help, options), an option as (flag, dest, type,
+# choices, required, default, help); the type bool marks a flag (store_true)
+_TYPE = ("--type", "type", None, tuple(RANK_BOUNDS), True, None, "simple type letter")
+_RANK = ("--rank", "rank", int, None, True, None, None)
+_FORMAT = ("--format", "format", None, ("json", "tsv", "pretty"), False, "pretty", None)
+_COMMANDS = {
+    "rays": (cmd_rays, "extremal ray table", (
+        _TYPE, _RANK, _FORMAT,
+        ("--node", "node", int, None, False, None, "restrict to rays at one fundamental weight"))),
+    "vertices": (cmd_vertices, "vertices of the slice polytope at lambda", (
+        _TYPE, _RANK, _FORMAT,
+        ("--lambda", "lam", None, None, True, None,
+         "fundamental-weight coordinates, comma-separated"))),
+    "check": (cmd_check, "membership and extremality of one pair", (
+        _TYPE, _RANK, _FORMAT,
+        ("--lambda", "lam", None, None, True, None, None),
+        ("--mu", "mu", None, None, True, None, None),
+        ("--oracle", "oracle", bool, None, False, False,
+         "cross-check with a weight-multiplicity computation"))),
+    "census": (cmd_census, "enumerated ray counts vs the closed formulas", (
+        ("--max-rank", "max_rank", int, None, False, 8, None), _FORMAT)),
+}
 
 
 @lru_cache(maxsize=None)  # parse_args leaves the parser unchanged
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of ``_COMMANDS``; argparse is imported here, for help,
+    version, abbreviations and errors, which ``_fast_args`` leaves to it."""
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="kostka",
         description="Exact extremal rays and slice-polytope vertices of the "
                     "dominance cone of weight pairs for simple root systems.")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    rays = sub.add_parser("rays", help="extremal ray table")
-    _add_common(rays)
-    rays.add_argument("--node", type=int, help="restrict to rays at one fundamental weight")
-    rays.set_defaults(func=cmd_rays)
-
-    verts = sub.add_parser("vertices", help="vertices of the slice polytope at lambda")
-    _add_common(verts)
-    verts.add_argument("--lambda", dest="lam", required=True,
-                       help="fundamental-weight coordinates, comma-separated")
-    verts.set_defaults(func=cmd_vertices)
-
-    check = sub.add_parser("check", help="membership and extremality of one pair")
-    _add_common(check)
-    check.add_argument("--lambda", dest="lam", required=True)
-    check.add_argument("--mu", required=True)
-    check.add_argument("--oracle", action="store_true",
-                       help="cross-check with a weight-multiplicity computation")
-    check.set_defaults(func=cmd_check)
-
-    census = sub.add_parser("census", help="enumerated ray counts vs the closed formulas")
-    census.add_argument("--max-rank", type=int, default=8)
-    census.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
-    census.set_defaults(func=cmd_census)
-
+    for name, (func, about, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=about)
+        for flag, dest, type_, choices, required, default, help_ in options:
+            kind = {"action": "store_true"} if type_ is bool else {"type": type_, "choices": choices}
+            sp.add_argument(flag, dest=dest, required=required, default=default, help=help_, **kind)
+        sp.set_defaults(func=func)
     return p
 
 
-def _commands() -> argparse._SubParsersAction:
-    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-
-
-def _fast_args(argv) -> argparse.Namespace | None:
-    """``build_parser().parse_args(argv)`` read from the parser's own actions,
+def _fast_args(argv) -> SimpleNamespace | None:
+    """The attributes of ``build_parser().parse_args(argv)``, read from ``_COMMANDS``,
     for a command, then exactly spelled long options, each at most once, as
     '--opt value' or '--opt=value' with a valid value; None for anything else."""
-    cmds = _commands()
-    sub = cmds.choices.get(argv[0]) if argv else None
-    if sub is None:
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
         return None
-    got: dict = {}
+    func, _, options = command
+    by_flag = {opt[0]: opt for opt in options}
+    got = {"command": argv[0]}
     tokens = iter(argv[1:])
-    try:
-        for tok in tokens:
-            opt, eq, text = tok.partition("=")
-            a = sub._option_string_actions.get(opt)
-            if a in got or type(a) not in (argparse._StoreAction, argparse._StoreTrueAction):
-                return None  # help, an abbreviation, '--', a repeat or an unknown token
-            if a.nargs == 0 and not eq:  # a flag
-                got[a] = a.const
-                continue
-            text = text if eq else next(tokens, "-")
-            if a.nargs is not None or text == "--" or not eq and text.startswith("-"):
-                return None  # a value on a flag, or one that argparse may read as an option
-            got[a] = a.type(text) if a.type else text
-            if a.choices is not None and got[a] not in a.choices:
+    for tok in tokens:
+        flag, eq, text = tok.partition("=")
+        opt = by_flag.get(flag)
+        if opt is None or opt[1] in got:
+            return None  # help, an abbreviation, '--', a repeat or an unknown token
+        type_ = opt[2]
+        if type_ is bool and not eq:  # a flag
+            got[opt[1]] = True
+            continue
+        text = text if eq else next(tokens, "-")
+        if type_ is bool or text == "--" or not eq and text.startswith("-"):
+            return None  # a value on a flag, or one that argparse may read as an option
+        try:
+            value = type_(text) if type_ else text
+        except ValueError:
+            return None
+        if opt[3] is not None and value not in opt[3]:
+            return None
+        got[opt[1]] = value
+    for _, dest, _, _, required, default, _ in options:
+        if dest not in got:
+            if required:
                 return None
-        ns = {cmds.dest: argv[0]}
-        for a in sub._actions:
-            if a in got:
-                ns[a.dest] = got[a]
-            elif a.required:
-                return None
-            elif a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
-                ns[a.dest] = a.default
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
-        return None
-    return argparse.Namespace(**ns, **{k: v for k, v in sub._defaults.items() if k not in ns})
+            got[dest] = default
+    return SimpleNamespace(**got, func=func)
 
 
 def main(argv=None) -> int:
@@ -390,10 +391,9 @@ def main(argv=None) -> int:
     args = _fast_args(argv)
     if args is None:
         args = build_parser().parse_args(argv)
-        sub = _commands().choices[args.command]
-        for a in sub._actions:  # argparse keeps [] for '--opt=--', never a value
-            if type(getattr(args, a.dest, None)) is list:
-                sub.error(f"argument {a.option_strings[-1]}: expected one argument")
+        for flag, dest, *_ in _COMMANDS[args.command][2]:
+            if type(getattr(args, dest)) is list:  # argparse keeps [] for '--opt=--', never a value:
+                build_parser().parse_args([args.command, flag])  # refused as a bare '--opt' is
     try:
         return args.func(args)
     except (KostkaError, ValueError) as exc:

@@ -116,13 +116,13 @@ RECORDS = {
 }
 
 # what `import kostka.cli` may load beyond the interpreter's own modules: the package,
-# __future__, and fractions and argparse with what they import (fractions, decimal,
-# _decimal, numbers, argparse and gettext, where the site has loaded re and typing)
+# __future__, and fractions with what it imports (fractions, decimal, _decimal and
+# numbers, where the site has loaded re and typing)
 CLI_IMPORTS = """
 import sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
-import __future__, argparse, fractions
+import __future__, fractions
 allowed = set(sys.modules) - before
 import kostka.cli
 print(*sorted(set(sys.modules) - before - allowed))
@@ -227,9 +227,9 @@ def test_ray_record_repr():
     assert repr(ray) == "RayRecord(node=1, levi=(1,), numerators=(0, 1, 1, 0), k_det=2)"
 
 
-def test_cli_imports_only_fractions_and_argparse():
+def test_cli_imports_only_fractions():
     # in a fresh interpreter, with site and without it (which may load typing itself):
-    # no dataclasses, inspect, json or typing
+    # no argparse, dataclasses, gettext, inspect, json or typing
     src = str(Path(kostka.__file__).parents[1])
     for flags in (["-I"], ["-I", "-S"]):
         proc = subprocess.run([sys.executable, *flags, "-c", CLI_IMPORTS, src],

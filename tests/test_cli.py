@@ -603,6 +603,55 @@ def test_output_bytes_are_pinned(capsys):
     assert got == PINNED_SHA256
 
 
+# sha256 of the exit code, stdout and stderr of each argv (a shell line) that
+# argparse answers: help, version and usage errors, an abbreviation, '--' and
+# an extra token.  Recorded while argparse parsed every argv, at COLUMNS=80.
+PINNED_USAGE_SHA256 = {
+    "": "dbd513d57a743455e722114799182a38e6903144c0a437d0da4a86fd1b0bb872",
+    "--help": "cf9ea8754b5a098ddf625f47302f0e457ae9eb9d4c1861951cad59123139a352",
+    "--version": "dc6f7af47b27df1e63a5adf59a9dc0a1b860d3d7bf29cf28a116d6677f3abf98",
+    "rays --help": "be5bcb4d0f9662fab8c6e079d99004318c2b12419775353b9c0529f940187ee2",
+    "vertices --help": "5abffb6f86eb1c328b45776d54f387a136b71836c106dad6e0f0ec1561459e00",
+    "check --help": "a1e5520fa9e9c5d673c4124ac339ab81851d055822d53bfa6d20dcfce1b94ba7",
+    "census --help": "3c12ecb66c497976009d39d4dead8beb1782dd4fcd447824be388f5be8e6101f",
+    "bogus --type A --rank 2": "2afc37a54260e184115ff65c224add414b4a0b65ee7737f9438f94b12b6f6870",
+    "check --type A --rank 2 --lambda 1,1":
+        "fc199338cdcbbe8a08d23957bea557048d5be84be800c6b469227d56d2bbbe5c",
+    "rays --type Z --rank 2": "9c63c6e285666b39103d0c3f13376fadad79c4054a0c59d81999941130226ffe",
+    "rays --type A --rank x": "d1b8a492f8cbc0addaf34ddfed6ec69771ade59510c6ee7d2374245fb96a8b75",
+    "check --type A --rank 2 --lam 1,1 --mu 0,0":
+        "4b8de2037a34d93b47f12b51d8c8d68800a28a1dbb01b48eccb101a7c3b20de5",
+    "vertices --type A --rank 2 --lambda=--":
+        "265b66900e2dcfaa2e91b43a50981e2c696d5298f8c513cdd3bdee0cc3d663f2",
+    "check --type A --rank 2 --lambda 1,1 --mu 0,0 --oracle=yes":
+        "e362c7c6ee8994c945da0f960b7e41046ea480db35a43f8154c3685cef9cd895",
+    "rays --type A --rank 2 -- --node 1":
+        "49905c61fe010150bdd47bb9bb8be2fe357d572d1d90e474252168bfe8464d50",
+    "census --max-rank 2 extra":
+        "3161c13511948a884c72043a8879fda3f27de4a920096c6b10065585adccf775",
+    "check --type A --rank 2 --lambda 1,1 --mu -1,2":
+        "0848ffa7664bb2c3c9d6a8d01a4308266d7ec987893a91025b6e57d5285f1e18",
+}
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), whether it returns or exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_help_and_usage_bytes_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    got = {}
+    for line in PINNED_USAGE_SHA256:
+        code, out, err = _outcome(capsys, shlex.split(line))
+        got[line] = hashlib.sha256(f"{code}\n{out}{err}".encode()).hexdigest()
+    assert got == PINNED_USAGE_SHA256
+
+
 INTERLEAVED = [
     ("check", "--type", "B", "--rank", "3", "--lambda", "1,0,1", "--mu", "0,0,1",
      "--oracle", "--format", "json"),
@@ -656,7 +705,7 @@ def _argparse(argv):
 
 
 def test_options_are_plain_stores_or_flags():
-    # _fast_args models these two kinds; an option of another kind must be modelled or declined
+    # _COMMANDS describes these two kinds; an option of another kind must be modelled or declined
     root = build_parser()
     assert {type(a) for a in root._actions} == {
         argparse._HelpAction, argparse._VersionAction, argparse._SubParsersAction}
@@ -716,8 +765,7 @@ def test_fast_args_are_argparse_or_nothing(argv):
     fast = _fast_args(argv)
     if fast is not None:
         expect = _argparse(argv)
-        assert expect is not None and repr(fast) == repr(expect), argv
-        assert fast == expect
+        assert expect is not None and vars(fast) == vars(expect), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -771,13 +819,126 @@ def test_plain_argv_takes_the_fast_path():
         fast = _fast_args(argv)
         expect = _argparse(argv)
         assert (fast is None) == (expect is None), argv  # only INTERLEAVED's usage error exits
-        assert fast == expect, argv
+        assert fast is None or vars(fast) == vars(expect), argv
 
 
 def test_main_parses_plain_argv_without_argparse(capsys, monkeypatch):
     expect = [run(capsys, *argv) for argv in INTERLEAVED[:2]]
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", None)  # a call raises TypeError
     assert [run(capsys, *argv) for argv in INTERLEAVED[:2]] == expect
+
+
+PLAIN = [
+    ["rays", "--type", "C", "--rank", "3", "--node=2", "--format", "json"],
+    ["vertices", "--type", "G", "--rank", "2", "--lambda", "1,1", "--format=tsv"],
+    ["check", "--type", "B", "--rank", "3", "--lambda", "1,0,1", "--mu", "0,0,1", "--oracle"],
+    ["census", "--max-rank", "3"],
+]
+
+# in a fresh interpreter: the exit codes of main on each argv of the json list
+# sys.argv[2], the argparse modules loaded after them, and those loaded after --help
+PLAIN_MODULES = """
+import io, json, sys
+from contextlib import redirect_stdout
+sys.path.insert(0, sys.argv[1])
+from kostka.cli import main
+
+def loaded():
+    return [m for m in ("argparse", "gettext") if m in sys.modules]
+
+with redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[2])]
+    plain = loaded()
+    try:
+        main(["--help"])
+    except SystemExit:
+        pass
+print(json.dumps([codes, plain, loaded()]))
+"""
+
+
+def test_a_plain_request_loads_no_argparse():
+    # with site and without it: argparse (and its gettext) is loaded for help, not before
+    argvs = list(_readme_argvs()) + PLAIN
+    src = str(Path(kostka.__file__).parents[1])
+    for flags in (["-I"], ["-I", "-S"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", PLAIN_MODULES, src,
+                               json.dumps(argvs)], capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == [[0] * len(argvs), [], ["argparse", "gettext"]], flags
+
+
+# Valid ranks stay at most 6 and a given --max-rank at most 3 (census's default
+# of 8 takes 40 ms): a large valid rank is answered at its full cost, which
+# nothing bounds yet (`rays --type A --rank 200` runs past 60 s; refusing it early
+# is an open item of ROADMAP.md).  With the type letters, ranks 0, -1, 3, 5 and 9
+# give A0, E9, F5 and G3 out of bound.
+_CONTRACT_VALUES = {
+    "--type": list(RANK_BOUNDS),
+    "--rank": ["0", "-1", "1", "2", "3", "4", "5", "6", "9"],
+    "--node": ["0", "-1", "1", "3", "7"],
+    "--max-rank": ["-1", "0", "1", "2", "3"],
+}
+
+
+@st.composite
+def _contract_argvs(draw):
+    """A command and its options in any order, the required ones mostly, each as
+    '--opt value', '--opt=value' or '--opt=--': a rank in or out of bounds, a weight
+    often of the rank's length, with tokens well formed or not (1/0, x, empty), or
+    a token of _VALUES; then sometimes tokens of _JUNK or _VALUES anywhere."""
+    subs = _subparsers()
+    command = draw(st.sampled_from(sorted(subs)))
+    rank = draw(st.sampled_from(_CONTRACT_VALUES["--rank"]))
+    argv = [command]
+    for a in draw(st.permutations(_options(subs[command]))):
+        opt = a.option_strings[-1]
+        odds = 39 if a.required else 1  # a required option is left out once in 40
+        if draw(st.integers(0, odds)) == odds:
+            continue
+        if a.nargs == 0:
+            argv.append(f"{opt}={draw(st.sampled_from(_VALUES))}" if draw(st.integers(0, 5)) == 5
+                        else opt)
+            continue
+        kind = draw(st.integers(0, 29))
+        if kind == 29:
+            argv.append(f"{opt}=--")
+            continue
+        if kind > 26:  # a --max-rank of 6 is kept out as too long (see above)
+            value = draw(st.sampled_from([v for v in _VALUES if v != "6" or opt != "--max-rank"]))
+        elif opt in ("--lambda", "--mu"):
+            size = int(rank) if int(rank) > 0 and draw(st.integers(0, 3)) else draw(st.integers(0, 7))
+            value = ",".join(draw(st.lists(
+                st.sampled_from(["0", "1", "2", "1/2"]) | st.sampled_from(["-1", "1/0", "x", ""]),
+                min_size=size, max_size=size)))
+        else:
+            value = rank if opt == "--rank" else draw(st.sampled_from(
+                _CONTRACT_VALUES.get(opt) or list(a.choices)))
+        argv += [f"{opt}={value}"] if draw(st.booleans()) else [opt, value]
+    for _ in range(draw(st.integers(-6, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_JUNK + _VALUES)))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_contract_argvs())
+@example(["rays", "--type", "E", "--rank", "9"])
+@example(["vertices", "--type", "F", "--rank", "5", "--lambda", "1,0,0,0,0"])
+@example(["check", "--type", "G", "--rank", "3", "--lambda", "1,0,0", "--mu", "0,0,0", "--oracle"])
+@example(["rays", "--type", "A", "--rank=0"])
+@example(["rays", "--type", "A", "--rank=-1", "--node=1"])
+@example(["check", "--type", "A", "--rank", "2", "--lambda", "1/0,1", "--mu", "x,"])
+@example(["vertices", "--type", "B", "--rank", "3", "--lambda", "1,1"])
+@example(["census", "--max-rank=--"])
+def test_main_answers_every_argv_with_an_exit_code(argv):
+    # main returns 0, 1 or 2, or argparse exits 0 (help, version) or 2 (usage): no other
+    # exception, and no other exit
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 2), argv
+            return
+    assert type(code) is int and code in (0, 1, 2), argv
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):
