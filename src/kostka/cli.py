@@ -9,7 +9,9 @@ the header, then one line per row, a list cell comma-joined and a bool yes/no.
 A cell the same on every row is spelled once, into the row template, and each
 other column by one speller (``_SPELLINGS``).  No zero entry is formatted.
 Importing this module loads no ``json`` and no ``argparse``: beyond the package
-only ``fractions`` and what it imports (records are named tuples).  A plain
+only ``fractions`` and what it imports (records are named tuples), and of the
+package only what a plain request reads (``cone``, ``errors``, ``linalg`` and
+``rootdata``); ``check --oracle`` loads ``oracle``.  A plain
 request is parsed from the command table ``_COMMANDS``; argparse is loaded only
 for help, version, abbreviations and errors.  Exit codes: 0 success (or
 membership), 1 clean negative verdict, 2 usage or domain error.
@@ -29,7 +31,6 @@ from . import __version__
 from .cone import (_is_ray, _levi_inverse, all_rays, cone_contains, polytope_vertices,
                    ray_count_formula, rays_for_node)
 from .errors import KostkaError
-from .oracle import compare_membership_multiplicity
 from .rootdata import RANK_BOUNDS, is_dominant, root_system, supported_types, validate_type
 
 RAY_COLUMNS = ("type", "rank", "node", "levi", "k_primitive", "k_det",
@@ -254,8 +255,11 @@ def cmd_check(args) -> int:
     rs = root_system(args.type, args.rank)
     integral = all(x.denominator == 1 for x in lam + mu)
     # membership is read once: from the comparison with the oracle, else from cone_contains
-    cmp = (compare_membership_multiplicity(rs, lam, mu)
-           if args.oracle and integral and is_dominant(lam) else None)
+    cmp = None
+    if args.oracle and integral and is_dominant(lam):
+        from . import oracle  # loaded by the first --oracle request: no other reads it
+
+        cmp = oracle.compare_membership_multiplicity(rs, lam, mu)
     member = cmp.member if cmp is not None else cone_contains(rs, lam, mu)
     result: dict = {
         "type": rs.letter, "rank": rs.rank,

@@ -22,7 +22,6 @@ from .errors import CapExceededError, InvariantError, NotDominantError, NotInCon
 from .rootdata import (RootSystem, _block_inverse, _check_length, _connected_sets, _per_system,
                        _weight, connected_subsets_containing, fundamental_weight, is_dominant,
                        node_set, validate_type)
-from .weyl import orbit
 
 
 class LinearForm(namedtuple("LinearForm", "label coeffs")):
@@ -132,9 +131,9 @@ def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tup
     block is built from it only to be inverted.  Levis of the same shape share
     a block, so it is solved once."""
     at = {n: a for a, n in enumerate(nodes)}
-    cartan, nbrs, k = rs.cartan, rs._neighbors, len(nodes)
-    key = (k, *[(a, at[m], cartan[n - 1][m - 1], cartan[m - 1][n - 1])
-                for a, n in enumerate(nodes) for m in nbrs[n] if m > n and m in at])
+    entries, k = rs._entries, len(nodes)
+    key = (k, *[(a, at[m], x, y)
+                for a, n in enumerate(nodes) for m, x, y in entries[n] if m > n and m in at])
     out = inverses.get(key)
     if out is None:
         block = [[2 * (a == b) for b in range(k)] for a in range(k)]
@@ -146,12 +145,12 @@ def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tup
 
 def _pairings(rs: RootSystem, nodes: tuple[int, ...], c) -> dict[int, int]:
     # sum_n c_n C[n][k] at the outside neighbours k of the Levi of `nodes`, keyed by k
-    cartan, nbrs, inside = rs.cartan, rs._neighbors, set(nodes)
+    entries, inside = rs._entries, set(nodes)
     out: dict[int, int] = {}
     for n, x in zip(nodes, c):  # over the edges from L to its outside neighbours
-        for k in nbrs[n]:
+        for k, a, _ in entries[n]:
             if k not in inside:
-                out[k] = out.get(k, 0) + x * cartan[n - 1][k - 1]
+                out[k] = out.get(k, 0) + x * a
     return out
 
 
@@ -173,17 +172,19 @@ def _levi_solve(rs: RootSystem, lam, nodes: tuple[int, ...]) -> tuple[list[int],
     InvariantError if some D_u, a principal minor of C_L, is not positive.
     """
     b, m = linalg._cleared([lam[n - 1] for n in nodes])
-    cartan, nbrs, k = rs.cartan, rs._neighbors, len(nodes)
+    entries, k = rs._entries, len(nodes)
     at = {n: a for a, n in enumerate(nodes)}
     parent, order = [None] * k, []  # each tree depth first from its root: parents first
+    edge = [None] * k  # (y, C[x][y], C[y][x]): the edge from u's node x to its child v's node y
     for root in range(k):
         if parent[root] is None:
             parent[root], stack = -1, [root]
             while stack:
                 order.append(u := stack.pop())
-                for v in map(at.get, nbrs[nodes[u]]):
+                for e in entries[nodes[u]]:
+                    v = at.get(e[0])
                     if v is not None and parent[v] is None:
-                        parent[v] = u
+                        parent[v], edge[v] = u, e
                         stack.append(v)
     dets, prods, det = [2] * k, [1] * k, 1
     for v in reversed(order):  # leaves first: v's children are folded into it
@@ -193,13 +194,14 @@ def _levi_solve(rs: RootSystem, lam, nodes: tuple[int, ...]) -> tuple[list[int],
         if u < 0:
             det *= d
             continue
-        x, y, p = nodes[u] - 1, nodes[v] - 1, prods[u]  # C_L^T[u][v] = C[y][x]
-        dets[u] = dets[u] * d - cartan[y][x] * cartan[x][y] * prods[v] * p
-        b[u], prods[u] = b[u] * d - cartan[y][x] * b[v] * p, p * d
+        _, xy, yx = edge[v]  # C_L^T[u][v] = C[y][x]
+        p = prods[u]
+        dets[u] = dets[u] * d - yx * xy * prods[v] * p
+        b[u], prods[u] = b[u] * d - yx * b[v] * p, p * d
     c = [0] * k
     for v in order:  # roots first: D_v c_v + P_v C_L^T[v][u] c_u = B_v, over det
         u = parent[v]
-        e = cartan[nodes[u] - 1][nodes[v] - 1] * prods[v] * c[u] if u >= 0 else 0
+        e = edge[v][1] * prods[v] * c[u] if u >= 0 else 0
         c[v] = (b[v] * det - e) // dets[v]
     return c, det * m, _pairings(rs, nodes, c)
 
@@ -367,7 +369,8 @@ def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tu
     records = [RayRecord(i, (), lam + (0,) * r, 1)]
     for nodes in connected_subsets_containing(rs, i):
         adj, d = _levi_inverse(rs, nodes, inverses)
-        c = [row[nodes.index(i)] for row in adj]
+        col = nodes.index(i)
+        c = [row[col] for row in adj]
         out = [0] * (2 * r)
         for n, x in zip(nodes, c):
             out[r + n - 1] = x
@@ -435,6 +438,8 @@ def fundamental_orbit_pairs(rs: RootSystem) -> tuple[tuple[linalg.Vec, linalg.Ve
     These generate the extremal rays of the relaxed cone in which the
     second weight is not required to be dominant.
     """
+    from .weyl import orbit  # weyl loads with the first request that reads it
+
     out = []
     for i in range(1, rs.rank + 1):
         fw = linalg.vector(fundamental_weight(rs, i))

@@ -27,13 +27,22 @@ from operator import add, mul
 from . import linalg
 from .cone import _integer_cone_forms, _require_dominant, cone_contains
 from .errors import CapExceededError, InvariantError, NotInRootLatticeError, RankBoundExceededError
-from .rootdata import (RootSystem, _check_length, _per_system, _weight, positive_roots,
-                       root_coords_to_fw, symmetrizer)
+from .rootdata import (RootSystem, _check_length, _per_system, _positive_root_count, _weight,
+                       positive_roots, root_coords_to_fw, symmetrizer)
 
-# the bounds, read on each call: the highest rank brute_force_vertices takes, and the
-# largest representation a FreudenthalTable is built or read for
+# the bounds, read on each call: the highest rank brute_force_vertices takes, the
+# largest representation a FreudenthalTable is built or read for, and the most
+# positive roots of a system whose roots the multiplicity oracle enumerates
 DEFAULT_VERTEX_RANK_BOUND = 5
 DEFAULT_DIM_CAP = 10**5
+DEFAULT_ROOT_CAP = 10**4
+
+
+def _require_root_cap(rs: RootSystem) -> None:
+    # refused in O(1), before a positive root is enumerated: |Phi^+| is in closed form
+    n = _positive_root_count(rs.letter, rs.rank)
+    if n > DEFAULT_ROOT_CAP:
+        raise CapExceededError(f"{rs} has {n} positive roots, over the cap {DEFAULT_ROOT_CAP}")
 
 
 def _extreme_rays(rows, dim: int) -> list[tuple[int, ...]]:
@@ -180,6 +189,7 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     """Dimension of the irreducible representation with the given highest weight."""
     lam = _weight(rs, lam)
     _require_dominant(lam)
+    _require_root_cap(rs)
     paired, _, _, den = _root_table(rs)
     shifted = tuple(x + 1 for x in lam)  # lam + rho: integer pairings where lam is integral
     num = 1
@@ -297,6 +307,7 @@ _TABLES_PER_SYSTEM = 256  # the most tables kept on one root system, the oldest 
 def _table(rs: RootSystem, lam) -> FreudenthalTable:
     # lam's table, kept in rs._memo beside what _per_system keeps; a failed build keeps nothing
     lam = _integral(lam)
+    _require_root_cap(rs)  # also for a table built before the cap was lowered
     tables = rs._memo.setdefault(FreudenthalTable, {})
     table = tables.get(lam)
     if table is None:
@@ -334,6 +345,7 @@ def compare_membership_multiplicity(rs: RootSystem, lam, mu) -> MembershipCompar
     """
     lam = _integral(lam)
     mu = _integral(mu)
+    _require_root_cap(rs)  # before membership builds the whole inverse
     member = cone_contains(rs, lam, mu)
     mult = _table(rs, lam).multiplicity(mu)
     # multiplicity is 0 off the root-lattice coset, so a positive one settles the lattice

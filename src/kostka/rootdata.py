@@ -12,11 +12,15 @@ vector is the pairing against the k-th simple coroot; entry j of a
 root-coordinate vector is the coefficient of the j-th simple root.  Node
 ids are 1-based in the public API.
 
-``root_system`` caches the root systems; what is derived from one is built
-on first use and kept on it: ``RootSystem._inverse``, the integer C^-T =
-adj / det its weights' root coordinates are read from, and what
-``_per_system`` keeps in ``RootSystem._memo``.  Every inverse of a Cartan
-block, the whole matrix or a Levi's, is the integer solve of ``_block_inverse``.
+A root system is its Dynkin edges (``_edges``): the Cartan entries off the
+diagonal are zero except on an edge, and the diagonal is all 2s, so the
+neighbours and the entries on the edges are all that the Levi solves read,
+in O(r).  ``root_system`` caches the root systems; what is derived from one
+is built on first use and kept on it: the dense ``RootSystem.cartan``,
+``RootSystem._inverse``, the integer C^-T = adj / det its weights' root
+coordinates are read from, and what ``_per_system`` keeps in
+``RootSystem._memo``.  Every inverse of a Cartan block, the whole matrix or a
+Levi's, is the integer solve of ``_block_inverse``.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ RANK_BOUNDS = {
 
 _EXCEPTIONAL_WEYL_ORDERS = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
                             ("F", 4): 1152, ("G", 2): 12}
+_EXCEPTIONAL_ROOT_COUNTS = {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}
 
 
 def validate_type(letter: str, rank: int) -> str:
@@ -88,19 +93,35 @@ def _edges(letter: str, rank: int) -> list[tuple[int, int, int, int]]:
 
 
 class RootSystem:
-    """A simple root system with its Cartan matrix and Dynkin graph."""
+    """A simple root system, held as its Dynkin edges (i, j, cartan[i][j],
+    cartan[j][i]), 1-based: ``_entries[i]`` is the tuple of node i's edges
+    seen from i, (j, cartan[i][j], cartan[j][i]) for each neighbour j,
+    ascending, and ``_neighbors[i]`` the tuple of those j, both built in O(r).
+    The dense Cartan matrix ``cartan`` is built on its first read."""
 
-    def __init__(self, letter: str, rank: int, cartan: tuple[tuple[int, ...], ...]):
+    def __init__(self, letter: str, rank: int, edges):
         self.letter = letter
         self.rank = rank
-        self.cartan = cartan
-        nbrs: dict[int, list[int]] = {i: [] for i in range(1, rank + 1)}
-        for i in range(1, rank + 1):
-            for j in range(1, rank + 1):
-                if i != j and cartan[i - 1][j - 1]:
-                    nbrs[i].append(j)
-        self._neighbors = {i: tuple(v) for i, v in nbrs.items()}
+        self._edges = tuple(edges)
+        rows: dict[int, list[tuple[int, int, int]]] = {i: [] for i in range(1, rank + 1)}
+        for i, j, cij, cji in self._edges:
+            rows[i].append((j, cij, cji))
+            rows[j].append((i, cji, cij))
+        self._entries = {i: tuple(sorted(row)) for i, row in rows.items()}
+        self._neighbors = {i: tuple([j for j, _, _ in row]) for i, row in self._entries.items()}
         self._memo: dict = {}  # see _per_system
+
+    @cached_property
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
+        """The Cartan matrix, cartan[i][j] = <alpha_i, alpha_j^vee> 0-based, built on first read."""
+        rows = []
+        for i, entries in self._entries.items():
+            row = [0] * self.rank
+            row[i - 1] = 2
+            for j, a, _ in entries:
+                row[j - 1] = a
+            rows.append(tuple(row))
+        return tuple(rows)
 
     @cached_property
     def _inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -174,11 +195,7 @@ def _weight(rs: RootSystem, w) -> tuple:
 def root_system(letter: str, rank: int) -> RootSystem:
     """Build the root system of the given type under the Bourbaki numbering."""
     letter = validate_type(letter, rank)
-    entries = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for i, j, cij, cji in _edges(letter, rank):
-        entries[i - 1][j - 1] = cij
-        entries[j - 1][i - 1] = cji
-    return RootSystem(letter, rank, tuple(tuple(row) for row in entries))
+    return RootSystem(letter, rank, _edges(letter, rank))
 
 
 def node_set(rs: RootSystem, nodes) -> tuple[int, ...]:
@@ -216,14 +233,14 @@ def fw_to_root_coords(rs: RootSystem, w) -> linalg.Vec:
 
 def root_coords_to_fw(rs: RootSystem, c) -> tuple:
     """Fundamental-weight coordinates of a combination of simple roots."""
-    cartan = rs.cartan
     # zeros of c's type, so that a Fraction input gives Fraction output
     out = [c[0] * 0] * rs.rank
     for j, x in enumerate(c, 1):
         if x:
-            # row j of the Cartan matrix is nonzero only at j and its neighbours
-            for k in (j, *rs.neighbors(j)):
-                out[k - 1] += x * cartan[j - 1][k - 1]
+            # row j of the Cartan matrix is 2 at j and nonzero only at j's neighbours
+            out[j - 1] += 2 * x
+            for k, a, _ in rs._entries[j]:
+                out[k - 1] += x * a
     return tuple(out)
 
 
@@ -395,6 +412,17 @@ def weyl_order(letter: str, rank: int) -> int:
     if letter == "D":
         return 2 ** (rank - 1) * factorial(rank)
     return _EXCEPTIONAL_WEYL_ORDERS[(letter, rank)]
+
+
+def _positive_root_count(letter: str, rank: int) -> int:
+    """|Phi^+| in closed form, with no root enumerated (Bourbaki, Plates I-IX)."""
+    if letter == "A":
+        return rank * (rank + 1) // 2
+    if letter in ("B", "C"):
+        return rank * rank
+    if letter == "D":
+        return rank * (rank - 1)
+    return _EXCEPTIONAL_ROOT_COUNTS[(letter, rank)]
 
 
 def parabolic_order(rs: RootSystem, nodes) -> int:

@@ -22,19 +22,24 @@ MAX_GROUP_ORDER = 10**6
 
 
 def simple_reflection(rs: RootSystem, i: int, w) -> tuple:
-    """Reflect a fundamental-weight coordinate vector in the i-th simple root."""
+    """Reflect a fundamental-weight coordinate vector in the i-th simple root:
+    s_i w = w - w_i alpha_i, and alpha_i is 2 at i and nonzero only at i's
+    neighbours (row i of the Cartan matrix)."""
     c = w[i - 1]
     if c == 0:
         return tuple(w)
-    row = rs.cartan[i - 1]
-    return tuple(w[j] - c * row[j] for j in range(rs.rank))
+    out = list(w)
+    out[i - 1] = -c
+    for j, a, _ in rs._entries[i]:
+        out[j - 1] -= c * a
+    return tuple(out)
 
 
 def orbit(rs: RootSystem, w, nodes) -> frozenset:
     """Orbit of a weight under the Weyl subgroup generated by the given nodes."""
     nodes = node_set(rs, nodes)
-    r = rs.rank
-    idx_rows = [(i - 1, rs.cartan[i - 1]) for i in nodes]
+    # per node, its 0-based position and its Cartan row's entries at its neighbours
+    idx_rows = [(i - 1, [(j - 1, a) for j, a, _ in rs._entries[i]]) for i in nodes]
     start = _weight(rs, w)
     seen = {start}
     frontier = [start]
@@ -43,8 +48,12 @@ def orbit(rs: RootSystem, w, nodes) -> frozenset:
         for x in frontier:
             for pos, row in idx_rows:
                 c = x[pos]
-                if c:
-                    y = tuple(x[j] - c * row[j] for j in range(r))
+                if c:  # simple_reflection, inline
+                    y = list(x)
+                    y[pos] = -c
+                    for j, a in row:
+                        y[j] -= c * a
+                    y = tuple(y)
                     if y not in seen:
                         if len(seen) >= MAX_ORBIT:
                             raise BudgetExceededError(f"orbit exceeds max_orbit={MAX_ORBIT}")

@@ -4,6 +4,7 @@ import ast
 import fractions
 import importlib
 import inspect
+import json
 import operator
 import os
 import subprocess
@@ -98,8 +99,8 @@ FUNCTIONS = {
 # every work bound is a module constant, read on each call, so a test can lower it
 BOUNDS = {
     "cone": {"VERTEX_CAP": 65536},
-    "oracle": {"DEFAULT_DIM_CAP": 10**5, "DEFAULT_VERTEX_RANK_BOUND": 5,
-               "_TABLES_PER_SYSTEM": 256},
+    "oracle": {"DEFAULT_DIM_CAP": 10**5, "DEFAULT_ROOT_CAP": 10**4,
+               "DEFAULT_VERTEX_RANK_BOUND": 5, "_TABLES_PER_SYSTEM": 256},
     "weyl": {"MAX_GROUP_ORDER": 10**6, "MAX_ORBIT": 10**6},
 }
 
@@ -126,6 +127,28 @@ import __future__, fractions
 allowed = set(sys.modules) - before
 import kostka.cli
 print(*sorted(set(sys.modules) - before - allowed))
+"""
+
+# the package modules `import kostka.cli` loads: those a plain request reads
+CLI_MODULES = ["kostka", "kostka.cli", "kostka.cone", "kostka.errors", "kostka.linalg",
+               "kostka.rootdata"]
+
+# the package's dunder names, which dir(kostka) lists beside EXPORTS
+DUNDERS = ["__all__", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+           "__name__", "__package__", "__path__", "__spec__", "__version__"]
+
+# in a fresh interpreter: dir(kostka) after `import kostka`, then after `import kostka.cli`,
+# then the names `from kostka import *` binds
+PACKAGE_DIR = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import kostka
+first = dir(kostka)
+import kostka.cli
+second = dir(kostka)
+names = {}
+exec("from kostka import *", names)
+print(json.dumps([first, second, sorted(set(names) - {"__builtins__"})]))
 """
 
 # (class, base class)
@@ -237,6 +260,41 @@ def test_cli_imports_only_fractions():
         added = proc.stdout.split()
         assert "kostka.cli" in added
         assert [m for m in added if m != "kostka" and not m.startswith("kostka.")] == []
+        assert added == CLI_MODULES  # no levi, oracle or weyl, which load on first use
+
+
+def test_dir_and_star_import_list_every_submodule():
+    # levi, oracle and weyl load on first use, yet dir(kostka), __all__ and
+    # `from kostka import *` are what they were while the package imported them all
+    src = str(Path(kostka.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", PACKAGE_DIR, src],
+                          capture_output=True, text=True, check=True)
+    first, second, star = json.loads(proc.stdout)
+    assert first == sorted(EXPORTS + DUNDERS)
+    assert second == sorted(EXPORTS + DUNDERS + ["cli"])
+    assert star == EXPORTS
+
+
+def test_lazy_names_are_read_from_their_module(monkeypatch):
+    # never cached on the package: a name patched on its module (as perfbench's tracer
+    # patches every public function, and puts it back) is the package's name too
+    for name, module in kostka._LAZY.items():
+        mod = importlib.import_module(f"kostka.{module}")
+        if name == module:
+            assert getattr(kostka, name) is mod
+            continue
+        original = getattr(mod, name)
+        assert getattr(kostka, name) is original
+        monkeypatch.setattr(mod, name, object())
+        assert getattr(kostka, name) is getattr(mod, name) is not original
+        monkeypatch.undo()
+        assert getattr(kostka, name) is original
+        assert name not in vars(kostka)
+    # the names the package does not hold are the lazy ones, the loaded modules aside
+    assert (sorted(set(kostka.__all__) - set(vars(kostka)))
+            == sorted(name for name, module in kostka._LAZY.items() if name != module))
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        kostka.nothing  # noqa: B018
 
 
 def test_package_has_no_assert():

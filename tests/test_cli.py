@@ -404,6 +404,19 @@ def test_check_oracle(capsys):
     assert row["multiplicity"] == 0 and row["oracle_agrees"]
 
 
+def test_check_oracle_refuses_a_system_over_the_root_cap(capsys):
+    # A600 has 180300 positive roots: refused by their count in closed form, before
+    # a root is enumerated or membership builds the whole inverse
+    lam, mu = ",".join(["1"] + ["0"] * 598 + ["1"]), ",".join(["0"] * 600)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--type", "A", "--rank", "600",
+                         "--lambda", lam, "--mu", mu, "--oracle")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: RootSystem(A600) has 180300 positive roots, over the cap 10000\n"
+    assert "_inverse" not in vars(root_system("A", 600))
+
+
 @pytest.mark.parametrize("argv, verdict", [
     (("--type", "E", "--rank", "6", "--lambda", "1,0,0,0,0,1", "--mu", "0,0,0,0,0,0",
       "--oracle"), "extremal: no"),
@@ -855,6 +868,41 @@ with redirect_stdout(io.StringIO()):
         pass
 print(json.dumps([codes, plain, loaded()]))
 """
+
+
+# in a fresh interpreter: after the plain argvs of the json list sys.argv[2], run in
+# order, and then after `check --oracle`, the exit codes and levi, oracle and weyl loaded
+LAZY_MODULES = """
+import io, json, sys
+from contextlib import redirect_stdout
+sys.path.insert(0, sys.argv[1])
+from kostka.cli import main
+
+def loaded():
+    return [m for m in ("kostka.levi", "kostka.oracle", "kostka.weyl") if m in sys.modules]
+
+with redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[2])]
+    plain = loaded()
+    code = main(["check", "--type", "A", "--rank", "2", "--lambda", "1,1", "--mu", "0,0",
+                 "--oracle"])
+print(json.dumps([codes, plain, code, loaded()]))
+"""
+
+
+def test_a_request_loads_only_the_modules_it_reads():
+    # no request reads levi; only check --oracle reads oracle, and weyl is read by none
+    argvs = [argv for argv in _readme_argvs() if "--oracle" not in argv] + [
+        ["rays", "--type", "E", "--rank", "6", "--format", fmt] for fmt in ("json", "tsv")] + [
+        ["rays", "--type", "B", "--rank", "4", "--node", "2"],
+        ["vertices", "--type", "D", "--rank", "5", "--lambda", "1,0,1,0,1", "--format", "json"],
+        ["check", "--type", "C", "--rank", "3", "--lambda", "1,0,1", "--mu", "0,0,1"],
+        ["census", "--max-rank", "3"]]
+    src = str(Path(kostka.__file__).parents[1])
+    for flags in (["-I"], ["-I", "-S"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", LAZY_MODULES, src,
+                               json.dumps(argvs)], capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == [[0] * len(argvs), [], 0, ["kostka.oracle"]], flags
 
 
 def test_a_plain_request_loads_no_argparse():

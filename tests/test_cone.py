@@ -408,12 +408,11 @@ def test_rays_are_the_slice_vertices_at_the_fundamental_weight(case):
 
 @pytest.mark.parametrize("entry", [-2, -3], ids=["singular", "negative-determinant"])
 def test_levi_solve_checks_its_invariant(entry):
-    # C3 with (entry, entry) on the edge 2-3: the Levi block on {2, 3}, built from
+    # C3 with the edge (2, 3, entry, entry): the Levi block on {2, 3}, built from
     # those Cartan entries, is [[2, -2], [-2, 2]] (singular) or [[2, -3], [-3, 2]]
     # (determinant -5), and every entry point to the Levi solve refuses it
-    cartan = [list(row) for row in root_system("C", 3).cartan]
-    cartan[1][2] = cartan[2][1] = entry
-    bad = RootSystem("C", 3, tuple(map(tuple, cartan)))
+    bad = RootSystem("C", 3, [(1, 2, -1, -1), (2, 3, entry, entry)])
+    assert bad.cartan == ((2, -1, 0), (-1, 2, entry), (0, entry, 2))
     with pytest.raises(InvariantError):
         vertex(bad, (1, 1, 1), (2, 3))
     with pytest.raises(InvariantError):

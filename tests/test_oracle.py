@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_subsets, random_dominant, supported_types, systems
-from kostka import oracle
+from kostka import oracle, rootdata
 from kostka import (FreudenthalTable, all_rays, brute_force_rays, brute_force_vertices,
                     compare_membership_multiplicity, cone_contains, fundamental_weight,
                     fw_to_root_coords, longest_element_image, parabolic_order,
@@ -182,6 +182,37 @@ def test_multiplicity_cap(monkeypatch):
     for mu in ((1, 0, 0, 0, 0, 0), (0,) * 6):
         with pytest.raises(CapExceededError):
             weight_multiplicity(e6, (1,) * 6, mu)
+
+
+def test_root_cap_refuses_before_a_root_is_enumerated(monkeypatch):
+    # |Phi+| in closed form: A140 has 9870 positive roots, under the cap, and A141 10011
+    assert [rootdata._positive_root_count("A", r) for r in (140, 141)] == [9870, 10011]
+    enumerated = []
+    monkeypatch.setattr(oracle, "positive_roots", enumerated.append)
+    a141 = root_system.__wrapped__("A", 141)  # a fresh system, past the cache
+    lam, mu = (1,) + (0,) * 139 + (1,), (0,) * 141
+    refusal = r"^RootSystem\(A141\) has 10011 positive roots, over the cap 10000$"
+    for call in (lambda: weyl_dim(a141, lam), lambda: FreudenthalTable(a141, lam),
+                 lambda: weight_multiplicity(a141, lam, mu),
+                 lambda: compare_membership_multiplicity(a141, lam, mu)):
+        with pytest.raises(CapExceededError, match=refusal):
+            call()
+    assert not enumerated and not a141._memo and "_inverse" not in vars(a141)
+    monkeypatch.undo()
+    # read on each call, also for a table already kept
+    a3 = root_system.__wrapped__("A", 3)
+    assert weight_multiplicity(a3, (1, 0, 1), (0, 0, 0)) == 3
+    monkeypatch.setattr(oracle, "DEFAULT_ROOT_CAP", 5)
+    for call in (lambda: weight_multiplicity(a3, (1, 0, 1), (0, 0, 0)),
+                 lambda: compare_membership_multiplicity(a3, (1, 0, 1), (0, 0, 0))):
+        with pytest.raises(CapExceededError, match="has 6 positive roots, over the cap 5$"):
+            call()
+
+
+def test_root_cap_accepts_every_system_to_rank_eight():
+    # the benchmark's verify requests run at rank <= 5 and on E6; E8 has the most roots
+    counts = [rootdata._positive_root_count(letter, r) for letter, r in supported_types(8)]
+    assert max(counts) == 120 <= oracle.DEFAULT_ROOT_CAP
 
 
 def test_tables_are_kept_on_their_root_system(monkeypatch):

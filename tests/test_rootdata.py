@@ -17,7 +17,7 @@ from kostka import (FreudenthalTable, LeviWeightPair, brute_force_vertices,
                     levi_root_coords, longest_element_image, node_set, orbit, parabolic_average,
                     parabolic_average_direct, positive_roots, restrict, rho, root_coords_to_fw,
                     root_system, sub_cartan, vertex, weight_multiplicity, weyl_dim, weyl_order)
-from kostka import linalg, oracle
+from kostka import cli, linalg, oracle, rootdata
 from kostka.errors import EmptyNodeSetError, UnsupportedRankError
 from kostka.rootdata import symmetrizer
 
@@ -48,6 +48,57 @@ def test_cartan_invariants():
                 if i != j:
                     assert rs.cartan[i][j] in (0, -1, -2, -3)
                     assert (rs.cartan[i][j] == 0) == (rs.cartan[j][i] == 0)
+
+
+def _dense_root_data(letter, rank):
+    # root data as root_system built it before it kept the Dynkin edges: the dense
+    # matrix filled from the edges, and each node's neighbours by a scan of its whole row
+    rows = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    for i, j, cij, cji in rootdata._edges(letter, rank):
+        rows[i - 1][j - 1], rows[j - 1][i - 1] = cij, cji
+    return tuple(map(tuple, rows)), {i: tuple([j for j, x in enumerate(row, 1) if x and j != i])
+                                     for i, row in enumerate(rows, 1)}
+
+
+def test_edges_give_the_dense_root_data():
+    for letter, rank in supported_types(60) + [(letter, 2000) for letter in "ABCD"]:
+        rs = root_system.__wrapped__(letter, rank)  # a fresh system, past the cache
+        cartan, neighbors = _dense_root_data(letter, rank)
+        assert rs._neighbors == neighbors, rs
+        assert rs._entries == {i: tuple([(j, cartan[i - 1][j - 1], cartan[j - 1][i - 1])
+                                         for j in nbrs]) for i, nbrs in neighbors.items()}, rs
+        assert "cartan" not in vars(rs)  # built on its first read, then kept
+        assert rs.cartan == cartan and rs.cartan is rs.cartan, rs
+
+
+def test_a5000_is_built_in_linear_time():
+    start = perf_counter()
+    rs = root_system.__wrapped__("A", 5000)
+    took = perf_counter() - start
+    assert rs.neighbors(1) == (2,) and rs.neighbors(2500) == (2499, 2501)
+    assert "cartan" not in vars(rs)
+    assert took < 0.05, took
+
+
+@pytest.mark.parametrize("argv", [
+    ["rays", "--type", "E", "--rank", "7", "--format", "json"],
+    ["rays", "--type", "D", "--rank", "6", "--node", "3", "--format", "tsv"],
+    ["rays", "--type", "C", "--rank", "5", "--node", "2"],
+    ["vertices", "--type", "B", "--rank", "5", "--lambda", "1,0,2,0,1", "--format", "json"],
+], ids=["rays-json", "rays-tsv", "rays-pretty", "vertices"])
+def test_rays_and_vertices_never_build_the_dense_cartan(monkeypatch, capsys, argv):
+    # they read only the entries on Dynkin edges; the pretty ray block builds each
+    # Levi block from them
+    made = []
+
+    def fresh(letter, rank):
+        made.append(root_system.__wrapped__(letter, rank))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "root_system", fresh)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+    assert len(made) == 1 and "cartan" not in vars(made[0])
 
 
 def test_unsupported_ranks():
@@ -308,6 +359,7 @@ def test_positive_root_counts():
         rs = root_system(letter, r)
         roots = positive_roots(rs)
         assert len(roots) == POSITIVE_ROOT_COUNTS[letter](r)
+        assert rootdata._positive_root_count(letter, r) == len(roots)  # the closed form
         # closed under the simple reflections s_i beta = beta - <beta, alpha_i_vee> alpha_i,
         # alpha_i itself aside (it goes to -alpha_i)
         known = set(roots)
