@@ -19,9 +19,9 @@ from operator import or_
 
 from . import linalg
 from .errors import CapExceededError, InvariantError, NotDominantError, NotInConeError
-from .rootdata import (RootSystem, _block_inverse, _check_length, _connected_sets, _per_system,
-                       _weight, connected_subsets_containing, fundamental_weight, is_dominant,
-                       node_set, validate_type)
+from .rootdata import (RootSystem, _block_inverse, _cartan_block, _check_length, _connected_sets,
+                       _node, _per_system, _weight, connected_subsets_containing,
+                       fundamental_weight, is_dominant, node_set, validate_type)
 
 
 class LinearForm(namedtuple("LinearForm", "label coeffs")):
@@ -127,18 +127,16 @@ def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tup
     enumeration, keyed by the Levi's shape: |L| and its internal edges
     relabelled by position, each with its two Cartan entries.  The diagonal is
     all 2s and the other entries are zero off the edges, so the shape fixes
-    the block exactly: it is read in O(|L|) from the Dynkin graph, and the
-    block is built from it only to be inverted.  Levis of the same shape share
-    a block, so it is solved once."""
+    the block exactly; it is read in O(|L|) from the Dynkin graph.  Levis of
+    the same shape share a block, so it is solved once: only on a miss is
+    C_L laid out, by ``rootdata._cartan_block``, and inverted."""
     at = {n: a for a, n in enumerate(nodes)}
     entries, k = rs._entries, len(nodes)
     key = (k, *[(a, at[m], x, y)
                 for a, n in enumerate(nodes) for m, x, y in entries[n] if m > n and m in at])
     out = inverses.get(key)
     if out is None:
-        block = [[2 * (a == b) for b in range(k)] for a in range(k)]
-        for a, b, x, y in key[1:]:  # C_L[a][b] = x and C_L[b][a] = y, transposed
-            block[a][b], block[b][a] = y, x
+        block = tuple(zip(*_cartan_block(rs, nodes)))
         out = inverses[key] = _block_inverse(block, f"Levi {nodes} of {rs}")
     return out
 
@@ -362,6 +360,7 @@ def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tu
     zero on L, minus the pairings at the outside neighbours and zero
     elsewhere; no ``Fraction`` is made.
     """
+    i = _node(rs, i)
     lam = fundamental_weight(rs, i)
     if inverses is None:
         inverses = {}

@@ -189,9 +189,10 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     """Dimension of the irreducible representation with the given highest weight."""
     lam = _weight(rs, lam)
     _require_dominant(lam)
+    lam = _integral(lam)
     _require_root_cap(rs)
     paired, _, _, den = _root_table(rs)
-    shifted = tuple(x + 1 for x in lam)  # lam + rho: integer pairings where lam is integral
+    shifted = tuple(x + 1 for x in lam)  # lam + rho: integer pairings
     num = 1
     for p in paired:
         num *= sum(map(mul, shifted, p))
@@ -237,12 +238,14 @@ class FreudenthalTable:
 
     def _dominant_rep(self, w) -> tuple:
         # reflect in the first simple root w pairs negatively with: s_i w = w - w_i alpha_i,
-        # alpha_i being row i of the Cartan matrix
-        cartan = self.rs.cartan
+        # alpha_i being 2 at i and nonzero only at i's neighbours (weyl.simple_reflection, inline)
+        entries, w = self.rs._entries, list(w)
         while True:
-            for i, v in enumerate(w):
+            for i, v in enumerate(w, 1):
                 if v < 0:
-                    w = tuple([x - v * y for x, y in zip(w, cartan[i])])
+                    w[i - 1] = -v
+                    for j, a, _ in entries[i]:
+                        w[j - 1] -= v * a
                     break
             else:
                 return tuple(w)

@@ -13,14 +13,14 @@ root-coordinate vector is the coefficient of the j-th simple root.  Node
 ids are 1-based in the public API.
 
 A root system is its Dynkin edges (``_edges``): the Cartan entries off the
-diagonal are zero except on an edge, and the diagonal is all 2s, so the
-neighbours and the entries on the edges are all that the Levi solves read,
-in O(r).  ``root_system`` caches the root systems; what is derived from one
-is built on first use and kept on it: the dense ``RootSystem.cartan``,
-``RootSystem._inverse``, the integer C^-T = adj / det its weights' root
-coordinates are read from, and what ``_per_system`` keeps in
-``RootSystem._memo``.  Every inverse of a Cartan block, the whole matrix or a
-Levi's, is the integer solve of ``_block_inverse``.
+diagonal are zero except on an edge and the diagonal is all 2s, so every
+reader walks the edges, built in O(r).  ``_cartan_block`` lays out a Cartan
+block, the whole matrix or a Levi's, only to invert it (``_block_inverse``)
+or for a caller that reads ``cartan`` or ``sub_cartan``.  ``root_system`` caches
+the root systems; what is derived from one is built on first use and kept on
+it: the dense ``cartan``, ``RootSystem._inverse``, the integer C^-T = adj /
+det its weights' root coordinates are read from, and what ``_per_system``
+keeps in ``RootSystem._memo``.
 """
 
 from __future__ import annotations
@@ -97,7 +97,9 @@ class RootSystem:
     cartan[j][i]), 1-based: ``_entries[i]`` is the tuple of node i's edges
     seen from i, (j, cartan[i][j], cartan[j][i]) for each neighbour j,
     ascending, and ``_neighbors[i]`` the tuple of those j, both built in O(r).
-    The dense Cartan matrix ``cartan`` is built on its first read."""
+    The package reads only these; a dense block (``_cartan_block``) is laid
+    out only to be inverted or for a caller that reads ``cartan`` (built on
+    its first read and kept) or ``sub_cartan``."""
 
     def __init__(self, letter: str, rank: int, edges):
         self.letter = letter
@@ -114,19 +116,12 @@ class RootSystem:
     @cached_property
     def cartan(self) -> tuple[tuple[int, ...], ...]:
         """The Cartan matrix, cartan[i][j] = <alpha_i, alpha_j^vee> 0-based, built on first read."""
-        rows = []
-        for i, entries in self._entries.items():
-            row = [0] * self.rank
-            row[i - 1] = 2
-            for j, a, _ in entries:
-                row[j - 1] = a
-            rows.append(tuple(row))
-        return tuple(rows)
+        return _cartan_block(self, self.nodes())
 
     @cached_property
     def _inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(adj, det) of the transposed Cartan matrix, built on first use."""
-        return _block_inverse(tuple(zip(*self.cartan)), repr(self))
+        return _block_inverse(tuple(zip(*_cartan_block(self, self.nodes()))), repr(self))
 
     def _root_numerators(self, x) -> list[int]:
         # adj x for an integer weight x: its simple-root coefficients over _inverse's det
@@ -157,6 +152,19 @@ def _per_system(fn):
             out = rs._memo[fn, args] = fn(rs, *args)
         return out
     return kept
+
+
+def _cartan_block(rs: RootSystem, nodes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The Cartan block C_L on the ascending `nodes`, read from the Dynkin edges:
+    2 on the diagonal, the entries of the edges inside L, 0 elsewhere."""
+    at = {n: a for a, n in enumerate(nodes)}
+    rows = [[0] * len(nodes) for _ in nodes]
+    for a, n in enumerate(nodes):
+        rows[a][a] = 2
+        for m, x, _ in rs._entries[n]:
+            if m in at:
+                rows[a][at[m]] = x
+    return tuple(map(tuple, rows))
 
 
 def _block_inverse(block, owner: str) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -209,14 +217,20 @@ def node_set(rs: RootSystem, nodes) -> tuple[int, ...]:
     return out
 
 
+def _node(rs: RootSystem, i) -> int:
+    # one node id, read as node_set reads one: 2.0 is node 2, 1.5 is refused
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"node {i} out of range 1..{rs.rank}")
+    return node_set(rs, (i,))[0]
+
+
 def rho(rs: RootSystem) -> tuple[int, ...]:
     """Sum of the fundamental weights: the all-ones coordinate vector."""
     return (1,) * rs.rank
 
 
 def fundamental_weight(rs: RootSystem, i: int) -> tuple[int, ...]:
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"node {i} out of range 1..{rs.rank}")
+    i = _node(rs, i)
     return tuple(int(j == i - 1) for j in range(rs.rank))
 
 
@@ -293,14 +307,11 @@ def connected_subsets_containing(rs: RootSystem, i: int) -> list[tuple[int, ...]
     Grown from {i} by attaching neighbours, each set once (``_connected_sets``),
     so it never touches the full power set; ordered by size then lexicographically.
     """
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"node {i} out of range 1..{rs.rank}")
-    return sorted(_connected_sets(rs, i), key=lambda t: (len(t), t))
+    return sorted(_connected_sets(rs, _node(rs, i)), key=lambda t: (len(t), t))
 
 
 def sub_cartan(rs: RootSystem, nodes) -> tuple[tuple[int, ...], ...]:
-    nodes = node_set(rs, nodes)
-    return tuple(tuple(rs.cartan[a - 1][b - 1] for b in nodes) for a in nodes)
+    return _cartan_block(rs, node_set(rs, nodes))
 
 
 class LeviFactor(namedtuple("LeviFactor", "letter rank nodes")):
@@ -313,60 +324,46 @@ class LeviFactor(namedtuple("LeviFactor", "letter rank nodes")):
     __slots__ = ()
 
 
-def _relative_lengths(cartan) -> tuple[Fraction, ...]:
-    """Half squared lengths of the simple roots of a connected Cartan matrix,
-    short roots normalised to 1."""
-    k = len(cartan)
-    d: dict[int, Fraction] = {0: Fraction(1)}
-    todo = [0]
+def _lengths(rs: RootSystem, nodes: tuple[int, ...]) -> dict[int, Fraction]:
+    """Half squared lengths of the simple roots on the connected ascending `nodes`,
+    keyed by node in their order, short roots normalised to 1: one walk of the
+    Dynkin edges, where |alpha_m|^2 / |alpha_n|^2 = cartan[m][n] / cartan[n][m]."""
+    inside = set(nodes)
+    d = {nodes[0]: Fraction(1)}
+    todo = [nodes[0]]
     while todo:
-        x = todo.pop()
-        for y in range(k):
-            if y not in d and cartan[x][y]:
-                d[y] = d[x] * Fraction(cartan[y][x], cartan[x][y])
-                todo.append(y)
+        n = todo.pop()
+        for m, a, b in rs._entries[n]:
+            if m in inside and m not in d:
+                d[m] = d[n] * Fraction(b, a)
+                todo.append(m)
     lo = min(d.values())
-    return tuple(d[x] / lo for x in range(k))
+    return {n: d[n] / lo for n in nodes}
 
 
 def _classify(rs: RootSystem, comp: tuple[int, ...]) -> tuple[str, int]:
-    k = len(comp)
-    if k == 1:
-        return ("A", 1)
-    sub = sub_cartan(rs, comp)
-    bonds = [(x, y) for x in range(k) for y in range(x + 1, k) if sub[x][y]]
-    top = max(sub[x][y] * sub[y][x] for x, y in bonds)
+    # the letter and rank of the connected Levi on `comp`, read from its edges
+    k, inside, entries = len(comp), set(comp), rs._entries
+    top = max((a * b for n in comp for m, a, b in entries[n] if m in inside), default=0)  # bonds
     if top == 3:
         return ("G", 2)
     if top == 2:
-        d = _relative_lengths(sub)
+        d = _lengths(rs, comp)
         if k == 2:
-            return ("B", 2) if d[0] > d[1] else ("C", 2)
-        longs = sum(1 for v in d if v != 1)
+            return ("B", 2) if d[comp[0]] > d[comp[1]] else ("C", 2)
+        longs = sum(1 for v in d.values() if v != 1)
         if longs == 1:
             return ("C", k)
         if longs == k - 1:
             return ("B", k)
         return ("F", 4)
-    degree = {x: sum(1 for y in range(k) if y != x and sub[x][y]) for x in range(k)}
-    branch = [x for x in range(k) if degree[x] == 3]
+    degree = {n: sum(1 for m in rs._neighbors[n] if m in inside) for n in comp}
+    branch = [n for n in comp if degree[n] == 3]
     if not branch:
         return ("A", k)
-    arms = []
-    hub = branch[0]
-    for start in (y for y in range(k) if sub[hub][y] and y != hub):
-        length, prev, cur = 1, hub, start
-        while True:
-            nxt = [y for y in range(k) if y not in (prev, cur) and sub[cur][y]]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return ("D", k)
-    return ("E", k)
+    # simply laced with a branch node: D when two or more of its arms are single nodes, else E
+    leaves = sum(1 for m in rs._neighbors[branch[0]] if m in inside and degree[m] == 1)
+    return ("D", k) if leaves >= 2 else ("E", k)
 
 
 def levi_factors(rs: RootSystem, nodes) -> tuple[LeviFactor, ...]:
@@ -389,12 +386,12 @@ def positive_roots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     alpha_i where that pairing is negative (Humphreys, §10.2): each
     positive root other than a simple one is such a reflection of a lower one.
     """
-    r, cartan = rs.rank, rs.cartan
+    r, entries = rs.rank, rs._entries
     roots = [tuple(int(i == j) for j in range(r)) for i in range(r)]
     known = set(roots)
     for beta in roots:  # grows while it is read
-        for i in range(r):
-            pairing = sum(beta[j - 1] * cartan[j - 1][i] for j in (i + 1, *rs.neighbors(i + 1)))
+        for i in range(r):  # column i + 1 of the Cartan matrix: 2, and cartan[j][i] at the edges
+            pairing = 2 * beta[i] + sum(beta[j - 1] * b for j, _, b in entries[i + 1])
             if pairing < 0:
                 gamma = beta[:i] + (beta[i] - pairing,) + beta[i + 1:]
                 if gamma not in known:
@@ -438,4 +435,4 @@ def parabolic_order(rs: RootSystem, nodes) -> int:
 
 def symmetrizer(rs: RootSystem) -> tuple[Fraction, ...]:
     """Half squared lengths of the simple roots, short roots normalised to 1."""
-    return _relative_lengths(rs.cartan)
+    return tuple(_lengths(rs, rs.nodes()).values())

@@ -134,6 +134,9 @@ def test_weyl_dim_examples():
     assert weyl_dim(g2, (1, 0)) == 7
     assert weyl_dim(g2, (0, 1)) == 14
     assert weyl_dim(root_system("D", 4), (1, 0, 0, 0)) == 8
+    # a dominant weight off the weight lattice is refused as one, not as an internal fault
+    with pytest.raises(NotInRootLatticeError, match="^weight 1/2,0 is not integral$"):
+        weyl_dim(root_system("A", 2), (Q(1, 2), 0))
 
 
 def test_multiplicity_examples():

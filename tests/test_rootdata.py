@@ -15,8 +15,9 @@ from kostka import (FreudenthalTable, LeviWeightPair, brute_force_vertices,
                     connected_subsets_containing, fundamental_weight, fw_to_root_coords, induce,
                     induce_between, is_connected, is_dominant, levi_cone_contains, levi_factors,
                     levi_root_coords, longest_element_image, node_set, orbit, parabolic_average,
-                    parabolic_average_direct, positive_roots, restrict, rho, root_coords_to_fw,
-                    root_system, sub_cartan, vertex, weight_multiplicity, weyl_dim, weyl_order)
+                    parabolic_average_direct, parabolic_order, positive_roots, rays_for_node,
+                    restrict, rho, root_coords_to_fw, root_system, simple_reflection, sub_cartan,
+                    vertex, weight_multiplicity, weyl_dim, weyl_order)
 from kostka import cli, linalg, oracle, rootdata
 from kostka.errors import EmptyNodeSetError, UnsupportedRankError
 from kostka.rootdata import symmetrizer
@@ -99,6 +100,26 @@ def test_rays_and_vertices_never_build_the_dense_cartan(monkeypatch, capsys, arg
     assert cli.main(argv) == 0
     assert capsys.readouterr().out
     assert len(made) == 1 and "cartan" not in vars(made[0])
+
+
+def test_no_reader_builds_the_dense_cartan():
+    # the Levi factors, the root lengths, the positive roots and the oracles walk the
+    # Dynkin edges; only a caller that reads cartan or sub_cartan builds the matrix
+    a3000 = root_system.__wrapped__("A", 3000)
+    assert parabolic_order(a3000, (1, 2)) == 6
+    assert "cartan" not in vars(a3000)
+    for letter, rank in (("B", 4), ("C", 3), ("D", 5), ("E", 6), ("F", 4), ("G", 2)):
+        rs = root_system.__wrapped__(letter, rank)
+        lam = (1,) + (0,) * (rank - 2) + (1,)
+        levi_factors(rs, rs.nodes())
+        parabolic_order(rs, rs.nodes()[1:])
+        symmetrizer(rs)
+        positive_roots(rs)
+        assert weight_multiplicity(rs, lam, simple_reflection(rs, 1, lam)) == 1  # a Weyl image
+        assert compare_membership_multiplicity(rs, lam, (0,) * rank).agrees
+        assert "cartan" not in vars(rs), rs
+    assert sub_cartan(rs, (1, 2)) == ((2, -1), (-3, 2)) and "cartan" not in vars(rs)
+    assert rs.cartan == ((2, -1), (-3, 2)) and "cartan" in vars(rs)
 
 
 def test_unsupported_ranks():
@@ -268,6 +289,16 @@ def test_node_ids_must_be_integers():
                       (lambda: levi_root_coords(a3, (1, 2.5), (1, 1)), "2.5")]:
         with pytest.raises(ValueError, match=f"^node ids must be integers: {re.escape(bad)}$"):
             call()
+    # one node id is read as node_set reads one: 2.0 is node 2, 1.5 is refused
+    assert fundamental_weight(a3, 2.0) == fundamental_weight(a3, 2) == (0, 1, 0)
+    assert rays_for_node(a3, 2.0) == rays_for_node(a3, 2)
+    assert connected_subsets_containing(a3, Q(2)) == connected_subsets_containing(a3, 2)
+    for call in (fundamental_weight, rays_for_node, connected_subsets_containing):
+        with pytest.raises(ValueError, match=r"^node ids must be integers: 1\.5$"):
+            call(a3, 1.5)
+        for bad in (0, 4):
+            with pytest.raises(ValueError, match=f"^node {bad} out of range 1..3$"):
+                call(a3, bad)
 
 
 def test_dominant_root_coords_nonnegative():
@@ -367,6 +398,22 @@ def test_positive_root_counts():
             for i, pairing in enumerate(root_coords_to_fw(rs, beta)):
                 if beta != tuple(int(j == i) for j in range(r)):
                     assert beta[:i] + (beta[i] - pairing,) + beta[i + 1:] in known, (rs, beta, i)
+
+
+def test_levi_factors_count_the_roots_they_support():
+    # an independent count: the roots of the Levi on S are the positive roots supported
+    # in S (root closure, which shares no code with the classification), and a factor
+    # of letter X and rank k has the closed-form |Phi+| of X_k.  Only a B <-> C swap
+    # keeps the count; test_levi_factors_examples pins those
+    for letter, r in supported_types(8):
+        rs = root_system(letter, r)
+        supports = [sum(1 << j for j, c in enumerate(beta) if c) for beta in positive_roots(rs)]
+        for nodes in all_subsets(r):
+            if nodes:
+                mask = sum(1 << (n - 1) for n in nodes)
+                count = sum(rootdata._positive_root_count(f.letter, f.rank)
+                            for f in levi_factors(rs, nodes))
+                assert count == sum(1 for s in supports if s & mask == s), (rs, nodes)
 
 
 def test_weyl_orders():
