@@ -28,7 +28,7 @@ from operator import neg
 from types import SimpleNamespace
 
 from . import __version__
-from .cone import (_is_ray, _levi_inverse, all_rays, cone_contains, polytope_vertices,
+from .cone import (_form_values, _is_ray, _levi_inverse, all_rays, polytope_vertices,
                    ray_count_formula, rays_for_node)
 from .errors import KostkaError
 from .rootdata import RANK_BOUNDS, is_dominant, root_system, supported_types, validate_type
@@ -254,20 +254,22 @@ def cmd_check(args) -> int:
     mu = _parse_weight(args.mu, args.rank)
     rs = root_system(args.type, args.rank)
     integral = all(x.denominator == 1 for x in lam + mu)
-    # membership is read once: from the comparison with the oracle, else from cone_contains
-    cmp = None
+    # lam - mu is solved for once: by the comparison, else in the form values extremality reads
+    cmp = values = None
     if args.oracle and integral and is_dominant(lam):
         from . import oracle  # loaded by the first --oracle request: no other reads it
 
         cmp = oracle.compare_membership_multiplicity(rs, lam, mu)
-    member = cmp.member if cmp is not None else cone_contains(rs, lam, mu)
+    else:
+        values = _form_values(rs, lam, mu)
+    member = cmp.member if cmp is not None else all(v >= 0 for v in values)
     result: dict = {
         "type": rs.letter, "rank": rs.rank,
         "lambda_fw": list(map(str, lam)), "mu_fw": list(map(str, mu)),
         "member": member,
     }
     if member:
-        result["extremal"] = _is_ray(rs, lam, mu)
+        result["extremal"] = _is_ray(rs, lam, mu, values)
     if cmp is not None:
         result.update(in_root_lattice=cmp.in_root_lattice, multiplicity=cmp.multiplicity,
                       oracle_agrees=cmp.agrees)

@@ -20,8 +20,9 @@ from operator import or_
 from . import linalg
 from .errors import CapExceededError, InvariantError, NotDominantError, NotInConeError
 from .rootdata import (RootSystem, _block_inverse, _cartan_block, _check_length, _connected_sets,
-                       _node, _per_system, _weight, connected_subsets_containing,
-                       fundamental_weight, is_dominant, node_set, validate_type)
+                       _levi_solve, _node, _pairings, _per_system, _weight,
+                       connected_subsets_containing, fundamental_weight, is_dominant, node_set,
+                       validate_type)
 
 
 class LinearForm(namedtuple("LinearForm", "label coeffs")):
@@ -54,11 +55,11 @@ def _integer_cone_forms(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
 def _form_values(rs: RootSystem, lam, mu) -> list[int]:
     # the values of the _integer_cone_forms at m (lam | mu), in their order, for the
     # lcm m > 0 of the denominators: integers with the signs of the cone_inequalities
-    # values at (lam | mu): the 2r coordinates, then adj m (lam - mu).  adj's rows, not a
-    # forest solve: the same integers, but at rank <= 6 the rows cost less than a tree walk
+    # values at (lam | mu): the 2r coordinates, then adj m (lam - mu), solved for on the
+    # Dynkin forest of every node (zip stops at r)
     _check_length(rs, lam, mu)
     x, _ = linalg._cleared([*lam, *mu])
-    return x + rs._root_numerators([a - b for a, b in zip(x, x[rs.rank:])])  # zip stops at r
+    return x + _levi_solve(rs, [a - b for a, b in zip(x, x[rs.rank:])], rs.nodes())[0]
 
 
 def cone_contains(rs: RootSystem, lam, mu) -> bool:
@@ -139,69 +140,6 @@ def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tup
         block = tuple(zip(*_cartan_block(rs, nodes)))
         out = inverses[key] = _block_inverse(block, f"Levi {nodes} of {rs}")
     return out
-
-
-def _pairings(rs: RootSystem, nodes: tuple[int, ...], c) -> dict[int, int]:
-    # sum_n c_n C[n][k] at the outside neighbours k of the Levi of `nodes`, keyed by k
-    entries, inside = rs._entries, set(nodes)
-    out: dict[int, int] = {}
-    for n, x in zip(nodes, c):  # over the edges from L to its outside neighbours
-        for k, a, _ in entries[n]:
-            if k not in inside:
-                out[k] = out.get(k, 0) + x * a
-    return out
-
-
-def _levi_solve(rs: RootSystem, lam, nodes: tuple[int, ...]) -> tuple[list[int], int, dict[int, int]]:
-    """C_L^T c = lam|_L on the Levi L of `nodes` (ascending), solved in
-    integers: c's numerators over d, in the order of `nodes`, d, and the pairings
-    sum_n c_n C[n][k] at L's outside neighbours k, keyed by k.  lam's entries
-    are ints or Fractions, read as lam[n - 1] for n in L (a weight, or a dict).
-
-    The integers of the adjugate formula, c = adj (m lam|_L) and d = det C_L m
-    with m the lcm of lam|_L's denominators, in O(|L|) with no block built:
-    each tree of L's Dynkin forest is eliminated from its leaves to its
-    smallest node, an order with no fill-in (Parter, SIAM Rev. 3, 1961).  Node
-    u keeps its subtree's determinant D_u, the product P_u of its children's D
-    and its right-hand side B_u with them eliminated; c is substituted back
-    from the roots over det = the product of the roots' D, dividing exactly
-    by each D_u.  The point lam - (pairings of c) is zero on L, lam_k -
-    pairing / d at each outside neighbour k and lam elsewhere.  Raises
-    InvariantError if some D_u, a principal minor of C_L, is not positive.
-    """
-    b, m = linalg._cleared([lam[n - 1] for n in nodes])
-    entries, k = rs._entries, len(nodes)
-    at = {n: a for a, n in enumerate(nodes)}
-    parent, order = [None] * k, []  # each tree depth first from its root: parents first
-    edge = [None] * k  # (y, C[x][y], C[y][x]): the edge from u's node x to its child v's node y
-    for root in range(k):
-        if parent[root] is None:
-            parent[root], stack = -1, [root]
-            while stack:
-                order.append(u := stack.pop())
-                for e in entries[nodes[u]]:
-                    v = at.get(e[0])
-                    if v is not None and parent[v] is None:
-                        parent[v], edge[v] = u, e
-                        stack.append(v)
-    dets, prods, det = [2] * k, [1] * k, 1
-    for v in reversed(order):  # leaves first: v's children are folded into it
-        d, u = dets[v], parent[v]
-        if d <= 0:
-            raise InvariantError(f"Levi {nodes} of {rs} has a Cartan minor that is not positive")
-        if u < 0:
-            det *= d
-            continue
-        _, xy, yx = edge[v]  # C_L^T[u][v] = C[y][x]
-        p = prods[u]
-        dets[u] = dets[u] * d - yx * xy * prods[v] * p
-        b[u], prods[u] = b[u] * d - yx * b[v] * p, p * d
-    c = [0] * k
-    for v in order:  # roots first: D_v c_v + P_v C_L^T[v][u] c_u = B_v, over det
-        u = parent[v]
-        e = edge[v][1] * prods[v] * c[u] if u >= 0 else 0
-        c[v] = (b[v] * det - e) // dets[v]
-    return c, det * m, _pairings(rs, nodes, c)
 
 
 def _pieces(rs: RootSystem, lam: linalg.Vec, pieces) -> tuple[list[int], int, list[list]]:
@@ -402,18 +340,19 @@ def is_extremal_ray(rs: RootSystem, lam, mu) -> bool:
     return 2 * rs.rank - len(linalg._forward(tight)[0]) == 1
 
 
-def _is_ray(rs: RootSystem, lam, mu) -> bool:
+def _is_ray(rs: RootSystem, lam, mu, values) -> bool:
     """Whether a member pair spans an extremal ray, by the paper's classification:
     the rays are the pairs (w_i, v) for the vertices v of the slice at w_i, that is
     lam = t w_i, and the support L of lam - mu's simple-root coefficients c empty or
     connected with mu zero on L.  Connected and i in L need no test: on a component
-    K of L that misses i, C_K^T c_K = (lam - mu)|_K = 0 would give c_K = 0.  c is
-    read only when lam = t w_i, from adj's rows as membership reads them, with no
-    rank computation; ``is_extremal_ray`` answers the same by rank, independently."""
+    K of L that misses i, C_K^T c_K = (lam - mu)|_K = 0 would give c_K = 0.  mu and c
+    are read from the pair's ``_form_values``, as membership read them (``values``), or
+    here if that is None, only when lam = t w_i; no rank is computed:
+    ``is_extremal_ray`` answers the same by rank, independently."""
     if sum(map(bool, lam)) != 1:
         return False
-    x, _ = linalg._cleared([a - b for a, b in zip(lam, mu)])
-    return not any(m for m, c in zip(mu, rs._root_numerators(x)) if c)
+    r, values = rs.rank, values or _form_values(rs, lam, mu)
+    return not any(m for m, c in zip(values[r:2 * r], values[2 * r:]) if c)
 
 
 def ray_count_formula(letter: str, rank: int) -> int:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .cone import Vertex, _levi_solve, _require_dominant, vertex
+from .cone import Vertex, _require_dominant, vertex
 from .errors import NotInLeviConeError, OverlappingLevisError
-from .rootdata import RootSystem, _check_length, is_dominant, node_set
+from .rootdata import RootSystem, _check_length, _levi_solve, is_dominant, node_set
 
 
 class LeviWeightPair(namedtuple("LeviWeightPair", "levi lambda_fw mu_fw")):

@@ -25,10 +25,10 @@ from math import gcd
 from operator import add, mul
 
 from . import linalg
-from .cone import _integer_cone_forms, _require_dominant, cone_contains
+from .cone import _integer_cone_forms, _require_dominant
 from .errors import CapExceededError, InvariantError, NotInRootLatticeError, RankBoundExceededError
-from .rootdata import (RootSystem, _check_length, _per_system, _positive_root_count, _weight,
-                       positive_roots, root_coords_to_fw, symmetrizer)
+from .rootdata import (RootSystem, _check_length, _levi_solve, _per_system, _positive_root_count,
+                       _weight, is_dominant, positive_roots, root_coords_to_fw, symmetrizer)
 
 # the bounds, read on each call: the highest rank brute_force_vertices takes, the
 # largest representation a FreudenthalTable is built or read for, and the most
@@ -179,10 +179,15 @@ def _root_orbits(rs: RootSystem, nodes: tuple[int, ...]):
     return tuple(out)
 
 
+def _root_coefficients(rs: RootSystem, lam, mu) -> tuple[list[int], bool]:
+    # the simple-root coefficients of the integral w = lam - mu as numerators c over d, from
+    # one forest solve, and whether w is in the root lattice: whether d divides every c
+    c, d, _ = _levi_solve(rs, [a - b for a, b in zip(lam, mu)], rs.nodes())
+    return c, not any(n % d for n in c)
+
+
 def _in_root_lattice(rs: RootSystem, lam, mu) -> bool:
-    # w = lam - mu has root coordinates C^-T w = adj w / det
-    det = rs._inverse[1]
-    return all(n % det == 0 for n in rs._root_numerators([a - b for a, b in zip(lam, mu)]))
+    return _root_coefficients(rs, lam, mu)[1]
 
 
 def weyl_dim(rs: RootSystem, lam) -> int:
@@ -344,13 +349,14 @@ def compare_membership_multiplicity(rs: RootSystem, lam, mu) -> MembershipCompar
 
     Membership of a dominant integral pair in the cone plus integrality of
     the root coefficients of lam - mu must coincide with the weight space
-    being nonzero.
+    being nonzero.  Both are read from one solve for those coefficients,
+    and the table's multiplicity only on the root lattice: it is 0 off it.
     """
     lam = _integral(lam)
     mu = _integral(mu)
-    _require_root_cap(rs)  # before membership builds the whole inverse
-    member = cone_contains(rs, lam, mu)
-    mult = _table(rs, lam).multiplicity(mu)
-    # multiplicity is 0 off the root-lattice coset, so a positive one settles the lattice
-    lattice = mult > 0 or _in_root_lattice(rs, lam, mu)
-    return MembershipComparison(member, lattice, mult)
+    _require_root_cap(rs)  # refused in this order: integrality, the cap, length, the table
+    _check_length(rs, lam, mu)
+    c, lattice = _root_coefficients(rs, lam, mu)
+    table = _table(rs, lam)
+    return MembershipComparison(is_dominant(lam) and is_dominant(mu) and is_dominant(c), lattice,
+                                table._mult(mu) if lattice else 0)

@@ -14,13 +14,13 @@ ids are 1-based in the public API.
 
 A root system is its Dynkin edges (``_edges``): the Cartan entries off the
 diagonal are zero except on an edge and the diagonal is all 2s, so every
-reader walks the edges, built in O(r).  ``_cartan_block`` lays out a Cartan
-block, the whole matrix or a Levi's, only to invert it (``_block_inverse``)
-or for a caller that reads ``cartan`` or ``sub_cartan``.  ``root_system`` caches
-the root systems; what is derived from one is built on first use and kept on
-it: the dense ``cartan``, ``RootSystem._inverse``, the integer C^-T = adj /
-det its weights' root coordinates are read from, and what ``_per_system``
-keeps in ``RootSystem._memo``.
+reader walks the edges, built in O(r), and a weight's simple-root
+coefficients, on a Levi or on every node, are one solve on the Dynkin forest
+(``_levi_solve``).  ``_cartan_block`` lays out a Cartan block, the whole matrix
+or a Levi's, only to invert it (``_block_inverse``) or for a caller that reads
+``cartan`` or ``sub_cartan``.  ``root_system`` caches the root systems; what is
+derived from one is built on first use and kept on it: the dense ``cartan``,
+``RootSystem._inverse`` and what ``_per_system`` keeps in ``RootSystem._memo``.
 """
 
 from __future__ import annotations
@@ -93,10 +93,10 @@ def _edges(letter: str, rank: int) -> list[tuple[int, int, int, int]]:
 
 
 class RootSystem:
-    """A simple root system, held as its Dynkin edges (i, j, cartan[i][j],
-    cartan[j][i]), 1-based: ``_entries[i]`` is the tuple of node i's edges
-    seen from i, (j, cartan[i][j], cartan[j][i]) for each neighbour j,
-    ascending, and ``_neighbors[i]`` the tuple of those j, both built in O(r).
+    """A simple root system, built from its Dynkin edges (i, j, cartan[i][j],
+    cartan[j][i]), 1-based, and held as ``_entries[i]``, the tuple of node i's
+    edges seen from i, (j, cartan[i][j], cartan[j][i]) for each neighbour j,
+    ascending, and ``_neighbors[i]``, the tuple of those j, both built in O(r).
     The package reads only these; a dense block (``_cartan_block``) is laid
     out only to be inverted or for a caller that reads ``cartan`` (built on
     its first read and kept) or ``sub_cartan``."""
@@ -104,9 +104,8 @@ class RootSystem:
     def __init__(self, letter: str, rank: int, edges):
         self.letter = letter
         self.rank = rank
-        self._edges = tuple(edges)
         rows: dict[int, list[tuple[int, int, int]]] = {i: [] for i in range(1, rank + 1)}
-        for i, j, cij, cji in self._edges:
+        for i, j, cij, cji in edges:
             rows[i].append((j, cij, cji))
             rows[j].append((i, cji, cij))
         self._entries = {i: tuple(sorted(row)) for i, row in rows.items()}
@@ -120,12 +119,9 @@ class RootSystem:
 
     @cached_property
     def _inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(adj, det) of the transposed Cartan matrix, built on first use."""
+        """(adj, det) of the transposed Cartan matrix, built on first use by the readers
+        of the whole matrix: the cone's integer forms and the oracle's invariant form."""
         return _block_inverse(tuple(zip(*_cartan_block(self, self.nodes()))), repr(self))
-
-    def _root_numerators(self, x) -> list[int]:
-        # adj x for an integer weight x: its simple-root coefficients over _inverse's det
-        return [sum(a * v for a, v in zip(row, x) if v) for row in self._inverse[0]]
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbors[i]
@@ -180,6 +176,70 @@ def _block_inverse(block, owner: str) -> tuple[tuple[tuple[int, ...], ...], int]
     return adj, det
 
 
+def _pairings(rs: RootSystem, nodes: tuple[int, ...], c) -> dict[int, int]:
+    # sum_n c_n C[n][k] at the outside neighbours k of the Levi of `nodes`, keyed by k
+    entries, inside = rs._entries, set(nodes)
+    out: dict[int, int] = {}
+    for n, x in zip(nodes, c):  # over the edges from L to its outside neighbours
+        for k, a, _ in entries[n]:
+            if k not in inside:
+                out[k] = out.get(k, 0) + x * a
+    return out
+
+
+def _levi_solve(rs: RootSystem, lam, nodes: tuple[int, ...]) -> tuple[list[int], int, dict[int, int]]:
+    """C_L^T c = lam|_L on the Levi L of `nodes` (ascending), solved in
+    integers: c's numerators over d, in the order of `nodes`, d, and the pairings
+    sum_n c_n C[n][k] at L's outside neighbours k, keyed by k.  lam's entries
+    are ints or Fractions, read as lam[n - 1] for n in L (a weight, or a dict).
+
+    The integers of the adjugate formula, c = adj (m lam|_L) and d = det C_L m
+    with m the lcm of lam|_L's denominators, in O(|L|) with no block built:
+    each tree of L's Dynkin forest is eliminated from its leaves to its
+    smallest node, an order with no fill-in (Parter, SIAM Rev. 3, 1961).  Node
+    u keeps its subtree's determinant D_u, the product P_u of its children's D
+    and its right-hand side B_u with them eliminated; c is substituted back
+    from the roots over det = the product of the roots' D, dividing exactly
+    by each D_u.  The point lam - (pairings of c) is zero on L, lam_k -
+    pairing / d at each outside neighbour k and lam elsewhere.  On every node,
+    c / d are lam's simple-root coefficients, with no pairings.  Raises
+    InvariantError if some D_u, a principal minor of C_L, is not positive.
+    """
+    b, m = linalg._cleared([lam[n - 1] for n in nodes])
+    entries, k = rs._entries, len(nodes)
+    at = {n: a for a, n in enumerate(nodes)}
+    parent, order = [None] * k, []  # each tree depth first from its root: parents first
+    edge = [None] * k  # (y, C[x][y], C[y][x]): the edge from u's node x to its child v's node y
+    for root in range(k):
+        if parent[root] is None:
+            parent[root], stack = -1, [root]
+            while stack:
+                order.append(u := stack.pop())
+                for e in entries[nodes[u]]:
+                    v = at.get(e[0])
+                    if v is not None and parent[v] is None:
+                        parent[v], edge[v] = u, e
+                        stack.append(v)
+    dets, prods, det = [2] * k, [1] * k, 1
+    for v in reversed(order):  # leaves first: v's children are folded into it
+        d, u = dets[v], parent[v]
+        if d <= 0:
+            raise InvariantError(f"Levi {nodes} of {rs} has a Cartan minor that is not positive")
+        if u < 0:
+            det *= d
+            continue
+        _, xy, yx = edge[v]  # C_L^T[u][v] = C[y][x]
+        p = prods[u]
+        dets[u] = dets[u] * d - yx * xy * prods[v] * p
+        b[u], prods[u] = b[u] * d - yx * b[v] * p, p * d
+    c = [0] * k
+    for v in order:  # roots first: D_v c_v + P_v C_L^T[v][u] c_u = B_v, over det
+        u = parent[v]
+        e = edge[v][1] * prods[v] * c[u] if u >= 0 else 0
+        c[v] = (b[v] * det - e) // dets[v]
+    return c, det * m, _pairings(rs, nodes, c) if k < rs.rank else {}
+
+
 def _check_length(rs: RootSystem, *weights, levi: tuple[int, ...] | None = None) -> None:
     # where weights enter the package: refuse a weight of rs, or of its Levi on `levi` in
     # local coordinates, without one coordinate per node, which zip would cut short
@@ -206,22 +266,31 @@ def root_system(letter: str, rank: int) -> RootSystem:
     return RootSystem(letter, rank, _edges(letter, rank))
 
 
+def _node_id(n) -> int:
+    # a node id as an int: 2.0 is node 2, and 1.5, '2' or None is refused (int() would cut
+    # 1.5 down to node 1 and read '2' as node 2)
+    try:
+        i = int(n)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != n:
+        raise ValueError(f"node ids must be integers: {n!r}")
+    return i
+
+
 def node_set(rs: RootSystem, nodes) -> tuple[int, ...]:
-    ids = {n: int(n) for n in nodes}
-    for n, i in ids.items():
-        if i != n:  # int() would cut 1.5 down to node 1
-            raise ValueError(f"node ids must be integers: {n!r}")
-    out = tuple(sorted(set(ids.values())))
+    out = tuple(sorted(set(map(_node_id, nodes))))
     if out and (out[0] < 1 or out[-1] > rs.rank):
         raise ValueError(f"node ids must lie in 1..{rs.rank}: {out}")
     return out
 
 
 def _node(rs: RootSystem, i) -> int:
-    # one node id, read as node_set reads one: 2.0 is node 2, 1.5 is refused
-    if not 1 <= i <= rs.rank:
+    # one node id, read as node_set reads one, then its range
+    n = _node_id(i)
+    if not 1 <= n <= rs.rank:
         raise ValueError(f"node {i} out of range 1..{rs.rank}")
-    return node_set(rs, (i,))[0]
+    return n
 
 
 def rho(rs: RootSystem) -> tuple[int, ...]:
@@ -239,10 +308,10 @@ def is_dominant(w) -> bool:
 
 
 def fw_to_root_coords(rs: RootSystem, w) -> linalg.Vec:
-    """Simple-root coefficients of a weight given in fundamental-weight coordinates."""
-    x, m = linalg._cleared(tuple(w))
-    _check_length(rs, x)
-    return tuple(Fraction(n, rs._inverse[1] * m) for n in rs._root_numerators(x))
+    """Simple-root coefficients of a weight given in fundamental-weight coordinates:
+    ``_levi_solve`` on every node, in O(rank)."""
+    c, d, _ = _levi_solve(rs, _weight(rs, w), rs.nodes())
+    return tuple(Fraction(n, d) for n in c)
 
 
 def root_coords_to_fw(rs: RootSystem, c) -> tuple:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BudgetExceededError, InvariantError
-from .rootdata import RootSystem, _weight, node_set, parabolic_order
+from .rootdata import RootSystem, _node, _weight, node_set, parabolic_order
 
 MAX_ORBIT = 10**6
 MAX_GROUP_ORDER = 10**6
@@ -25,6 +25,11 @@ def simple_reflection(rs: RootSystem, i: int, w) -> tuple:
     """Reflect a fundamental-weight coordinate vector in the i-th simple root:
     s_i w = w - w_i alpha_i, and alpha_i is 2 at i and nonzero only at i's
     neighbours (row i of the Cartan matrix)."""
+    return _reflect(rs, _node(rs, i), w)
+
+
+def _reflect(rs: RootSystem, i: int, w) -> tuple:
+    # simple_reflection at a node id already read by node_set or _node
     c = w[i - 1]
     if c == 0:
         return tuple(w)
@@ -100,7 +105,7 @@ def parabolic_average_direct(rs: RootSystem, w, nodes) -> tuple:
         grown = []
         for x, y in frontier:
             for i in nodes:
-                pair = (simple_reflection(rs, i, x), simple_reflection(rs, i, y))
+                pair = (_reflect(rs, i, x), _reflect(rs, i, y))
                 if pair not in seen:
                     seen.add(pair)
                     grown.append(pair)
@@ -123,7 +128,7 @@ def longest_element_image(rs: RootSystem, w, nodes) -> tuple:
     while True:
         for i in nodes:
             if x[i - 1] > 0:
-                x = simple_reflection(rs, i, x)
+                x = _reflect(rs, i, x)
                 break
         else:
             return x

@@ -406,7 +406,7 @@ def test_check_oracle(capsys):
 
 def test_check_oracle_refuses_a_system_over_the_root_cap(capsys):
     # A600 has 180300 positive roots: refused by their count in closed form, before
-    # a root is enumerated or membership builds the whole inverse
+    # a root is enumerated or the whole inverse is built
     lam, mu = ",".join(["1"] + ["0"] * 598 + ["1"]), ",".join(["0"] * 600)
     start = time.perf_counter()
     code, out, err = run(capsys, "check", "--type", "A", "--rank", "600",
@@ -423,19 +423,52 @@ def test_check_oracle_refuses_a_system_over_the_root_cap(capsys):
     (("--type", "C", "--rank", "4", "--lambda", "0,0,3,0", "--mu", "1,0,0,2"), "extremal: yes"),
 ])
 def test_check_evaluates_the_cone_forms_once(monkeypatch, capsys, argv, verdict):
-    # a member pair's form values are computed once, by the membership test, with the
-    # oracle or without it; extremality is read without them
+    # lam - mu's simple-root coefficients are solved for once over the whole diagram: by
+    # the comparison with the oracle, else by membership, whose values extremality reads
     calls = []
-    form_values = kostka.cone._form_values
+    levi_solve = kostka.rootdata._levi_solve
 
-    def counted(*args):
-        calls.append(args)
-        return form_values(*args)
+    def counted(rs, lam, nodes):
+        calls.append(nodes == rs.nodes())
+        return levi_solve(rs, lam, nodes)
 
-    monkeypatch.setattr(kostka.cone, "_form_values", counted)
+    kostka.oracle  # loaded, so that its name is counted too
+    for module in (kostka.rootdata, kostka.cone, kostka.oracle):
+        monkeypatch.setattr(module, "_levi_solve", counted)
     code, out, _ = run(capsys, "check", *argv)
     assert code == 0 and "member: yes" in out and verdict in out
-    assert len(calls) == 1
+    assert calls == [True]
+
+
+@pytest.mark.parametrize("letter", ["A", "D"])
+def test_check_at_rank_2000_reads_no_dense_inverse(monkeypatch, capsys, letter):
+    # membership and extremality from one forest solve: a fresh system builds no inverse
+    rs = root_system.__wrapped__(letter, 2000)
+    monkeypatch.setattr(kostka.cli, "root_system", lambda *_: rs)
+    solves = []
+    solve_unique = kostka.linalg.solve_unique
+
+    def counted(*args):
+        solves.append(args)
+        return solve_unique(*args)
+
+    monkeypatch.setattr(kostka.linalg, "solve_unique", counted)
+    r, k = rs.rank, 1000
+    w1_wr, zero = (1,) + (0,) * (r - 2) + (1,), (0,) * r
+    # the vertex of the slice at w_k on a connected Levi through k spans a ray
+    point = kostka.vertex(rs, fundamental_weight(rs, k), (k - 1, k, k + 1)).point
+    ray = (tuple(Q(3, 2) * x for x in fundamental_weight(rs, k)), tuple(Q(3, 2) * x for x in point))
+    for (lam, mu), extremal in [((w1_wr, zero), False), ((zero, w1_wr), None), (ray, True)]:
+        member = cone_contains(rs, lam, mu)
+        assert member == (extremal is not None)
+        lam_arg, mu_arg = (",".join(map(str, w)) for w in (lam, mu))
+        code, out, err = run(capsys, "check", "--type", letter, "--rank", str(r),
+                             f"--lambda={lam_arg}", f"--mu={mu_arg}")
+        verdicts = f"member: {'yes' if member else 'no'}\n"
+        if member:
+            verdicts += f"extremal: {'yes' if extremal else 'no'}\n"
+        assert (code, out, err) == (0 if member else 1, verdicts, "")
+    assert "_inverse" not in vars(rs) and not solves
 
 
 def test_check_rational_input(capsys):
@@ -967,6 +1000,10 @@ def _contract_argvs(draw):
     return argv
 
 
+# w1 + w2000 and 0: check at rank 2000 answers from one forest solve, at table speed
+_W1_WR_2000, _ZERO_2000 = ",".join(["1"] + ["0"] * 1998 + ["1"]), ",".join(["0"] * 2000)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_contract_argvs())
 @example(["rays", "--type", "E", "--rank", "9"])
@@ -977,6 +1014,9 @@ def _contract_argvs(draw):
 @example(["check", "--type", "A", "--rank", "2", "--lambda", "1/0,1", "--mu", "x,"])
 @example(["vertices", "--type", "B", "--rank", "3", "--lambda", "1,1"])
 @example(["census", "--max-rank=--"])
+@example(["check", "--type", "A", "--rank", "2000", "--lambda", _W1_WR_2000, "--mu", _ZERO_2000])
+@example(["check", "--type", "D", "--rank", "2000", "--lambda", _ZERO_2000, "--mu", _W1_WR_2000,
+          "--format", "json"])
 def test_main_answers_every_argv_with_an_exit_code(argv):
     # main returns 0, 1 or 2, or argparse exits 0 (help, version) or 2 (usage): no other
     # exception, and no other exit

@@ -638,7 +638,9 @@ def _member_pairs(draw):
 def test_check_classifies_extremality_as_the_rank_test(case):
     # check's classification by the paper's theorem against the independent rank test
     rs, lam, mu = case
-    assert cone._is_ray(rs, lam, mu) == is_extremal_ray(rs, lam, mu), case
+    values = cone._form_values(rs, lam, mu)  # the values membership read, handed over
+    assert cone._is_ray(rs, lam, mu, values) == is_extremal_ray(rs, lam, mu), case
+    assert cone._is_ray(rs, lam, mu, None) == is_extremal_ray(rs, lam, mu), case  # read there
 
 
 def test_every_ray_is_extremal_small():

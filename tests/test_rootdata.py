@@ -1,3 +1,4 @@
+import gc
 import importlib
 import pkgutil
 import random
@@ -13,11 +14,12 @@ import kostka
 from kostka import (FreudenthalTable, LeviWeightPair, brute_force_vertices,
                     compare_membership_multiplicity, components, cone_contains,
                     connected_subsets_containing, fundamental_weight, fw_to_root_coords, induce,
-                    induce_between, is_connected, is_dominant, levi_cone_contains, levi_factors,
-                    levi_root_coords, longest_element_image, node_set, orbit, parabolic_average,
-                    parabolic_average_direct, parabolic_order, positive_roots, rays_for_node,
-                    restrict, rho, root_coords_to_fw, root_system, simple_reflection, sub_cartan,
-                    vertex, weight_multiplicity, weyl_dim, weyl_order)
+                    induce_between, is_connected, is_dominant, is_extremal_ray, levi_cone_contains,
+                    levi_factors, levi_root_coords, longest_element_image, node_set, orbit,
+                    parabolic_average, parabolic_average_direct, parabolic_order, positive_roots,
+                    rays_for_node, restrict, rho, root_coords_to_fw, root_system,
+                    simple_reflection, sub_cartan, vertex, weight_multiplicity, weyl_dim,
+                    weyl_order)
 from kostka import cli, linalg, oracle, rootdata
 from kostka.errors import EmptyNodeSetError, UnsupportedRankError
 from kostka.rootdata import symmetrizer
@@ -73,9 +75,18 @@ def test_edges_give_the_dense_root_data():
 
 
 def test_a5000_is_built_in_linear_time():
-    start = perf_counter()
-    rs = root_system.__wrapped__("A", 5000)
-    took = perf_counter() - start
+    # the build alone is timed: a full collection of the heap earlier tests left behind
+    # (some 80 ms late in a full run) neither falls inside it nor is set off by it
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        start = perf_counter()
+        rs = root_system.__wrapped__("A", 5000)
+        took = perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
     assert rs.neighbors(1) == (2,) and rs.neighbors(2500) == (2499, 2501)
     assert "cartan" not in vars(rs)
     assert took < 0.05, took
@@ -222,7 +233,7 @@ def test_a300_inverts_within_a_second():
 def test_a_fresh_root_system_builds_its_own_tables(monkeypatch):
     # what is derived from a root system is kept on it, not shared with an equal one
     cached = root_system("A", 3)
-    assert cone_contains(cached, (1, 0, 1), (0, 1, 0))
+    assert is_extremal_ray(cached, (0, 1, 0), (0, 1, 0))  # (w2, w2): a ray
     calls = []
     solve_unique = linalg.solve_unique
 
@@ -233,7 +244,7 @@ def test_a_fresh_root_system_builds_its_own_tables(monkeypatch):
     monkeypatch.setattr(linalg, "solve_unique", counted)
     fresh = root_system.__wrapped__("A", 3)
     assert fresh == cached
-    assert cone_contains(fresh, (1, 0, 1), (0, 1, 0))
+    assert is_extremal_ray(fresh, (0, 1, 0), (0, 1, 0))
     assert len(calls) == 1
     assert oracle._form(fresh) is not oracle._form(cached)
 
@@ -293,12 +304,29 @@ def test_node_ids_must_be_integers():
     assert fundamental_weight(a3, 2.0) == fundamental_weight(a3, 2) == (0, 1, 0)
     assert rays_for_node(a3, 2.0) == rays_for_node(a3, 2)
     assert connected_subsets_containing(a3, Q(2)) == connected_subsets_containing(a3, 2)
-    for call in (fundamental_weight, rays_for_node, connected_subsets_containing):
-        with pytest.raises(ValueError, match=r"^node ids must be integers: 1\.5$"):
-            call(a3, 1.5)
+    assert simple_reflection(a3, 2.0, (0, 1, 0)) == simple_reflection(a3, 2, (0, 1, 0))
+    reflect = lambda rs, i: simple_reflection(rs, i, (1, 0, 0))  # w[-1] would read node 3 at 0
+    not_an_integer = lambda bad: f"^node ids must be integers: {re.escape(repr(bad))}$"
+    for call in (fundamental_weight, rays_for_node, connected_subsets_containing, reflect):
+        for bad in (1.5, "2", None):
+            with pytest.raises(ValueError, match=not_an_integer(bad)):
+                call(a3, bad)
         for bad in (0, 4):
             with pytest.raises(ValueError, match=f"^node {bad} out of range 1..3$"):
                 call(a3, bad)
+    for bad in (None, "1", float("inf")):  # int() raises TypeError, reads '1', or overflows
+        with pytest.raises(ValueError, match=not_an_integer(bad)):
+            node_set(a3, [1, bad])
+
+
+def test_root_coords_at_a2000_are_the_closed_form():
+    # C^-1 of A_r is min(j, k) - jk / (r + 1), read by one forest solve: no inverse is built
+    rs = root_system.__wrapped__("A", 2000)
+    r = rs.rank
+    for k in (1, 2, 700, 1999, 2000):
+        assert fw_to_root_coords(rs, fundamental_weight(rs, k)) == tuple(
+            min(j, k) - Q(j * k, r + 1) for j in rs.nodes()), k
+    assert "_inverse" not in vars(rs)
 
 
 def test_dominant_root_coords_nonnegative():
