@@ -20,7 +20,7 @@ from operator import or_
 from . import linalg
 from .errors import CapExceededError, InvariantError, NotDominantError, NotInConeError
 from .rootdata import (RootSystem, _block_inverse, _cartan_block, _check_length, _connected_sets,
-                       _levi_solve, _node, _pairings, _per_system, _weight,
+                       _levi_solve, _node, _per_system, _weight,
                        connected_subsets_containing, fundamental_weight, is_dominant, node_set,
                        validate_type)
 
@@ -151,8 +151,8 @@ def _pieces(rs: RootSystem, lam: linalg.Vec, pieces) -> tuple[list[int], int, li
     numerator) terms that extend a vertex by it when added: c_alpha on it, one per
     node, then less lam on it and its drops at its outside neighbours."""
     r = rs.rank
-    x, m = linalg._cleared(lam)  # each piece is solved at m lam, with d its det
-    solved = [(p, *_levi_solve(rs, x, p)) for p in pieces]
+    x, m = linalg._cleared(lam)  # each piece is solved at m lam on it, with d its det
+    solved = [(p, *_levi_solve(rs, [x[n - 1] for n in p], p)) for p in pieces]
     big = lcm(*(d for _, _, d, _ in solved))
     base = [big * y for y in x] + [0] * r
     out = []
@@ -291,28 +291,28 @@ def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tu
     node set (the pair (w_i, w_i)) and one for every connected subdiagram L
     containing node i, with the integers `vertex` solves for: c_alpha is the
     column of node i in the integer inverse adj / det of C_L^T
-    (``_levi_inverse``), and mu is w_i less the pairings at L's outside
-    neighbours, O(|L|) once the block is inverted, once per call (or per
-    ``inverses`` dict, which the caller may share with other enumerations).
-    w_i is integral and i is in L, so over d = ``k_det`` mu's numerators are
-    zero on L, minus the pairings at the outside neighbours and zero
-    elsewhere; no ``Fraction`` is made.
+    (``_levi_inverse``), and mu is w_i - C^T c, O(|L|) once the block is
+    inverted, once per call (or per ``inverses`` dict, which the caller may
+    share with other enumerations).  Over d = ``k_det`` mu's numerators are
+    d w_i less C^T c's, summed over L's edges in the loop that scatters c:
+    zero on L, where C_L^T c = d w_i, minus the pairings at the outside
+    neighbours and zero elsewhere; no ``Fraction`` is made.
     """
     i = _node(rs, i)
-    lam = fundamental_weight(rs, i)
     if inverses is None:
         inverses = {}
-    r = rs.rank
-    records = [RayRecord(i, (), lam + (0,) * r, 1)]
+    r, entries = rs.rank, rs._entries
+    records = [RayRecord(i, (), fundamental_weight(rs, i) + (0,) * r, 1)]
     for nodes in connected_subsets_containing(rs, i):
         adj, d = _levi_inverse(rs, nodes, inverses)
         col = nodes.index(i)
-        c = [row[col] for row in adj]
         out = [0] * (2 * r)
-        for n, x in zip(nodes, c):
-            out[r + n - 1] = x
-        for k, p in _pairings(rs, nodes, c).items():
-            out[k - 1] = -p
+        out[i - 1] = d  # mu = w_i - C^T c over d, with c beside it
+        for n, row in zip(nodes, adj):
+            out[r + n - 1] = x = row[col]
+            out[n - 1] -= 2 * x
+            for k, a, _ in entries[n]:
+                out[k - 1] -= x * a
         records.append(RayRecord(i, nodes, tuple(out), d))
     return tuple(records)
 

@@ -3,7 +3,9 @@
 Levi-local weights are tuples indexed by the Levi's own positions 1..|I|
 after sorting its ambient node ids; every function that crosses the
 boundary takes the node set explicitly, so ambient and local coordinates
-can never be silently confused.
+can never be silently confused.  A local weight is already the right-hand
+side of the Levi's forest solve (``rootdata._levi_solve``), in the order of
+its nodes, so it is passed to that solve as it is.
 """
 
 from __future__ import annotations
@@ -37,18 +39,13 @@ def extend_by_zero(rs: RootSystem, levi, lam_local) -> tuple:
     return _at(dict(zip(levi, lam_local)), rs.nodes())
 
 
-def _solve(rs: RootSystem, levi: tuple[int, ...], w_local) -> tuple[list[int], int, dict[int, int]]:
-    # ``_levi_solve`` on a local weight of a checked Levi: c's numerators, d > 0, pairings
-    return _levi_solve(rs, {n - 1: x for n, x in zip(levi, w_local)}, levi)
-
-
 def levi_root_coords(rs: RootSystem, levi, w_local) -> tuple:
     """Coefficients of the Levi's simple roots expressing a local weight: c over d
     from the vertex solve of `cone.vertex` (``_levi_solve``), in O(|levi|) on the
     Levi's Dynkin forest with no block inverse."""
     levi = node_set(rs, levi)
     _check_length(rs, w_local, levi=levi)
-    c, d, _ = _solve(rs, levi, w_local)
+    c, d, _ = _levi_solve(rs, w_local, levi)
     return tuple(Fraction(x, d) for x in c)
 
 
@@ -58,14 +55,14 @@ def levi_cone_contains(rs: RootSystem, levi, lam_local, mu_local) -> bool:
     _check_length(rs, lam_local, mu_local, levi=levi)
     if not (is_dominant(lam_local) and is_dominant(mu_local)):
         return False
-    return is_dominant(_solve(rs, levi, [a - b for a, b in zip(lam_local, mu_local)])[0])
+    return is_dominant(_levi_solve(rs, [a - b for a, b in zip(lam_local, mu_local)], levi)[0])
 
 
 def _lift(rs: RootSystem, inner: tuple[int, ...], lam_local, mu_local) -> tuple[dict, dict]:
     # the lift of a pair on the checked Levi `inner` as {node: value}, zero where absent, from
     # one solve: the pair is in the inner cone when both weights and c are dominant
     _check_length(rs, lam_local, mu_local, levi=inner)
-    c, d, pairings = _solve(rs, inner, [a - b for a, b in zip(lam_local, mu_local)])
+    c, d, pairings = _levi_solve(rs, [a - b for a, b in zip(lam_local, mu_local)], inner)
     if not (is_dominant(lam_local) and is_dominant(mu_local) and is_dominant(c)):
         raise NotInLeviConeError(
             f"({tuple(lam_local)}, {tuple(mu_local)}) is not in the cone of {inner}")

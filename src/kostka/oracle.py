@@ -115,9 +115,10 @@ def brute_force_rays(rs: RootSystem) -> frozenset:
 
 
 def _integral(w) -> tuple[int, ...]:
-    # an all-int weight passes straight through; an integral Fraction becomes its numerator
+    # a weight, read once: all-int it passes through; an integral Fraction becomes its numerator
+    w = tuple(w)
     if all(type(x) is int for x in w):
-        return tuple(w)
+        return w
     vals = tuple(x if type(x) in (int, Fraction) else Fraction(x) for x in w)
     if any(v.denominator != 1 for v in vals):
         raise NotInRootLatticeError(f"weight {','.join(map(str, vals))} is not integral")
@@ -184,10 +185,6 @@ def _root_coefficients(rs: RootSystem, lam, mu) -> tuple[list[int], bool]:
     # one forest solve, and whether w is in the root lattice: whether d divides every c
     c, d, _ = _levi_solve(rs, [a - b for a, b in zip(lam, mu)], rs.nodes())
     return c, not any(n % d for n in c)
-
-
-def _in_root_lattice(rs: RootSystem, lam, mu) -> bool:
-    return _root_coefficients(rs, lam, mu)[1]
 
 
 def weyl_dim(rs: RootSystem, lam) -> int:
@@ -259,7 +256,7 @@ class FreudenthalTable:
         """Dimension of the weight space at mu (zero off the root-lattice coset)."""
         mu = _integral(mu)
         _check_length(self.rs, mu)
-        if not _in_root_lattice(self.rs, self.lam, mu):
+        if not _root_coefficients(self.rs, self.lam, mu)[1]:
             return 0
         return self._mult(mu)
 

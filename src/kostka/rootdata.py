@@ -176,40 +176,32 @@ def _block_inverse(block, owner: str) -> tuple[tuple[tuple[int, ...], ...], int]
     return adj, det
 
 
-def _pairings(rs: RootSystem, nodes: tuple[int, ...], c) -> dict[int, int]:
-    # sum_n c_n C[n][k] at the outside neighbours k of the Levi of `nodes`, keyed by k
-    entries, inside = rs._entries, set(nodes)
-    out: dict[int, int] = {}
-    for n, x in zip(nodes, c):  # over the edges from L to its outside neighbours
-        for k, a, _ in entries[n]:
-            if k not in inside:
-                out[k] = out.get(k, 0) + x * a
-    return out
+def _levi_solve(rs: RootSystem, values, nodes: tuple[int, ...]) -> tuple[list[int], int, dict[int, int]]:
+    """C_L^T c = values on the Levi L of `nodes` (ascending), solved in integers:
+    c's numerators over d, in the order of `nodes`, d, and the pairings
+    sum_n c_n C[n][k] at L's outside neighbours k, keyed by k.  `values` is the
+    right-hand side on L in the order of `nodes`, ints or Fractions.
 
-
-def _levi_solve(rs: RootSystem, lam, nodes: tuple[int, ...]) -> tuple[list[int], int, dict[int, int]]:
-    """C_L^T c = lam|_L on the Levi L of `nodes` (ascending), solved in
-    integers: c's numerators over d, in the order of `nodes`, d, and the pairings
-    sum_n c_n C[n][k] at L's outside neighbours k, keyed by k.  lam's entries
-    are ints or Fractions, read as lam[n - 1] for n in L (a weight, or a dict).
-
-    The integers of the adjugate formula, c = adj (m lam|_L) and d = det C_L m
-    with m the lcm of lam|_L's denominators, in O(|L|) with no block built:
+    The integers of the adjugate formula, c = adj (m values) and d = det C_L m
+    with m the lcm of the values' denominators, in O(|L|) with no block built:
     each tree of L's Dynkin forest is eliminated from its leaves to its
     smallest node, an order with no fill-in (Parter, SIAM Rev. 3, 1961).  Node
     u keeps its subtree's determinant D_u, the product P_u of its children's D
     and its right-hand side B_u with them eliminated; c is substituted back
     from the roots over det = the product of the roots' D, dividing exactly
-    by each D_u.  The point lam - (pairings of c) is zero on L, lam_k -
-    pairing / d at each outside neighbour k and lam elsewhere.  On every node,
-    c / d are lam's simple-root coefficients, with no pairings.  Raises
+    by each D_u.  The pairings are summed over the edges from L to the nodes
+    outside it, each seen once by the walk that finds the forest.  For a weight
+    lam read on L, lam - C^T c / d is zero on L, lam_k - pairing / d at each
+    outside neighbour k and lam elsewhere; on every node there are no
+    pairings, and c / d are lam's simple-root coefficients.  Raises
     InvariantError if some D_u, a principal minor of C_L, is not positive.
     """
-    b, m = linalg._cleared([lam[n - 1] for n in nodes])
+    b, m = linalg._cleared(list(values))
     entries, k = rs._entries, len(nodes)
     at = {n: a for a, n in enumerate(nodes)}
     parent, order = [None] * k, []  # each tree depth first from its root: parents first
     edge = [None] * k  # (y, C[x][y], C[y][x]): the edge from u's node x to its child v's node y
+    leaving = []  # (u, edge) for each edge from u's node to a node outside L
     for root in range(k):
         if parent[root] is None:
             parent[root], stack = -1, [root]
@@ -217,7 +209,9 @@ def _levi_solve(rs: RootSystem, lam, nodes: tuple[int, ...]) -> tuple[list[int],
                 order.append(u := stack.pop())
                 for e in entries[nodes[u]]:
                     v = at.get(e[0])
-                    if v is not None and parent[v] is None:
+                    if v is None:
+                        leaving.append((u, e))
+                    elif parent[v] is None:
                         parent[v], edge[v] = u, e
                         stack.append(v)
     dets, prods, det = [2] * k, [1] * k, 1
@@ -237,7 +231,10 @@ def _levi_solve(rs: RootSystem, lam, nodes: tuple[int, ...]) -> tuple[list[int],
         u = parent[v]
         e = edge[v][1] * prods[v] * c[u] if u >= 0 else 0
         c[v] = (b[v] * det - e) // dets[v]
-    return c, det * m, _pairings(rs, nodes, c) if k < rs.rank else {}
+    pairings: dict[int, int] = {}
+    for u, (y, a, _) in leaving:
+        pairings[y] = pairings.get(y, 0) + c[u] * a
+    return c, det * m, pairings
 
 
 def _check_length(rs: RootSystem, *weights, levi: tuple[int, ...] | None = None) -> None:
@@ -251,12 +248,15 @@ def _check_length(rs: RootSystem, *weights, levi: tuple[int, ...] | None = None)
 
 
 def _weight(rs: RootSystem, w) -> tuple:
-    # a weight from outside the package, of length rank: ints where it is integral, else Fractions
-    vals = linalg.vector(w)
-    _check_length(rs, vals)
-    if all(v.denominator == 1 for v in vals):
-        return tuple(v.numerator for v in vals)
-    return vals
+    # a weight from outside the package, read once, of length rank: ints where it is
+    # integral (an all-int one as it is, with no Fraction made), else Fractions
+    w = tuple(w)
+    if any(type(x) is not int for x in w):
+        w = linalg.vector(w)
+        if all(v.denominator == 1 for v in w):
+            w = tuple(v.numerator for v in w)
+    _check_length(rs, w)
+    return w
 
 
 @lru_cache(maxsize=None)

@@ -285,19 +285,23 @@ def test_vertex_rows_are_the_library_values(case):
 
 
 class _NoFraction:
-    # stands in for Fraction where the rays path must make none
+    # stands in for Fraction where an integer path (rays, integral vertices) must make none
     def __new__(cls, *args, **kwargs):
-        raise AssertionError("a Fraction was made on the integer rays path")
+        raise AssertionError("a Fraction was made on an integer path")
 
 
 def test_rays_make_no_fraction(capsys, monkeypatch):
     # records hold integers over k_det and every cell is printed from them
+    # and so are the vertices at an integral lambda, whose weight is read as ints
     requests = [("rays", "--type", letter, "--rank", str(r), *node, "--format", fmt)
                 for letter, r, node in (("A", 1, ()), ("C", 5, ()), ("G", 2, ()), ("E", 7, ()),
                                         ("D", 9, ("--node", "4")), ("F", 4, ("--node", "2")))
                 for fmt in ("json", "tsv", "pretty")]
+    requests += [("vertices", "--type", letter, "--rank", str(r), "--lambda", lam, "--format", fmt)
+                 for letter, r, lam in (("A", 1, "2"), ("C", 3, "1,0,1"), ("E", 6, "0,1,0,0,0,2"))
+                 for fmt in ("json", "tsv", "pretty")]
     expect = [run(capsys, *argv) for argv in requests]
-    for module in (kostka.cone, kostka.cli, kostka.linalg):
+    for module in (kostka.cone, kostka.cli, kostka.linalg, kostka.rootdata):
         monkeypatch.setattr(module, "Fraction", _NoFraction)
     assert [run(capsys, *argv) for argv in requests] == expect
 

@@ -107,6 +107,9 @@ def test_polytope_vertices_examples():
     a1 = root_system("A", 1)
     assert {v.point for v in polytope_vertices(a1, (1,))} == {(1,), (0,)}
     assert [v.point for v in polytope_vertices(a1, (0,))] == [(0,)]
+    # a weight is read once: a generator, all-int or not, gives its tuple's vertices
+    assert polytope_vertices(c2, (x for x in (1, 0))) == polytope_vertices(c2, (1, 0))
+    assert polytope_vertices(c2, (x for x in (Q(1, 2), 1))) == polytope_vertices(c2, (Q(1, 2), 1))
 
 
 @st.composite
@@ -447,6 +450,7 @@ def _forest_solves(draw):
 @example((root_system("D", 6), (0, 0, 0, 0, 1, 0), (1, 2, 5, 6)))  # a component where lam is 0
 @example((root_system("F", 4), (Q(1, 3), 0, 0, Q(1, 2)), (1, 2, 3, 4)))
 @example((root_system("G", 2), (0, Q(2, 5)), (1, 2)))
+@example((root_system("A", 3), (1, 0, 1), (1, 3)))  # node 2 pairs with both components
 def test_forest_solve_is_the_adjugate_formula(case):
     # the same integers as c = adj (m lam|_L), d = det m from the block inverse of
     # C_L^T, not only the same Fractions: the polytope's denominator is the lcm of the d
@@ -459,7 +463,7 @@ def test_forest_solve_is_the_adjugate_formula(case):
         for k in rs.neighbors(n):
             if k not in nodes:
                 pairings[k] = pairings.get(k, 0) + x * rs.cartan[n - 1][k - 1]
-    got = cone._levi_solve(rs, lam, nodes)
+    got = cone._levi_solve(rs, [lam[n - 1] for n in nodes], nodes)
     assert got == (c, det * m, pairings)
     assert all(type(x) is int for x in got[0] + [got[1], *got[2].values()])
 

@@ -149,6 +149,12 @@ def test_multiplicity_examples():
     assert weight_multiplicity(a2, (1, 1), (0, 0)) == 2
     assert weight_multiplicity(a2, (1, 1), (1, 1)) == 1
     assert weight_multiplicity(a2, (1, 1), (2, 2)) == 0
+    # each weight is read once: an iterator of the right length is its tuple
+    a3 = root_system("A", 3)
+    assert weight_multiplicity(a3, iter((1, 0, 1)), iter((0, 0, 0))) == 3
+    assert FreudenthalTable(a3, iter((1, 0, 1))).multiplicity(iter((0, 0, 0))) == 3
+    assert compare_membership_multiplicity(a3, iter((1, 0, 1)), iter((0, 0, 0))) == (True, True, 3)
+    assert weyl_dim(a3, iter((1, 0, 1))) == 15
 
 
 def test_multiplicity_rejects_non_integral():
@@ -287,7 +293,7 @@ def test_positive_multiplicity_is_membership_exhaustively():
             total = 0
             for mu in product(*box):
                 m = weight_multiplicity(rs, lam, mu)
-                member = cone_contains(rs, lam, mu) and oracle._in_root_lattice(rs, lam, mu)
+                member = cone_contains(rs, lam, mu) and oracle._root_coefficients(rs, lam, mu)[1]
                 assert member == (m > 0), (rs, lam, mu, m)
                 if m:
                     zeros = tuple(i for i in rs.nodes() if not mu[i - 1])
