@@ -19,7 +19,7 @@ from operator import or_
 
 from . import linalg
 from .errors import CapExceededError, InvariantError, NotDominantError, NotInConeError
-from .rootdata import (RootSystem, _block_inverse, _cartan_block, _check_length, _connected_sets,
+from .rootdata import (RootSystem, _block_inverse, _cartan_block, _connected_sets,
                        _levi_solve, _node, _per_system, _weight,
                        connected_subsets_containing, fundamental_weight, is_dominant, node_set,
                        validate_type)
@@ -57,8 +57,7 @@ def _form_values(rs: RootSystem, lam, mu) -> list[int]:
     # lcm m > 0 of the denominators: integers with the signs of the cone_inequalities
     # values at (lam | mu): the 2r coordinates, then adj m (lam - mu), solved for on the
     # Dynkin forest of every node (zip stops at r)
-    _check_length(rs, lam, mu)
-    x, _ = linalg._cleared([*lam, *mu])
+    x, _ = linalg._cleared([*_weight(rs, lam), *_weight(rs, mu)])
     return x + _levi_solve(rs, [a - b for a, b in zip(x, x[rs.rank:])], rs.nodes())[0]
 
 
@@ -333,9 +332,10 @@ def all_rays(rs: RootSystem, *, inverses: dict | None = None) -> tuple[RayRecord
 def is_extremal_ray(rs: RootSystem, lam, mu) -> bool:
     """Tight-constraint test: the pair spans an extremal ray iff the
     inequalities vanishing at it cut out a one-dimensional subspace."""
+    lam, mu = _weight(rs, lam), _weight(rs, mu)  # printed if refused; _form_values reads them as is
     values = _form_values(rs, lam, mu)
     if any(v < 0 for v in values):
-        raise NotInConeError(f"({tuple(lam)}, {tuple(mu)}) is not in the cone")
+        raise NotInConeError(f"({lam}, {mu}) is not in the cone")
     tight = [row for row, v in zip(_integer_cone_forms(rs), values) if not v]
     return 2 * rs.rank - len(linalg._forward(tight)[0]) == 1
 
@@ -380,7 +380,7 @@ def fundamental_orbit_pairs(rs: RootSystem) -> tuple[tuple[linalg.Vec, linalg.Ve
 
     out = []
     for i in range(1, rs.rank + 1):
-        fw = linalg.vector(fundamental_weight(rs, i))
-        for x in sorted(orbit(rs, fw, rs.nodes())):
-            out.append((fw, linalg.vector(x)))
+        fw = fundamental_weight(rs, i)  # its orbit is walked in ints
+        pair_fw = linalg.vector(fw)
+        out.extend((pair_fw, linalg.vector(x)) for x in sorted(orbit(rs, fw, rs.nodes())))
     return tuple(out)

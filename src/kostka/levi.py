@@ -3,9 +3,9 @@
 Levi-local weights are tuples indexed by the Levi's own positions 1..|I|
 after sorting its ambient node ids; every function that crosses the
 boundary takes the node set explicitly, so ambient and local coordinates
-can never be silently confused.  A local weight is already the right-hand
-side of the Levi's forest solve (``rootdata._levi_solve``), in the order of
-its nodes, so it is passed to that solve as it is.
+can never be silently confused.  A local weight, read by ``rootdata._weight``
+with the Levi's nodes, is the right-hand side of the Levi's forest solve
+(``rootdata._levi_solve``), in the order of its nodes, as it is.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cone import Vertex, _require_dominant, vertex
 from .errors import NotInLeviConeError, OverlappingLevisError
-from .rootdata import RootSystem, _check_length, _levi_solve, is_dominant, node_set
+from .rootdata import RootSystem, _levi_solve, _weight, is_dominant, node_set
 
 
 class LeviWeightPair(namedtuple("LeviWeightPair", "levi lambda_fw mu_fw")):
@@ -27,14 +27,14 @@ class LeviWeightPair(namedtuple("LeviWeightPair", "levi lambda_fw mu_fw")):
 def restrict(rs: RootSystem, levi, w) -> tuple:
     """Local coordinates of an ambient weight on the Levi's nodes."""
     levi = node_set(rs, levi)
-    _check_length(rs, w)
+    w = _weight(rs, w)
     return tuple(w[n - 1] for n in levi)
 
 
 def extend_by_zero(rs: RootSystem, levi, lam_local) -> tuple:
     """Ambient weight agreeing with the local one on the Levi, zero elsewhere."""
     levi = node_set(rs, levi)
-    _check_length(rs, lam_local, levi=levi)
+    lam_local = _weight(rs, lam_local, levi)
     _require_dominant(lam_local)
     return _at(dict(zip(levi, lam_local)), rs.nodes())
 
@@ -44,15 +44,14 @@ def levi_root_coords(rs: RootSystem, levi, w_local) -> tuple:
     from the vertex solve of `cone.vertex` (``_levi_solve``), in O(|levi|) on the
     Levi's Dynkin forest with no block inverse."""
     levi = node_set(rs, levi)
-    _check_length(rs, w_local, levi=levi)
-    c, d, _ = _levi_solve(rs, w_local, levi)
+    c, d, _ = _levi_solve(rs, _weight(rs, w_local, levi), levi)
     return tuple(Fraction(x, d) for x in c)
 
 
 def levi_cone_contains(rs: RootSystem, levi, lam_local, mu_local) -> bool:
     """Membership in the Levi's own cone: the conjunction over its simple factors."""
     levi = node_set(rs, levi)
-    _check_length(rs, lam_local, mu_local, levi=levi)
+    lam_local, mu_local = _weight(rs, lam_local, levi), _weight(rs, mu_local, levi)
     if not (is_dominant(lam_local) and is_dominant(mu_local)):
         return False
     return is_dominant(_levi_solve(rs, [a - b for a, b in zip(lam_local, mu_local)], levi)[0])
@@ -61,11 +60,11 @@ def levi_cone_contains(rs: RootSystem, levi, lam_local, mu_local) -> bool:
 def _lift(rs: RootSystem, inner: tuple[int, ...], lam_local, mu_local) -> tuple[dict, dict]:
     # the lift of a pair on the checked Levi `inner` as {node: value}, zero where absent, from
     # one solve: the pair is in the inner cone when both weights and c are dominant
-    _check_length(rs, lam_local, mu_local, levi=inner)
+    lam_local, mu_local = _weight(rs, lam_local, inner), _weight(rs, mu_local, inner)
     c, d, pairings = _levi_solve(rs, [a - b for a, b in zip(lam_local, mu_local)], inner)
     if not (is_dominant(lam_local) and is_dominant(mu_local) and is_dominant(c)):
         raise NotInLeviConeError(
-            f"({tuple(lam_local)}, {tuple(mu_local)}) is not in the cone of {inner}")
+            f"({lam_local}, {mu_local}) is not in the cone of {inner}")
     mu = {k: Fraction(-p, d) for k, p in pairings.items()}
     mu.update(zip(inner, mu_local))
     return dict(zip(inner, lam_local)), mu
@@ -130,16 +129,16 @@ def induction_composes(rs: RootSystem, pair: LeviWeightPair, mid) -> bool:
 
 def induce_sum(rs: RootSystem, pairs) -> tuple[tuple, tuple]:
     """Sum of the lifts of pairs on pairwise disjoint Levis."""
-    pairs = tuple(pairs)
-    used: set[int] = set()
-    for p in pairs:
-        nodes = set(node_set(rs, p.levi))
-        if used & nodes:
-            raise OverlappingLevisError(f"node sets overlap at {sorted(used & nodes)}")
-        used |= nodes
+    levis, used = [], set()
+    for p in pairs:  # each Levi read once, and all of them before a weight
+        levi = node_set(rs, p.levi)
+        if used.intersection(levi):
+            raise OverlappingLevisError(f"node sets overlap at {sorted(used.intersection(levi))}")
+        used.update(levi)
+        levis.append((levi, p))
     lam, mu = {}, {}
-    for p in pairs:
-        for total, part in zip((lam, mu), _lift(rs, node_set(rs, p.levi), p.lambda_fw, p.mu_fw)):
+    for levi, p in levis:
+        for total, part in zip((lam, mu), _lift(rs, levi, p.lambda_fw, p.mu_fw)):
             for k, x in part.items():
                 total[k] = total.get(k, 0) + x
     return _at(lam, rs.nodes()), _at(mu, rs.nodes())

@@ -33,14 +33,14 @@ def vector(entries: Iterable) -> Vec:
 
 
 def _cleared(values) -> tuple[list, int]:
-    """The values times the lcm m of their denominators, as ints, and m.
-
-    Values that are all ``int`` are passed through as they are (m = 1);
-    others that are not ``Fraction``s are made ``Fraction``s first.
+    """The values, ints and ``Fraction``s, times the lcm m of their
+    denominators, as ints, and m.  Values that are all ``int`` are passed
+    through as they are (m = 1).  A weight from outside the package reaches
+    them only through ``rootdata._weight``, which makes any other entry a
+    ``Fraction``.
     """
     if set(map(type, values)) <= {int}:
         return values, 1
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     m = lcm(*(v.denominator for v in values))
     return [v.numerator * (m // v.denominator) for v in values], m
 

@@ -27,8 +27,8 @@ from operator import add, mul
 from . import linalg
 from .cone import _integer_cone_forms, _require_dominant
 from .errors import CapExceededError, InvariantError, NotInRootLatticeError, RankBoundExceededError
-from .rootdata import (RootSystem, _check_length, _levi_solve, _per_system, _positive_root_count,
-                       _weight, is_dominant, positive_roots, root_coords_to_fw, symmetrizer)
+from .rootdata import (RootSystem, _levi_solve, _per_system, _positive_root_count, _weight,
+                       is_dominant, positive_roots, root_coords_to_fw, symmetrizer)
 
 # the bounds, read on each call: the highest rank brute_force_vertices takes, the
 # largest representation a FreudenthalTable is built or read for, and the most
@@ -114,15 +114,13 @@ def brute_force_rays(rs: RootSystem) -> frozenset:
     return frozenset(_extreme_rays(_integer_cone_forms(rs)[2 * rs.rank:], 2 * rs.rank))
 
 
-def _integral(w) -> tuple[int, ...]:
-    # a weight, read once: all-int it passes through; an integral Fraction becomes its numerator
-    w = tuple(w)
-    if all(type(x) is int for x in w):
+def _integral(w: tuple) -> tuple[int, ...]:
+    # a weight as _weight read it, refused unless integral: ints, each Fraction its numerator
+    if set(map(type, w)) <= {int}:
         return w
-    vals = tuple(x if type(x) in (int, Fraction) else Fraction(x) for x in w)
-    if any(v.denominator != 1 for v in vals):
-        raise NotInRootLatticeError(f"weight {','.join(map(str, vals))} is not integral")
-    return tuple(v.numerator for v in vals)
+    if any(x.denominator != 1 for x in w):
+        raise NotInRootLatticeError(f"weight {','.join(map(str, w))} is not integral")
+    return tuple(x.numerator for x in w)
 
 
 @_per_system
@@ -220,7 +218,7 @@ class FreudenthalTable:
 
     def __init__(self, rs: RootSystem, lam):
         self.rs = rs
-        self.lam = _integral(lam)
+        self.lam = _integral(_weight(rs, lam))
         _require_dominant(self.lam)
         self.dim = weyl_dim(rs, self.lam)
         if self.dim > DEFAULT_DIM_CAP:
@@ -254,8 +252,7 @@ class FreudenthalTable:
 
     def multiplicity(self, mu) -> int:
         """Dimension of the weight space at mu (zero off the root-lattice coset)."""
-        mu = _integral(mu)
-        _check_length(self.rs, mu)
+        mu = _integral(_weight(self.rs, mu))
         if not _root_coefficients(self.rs, self.lam, mu)[1]:
             return 0
         return self._mult(mu)
@@ -309,9 +306,9 @@ class FreudenthalTable:
 _TABLES_PER_SYSTEM = 256  # the most tables kept on one root system, the oldest dropped first
 
 
-def _table(rs: RootSystem, lam) -> FreudenthalTable:
-    # lam's table, kept in rs._memo beside what _per_system keeps; a failed build keeps nothing
-    lam = _integral(lam)
+def _table(rs: RootSystem, lam: tuple[int, ...]) -> FreudenthalTable:
+    # the table of lam, read and integral, kept in rs._memo beside what _per_system keeps; a
+    # failed build keeps nothing
     _require_root_cap(rs)  # also for a table built before the cap was lowered
     tables = rs._memo.setdefault(FreudenthalTable, {})
     table = tables.get(lam)
@@ -327,7 +324,7 @@ def _table(rs: RootSystem, lam) -> FreudenthalTable:
 
 def weight_multiplicity(rs: RootSystem, lam, mu) -> int:
     """Freudenthal multiplicity from the table of lam kept on rs, built on first use."""
-    return _table(rs, lam).multiplicity(mu)
+    return _table(rs, _integral(_weight(rs, lam))).multiplicity(mu)
 
 
 class MembershipComparison(namedtuple("MembershipComparison",
@@ -349,10 +346,9 @@ def compare_membership_multiplicity(rs: RootSystem, lam, mu) -> MembershipCompar
     being nonzero.  Both are read from one solve for those coefficients,
     and the table's multiplicity only on the root lattice: it is 0 off it.
     """
-    lam = _integral(lam)
-    mu = _integral(mu)
-    _require_root_cap(rs)  # refused in this order: integrality, the cap, length, the table
-    _check_length(rs, lam, mu)
+    lam, mu = _weight(rs, lam), _weight(rs, mu)
+    lam, mu = _integral(lam), _integral(mu)
+    _require_root_cap(rs)  # refused in this order: length, integrality, the cap, the table
     c, lattice = _root_coefficients(rs, lam, mu)
     table = _table(rs, lam)
     return MembershipComparison(is_dominant(lam) and is_dominant(mu) and is_dominant(c), lattice,

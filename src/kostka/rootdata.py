@@ -237,26 +237,18 @@ def _levi_solve(rs: RootSystem, values, nodes: tuple[int, ...]) -> tuple[list[in
     return c, det * m, pairings
 
 
-def _check_length(rs: RootSystem, *weights, levi: tuple[int, ...] | None = None) -> None:
-    # where weights enter the package: refuse a weight of rs, or of its Levi on `levi` in
-    # local coordinates, without one coordinate per node, which zip would cut short
-    n = rs.rank if levi is None else len(levi)
-    for w in weights:
-        if len(w) != n:
-            owner = rs if levi is None else f"the Levi {levi} of {rs}"
-            raise ValueError(f"a weight of {owner} has {n} coordinates, got {len(w)}")
-
-
-def _weight(rs: RootSystem, w) -> tuple:
-    # a weight from outside the package, read once, of length rank: ints where it is
-    # integral (an all-int one as it is, with no Fraction made), else Fractions
+def _weight(rs: RootSystem, w, levi: tuple[int, ...] | None = None) -> tuple:
+    # where weights enter the package: w read once, as a tuple of one coordinate per node of
+    # rs, or of its Levi on `levi` in local coordinates (zip would cut a short one short),
+    # each int or Fraction as it is and any other entry made a Fraction
     w = tuple(w)
-    if any(type(x) is not int for x in w):
-        w = linalg.vector(w)
-        if all(v.denominator == 1 for v in w):
-            w = tuple(v.numerator for v in w)
-    _check_length(rs, w)
-    return w
+    n = rs.rank if levi is None else len(levi)
+    if len(w) != n:
+        owner = rs if levi is None else f"the Levi {levi} of {rs}"
+        raise ValueError(f"a weight of {owner} has {n} coordinates, got {len(w)}")
+    if set(map(type, w)) <= {int, Fraction}:
+        return w
+    return tuple(x if type(x) in (int, Fraction) else Fraction(x) for x in w)
 
 
 @lru_cache(maxsize=None)
@@ -316,6 +308,7 @@ def fw_to_root_coords(rs: RootSystem, w) -> linalg.Vec:
 
 def root_coords_to_fw(rs: RootSystem, c) -> tuple:
     """Fundamental-weight coordinates of a combination of simple roots."""
+    c = _weight(rs, c)
     # zeros of c's type, so that a Fraction input gives Fraction output
     out = [c[0] * 0] * rs.rank
     for j, x in enumerate(c, 1):

@@ -1,8 +1,10 @@
 """Weyl group actions on weights: reflections, parabolic orbits, averages.
 
 Group elements are never materialised; everything works on orbits of
-coordinate vectors.  Integral weights are kept as plain int tuples, which
-makes the orbit closures considerably faster than Fraction arithmetic.
+coordinate vectors.  A weight is read as ``rootdata._weight`` reads one, with
+its ints and Fractions as they are: int weights stay plain int tuples, which
+makes the orbit closures considerably faster than Fraction arithmetic, and a
+weight given in integral Fractions is walked in Fractions.
 
 Two module constants, read on each call, bound the work: an orbit has at most
 MAX_ORBIT points, and the averages refuse a subgroup of more than
@@ -25,14 +27,14 @@ def simple_reflection(rs: RootSystem, i: int, w) -> tuple:
     """Reflect a fundamental-weight coordinate vector in the i-th simple root:
     s_i w = w - w_i alpha_i, and alpha_i is 2 at i and nonzero only at i's
     neighbours (row i of the Cartan matrix)."""
-    return _reflect(rs, _node(rs, i), w)
+    return _reflect(rs, _node(rs, i), _weight(rs, w))
 
 
 def _reflect(rs: RootSystem, i: int, w) -> tuple:
-    # simple_reflection at a node id already read by node_set or _node
+    # simple_reflection at a node id and a weight already read
     c = w[i - 1]
     if c == 0:
-        return tuple(w)
+        return w
     out = list(w)
     out[i - 1] = -c
     for j, a, _ in rs._entries[i]:

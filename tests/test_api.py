@@ -7,6 +7,7 @@ import inspect
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -185,6 +186,76 @@ def test_package_exports():
 def test_public_functions_and_signatures():
     assert {name: _public_functions(name) for name in FUNCTIONS} == FUNCTIONS
     assert _signature(kostka.FreudenthalTable) == "(rs, lam)"  # a class, so not in FUNCTIONS
+
+
+# every public entry that takes a weight or a root-coordinate vector, as (weights, call):
+# call(*weights) on A3, each weight of 3 coordinates or, on the Levi (1, 2), of 2
+A3 = kostka.root_system("A", 3)
+WEIGHT_CALLS = {
+    "fw_to_root_coords": (((1, 0, 1),), lambda w: kostka.fw_to_root_coords(A3, w)),
+    "root_coords_to_fw": (((1, 1, 1),), lambda c: kostka.root_coords_to_fw(A3, c)),
+    "simple_reflection": (((1, 0, 1),), lambda w: kostka.simple_reflection(A3, 1, w)),
+    "orbit": (((1, 0, 0),), lambda w: kostka.orbit(A3, w, (1, 2))),
+    "parabolic_average": (((1, 0, 1),), lambda w: kostka.parabolic_average(A3, w, (1, 2))),
+    "parabolic_average_direct": (((1, 0, 1),),
+                                 lambda w: kostka.parabolic_average_direct(A3, w, (1, 2))),
+    "longest_element_image": (((1, 0, 1),),
+                              lambda w: kostka.longest_element_image(A3, w, (1, 2, 3))),
+    "cone_contains": (((1, 0, 1), (0, 0, 0)), lambda lam, mu: kostka.cone_contains(A3, lam, mu)),
+    "is_extremal_ray": (((0, 1, 0), (0, 0, 0)),
+                        lambda lam, mu: kostka.is_extremal_ray(A3, lam, mu)),
+    "polytope_vertices": (((1, 0, 1),), lambda lam: kostka.polytope_vertices(A3, lam)),
+    "vertex": (((1, 0, 1),), lambda lam: kostka.vertex(A3, lam, (1,))),
+    "restrict": (((1, 0, 1),), lambda w: kostka.restrict(A3, (1, 2), w)),
+    "extend_by_zero": (((1, 0),), lambda lam: kostka.extend_by_zero(A3, (1, 2), lam)),
+    "levi_root_coords": (((2, -1),), lambda w: kostka.levi_root_coords(A3, (1, 2), w)),
+    # 2 w1 - w2 = alpha_1 on the Levi (1, 2): a pair in its cone
+    "levi_cone_contains": (((2, 0), (0, 1)),
+                           lambda lam, mu: kostka.levi_cone_contains(A3, (1, 2), lam, mu)),
+    "induce": (((2, 0), (0, 1)),
+               lambda lam, mu: kostka.induce(A3, kostka.LeviWeightPair((1, 2), lam, mu))),
+    "induce_between": (((2, 0), (0, 1)),
+                       lambda lam, mu: kostka.induce_between(A3, (1, 2), (1, 2, 3), lam, mu)),
+    "induce_sum": (((2, 0), (0, 1)),
+                   lambda lam, mu: kostka.induce_sum(A3, [kostka.LeviWeightPair((1, 2), lam, mu)])),
+    "induce_vertex": (((1, 0),), lambda lam: kostka.induce_vertex(A3, (1, 2), lam, (1,))),
+    "induction_composes": (((2, 0), (0, 1)), lambda lam, mu: kostka.induction_composes(
+        A3, kostka.LeviWeightPair((1, 2), lam, mu), (1, 2, 3))),
+    "brute_force_vertices": (((1, 0, 1),), lambda lam: kostka.brute_force_vertices(A3, lam)),
+    "compare_membership_multiplicity": (((1, 0, 1), (0, 0, 0)), lambda lam, mu:
+                                        kostka.compare_membership_multiplicity(A3, lam, mu)),
+    "weight_multiplicity": (((1, 0, 1), (0, 0, 0)),
+                            lambda lam, mu: kostka.weight_multiplicity(A3, lam, mu)),
+    "weyl_dim": (((1, 0, 1),), lambda lam: kostka.weyl_dim(A3, lam)),
+    "FreudenthalTable": (((1, 0, 1), (0, 0, 0)),
+                         lambda lam, mu: kostka.FreudenthalTable(A3, lam).multiplicity(mu)),
+}
+
+
+def test_every_entry_that_takes_a_weight_is_pinned():
+    # read from the signatures: is_dominant(w) is the one without a root system, whose
+    # weights have no length to check
+    weights = {"w", "c", "lam", "mu", "pair", "pairs"}
+    takes = {fn for functions in FUNCTIONS.values() for fn, sig in functions.items()
+             if weights & set(re.findall(r"(\w+?)(?:_local)?\b", sig))}
+    assert takes - {"is_dominant"} | {"FreudenthalTable"} == set(WEIGHT_CALLS)
+
+
+@pytest.mark.parametrize("name, k", [(name, k) for name, (weights, _) in WEIGHT_CALLS.items()
+                                     for k in range(len(weights))],
+                         ids=lambda v: str(v + 1) if type(v) is int else v)
+def test_a_weight_is_read_once_with_one_coordinate_per_node(name, k):
+    # the k-th weight of the call given as a generator answers as its tuple, and one
+    # coordinate short or long is refused with the one message of rootdata._weight
+    weights, call = WEIGHT_CALLS[name]
+    w, n = weights[k], len(weights[k])
+    at_k = lambda v: call(*weights[:k], v, *weights[k + 1:])
+    assert at_k(x for x in w) == at_k(w)
+    owner = r"RootSystem\(A3\)" if n == 3 else r"the Levi \(1, 2\) of RootSystem\(A3\)"
+    for bad in (w[:-1], w + (0,)):
+        with pytest.raises(ValueError, match=f"^a weight of {owner} has {n} coordinates, "
+                                             f"got {len(bad)}$"):
+            at_k(bad)
 
 
 def test_bounds():

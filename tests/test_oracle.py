@@ -218,6 +218,32 @@ def test_root_cap_refuses_before_a_root_is_enumerated(monkeypatch):
             call()
 
 
+def test_a_weight_is_read_before_the_root_cap():
+    # refused in this order: length, integrality, then the root cap (A141 is over it)
+    a141 = root_system("A", 141)
+    half, zero = (Q(1, 2),) + (0,) * 140, (0,) * 141
+    short = (ValueError, r"^a weight of RootSystem\(A141\) has 141 coordinates, got 140$")
+    not_integral = (NotInRootLatticeError, "^weight 1/2" + ",0" * 140 + " is not integral$")
+    over_cap = (CapExceededError, "has 10011 positive roots, over the cap 10000$")
+    for lam, mu, (error, refusal) in [
+            (half[:-1], zero, short), (zero, half[:-1], short), (half, zero[:-1], short),
+            (half, zero, not_integral), (zero, half, not_integral), (zero, zero, over_cap)]:
+        with pytest.raises(error, match=refusal):
+            compare_membership_multiplicity(a141, lam, mu)
+    for lam, (error, refusal) in [(half[:-1], short), (half, not_integral), (zero, over_cap)]:
+        for call in (lambda: weight_multiplicity(a141, lam, zero),
+                     lambda: FreudenthalTable(a141, lam)):
+            with pytest.raises(error, match=refusal):
+                call()
+    # a table's multiplicity reads mu by length, then integrality
+    with pytest.raises(ValueError, match=r"^a weight of RootSystem\(A2\) has 2 coordinates, "
+                                         r"got 1$"):
+        FreudenthalTable(root_system("A", 2), (1, 1)).multiplicity((Q(1, 2),))
+    # weyl_dim keeps dominance before integrality
+    with pytest.raises(NotDominantError, match="^weight 1/2,-1 is not dominant$"):
+        weyl_dim(root_system("A", 2), (Q(1, 2), -1))
+
+
 def test_root_cap_accepts_every_system_to_rank_eight():
     # the benchmark's verify requests run at rank <= 5 and on E6; E8 has the most roots
     counts = [rootdata._positive_root_count(letter, r) for letter, r in supported_types(8)]
