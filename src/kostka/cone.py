@@ -362,7 +362,7 @@ def ray_count_formula(letter: str, rank: int) -> int:
     share one polynomial (as do G2 with A2 and F4 with A4); D and E have
     their own.
     """
-    letter = validate_type(letter, rank)
+    letter, rank = validate_type(letter, rank)
     if letter == "D":
         return comb(rank, 3) + 3 * comb(rank, 2) + 2 * rank - 3
     if letter == "E":

@@ -119,9 +119,9 @@ def induction_composes(rs: RootSystem, pair: LeviWeightPair, mid) -> bool:
     """
     mid = node_set(rs, mid)
     levi = node_set(rs, pair.levi)
-    lam, mu = _lift(rs, levi, pair.lambda_fw, pair.mu_fw)
     if not set(levi) <= set(mid):
         raise ValueError(f"{levi} is not contained in {mid}")
+    lam, mu = _lift(rs, levi, pair.lambda_fw, pair.mu_fw)
     nodes = rs.nodes()
     up = _lift(rs, mid, _at(lam, mid), _at(mu, mid))
     return (_at(lam, nodes), _at(mu, nodes)) == tuple(_at(w, nodes) for w in up)

@@ -49,14 +49,18 @@ _EXCEPTIONAL_WEYL_ORDERS = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729
 _EXCEPTIONAL_ROOT_COUNTS = {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}
 
 
-def validate_type(letter: str, rank: int) -> str:
+def validate_type(letter: str, rank: int) -> tuple[str, int]:
+    """The type as every builder reads it: the letter upper-cased and the rank an int,
+    3.0 or True read as 3 or 1.  Raises UnsupportedRankError for an unknown letter, a
+    rank that is not an integer (6.5, '3', None) or a rank outside RANK_BOUNDS."""
     letter = str(letter).upper()
     if letter not in RANK_BOUNDS:
         raise UnsupportedRankError(f"unknown type {letter!r}")
     lo, hi = RANK_BOUNDS[letter]
-    if rank < lo or (hi is not None and rank > hi):
-        raise UnsupportedRankError(f"type {letter} needs rank in [{lo}, {hi or 'inf'}], got {rank}")
-    return letter
+    r = _as_int(rank)
+    if r is None or r < lo or (hi is not None and r > hi):
+        raise UnsupportedRankError(f"type {letter} needs rank in [{lo}, {hi or 'inf'}], got {rank!r}")
+    return letter, r
 
 
 def supported_types(max_rank: int) -> list[tuple[str, int]]:
@@ -253,19 +257,27 @@ def _weight(rs: RootSystem, w, levi: tuple[int, ...] | None = None) -> tuple:
 
 @lru_cache(maxsize=None)
 def root_system(letter: str, rank: int) -> RootSystem:
-    """Build the root system of the given type under the Bourbaki numbering."""
-    letter = validate_type(letter, rank)
-    return RootSystem(letter, rank, _edges(letter, rank))
+    """Build the root system of the given type under the Bourbaki numbering: one object
+    per type as ``validate_type`` reads it, so ("a", 3) gives the system of ("A", 3)."""
+    read = validate_type(letter, rank)
+    if read != (letter, rank):  # another spelling of the letter: the cached system of `read`
+        return root_system(*read)
+    return RootSystem(*read, _edges(*read))
+
+
+def _as_int(x) -> int | None:
+    # x as an int where it is one in value: 2.0 and True are, and 1.5, '2' or None are not
+    # (int() would cut 1.5 down to 1 and read '2' as 2)
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == x else None
 
 
 def _node_id(n) -> int:
-    # a node id as an int: 2.0 is node 2, and 1.5, '2' or None is refused (int() would cut
-    # 1.5 down to node 1 and read '2' as node 2)
-    try:
-        i = int(n)
-    except (TypeError, ValueError, OverflowError):
-        i = None
-    if i is None or i != n:
+    i = _as_int(n)
+    if i is None:
         raise ValueError(f"node ids must be integers: {n!r}")
     return i
 
@@ -463,7 +475,7 @@ def positive_roots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
 
 
 def weyl_order(letter: str, rank: int) -> int:
-    letter = validate_type(letter, rank)
+    letter, rank = validate_type(letter, rank)
     if letter == "A":
         return factorial(rank + 1)
     if letter in ("B", "C"):

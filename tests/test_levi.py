@@ -147,6 +147,13 @@ def test_composition_examples():
     assert induction_composes(c4, LeviWeightPair((3,), (1,), (1,)), (2, 3))
     assert induction_composes(c4, LeviWeightPair((3,), (1,), (1,)), (3,))
     assert induction_composes(c4, LeviWeightPair((3,), (1,), (1,)), (3, 4))
+    # containment is checked before the pair is lifted, so a pair outside its Levi's cone
+    # on a Levi outside mid is refused for the containment, as induce_between refuses it
+    a3, pair = root_system("A", 3), LeviWeightPair((1, 2), (0, 0), (1, 0))
+    for refuse in (lambda: induction_composes(a3, pair, (3,)),
+                   lambda: induce_between(a3, pair.levi, (3,), pair.lambda_fw, pair.mu_fw)):
+        with pytest.raises(ValueError, match=r"^\(1, 2\) is not contained in \(3,\)$"):
+            refuse()
 
 
 def test_composition_randomised():

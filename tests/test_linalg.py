@@ -11,33 +11,26 @@ from kostka import linalg
 from kostka.errors import NoSolutionError
 
 
-class _RankDeficient(Exception):
-    """A consistent linear system without a unique solution."""
-
-
 def _solve(a, b, integer=False):
-    """A x = b over the rationals on the package's kernel, a reference for the tests.
+    """A x = b over the rationals for a square A, on the package's one solve: x = adj b / d,
+    (adj, d) the integer inverse of A once each row of [A | b] is cleared of denominators.
 
     b is a vector, or a matrix of several right-hand sides given by its rows (one
     per equation); the solution has b's shape, one row per unknown.  With
-    integer=True it is the kernel's (numerators, d), x = numerators / d.  Raises
-    NoSolutionError on an inconsistent system and _RankDeficient on a consistent
-    rank-deficient one.
+    integer=True it is (numerators, d), x = numerators / d.  Raises
+    NoSolutionError if A is singular, whether or not A x = b is consistent.
     """
-    ncols = len(a[0]) if a else 0
+    n = len(a)
     columns = bool(b) and isinstance(b[0], (tuple, list))
     rows = [linalg._cleared([*row, *(v if columns else (v,))])[0] for row, v in zip(a, b)]
-    pivots, d = linalg._eliminate(rows)
-    if pivots and pivots[-1] >= ncols:
-        raise NoSolutionError("inconsistent linear system")
-    if len(pivots) < ncols:
-        raise _RankDeficient("rank-deficient linear system")
+    adj, d = linalg.solve_unique([row[:n] for row in rows])
+    rhs = list(zip(*(row[n:] for row in rows)))  # the cleared right-hand sides, one per column
+    nums = tuple(tuple(sum(x * y for x, y in zip(adj_row, col)) for col in rhs) for adj_row in adj)
     if columns:
-        nums = tuple(tuple(rows[i][ncols:]) for i in range(ncols))
-        x = tuple(tuple(Q(n, d) for n in row) for row in nums)
+        x = tuple(tuple(Q(v, d) for v in row) for row in nums)
     else:
-        nums = tuple(rows[i][ncols] for i in range(ncols))
-        x = tuple(Q(n, d) for n in nums)
+        nums = tuple(row[0] for row in nums)
+        x = tuple(Q(v, d) for v in nums)
     return (nums, d) if integer else x
 
 
@@ -71,9 +64,10 @@ def test_solve_inconsistent():
 
 
 def test_solve_underdetermined():
-    with pytest.raises(_RankDeficient):
+    # consistent, but without a unique solution: refused as the inconsistent system is
+    with pytest.raises(NoSolutionError):
         _solve([[1, 1], [2, 2]], [1, 2])
-    with pytest.raises(_RankDeficient):
+    with pytest.raises(NoSolutionError):
         _solve([[1, 1], [2, 2]], [[1, 1], [2, 2]])
 
 
@@ -96,7 +90,7 @@ def test_solve_unique_integer_examples():
     assert _solve([[2, -1], [-2, 2]], [1, 0], integer=True) == ((2, 2), 2)
     assert _solve([[0, 1], [1, 0]], [3, 5], integer=True) == ((-5, -3), -1)
     assert _solve([[Q(1, 2)]], [Q(1, 3)], integer=True) == ((2,), 3)
-    with pytest.raises(_RankDeficient):
+    with pytest.raises(NoSolutionError):
         _solve([[1, 1], [2, 2]], [1, 2], integer=True)
 
 
@@ -136,13 +130,13 @@ def test_invert_singular():
 
 
 def _rank(a):
-    return len(linalg._eliminate(_cleared_rows(a)[0])[0])
+    return len(linalg._forward(_cleared_rows(a)[0])[0])
 
 
 def _det(a):
     # the last pivot over the scale of the cleared rows, 0 without a full set of pivots
     rows, scale = _cleared_rows(a)
-    pivots, d = linalg._eliminate(rows)
+    pivots, d = linalg._forward(rows)
     return Q(d, scale) if len(pivots) == len(a) else 0
 
 
@@ -176,8 +170,11 @@ def test_eliminate_takes_tuple_rows():
     # rows that are all int need no clearing and are passed through as they are
     assert [linalg._cleared(row) for row in rows] == [(row, 1) for row in rows]
     assert all(linalg._cleared(row)[0] is row for row in rows)
-    assert linalg._eliminate(rows) == linalg._eliminate(as_lists) == ([0, 1, 2], 4)
-    assert rows == as_lists == [[4, 0, 0], [0, 4, 0], [0, 0, 4]]
+    assert linalg._forward(rows) == linalg._forward(as_lists) == ([0, 1, 2], 4)
+    assert rows == as_lists == [[2, -1, 0], [0, 3, -2], [0, 0, 4]]
+    # a swap negates the row it moves down, so the last pivot keeps the determinant's sign
+    swapped = [(0, 1), (1, 0)]
+    assert linalg._forward(swapped) == ([0, 1], -1) and swapped == [[1, 0], [0, -1]]
 
 
 @pytest.mark.parametrize("rows, pivots, rref", [
@@ -190,9 +187,11 @@ def test_eliminate_takes_tuple_rows():
      [[1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
 ], ids=["zero-column", "skipped-column", "skipped-column-then-two-pivots"])
 def test_eliminate_with_a_column_without_pivot(rows, pivots, rref):
-    got, d = linalg._eliminate(rows)
+    got, d = linalg._forward(rows)
     assert got == pivots
-    assert [[Q(v, d) for v in row] for row in rows[:len(got)]] == rref
+    # echelon rows: each pivot row zero left of its pivot, and together they span the input's rows
+    assert all(row[c] and not any(row[:c]) for row, c in zip(rows, got))
+    assert _sym(rows[:len(got)]).rref()[0].tolist() == rref
     assert all(not v for row in rows[len(got):] for v in row)
 
 
@@ -226,7 +225,7 @@ def test_solve_exactness_random():
         b = tuple(sum(u * v for u, v in zip(row, x)) for row in a)
         try:
             got = _solve(a, b)
-        except _RankDeficient:
+        except NoSolutionError:
             continue
         assert tuple(sum(u * v for u, v in zip(row, got)) for row in a) == b
 
@@ -379,48 +378,35 @@ def test_kernel_matches_sympy(system, data):
     r = sa.rank()
     rref, sym_pivots = sa.rref()
     rows, a_scale = _cleared_rows(a)
-    pivots, last = linalg._eliminate(rows)
+    pivots, last = linalg._forward(rows)
     assert pivots == list(sym_pivots) and len(pivots) == r
-    assert [[Q(v, last) for v in row] for row in rows[:r]] == \
-        [[_frac(rref[i, j]) for j in range(n)] for i in range(r)]
-    if _sym([row + (v,) for row, v in zip(a, b)]).rank() > r:
-        with pytest.raises(NoSolutionError):
-            _solve(a, b)
-    elif r < n:
-        with pytest.raises(_RankDeficient):
-            _solve(a, b)
-    else:
-        x, _ = sa.gauss_jordan_solve(_sym([(v,) for v in b]))
-        assert _solve(a, b) == tuple(_frac(v) for v in x)
-        nums, d = _solve(a, b, integer=True)
-        assert tuple(Q(v, d) for v in nums) == tuple(_frac(v) for v in x)
-        if m == n:
-            # d is the determinant once each row of [A | b] is cleared of denominators
-            scale = prod(lcm(*(v.denominator for v in row + (c,))) for row, c in zip(a, b))
-            assert d == _frac(sa.det()) * scale
-    # several right-hand sides: b and up to two more columns
+    assert _sym(rows[:r]).rref()[0].tolist() == rref[:r, :].tolist()  # the same row space
+    assert all(not v for row in rows[r:] for v in row)
+    if m != n:  # the package solves square systems only
+        return
+    d = _frac(sa.det())
+    # the last pivot is the determinant of the cleared rows
+    assert (Q(last, a_scale) if len(pivots) == n else 0) == d
+    # b and up to two more right-hand sides
     extra = data.draw(st.lists(st.lists(_entries, min_size=m, max_size=m), max_size=2))
     cols = tuple(zip(b, *extra))
-    if _sym([row + c for row, c in zip(a, cols)]).rank() > r:
-        with pytest.raises(NoSolutionError):
-            _solve(a, cols)
-    elif r < n:
-        with pytest.raises(_RankDeficient):
-            _solve(a, cols)
-    else:
-        xs, _ = sa.gauss_jordan_solve(_sym(cols))
-        want = tuple(tuple(_frac(xs[i, j]) for j in range(len(cols[0]))) for i in range(n))
-        assert _solve(a, cols) == want
-        nums, d = _solve(a, cols, integer=True)
-        assert tuple(tuple(Q(v, d) for v in row) for row in nums) == want
-    if m == n:
-        d = _frac(sa.det())
-        # the last pivot is the determinant of the cleared rows
-        assert (Q(last, a_scale) if len(pivots) == n else 0) == d
-        if d:
-            inv = sa.inv()
-            assert _solve(a, _identity(n)) == \
-                tuple(tuple(_frac(inv[i, j]) for j in range(n)) for i in range(n))
-        else:
+    if not d:
+        for rhs in (b, cols, _identity(n)):
             with pytest.raises(NoSolutionError):
-                _solve(a, _identity(n))
+                _solve(a, rhs)
+        return
+    x, _ = sa.gauss_jordan_solve(_sym([(v,) for v in b]))
+    assert _solve(a, b) == tuple(_frac(v) for v in x)
+    nums, d_b = _solve(a, b, integer=True)
+    assert tuple(Q(v, d_b) for v in nums) == tuple(_frac(v) for v in x)
+    # d_b is the determinant once each row of [A | b] is cleared of denominators
+    scale = prod(lcm(*(v.denominator for v in row + (c,))) for row, c in zip(a, b))
+    assert d_b == d * scale
+    xs, _ = sa.gauss_jordan_solve(_sym(cols))
+    want = tuple(tuple(_frac(xs[i, j]) for j in range(len(cols[0]))) for i in range(n))
+    assert _solve(a, cols) == want
+    nums, d_cols = _solve(a, cols, integer=True)
+    assert tuple(tuple(Q(v, d_cols) for v in row) for row in nums) == want
+    inv = sa.inv()
+    assert _solve(a, _identity(n)) == \
+        tuple(tuple(_frac(inv[i, j]) for j in range(n)) for i in range(n))

@@ -138,6 +138,24 @@ def test_unsupported_ranks():
                          ("E", 9), ("F", 3), ("G", 3), ("X", 2)):
         with pytest.raises(UnsupportedRankError):
             root_system(letter, rank)
+    # a rank that is not an integer is refused before anything is built or looked up
+    for letter, rank in (("E", 6.5), ("A", "3"), ("A", None), ("A", float("nan"))):
+        for build in (root_system, root_system.__wrapped__, weyl_order, kostka.ray_count_formula):
+            with pytest.raises(UnsupportedRankError, match=f"got {re.escape(repr(rank))}$"):
+                build(letter, rank)
+
+
+def test_a_type_is_read_once():
+    # an integral rank is read as its int and the letter upper-cased: one system per type,
+    # whether or not it was built before
+    a3 = root_system("A", 3)
+    assert root_system("a", 3) is a3 and root_system("a", 3.0) is a3
+    fresh = root_system.__wrapped__("A", 3.0)
+    assert fresh is not a3 and fresh == a3 and type(fresh.rank) is int and fresh.nodes() == (1, 2, 3)
+    assert repr(root_system("A", True)) == "RootSystem(A1)"
+    assert root_system("A", True) is root_system("A", 1)
+    assert weyl_order("E", 6.0) == weyl_order("e", 6) == 51840
+    assert rootdata.validate_type("b", 2.0) == ("B", 2)
 
 
 def test_rho():
