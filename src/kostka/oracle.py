@@ -8,13 +8,13 @@ the Freudenthal recursion, which validates cone membership on integral points.
 The recursion is Moody and Patera's: one root string per orbit of the
 stabiliser of a dominant weight, with the norms along a string in closed form.
 
-Both run in integers.  The invariant form in fundamental-weight coordinates,
-(w, w') = w^T G w' / N with G and N integral; a table of the positive roots
-(each root's pairing vector, its norm, and the index of +-s_j beta for every
-node j); the stabiliser orbits of the positive roots per zero node set,
-walked on that table's indices; and the Freudenthal table of each highest
-weight (up to a bound, the oldest dropped first) are built on first use and
-kept on the root system, as everything derived from one is (see ``rootdata``).
+Both run in integers.  A table of the positive roots (each root's pairing
+vector under the invariant form (w, alpha_j) = d_j w_j, d the integer
+symmetrizer, its norm, and the index of +-s_j beta for every node j); the
+stabiliser orbits of the positive roots per zero node set, walked on that
+table's indices; and the Freudenthal table of each highest weight (up to a
+bound, the oldest dropped first) are built on first use and kept on the root
+system, as everything derived from one is (see ``rootdata``).
 """
 
 from __future__ import annotations
@@ -124,23 +124,14 @@ def _integral(w: tuple) -> tuple[int, ...]:
 
 
 @_per_system
-def _form(rs: RootSystem):
-    """(G, N, d, roots): the invariant form's integer Gram matrix and scale, the
-    integer symmetrizer, and each positive root as (root coords, fw coords)."""
-    d = tuple(linalg._cleared(symmetrizer(rs))[0])  # the form is unique up to a positive multiple
-    # (w, alpha_j) = d_j w_j, so (w, w') = sum_j d_j w_j (C^-T w')_j, and C^-T = adj / det
-    adj, det = rs._inverse
-    gram = tuple(tuple(dj * x for x in row) for dj, row in zip(d, adj))
-    return gram, det, d, tuple((a, root_coords_to_fw(rs, a)) for a in positive_roots(rs))
-
-
-@_per_system
 def _root_table(rs: RootSystem):
-    """(paired, norms, reflected, den) over the positive roots beta in ``_form``'s
-    order: (d_j beta_j)_j, whose dot product with a weight w in fw coords is (w, beta);
-    (beta, beta); per 0-based node j the index of +-s_j beta; and prod (rho, beta),
-    the denominator of Weyl's dimension formula."""
-    _, _, d, roots = _form(rs)
+    """(d, roots, paired, norms, reflected, den): the integer symmetrizer d, for which
+    (w, alpha_j) = d_j w_j is the invariant form; the positive roots beta as (root coords,
+    fw coords); and over them (d_j beta_j)_j, whose dot product with a weight w in fw
+    coords is (w, beta); (beta, beta); per 0-based node j the index of +-s_j beta; and
+    prod (rho, beta), the denominator of Weyl's dimension formula."""
+    d = tuple(linalg._cleared(symmetrizer(rs))[0])  # the form is unique up to a positive multiple
+    roots = tuple((a, root_coords_to_fw(rs, a)) for a in positive_roots(rs))
     index = {a: b for b, (a, _) in enumerate(roots)}
     paired = tuple(tuple(map(mul, d, a)) for a, _ in roots)
     # s_j beta = beta - <beta, alpha_j^vee> alpha_j, a positive root unless beta = alpha_j,
@@ -152,7 +143,7 @@ def _root_table(rs: RootSystem):
     den = 1
     for p in paired:
         den *= sum(p)  # rho is all ones
-    return paired, norms, reflected, den
+    return d, roots, paired, norms, reflected, den
 
 
 @_per_system
@@ -161,8 +152,7 @@ def _root_orbits(rs: RootSystem, nodes: tuple[int, ...]):
     (root coords, fw coords, orbit size, (alpha, alpha), (d_j alpha_j)_j) of one root per
     orbit, the size counting the orbit's positive roots.  Breadth first on the
     indices of ``_root_table`` under beta -> +-s_j beta."""
-    _, _, _, roots = _form(rs)
-    paired, norms, reflected, _ = _root_table(rs)
+    _, roots, paired, norms, reflected, _ = _root_table(rs)
     seen, out = [False] * len(roots), []
     for b, (alpha, alpha_fw) in enumerate(roots):
         if seen[b]:
@@ -179,10 +169,12 @@ def _root_orbits(rs: RootSystem, nodes: tuple[int, ...]):
 
 
 def _root_coefficients(rs: RootSystem, lam, mu) -> tuple[list[int], bool]:
-    # the simple-root coefficients of the integral w = lam - mu as numerators c over d, from
-    # one forest solve, and whether w is in the root lattice: whether d divides every c
+    # the simple-root coefficients of the integral lam - mu from one forest solve, as ints if
+    # it is in the root lattice (d divides every numerator), else their numerators; and whether
     c, d, _ = _levi_solve(rs, [a - b for a, b in zip(lam, mu)], rs.nodes())
-    return c, not any(n % d for n in c)
+    if any(n % d for n in c):
+        return c, False
+    return [n // d for n in c], True
 
 
 def weyl_dim(rs: RootSystem, lam) -> int:
@@ -191,7 +183,7 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     _require_dominant(lam)
     lam = _integral(lam)
     _require_root_cap(rs)
-    paired, _, _, den = _root_table(rs)
+    _, _, paired, _, _, den = _root_table(rs)
     shifted = tuple(x + 1 for x in lam)  # lam + rho: integer pairings
     num = 1
     for p in paired:
@@ -211,6 +203,11 @@ class FreudenthalTable:
     f(-alpha) = f(alpha) on Phi_J, so one string per orbit of `_root_orbits`
     counts for the whole orbit, its norms and pairings closed forms in k.
 
+    Every norm is read through the simple-root coefficients c of lam - nu as
+    (lam - nu, w) = sum_j c_j d_j w_j (``_root_table``'s d), in the two values the
+    recursion needs at nu, gap = (lam, lam) - (nu, nu) and h = (lam - nu, rho), taken
+    from the one solve for lam - mu and moved along root strings and reflections.
+
     Memoises over dominant representatives.  ``_table`` keeps one per highest
     weight on its root system, shared by the requests of one thread; its memo
     only ever gains finished entries.
@@ -223,82 +220,75 @@ class FreudenthalTable:
         self.dim = weyl_dim(rs, self.lam)
         if self.dim > DEFAULT_DIM_CAP:
             raise CapExceededError(f"dim {self.dim} exceeds the cap {DEFAULT_DIM_CAP}")
-        self._gram, self._scale, _, _ = _form(rs)
+        self._d = _root_table(rs)[0]
         self._memo: dict[tuple, int] = {self.lam: 1}
-        # N (w + rho, w + rho) = N (w, w) + 2 w . G rho + N (rho, rho): G is symmetric, rho all ones
-        self._g_rho = tuple(map(sum, self._gram))
-        self._norm_rho = sum(self._g_rho)
-        self._norm_lam = self._norm2(self.lam)
-        self._norm_lam_rho = (self._norm_lam + 2 * sum(map(mul, self.lam, self._g_rho))
-                              + self._norm_rho)
 
-    def _norm2(self, w) -> int:
-        # N (w, w)
-        return sum(x * sum(map(mul, row, w)) for x, row in zip(w, self._gram) if x)
-
-    def _dominant_rep(self, w) -> tuple:
+    def _dominant_rep(self, w, h: int) -> tuple[tuple, int]:
         # reflect in the first simple root w pairs negatively with: s_i w = w - w_i alpha_i,
-        # alpha_i being 2 at i and nonzero only at i's neighbours (weyl.simple_reflection, inline)
-        entries, w = self.rs._entries, list(w)
+        # alpha_i being 2 at i and nonzero only at i's neighbours (weyl.simple_reflection,
+        # inline), so h = (lam - w, rho) gains (w_i alpha_i, rho) = w_i d_i; gap is W-invariant
+        entries, d, w = self.rs._entries, self._d, list(w)
         while True:
             for i, v in enumerate(w, 1):
                 if v < 0:
                     w[i - 1] = -v
+                    h += v * d[i - 1]
                     for j, a, _ in entries[i]:
                         w[j - 1] -= v * a
                     break
             else:
-                return tuple(w)
+                return tuple(w), h
 
     def multiplicity(self, mu) -> int:
         """Dimension of the weight space at mu (zero off the root-lattice coset)."""
         mu = _integral(_weight(self.rs, mu))
-        if not _root_coefficients(self.rs, self.lam, mu)[1]:
-            return 0
-        return self._mult(mu)
+        c, lattice = _root_coefficients(self.rs, self.lam, mu)
+        return self._mult(mu, c) if lattice else 0
 
-    def _mult(self, w) -> int:
-        return self._dominant_mult(self._dominant_rep(w))
+    def _mult(self, w, c: list[int]) -> int:
+        # m(w) from c, lam - w's simple-root coefficients, read only if w's dominant
+        # representative nu is new: h = sum_j c_j d_j (rho is all ones) plus nu's shift
+        nu, shift = self._dominant_rep(w, 0)
+        if nu in self._memo:
+            return self._memo[nu]
+        cd = tuple(map(mul, c, self._d))
+        return self._dominant_mult(nu, sum(cd) + shift, sum(map(mul, cd, map(add, self.lam, w))))
 
-    def _dominant_mult(self, nu: tuple) -> int:
+    def _dominant_mult(self, nu: tuple, h: int, gap: int) -> int:
         memo = self._memo
         cached = memo.get(nu)
         if cached is not None:
             return cached
-        norm_nu = self._norm2(nu)
-        # N ((lam + rho)^2 - (nu + rho)^2)
-        den = self._norm_lam_rho - norm_nu - 2 * sum(map(mul, nu, self._g_rho)) - self._norm_rho
+        den = gap + 2 * h  # (lam + rho)^2 - (nu + rho)^2
         if den <= 0:
             memo[nu] = 0
             return 0
-        scale, norm_lam = self._scale, self._norm_lam
         zeros = tuple(i for i, x in enumerate(nu) if not x)  # J: W_J fixes nu
         total = 0
         for _, alpha_fw, size, aa, paired in _root_orbits(self.rs, zeros):
-            na = sum(map(mul, nu, paired))
-            string, prev, k, xi = 0, norm_nu, 1, nu
+            na, ra = sum(map(mul, nu, paired)), sum(paired)
+            string, prev, k, xi = 0, 0, 1, nu
             while True:
-                # xi = nu + k alpha: (xi, alpha) = (nu, alpha) + k (alpha, alpha) and
-                # N (xi, xi) = N (nu, nu) + N k (2 (nu, alpha) + k (alpha, alpha)).  Weights of the
-                # representation all satisfy (xi, xi) <= (lam, lam); the norm is convex
-                # in k, so once it exceeds the bound while non-decreasing it stays out
-                n2 = norm_nu + scale * k * (2 * na + k * aa)
-                if n2 > norm_lam and n2 >= prev:
+                # xi = nu + k alpha: (xi, alpha) = (nu, alpha) + k (alpha, alpha), and (xi, xi)
+                # rises over (nu, nu) by k (2 (nu, alpha) + k (alpha, alpha)), convex in k.  The
+                # representation's weights all have (xi, xi) <= (lam, lam), a rise of at most
+                # gap: once the rise exceeds gap while non-decreasing it stays out
+                rise = k * (2 * na + k * aa)
+                if rise > gap and rise >= prev:
                     break
                 xi = tuple(map(add, xi, alpha_fw))
                 m = memo.get(xi)  # a dominant xi may be known: no reflection then
                 if m is None:
-                    m = self._mult(xi)
+                    m = self._dominant_mult(*self._dominant_rep(xi, h - k * ra), gap - rise)
                 if m:
                     string += m * (na + k * aa)
-                prev = n2
+                prev = rise
                 k += 1
             total += size * string
-        num = 2 * scale * total  # both sides of Freudenthal's formula times N
-        out, rem = divmod(num, den)
+        out, rem = divmod(2 * total, den)
         if rem or out < 0:
             raise InvariantError(f"Freudenthal recursion gave multiplicity "
-                                 f"{Fraction(num, den)} at {nu}")
+                                 f"{Fraction(2 * total, den)} at {nu}")
         self._memo[nu] = out
         return out
 
@@ -352,4 +342,4 @@ def compare_membership_multiplicity(rs: RootSystem, lam, mu) -> MembershipCompar
     c, lattice = _root_coefficients(rs, lam, mu)
     table = _table(rs, lam)
     return MembershipComparison(is_dominant(lam) and is_dominant(mu) and is_dominant(c), lattice,
-                                table._mult(mu) if lattice else 0)
+                                table._mult(mu, c) if lattice else 0)

@@ -123,8 +123,8 @@ class RootSystem:
 
     @cached_property
     def _inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(adj, det) of the transposed Cartan matrix, built on first use by the readers
-        of the whole matrix: the cone's integer forms and the oracle's invariant form."""
+        """(adj, det) of the transposed Cartan matrix, built on first use by the one
+        reader of the whole matrix, the cone's integer forms."""
         return _block_inverse(tuple(zip(*_cartan_block(self, self.nodes()))), repr(self))
 
     def neighbors(self, i: int) -> tuple[int, ...]:

@@ -375,24 +375,38 @@ def test_package_has_no_assert():
         assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)], path.name
 
 
-def test_the_kernel_has_its_two_readers():
-    # the integer inverse is read only for a Cartan block, and the forward phase only by it
-    # and for a rank, so no general solve grows back on the kernel unnoticed
+def _readers(*names):
+    # {name: the module.function (or module.class) of src/kostka in which it is read}, for
+    # each of `names` read as a name or an attribute anywhere in the package
     readers = {}
 
     def walk(node, where):
         for child in ast.iter_child_nodes(node):
             name = child.attr if isinstance(child, ast.Attribute) else \
                 child.id if isinstance(child, ast.Name) else None
-            if name in ("solve_unique", "_forward"):
+            if name in names:
                 readers.setdefault(name, set()).add(where)
             walk(child, f"{where.split('.')[0]}.{child.name}"
                  if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where)
 
     for path in sorted(Path(kostka.__file__).parent.glob("*.py")):
         walk(ast.parse(path.read_text(), str(path)), path.stem)
-    assert readers == {"solve_unique": {"rootdata._block_inverse"},
-                       "_forward": {"linalg.solve_unique", "cone.is_extremal_ray"}}
+    return readers
+
+
+def test_the_kernel_has_its_two_readers():
+    # the integer inverse is read only for a Cartan block, and the forward phase only by it
+    # and for a rank, so no general solve grows back on the kernel unnoticed
+    assert _readers("solve_unique", "_forward") == {
+        "solve_unique": {"rootdata._block_inverse"},
+        "_forward": {"linalg.solve_unique", "cone.is_extremal_ray"}}
+
+
+def test_the_dense_inverse_has_its_two_readers():
+    # the inverse of the whole Cartan matrix is read only for the cone's forms: the oracle's
+    # invariant form is the symmetrizer, and every weight's coefficients a forest solve
+    assert _readers("_inverse") == {"_inverse": {"cone._integer_cone_forms",
+                                                 "cone.cone_inequalities"}}
 
 
 def test_invariants_raise_under_python_O():

@@ -70,18 +70,6 @@ def test_cone_inequalities_pinned():
             assert scale > 0 and row == tuple(scale * c for c in f.coeffs), (rs, f.label)
 
 
-def test_wrong_length_weights_are_refused():
-    a3 = root_system("A", 3)
-    with pytest.raises(ValueError):
-        cone_contains(a3, (1, 0, 0), (0, 0))
-    with pytest.raises(ValueError):
-        is_extremal_ray(a3, (1, 0, 0), (0, 0))
-    with pytest.raises(ValueError):
-        vertex(a3, (1, 0), (1,))
-    with pytest.raises(ValueError):
-        polytope_vertices(a3, (1, 0, 0, 5))
-
-
 def test_vertex_examples():
     c2 = root_system("C", 2)
     assert vertex(c2, (1, 0), (1,)).point == (0, Q(1, 2))

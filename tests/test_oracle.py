@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as Q
 from itertools import product
 from math import gcd, isqrt, lcm
+from operator import mul, sub
 
 import pytest
 import sympy
@@ -307,12 +308,21 @@ def _small_highest_weights(rs):
     return [lam for lam in dict.fromkeys(lams) if weyl_dim(rs, lam) <= oracle.DEFAULT_DIM_CAP]
 
 
+def _gram(rs):
+    # the invariant form in fundamental-weight coordinates, (w, w') = w^T G w' / N, built
+    # here apart from the package: D C^-T from sympy, D the symmetrizer, over the lcm N of
+    # its denominators
+    g = sympy.diag(*rootdata.symmetrizer(rs)) * sympy.Matrix(rs.cartan).T.inv()
+    n = lcm(*(x.q for x in g))
+    return tuple(tuple(int(x * n) for x in g.row(i)) for i in range(rs.rank)), n
+
+
 def test_positive_multiplicity_is_membership_exhaustively():
     # every dominant integral mu in a box holding every dominant weight of V_lam:
     # mu >= 0 and N (mu, mu) <= N (lam, lam), with G >= 0, give G_ii mu_i^2 <= N (lam, lam).
     # The multiplicities found also total to the Weyl dimension over the W-orbits
     for rs in systems(4) + [root_system("E", 6)]:
-        gram = oracle._form(rs)[0]
+        gram = _gram(rs)[0]
         for lam in _small_highest_weights(rs):
             top = sum(x * g * y for x, row in zip(lam, gram) for g, y in zip(row, lam))
             box = [range(isqrt(top // gram[i][i]) + 1) for i in range(rs.rank)]
@@ -387,32 +397,32 @@ def test_membership_matches_positive_multiplicity(case):
 
 
 @pytest.fixture
-def fresh_form():
+def fresh_a2():
     # an A2 past root_system's cache, so tables it builds under a patch are its own
     return root_system.__wrapped__("A", 2)
 
 
 def test_form_matches_sympy():
-    # (w, w') = w^T G w' / N in fundamental-weight coordinates is D C^-T, for the
-    # positive integer d that symmetrizes C: (alpha_i, alpha_j) = C_ij d_j
+    # the positive integer d symmetrizes C, (alpha_i, alpha_j) = C_ij d_j, and the root
+    # table's norms are (beta, beta) = beta^T C D beta in root coordinates
     for rs in systems(10):
-        gram, scale, d, _ = oracle._form(rs)
+        d, roots, _, norms, _, _ = oracle._root_table(rs)
         c, dm = sympy.Matrix(rs.cartan), sympy.diag(*d)
         assert min(d) > 0 and gcd(*d) == 1 and c * dm == (c * dm).T
-        assert sympy.Matrix(gram) / scale == dm * c.T.inv(), rs
+        assert list(norms) == [(sympy.Matrix(a).T * c * dm * sympy.Matrix(a))[0]
+                               for a, _ in roots], rs
 
 
-def test_broken_form_raises(monkeypatch, fresh_form):
+def test_broken_form_raises(monkeypatch, fresh_a2):
     # a real exception, not an assert, so the check survives python -O.
-    # Scale 1 claims the form is integral on the weight lattice, where A2's has
-    # denominator 3: the recursion at the zero weight of the adjoint
-    # representation then gives 2/3 instead of 2.
-    a2 = fresh_form
-    gram, scale, d, roots = oracle._form(a2)
-    assert scale == 3
-    monkeypatch.setattr(oracle, "_form", lambda rs: (gram, 1, d, roots))
-    with pytest.raises(InvariantError):
-        weight_multiplicity(a2, (1, 1), (0, 0))
+    # d = (2, 1) does not symmetrize A2's Cartan matrix: the form it gives is not
+    # W-invariant, and the recursion of the adjoint representation gives 4/3, not 2,
+    # at its zero weight
+    monkeypatch.setattr(oracle, "symmetrizer", lambda rs: (2, 1))
+    assert oracle._root_table(fresh_a2)[0] == (2, 1)
+    broken = r"^Freudenthal recursion gave multiplicity 4/3 at \(0, 0\)$"
+    with pytest.raises(InvariantError, match=broken):
+        weight_multiplicity(fresh_a2, (1, 1), (0, 0))
 
 
 def test_root_orbits_partition_the_positive_roots():
@@ -420,8 +430,8 @@ def test_root_orbits_partition_the_positive_roots():
     # positive roots up to sign, the orbit grown here under +-s_j has the stated
     # size, and the orbits cover the positive roots exactly once
     for rs in systems(6) + [root_system("E", 7), root_system("E", 8)]:
-        gram, scale, _, roots = oracle._form(rs)
-        by_fw = {fw: a for a, fw in roots}
+        gram, scale = _gram(rs)
+        by_fw = {fw: a for a, fw in oracle._root_table(rs)[1]}
         for nodes in all_subsets(rs.rank):
             zeros = tuple(j - 1 for j in nodes)
             covered = set()
@@ -447,8 +457,8 @@ def test_root_orbits_partition_the_positive_roots():
 def test_root_table_reflects_the_positive_roots():
     # the index of +-s_j beta per root and node, against weyl's reflection of beta
     for rs in systems(5) + [root_system("E", 8)]:
-        _, _, _, roots = oracle._form(rs)
-        for (alpha, alpha_fw), images in zip(roots, oracle._root_table(rs)[2]):
+        _, roots, _, _, reflected, _ = oracle._root_table(rs)
+        for (alpha, alpha_fw), images in zip(roots, reflected):
             for j, b in enumerate(images, 1):
                 image = simple_reflection(rs, j, alpha_fw)
                 assert roots[b][1] in (image, tuple(-x for x in image)), (rs, alpha, j)
@@ -456,8 +466,9 @@ def test_root_table_reflects_the_positive_roots():
 
 def _reference_multiplicities(rs, lam):
     # plain Freudenthal: every positive root, every weight xi = lam - c (c >= 0 in
-    # root coordinates), norms from _form's quadratic form N (w, w') = w^T G w'
-    gram, _, _, roots = oracle._form(rs)
+    # root coordinates), norms from the quadratic form N (w, w') = w^T G w' of _gram
+    gram = _gram(rs)[0]
+    roots = [(a, root_coords_to_fw(rs, a)) for a in positive_roots(rs)]
 
     def form(w, v):
         return sum(x * g * y for x, row in zip(w, gram) for g, y in zip(row, v))
@@ -509,3 +520,46 @@ def test_multiplicity_matches_plain_freudenthal():
                 if not any(mu) and reference(c):
                     at_zero.add((rs.letter, r))
     assert {("B", 3), ("C", 3), ("F", 4), ("G", 2)} <= at_zero
+
+
+def test_coefficients_follow_the_reflections_from_a_cold_memo():
+    # h = (lam - w, rho) = sum_j c_j d_j, c being lam - w's simple-root coefficients, moves
+    # with w to its dominant representative nu and arrives as lam - nu's; and a fresh table
+    # gives the multiplicity at s_i mu that another fresh table gives at mu, for w1, w_r and
+    # w1 + w_r (2 w1 at rank 1) of every type up to rank 4 and E6, mu being lam, 0 or a
+    # fundamental weight
+    cases = 0
+    for rs in systems(4) + [root_system("E", 6)]:
+        r, d = rs.rank, rootdata.symmetrizer(rs)
+        height = lambda a, b: sum(map(mul, fw_to_root_coords(rs, tuple(map(sub, a, b))), d))
+        for ends in dict.fromkeys(((1,), (r,), (1, r))):
+            lam = tuple(ends.count(i) for i in range(1, r + 1))
+            fws = [fundamental_weight(rs, i) for i in rs.nodes()]
+            for mu in dict.fromkeys([lam, (0,) * r, *fws]):
+                m = FreudenthalTable(rs, lam).multiplicity(mu)
+                for i in rs.nodes():
+                    w = simple_reflection(rs, i, mu)
+                    nu, h = FreudenthalTable(rs, lam)._dominant_rep(w, height(lam, w))
+                    assert min(nu) >= 0 and h == height(lam, nu), (rs, lam, mu, i)
+                    assert FreudenthalTable(rs, lam).multiplicity(w) == m, (rs, lam, mu, i)
+                    cases += 1
+    assert cases == 654  # distinct (lam, mu, i)
+    # along a string h moves by -k (alpha, rho): with 4 w1 dropped from the memo of A1 at
+    # 6 w1, the string of 0 (h = 3, gap = (6 w1, 6 w1) = 18) meets it at k = 2, with h = 3 - 2
+    a1 = root_system("A", 1)
+    full, table = FreudenthalTable(a1, (6,)), FreudenthalTable(a1, (6,))
+    assert full.multiplicity((0,)) == 1 and set(full._memo) == {(6,), (4,), (2,), (0,)}
+    table._memo[2,] = 1
+    assert table._dominant_mult((0,), 3, 18) == 1 and table._memo[4,] == 1
+
+
+def test_the_oracle_reads_no_dense_inverse():
+    # the invariant form is the root table's symmetrizer: on a fresh system no entry of the
+    # multiplicity oracle builds the inverse of the Cartan matrix
+    for letter, r, lam, mu in (("B", 4, (1, 0, 0, 1), (0, 0, 0, 1)), ("G", 2, (1, 1), (0, 0)),
+                               ("F", 4, (1, 0, 0, 0), (0, 0, 0, 1))):
+        for call in (lambda rs: compare_membership_multiplicity(rs, lam, mu),
+                     lambda rs: weight_multiplicity(rs, lam, mu), lambda rs: weyl_dim(rs, lam)):
+            rs = root_system.__wrapped__(letter, r)
+            call(rs)
+            assert "_inverse" not in rs.__dict__, (rs, call)

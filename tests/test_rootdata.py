@@ -264,7 +264,7 @@ def test_a_fresh_root_system_builds_its_own_tables(monkeypatch):
     assert fresh == cached
     assert is_extremal_ray(fresh, (0, 1, 0), (0, 1, 0))
     assert len(calls) == 1
-    assert oracle._form(fresh) is not oracle._form(cached)
+    assert oracle._root_table(fresh) is not oracle._root_table(cached)
 
 
 def test_only_root_system_and_build_parser_are_module_caches():
