@@ -52,18 +52,18 @@ def _integer_cone_forms(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
             + tuple(row + tuple(-x for x in row) for row in rs._inverse[0]))
 
 
-def _form_values(rs: RootSystem, lam, mu) -> list[int]:
-    # the values of the _integer_cone_forms at m (lam | mu), in their order, for the
-    # lcm m > 0 of the denominators: integers with the signs of the cone_inequalities
-    # values at (lam | mu): the 2r coordinates, then adj m (lam - mu), solved for on the
-    # Dynkin forest of every node (zip stops at r)
-    x, _ = linalg._cleared([*_weight(rs, lam), *_weight(rs, mu)])
+def _form_values(rs: RootSystem, lam: tuple, mu: tuple) -> list[int]:
+    # the values of the _integer_cone_forms at m (lam | mu), lam and mu as _weight reads
+    # them, in their order, for the lcm m > 0 of the denominators: integers with the signs
+    # of the cone_inequalities values at (lam | mu): the 2r coordinates, then adj m (lam - mu),
+    # solved for on the Dynkin forest of every node (zip stops at r)
+    x, _ = linalg._cleared([*lam, *mu])
     return x + _levi_solve(rs, [a - b for a, b in zip(x, x[rs.rank:])], rs.nodes())[0]
 
 
 def cone_contains(rs: RootSystem, lam, mu) -> bool:
     """Membership test: both weights dominant, lam - mu nonnegative on simple roots."""
-    return all(v >= 0 for v in _form_values(rs, lam, mu))
+    return all(v >= 0 for v in _form_values(rs, _weight(rs, lam), _weight(rs, mu)))
 
 
 def _over(numerators, d: int, half: int) -> linalg.Vec:
@@ -332,7 +332,7 @@ def all_rays(rs: RootSystem, *, inverses: dict | None = None) -> tuple[RayRecord
 def is_extremal_ray(rs: RootSystem, lam, mu) -> bool:
     """Tight-constraint test: the pair spans an extremal ray iff the
     inequalities vanishing at it cut out a one-dimensional subspace."""
-    lam, mu = _weight(rs, lam), _weight(rs, mu)  # printed if refused; _form_values reads them as is
+    lam, mu = _weight(rs, lam), _weight(rs, mu)  # printed if refused
     values = _form_values(rs, lam, mu)
     if any(v < 0 for v in values):
         raise NotInConeError(f"({lam}, {mu}) is not in the cone")

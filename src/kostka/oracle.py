@@ -8,27 +8,27 @@ the Freudenthal recursion, which validates cone membership on integral points.
 The recursion is Moody and Patera's: one root string per orbit of the
 stabiliser of a dominant weight, with the norms along a string in closed form.
 
-Both run in integers.  A table of the positive roots (each root's pairing
-vector under the invariant form (w, alpha_j) = d_j w_j, d the integer
-symmetrizer, its norm, and the index of +-s_j beta for every node j); the
-stabiliser orbits of the positive roots per zero node set, walked on that
-table's indices; and the Freudenthal table of each highest weight (up to a
-bound, the oldest dropped first) are built on first use and kept on the root
-system, as everything derived from one is (see ``rootdata``).
+Both run in integers.  A table of the positive roots (each root's fw coordinates
+and the index of +-s_j beta for every node j, as the walk that finds them keeps
+them, ``rootdata._root_walk``; its pairing vector under the invariant form
+(w, alpha_j) = d_j w_j, d the integer symmetrizer; its norm); the stabiliser orbits
+of the positive roots per zero node set, walked on that table's indices; and the
+Freudenthal table of each highest weight (up to a bound, the oldest dropped first)
+are built on first use and kept on the root system, as all derived from one is.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import add, mul
 
 from . import linalg
 from .cone import _integer_cone_forms, _require_dominant
 from .errors import CapExceededError, InvariantError, NotInRootLatticeError, RankBoundExceededError
-from .rootdata import (RootSystem, _levi_solve, _per_system, _positive_root_count, _weight,
-                       is_dominant, positive_roots, root_coords_to_fw, symmetrizer)
+from .rootdata import (RootSystem, _levi_solve, _per_system, _positive_root_count, _root_walk,
+                       _weight, is_dominant, symmetrizer)
 
 # the bounds, read on each call: the highest rank brute_force_vertices takes, the
 # largest representation a FreudenthalTable is built or read for, and the most
@@ -127,45 +127,38 @@ def _integral(w: tuple) -> tuple[int, ...]:
 def _root_table(rs: RootSystem):
     """(d, roots, paired, norms, reflected, den): the integer symmetrizer d, for which
     (w, alpha_j) = d_j w_j is the invariant form; the positive roots beta as (root coords,
-    fw coords); and over them (d_j beta_j)_j, whose dot product with a weight w in fw
-    coords is (w, beta); (beta, beta); per 0-based node j the index of +-s_j beta; and
+    fw coords) and, per root and 0-based node j, the index of +-s_j beta, both read from
+    ``_root_walk`` in the order it found the roots; over them (d_j beta_j)_j, whose dot
+    product with a weight w in fw coords is (w, beta), and (beta, beta); and
     prod (rho, beta), the denominator of Weyl's dimension formula."""
     d = tuple(linalg._cleared(symmetrizer(rs))[0])  # the form is unique up to a positive multiple
-    roots = tuple((a, root_coords_to_fw(rs, a)) for a in positive_roots(rs))
-    index = {a: b for b, (a, _) in enumerate(roots)}
+    roots, reflected = _root_walk(rs)
     paired = tuple(tuple(map(mul, d, a)) for a, _ in roots)
-    # s_j beta = beta - <beta, alpha_j^vee> alpha_j, a positive root unless beta = alpha_j,
-    # whose image -alpha_j is beta up to sign: the only image not in `index`
-    reflected = tuple(tuple(index.get(a[:j] + (a[j] - c,) + a[j + 1:], b) if c else b
-                            for j, c in enumerate(a_fw))
-                      for b, (a, a_fw) in enumerate(roots))
     norms = tuple(sum(map(mul, a_fw, p)) for (_, a_fw), p in zip(roots, paired))
-    den = 1
-    for p in paired:
-        den *= sum(p)  # rho is all ones
+    den = prod(map(sum, paired))  # (rho, beta) = sum(p): rho is all ones
     return d, roots, paired, norms, reflected, den
 
 
 @_per_system
 def _root_orbits(rs: RootSystem, nodes: tuple[int, ...]):
     """The positive roots up to sign in orbits of W_J, J the 0-based nodes given:
-    (root coords, fw coords, orbit size, (alpha, alpha), (d_j alpha_j)_j) of one root per
-    orbit, the size counting the orbit's positive roots.  Breadth first on the
-    indices of ``_root_table`` under beta -> +-s_j beta."""
+    (root coords, fw coords, orbit size, (alpha, alpha), (d_j alpha_j)_j) of the least
+    root of each orbit, in the order of those roots, the size counting the orbit's
+    positive roots.  Breadth first on the indices of ``_root_table`` under
+    beta -> +-s_j beta."""
     _, roots, paired, norms, reflected, _ = _root_table(rs)
     seen, out = [False] * len(roots), []
-    for b, (alpha, alpha_fw) in enumerate(roots):
-        if seen[b]:
-            continue
-        seen[b] = True
-        orbit = [b]
-        for c in orbit:  # grows while it is read
-            for g in (reflected[c][j] for j in nodes):
-                if not seen[g]:
-                    seen[g] = True
-                    orbit.append(g)
-        out.append((alpha, alpha_fw, len(orbit), norms[b], paired[b]))
-    return tuple(out)
+    for b in range(len(roots)):
+        if not seen[b]:
+            seen[b], orbit = True, [b]
+            for c in orbit:  # grows while it is read
+                for g in (reflected[c][j] for j in nodes):
+                    if not seen[g]:
+                        seen[g] = True
+                        orbit.append(g)
+            a = min(orbit, key=roots.__getitem__)
+            out.append((*roots[a], len(orbit), norms[a], paired[a]))
+    return tuple(sorted(out))
 
 
 def _root_coefficients(rs: RootSystem, lam, mu) -> tuple[list[int], bool]:
@@ -185,9 +178,7 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     _require_root_cap(rs)
     _, _, paired, _, _, den = _root_table(rs)
     shifted = tuple(x + 1 for x in lam)  # lam + rho: integer pairings
-    num = 1
-    for p in paired:
-        num *= sum(map(mul, shifted, p))
+    num = prod(sum(map(mul, shifted, p)) for p in paired)
     out, rem = divmod(num, den)
     if rem:
         raise InvariantError(f"Weyl dimension formula gave {Fraction(num, den)} for {lam}")
@@ -216,8 +207,7 @@ class FreudenthalTable:
     def __init__(self, rs: RootSystem, lam):
         self.rs = rs
         self.lam = _integral(_weight(rs, lam))
-        _require_dominant(self.lam)
-        self.dim = weyl_dim(rs, self.lam)
+        self.dim = weyl_dim(rs, self.lam)  # refuses a non-dominant lam, then the root cap
         if self.dim > DEFAULT_DIM_CAP:
             raise CapExceededError(f"dim {self.dim} exceeds the cap {DEFAULT_DIM_CAP}")
         self._d = _root_table(rs)[0]
@@ -267,14 +257,15 @@ class FreudenthalTable:
         total = 0
         for _, alpha_fw, size, aa, paired in _root_orbits(self.rs, zeros):
             na, ra = sum(map(mul, nu, paired)), sum(paired)
-            string, prev, k, xi = 0, 0, 1, nu
+            string, k, xi = 0, 1, nu
             while True:
                 # xi = nu + k alpha: (xi, alpha) = (nu, alpha) + k (alpha, alpha), and (xi, xi)
-                # rises over (nu, nu) by k (2 (nu, alpha) + k (alpha, alpha)), convex in k.  The
-                # representation's weights all have (xi, xi) <= (lam, lam), a rise of at most
-                # gap: once the rise exceeds gap while non-decreasing it stays out
+                # rises over (nu, nu) by k (2 (nu, alpha) + k (alpha, alpha)), increasing in k
+                # as (nu, alpha) >= 0 (nu dominant, alpha positive).  The representation's
+                # weights all have (xi, xi) <= (lam, lam), a rise of at most gap: once the rise
+                # exceeds gap it stays out
                 rise = k * (2 * na + k * aa)
-                if rise > gap and rise >= prev:
+                if rise > gap:
                     break
                 xi = tuple(map(add, xi, alpha_fw))
                 m = memo.get(xi)  # a dominant xi may be known: no reflection then
@@ -282,7 +273,6 @@ class FreudenthalTable:
                     m = self._dominant_mult(*self._dominant_rep(xi, h - k * ra), gap - rise)
                 if m:
                     string += m * (na + k * aa)
-                prev = rise
                 k += 1
             total += size * string
         out, rem = divmod(2 * total, den)
@@ -338,8 +328,7 @@ def compare_membership_multiplicity(rs: RootSystem, lam, mu) -> MembershipCompar
     """
     lam, mu = _weight(rs, lam), _weight(rs, mu)
     lam, mu = _integral(lam), _integral(mu)
-    _require_root_cap(rs)  # refused in this order: length, integrality, the cap, the table
+    table = _table(rs, lam)  # refused in this order: length, integrality, the cap, dominance
     c, lattice = _root_coefficients(rs, lam, mu)
-    table = _table(rs, lam)
-    return MembershipComparison(is_dominant(lam) and is_dominant(mu) and is_dominant(c), lattice,
+    return MembershipComparison(is_dominant(mu) and is_dominant(c), lattice,
                                 table._mult(mu, c) if lattice else 0)

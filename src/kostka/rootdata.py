@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
-from math import factorial
+from math import factorial, prod
 
 from . import linalg
 from .errors import EmptyNodeSetError, InvariantError, NoSolutionError, UnsupportedRankError
@@ -320,8 +320,12 @@ def fw_to_root_coords(rs: RootSystem, w) -> linalg.Vec:
 
 def root_coords_to_fw(rs: RootSystem, c) -> tuple:
     """Fundamental-weight coordinates of a combination of simple roots."""
-    c = _weight(rs, c)
-    # zeros of c's type, so that a Fraction input gives Fraction output
+    return _fw_coords(rs, _weight(rs, c))
+
+
+def _fw_coords(rs: RootSystem, c: tuple) -> tuple:
+    # the fw coordinates <c, alpha_k^vee> of simple-root coefficients c already read; zeros
+    # of c's type, so that a Fraction input gives Fraction output
     out = [c[0] * 0] * rs.rank
     for j, x in enumerate(c, 1):
         if x:
@@ -453,25 +457,37 @@ def levi_factors(rs: RootSystem, nodes) -> tuple[LeviFactor, ...]:
 
 
 @_per_system
-def positive_roots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """All positive roots in simple-root coordinates, sorted.
+def _root_walk(rs: RootSystem):
+    """(roots, images): the positive roots beta as (root coords, fw coords) in the order
+    found, and per root and 0-based node j the index of +-s_j beta.
 
-    The closure of the simple roots under s_i beta = beta - <beta, alpha_i_vee>
-    alpha_i where that pairing is negative (Humphreys, §10.2): each
-    positive root other than a simple one is such a reflection of a lower one.
+    The closure of the simple roots under s_j beta = beta - <beta, alpha_j_vee>
+    alpha_j where that pairing is negative (Humphreys, §10.2): each positive root
+    other than a simple one is such a reflection of a lower one.  The pairings are
+    beta's fw coordinates, and each step up is an image both ways; every other image
+    of beta is beta itself (s_j alpha_j = -alpha_j is alpha_j up to sign).
     """
-    r, entries = rs.rank, rs._entries
+    r = rs.rank
     roots = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    known = set(roots)
-    for beta in roots:  # grows while it is read
-        for i in range(r):  # column i + 1 of the Cartan matrix: 2, and cartan[j][i] at the edges
-            pairing = 2 * beta[i] + sum(beta[j - 1] * b for j, _, b in entries[i + 1])
-            if pairing < 0:
-                gamma = beta[:i] + (beta[i] - pairing,) + beta[i + 1:]
-                if gamma not in known:
-                    known.add(gamma)
+    index = {a: b for b, a in enumerate(roots)}
+    images, fws = [[b] * r for b in range(r)], []
+    for b, beta in enumerate(roots):  # grows while it is read
+        fws.append(fw := _fw_coords(rs, beta))
+        for j, c in enumerate(fw):
+            if c < 0:
+                gamma = beta[:j] + (beta[j] - c,) + beta[j + 1:]
+                g = index.setdefault(gamma, len(roots))
+                if g == len(roots):
                     roots.append(gamma)
-    return tuple(sorted(roots))
+                    images.append([g] * r)
+                images[b][j], images[g][j] = g, b
+    return tuple(zip(roots, fws)), tuple(map(tuple, images))
+
+
+@_per_system
+def positive_roots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """All positive roots in simple-root coordinates, sorted (``_root_walk``)."""
+    return tuple(sorted(a for a, _ in _root_walk(rs)[0]))
 
 
 def weyl_order(letter: str, rank: int) -> int:
@@ -499,12 +515,7 @@ def _positive_root_count(letter: str, rank: int) -> int:
 def parabolic_order(rs: RootSystem, nodes) -> int:
     """Order of the Weyl subgroup generated by the reflections on the given nodes."""
     nodes = node_set(rs, nodes)
-    if not nodes:
-        return 1
-    out = 1
-    for f in levi_factors(rs, nodes):
-        out *= weyl_order(f.letter, f.rank)
-    return out
+    return prod(weyl_order(f.letter, f.rank) for f in levi_factors(rs, nodes)) if nodes else 1
 
 
 def symmetrizer(rs: RootSystem) -> tuple[Fraction, ...]:

@@ -241,17 +241,24 @@ def test_every_entry_that_takes_a_weight_is_pinned():
     assert takes - {"is_dominant"} | {"FreudenthalTable"} == set(WEIGHT_CALLS)
 
 
+# one more case, on another owner: lam on the disconnected Levi (1, 2, 4) of C5 (A2 x A1),
+# where 2 w1 - w2 + 2 w4 = alpha_1 + alpha_4
+LEVI_C5_CALL = (((2, 0, 2), (0, 1, 0)), lambda lam, mu: kostka.levi_cone_contains(
+    kostka.root_system("C", 5), (1, 2, 4), lam, mu))
+
+
 @pytest.mark.parametrize("name, k", [(name, k) for name, (weights, _) in WEIGHT_CALLS.items()
-                                     for k in range(len(weights))],
+                                     for k in range(len(weights))] + [("levi_cone_contains-C5", 0)],
                          ids=lambda v: str(v + 1) if type(v) is int else v)
 def test_a_weight_is_read_once_with_one_coordinate_per_node(name, k):
     # the k-th weight of the call given as a generator answers as its tuple, and one
     # coordinate short or long is refused with the one message of rootdata._weight
-    weights, call = WEIGHT_CALLS[name]
+    weights, call = WEIGHT_CALLS.get(name, LEVI_C5_CALL)
     w, n = weights[k], len(weights[k])
     at_k = lambda v: call(*weights[:k], v, *weights[k + 1:])
     assert at_k(x for x in w) == at_k(w)
-    owner = r"RootSystem\(A3\)" if n == 3 else r"the Levi \(1, 2\) of RootSystem\(A3\)"
+    owner = (r"the Levi \(1, 2, 4\) of RootSystem\(C5\)" if name not in WEIGHT_CALLS
+             else r"RootSystem\(A3\)" if n == 3 else r"the Levi \(1, 2\) of RootSystem\(A3\)")
     for bad in (w[:-1], w + (0,)):
         with pytest.raises(ValueError, match=f"^a weight of {owner} has {n} coordinates, "
                                              f"got {len(bad)}$"):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm
 from operator import mul, sub
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_subsets, random_dominant, supported_types, systems
+import kostka
 from kostka import oracle, rootdata
 from kostka import (FreudenthalTable, all_rays, brute_force_rays, brute_force_vertices,
                     compare_membership_multiplicity, cone_contains, fundamental_weight,
@@ -198,7 +200,7 @@ def test_root_cap_refuses_before_a_root_is_enumerated(monkeypatch):
     # |Phi+| in closed form: A140 has 9870 positive roots, under the cap, and A141 10011
     assert [rootdata._positive_root_count("A", r) for r in (140, 141)] == [9870, 10011]
     enumerated = []
-    monkeypatch.setattr(oracle, "positive_roots", enumerated.append)
+    monkeypatch.setattr(oracle, "_root_walk", enumerated.append)
     a141 = root_system.__wrapped__("A", 141)  # a fresh system, past the cache
     lam, mu = (1,) + (0,) * 139 + (1,), (0,) * 141
     refusal = r"^RootSystem\(A141\) has 10011 positive roots, over the cap 10000$"
@@ -464,6 +466,36 @@ def test_root_table_reflects_the_positive_roots():
                 assert roots[b][1] in (image, tuple(-x for x in image)), (rs, alpha, j)
 
 
+def test_the_root_table_is_read_from_one_walk(monkeypatch):
+    # the walk that finds the positive roots keeps their fw coordinates and reflections: on a
+    # fresh system the root table, the sorted roots, the orbits and a multiplicity run it
+    # once, and no root is taken to fw coordinates again
+    assert not {"positive_roots", "root_coords_to_fw"} & set(vars(oracle))
+    runs, walk = [], rootdata._root_walk.__wrapped__
+
+    def counted(rs):
+        runs.append(rs)
+        return walk(rs)
+
+    def unused(*args):
+        raise AssertionError("root_coords_to_fw called")
+
+    kept = rootdata._per_system(counted)
+    monkeypatch.setattr(rootdata, "_root_walk", kept)
+    monkeypatch.setattr(oracle, "_root_walk", kept)
+    monkeypatch.setattr(rootdata, "root_coords_to_fw", unused)
+    monkeypatch.setattr(kostka, "root_coords_to_fw", unused)
+    for letter, r in (("A", 12), ("B", 5), ("F", 4), ("G", 2), ("E", 8)):
+        rs = root_system.__wrapped__(letter, r)
+        roots = oracle._root_table(rs)[1]
+        assert positive_roots(rs) == tuple(sorted(a for a, _ in roots))
+        assert oracle._root_orbits(rs, ())[0][:3] == (*min(roots), 1)
+        theta = max(roots, key=lambda a: sum(a[0]))[1]  # the adjoint representation
+        assert weight_multiplicity(rs, theta, (0,) * r) == r
+        assert runs == [rs], (letter, r)
+        runs.clear()
+
+
 def _reference_multiplicities(rs, lam):
     # plain Freudenthal: every positive root, every weight xi = lam - c (c >= 0 in
     # root coordinates), norms from the quadratic form N (w, w') = w^T G w' of _gram
@@ -520,6 +552,69 @@ def test_multiplicity_matches_plain_freudenthal():
                 if not any(mu) and reference(c):
                     at_zero.add((rs.letter, r))
     assert {("B", 3), ("C", 3), ("F", 4), ("G", 2)} <= at_zero
+
+
+def _kostant_multiplicities(rs, lam):
+    # Kostant's formula, m(mu) = sum_w eps(w) p(w(lam + rho) - (mu + rho)) (Humphreys, §24.2),
+    # sharing only positive_roots and cartan with the package: W walks the regular lam + rho
+    # by s_i x = x - x_i (row i of C), each step flipping eps; fw coordinates go to root
+    # coordinates by C^-T = adj / det from sympy; p counts the ways to sum positive roots to
+    # a vector
+    cartan, r, roots = rs.cartan, rs.rank, positive_roots(rs)
+    ct = sympy.Matrix(cartan).T
+    det, adj = int(ct.det()), [[int(x) for x in row] for row in ct.adjugate().tolist()]
+    start = tuple(x + 1 for x in lam)
+    signs, frontier = {start: 1}, [start]
+    for x in frontier:  # grows while it is read
+        for i in range(r):
+            y = tuple(a - x[i] * c for a, c in zip(x, cartan[i]))
+            if y not in signs:
+                signs[y] = -signs[x]
+                frontier.append(y)
+    # det times the root coordinates of each w(lam + rho), with eps(w)
+    images = [(sign, [sum(map(mul, row, x)) for row in adj]) for x, sign in signs.items()]
+
+    @lru_cache(maxsize=None)
+    def partitions(nu, k=0):
+        # the ways to write nu as a sum of roots[k:], each any number of times
+        if k == len(roots):
+            return int(not any(nu))
+        rest = tuple(a - b for a, b in zip(nu, roots[k]))
+        return partitions(nu, k + 1) + (partitions(rest, k) if min(rest) >= 0 else 0)
+
+    def mult(mu):
+        shift = [sum(a * (b + 1) for a, b in zip(row, mu)) for row in adj]  # det (mu + rho)
+        total = 0
+        for sign, x in images:
+            nu = [a - b for a, b in zip(x, shift)]
+            if all(c >= 0 and c % det == 0 for c in nu):
+                total += sign * partitions(tuple(c // det for c in nu))
+        return total
+    return mult
+
+
+def test_multiplicity_matches_kostants_formula():
+    # at every dominant mu below w_i and w1 + w_r (2 w1 at rank 1), for every type up to
+    # rank 4, and at mu's antidominant W-conjugate, asked first of a fresh system so that
+    # h follows the reflections from mu's coefficients: a second oracle, with no Freudenthal
+    # recursion and no invariant form
+    checked = 0
+    for rs in systems(4):
+        r, cartan = rs.rank, rs.cartan
+        ends = [(i,) for i in range(1, r + 1)] + [(1, r)]
+        for lam in dict.fromkeys(tuple(e.count(i) for i in range(1, r + 1)) for e in ends):
+            reference = _kostant_multiplicities(rs, lam)
+            for mu in _dominant_weights_below(rs, lam):
+                low = mu  # its antidominant W-conjugate: reflect away each positive coordinate
+                while max(low) > 0:
+                    i = next(i for i, x in enumerate(low) if x > 0)
+                    low = tuple(a - low[i] * c for a, c in zip(low, cartan[i]))
+                fresh = root_system.__wrapped__(rs.letter, r)
+                m = reference(mu)
+                assert weight_multiplicity(fresh, lam, low) == m == reference(low), (rs, lam, low)
+                assert weight_multiplicity(rs, lam, mu) == m, (rs, lam, mu)
+                checked += 1
+    assert checked == 108  # (lam, mu) pairs
 
 
 def test_coefficients_follow_the_reflections_from_a_cold_memo():
