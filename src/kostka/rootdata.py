@@ -12,15 +12,15 @@ vector is the pairing against the k-th simple coroot; entry j of a
 root-coordinate vector is the coefficient of the j-th simple root.  Node
 ids are 1-based in the public API.
 
-A root system is its Dynkin edges (``_edges``): the Cartan entries off the
-diagonal are zero except on an edge and the diagonal is all 2s, so every
-reader walks the edges, built in O(r), and a weight's simple-root
-coefficients, on a Levi or on every node, are one solve on the Dynkin forest
-(``_levi_solve``).  ``_cartan_block`` lays out a Cartan block, the whole matrix
-or a Levi's, only to invert it (``_block_inverse``) or for a caller that reads
-``cartan`` or ``sub_cartan``.  ``root_system`` caches the root systems; what is
-derived from one is built on first use and kept on it: the dense ``cartan``,
-``RootSystem._inverse`` and what ``_per_system`` keeps in ``RootSystem._memo``.
+A root system is its Dynkin edges (``_edges``), built in O(r): the Cartan entries
+off the diagonal are zero except on an edge and the diagonal is all 2s.  A node set's
+Dynkin forest is walked once, by ``_forest``, for its components, for the symmetrizer,
+one walk per system, and for a weight's simple-root coefficients on a Levi or on every
+node, one solve on the forest (``_levi_solve``).  ``_cartan_block`` lays out a Cartan
+block, the whole matrix or a Levi's, only to invert it (``_block_inverse``) or for a
+caller that reads ``cartan`` or ``sub_cartan``.  ``root_system`` caches the root
+systems; what is derived from one is built on first use and kept on it: the dense
+``cartan``, ``RootSystem._inverse`` and what ``_per_system`` keeps in ``_memo``.
 """
 
 from __future__ import annotations
@@ -180,6 +180,29 @@ def _block_inverse(block, owner: str) -> tuple[tuple[tuple[int, ...], ...], int]
     return adj, det
 
 
+def _forest(rs: RootSystem, nodes: tuple[int, ...]):
+    """(order, parent, edge, leaving): the one walk of the Dynkin forest on the ascending
+    `nodes`, by position in `nodes`.  `order` has parents first, each tree one run from its
+    least node; parent[u] is -1 at a root; edge[v] is the edge (y, C[x][y], C[y][x]) from
+    the parent's node x to v's node y, as ``_entries`` holds it; `leaving` holds (u, edge)
+    for each edge from u's node to a node outside the set."""
+    entries, at = rs._entries, dict(zip(nodes, range(len(nodes))))
+    parent, order, edge, leaving = [None] * len(nodes), [], [None] * len(nodes), []
+    for root in range(len(nodes)):
+        if parent[root] is None:
+            parent[root], stack = -1, [root]
+            while stack:  # depth first: a node is appended before the children it pushes
+                order.append(u := stack.pop())
+                for e in entries[nodes[u]]:
+                    v = at.get(e[0])
+                    if v is None:
+                        leaving.append((u, e))
+                    elif parent[v] is None:
+                        parent[v], edge[v] = u, e
+                        stack.append(v)
+    return order, parent, edge, leaving
+
+
 def _levi_solve(rs: RootSystem, values, nodes: tuple[int, ...]) -> tuple[list[int], int, dict[int, int]]:
     """C_L^T c = values on the Levi L of `nodes` (ascending), solved in integers:
     c's numerators over d, in the order of `nodes`, d, and the pairings
@@ -194,31 +217,15 @@ def _levi_solve(rs: RootSystem, values, nodes: tuple[int, ...]) -> tuple[list[in
     and its right-hand side B_u with them eliminated; c is substituted back
     from the roots over det = the product of the roots' D, dividing exactly
     by each D_u.  The pairings are summed over the edges from L to the nodes
-    outside it, each seen once by the walk that finds the forest.  For a weight
-    lam read on L, lam - C^T c / d is zero on L, lam_k - pairing / d at each
-    outside neighbour k and lam elsewhere; on every node there are no
+    outside it, each seen once by the walk that finds the forest (``_forest``).
+    For a weight lam read on L, lam - C^T c / d is zero on L, lam_k - pairing / d
+    at each outside neighbour k and lam elsewhere; on every node there are no
     pairings, and c / d are lam's simple-root coefficients.  Raises
     InvariantError if some D_u, a principal minor of C_L, is not positive.
     """
     b, m = linalg._cleared(list(values))
-    entries, k = rs._entries, len(nodes)
-    at = {n: a for a, n in enumerate(nodes)}
-    parent, order = [None] * k, []  # each tree depth first from its root: parents first
-    edge = [None] * k  # (y, C[x][y], C[y][x]): the edge from u's node x to its child v's node y
-    leaving = []  # (u, edge) for each edge from u's node to a node outside L
-    for root in range(k):
-        if parent[root] is None:
-            parent[root], stack = -1, [root]
-            while stack:
-                order.append(u := stack.pop())
-                for e in entries[nodes[u]]:
-                    v = at.get(e[0])
-                    if v is None:
-                        leaving.append((u, e))
-                    elif parent[v] is None:
-                        parent[v], edge[v] = u, e
-                        stack.append(v)
-    dets, prods, det = [2] * k, [1] * k, 1
+    order, parent, edge, leaving = _forest(rs, nodes)
+    dets, prods, det = [2] * len(order), [1] * len(order), 1
     for v in reversed(order):  # leaves first: v's children are folded into it
         d, u = dets[v], parent[v]
         if d <= 0:
@@ -230,7 +237,7 @@ def _levi_solve(rs: RootSystem, values, nodes: tuple[int, ...]) -> tuple[list[in
         p = prods[u]
         dets[u] = dets[u] * d - yx * xy * prods[v] * p
         b[u], prods[u] = b[u] * d - yx * b[v] * p, p * d
-    c = [0] * k
+    c = [0] * len(order)
     for v in order:  # roots first: D_v c_v + P_v C_L^T[v][u] c_u = B_v, over det
         u = parent[v]
         e = edge[v][1] * prods[v] * c[u] if u >= 0 else 0
@@ -320,20 +327,21 @@ def fw_to_root_coords(rs: RootSystem, w) -> linalg.Vec:
 
 def root_coords_to_fw(rs: RootSystem, c) -> tuple:
     """Fundamental-weight coordinates of a combination of simple roots."""
-    return _fw_coords(rs, _weight(rs, c))
-
-
-def _fw_coords(rs: RootSystem, c: tuple) -> tuple:
-    # the fw coordinates <c, alpha_k^vee> of simple-root coefficients c already read; zeros
-    # of c's type, so that a Fraction input gives Fraction output
-    out = [c[0] * 0] * rs.rank
+    c = _weight(rs, c)
+    out = [c[0] * 0] * rs.rank  # zeros of c's type: a Fraction input gives Fraction output
     for j, x in enumerate(c, 1):
         if x:
-            # row j of the Cartan matrix is 2 at j and nonzero only at j's neighbours
-            out[j - 1] += 2 * x
-            for k, a, _ in rs._entries[j]:
-                out[k - 1] += x * a
+            _add_root(rs, out, j, x)
     return tuple(out)
+
+
+def _add_root(rs: RootSystem, fw: list, j: int, x) -> list:
+    # fw + x alpha_j in place, in fw coordinates: row j of the Cartan matrix is 2 at j and
+    # nonzero only at j's neighbours
+    fw[j - 1] += 2 * x
+    for k, a, _ in rs._entries[j]:
+        fw[k - 1] += x * a
+    return fw
 
 
 def is_connected(rs: RootSystem, nodes) -> bool:
@@ -342,23 +350,16 @@ def is_connected(rs: RootSystem, nodes) -> bool:
 
 
 def components(rs: RootSystem, nodes) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the induced subgraph, ordered by smallest node."""
+    """Connected components of the induced subgraph, ordered by smallest node: the trees
+    of the Dynkin forest (``_forest``), one run of its order each."""
     nodes = node_set(rs, nodes)
-    remaining = set(nodes)
+    order, parent, _, _ = _forest(rs, nodes)
     comps = []
-    for n in nodes:
-        if n not in remaining:
-            continue
-        todo = [n]
-        comp = {n}
-        while todo:
-            for nb in rs.neighbors(todo.pop()):
-                if nb in remaining and nb not in comp:
-                    comp.add(nb)
-                    todo.append(nb)
-        remaining -= comp
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    for u in order:
+        if parent[u] < 0:  # a tree's run starts at its root
+            comps.append(comp := [])
+        comp.append(nodes[u])
+    return tuple(map(tuple, map(sorted, comps)))
 
 
 def _connected_sets(rs: RootSystem, i: int, banned: int = 0) -> list[tuple[int, ...]]:
@@ -402,34 +403,17 @@ class LeviFactor(namedtuple("LeviFactor", "letter rank nodes")):
     __slots__ = ()
 
 
-def _lengths(rs: RootSystem, nodes: tuple[int, ...]) -> dict[int, Fraction]:
-    """Half squared lengths of the simple roots on the connected ascending `nodes`,
-    keyed by node in their order, short roots normalised to 1: one walk of the
-    Dynkin edges, where |alpha_m|^2 / |alpha_n|^2 = cartan[m][n] / cartan[n][m]."""
-    inside = set(nodes)
-    d = {nodes[0]: Fraction(1)}
-    todo = [nodes[0]]
-    while todo:
-        n = todo.pop()
-        for m, a, b in rs._entries[n]:
-            if m in inside and m not in d:
-                d[m] = d[n] * Fraction(b, a)
-                todo.append(m)
-    lo = min(d.values())
-    return {n: d[n] / lo for n in nodes}
-
-
 def _classify(rs: RootSystem, comp: tuple[int, ...]) -> tuple[str, int]:
     # the letter and rank of the connected Levi on `comp`, read from its edges
     k, inside, entries = len(comp), set(comp), rs._entries
     top = max((a * b for n in comp for m, a, b in entries[n] if m in inside), default=0)  # bonds
     if top == 3:
         return ("G", 2)
-    if top == 2:
-        d = _lengths(rs, comp)
+    if top == 2:  # on a connected Levi the invariant form is the system's up to scale
+        d = [symmetrizer(rs)[n - 1] for n in comp]
         if k == 2:
-            return ("B", 2) if d[comp[0]] > d[comp[1]] else ("C", 2)
-        longs = sum(1 for v in d.values() if v != 1)
+            return ("B", 2) if d[0] > d[1] else ("C", 2)
+        longs = k - d.count(min(d))
         if longs == 1:
             return ("C", k)
         if longs == k - 1:
@@ -461,24 +445,25 @@ def _root_walk(rs: RootSystem):
     """(roots, images): the positive roots beta as (root coords, fw coords) in the order
     found, and per root and 0-based node j the index of +-s_j beta.
 
-    The closure of the simple roots under s_j beta = beta - <beta, alpha_j_vee>
-    alpha_j where that pairing is negative (Humphreys, §10.2): each positive root
-    other than a simple one is such a reflection of a lower one.  The pairings are
-    beta's fw coordinates, and each step up is an image both ways; every other image
-    of beta is beta itself (s_j alpha_j = -alpha_j is alpha_j up to sign).
+    The closure of the simple roots under s_j beta = beta - <beta, alpha_j_vee> alpha_j
+    where that pairing is negative (Humphreys, §10.2): each positive root other than a
+    simple one is such a reflection of a lower one.  The pairings are beta's fw
+    coordinates, grown from its parent's by a Cartan row; each step up is an image both
+    ways, and every other image of beta is itself (s_j alpha_j = -alpha_j up to sign).
     """
     r = rs.rank
     roots = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    fws = [tuple(_add_root(rs, [0] * r, i, 1)) for i in range(1, r + 1)]  # alpha_i: row i
     index = {a: b for b, a in enumerate(roots)}
-    images, fws = [[b] * r for b in range(r)], []
+    images = [[b] * r for b in range(r)]
     for b, beta in enumerate(roots):  # grows while it is read
-        fws.append(fw := _fw_coords(rs, beta))
-        for j, c in enumerate(fw):
+        for j, c in enumerate(fws[b]):
             if c < 0:
                 gamma = beta[:j] + (beta[j] - c,) + beta[j + 1:]
                 g = index.setdefault(gamma, len(roots))
                 if g == len(roots):
                     roots.append(gamma)
+                    fws.append(tuple(_add_root(rs, list(fws[b]), j + 1, -c)))  # beta's - c alpha_j
                     images.append([g] * r)
                 images[b][j], images[g][j] = g, b
     return tuple(zip(roots, fws)), tuple(map(tuple, images))
@@ -518,6 +503,13 @@ def parabolic_order(rs: RootSystem, nodes) -> int:
     return prod(weyl_order(f.letter, f.rank) for f in levi_factors(rs, nodes)) if nodes else 1
 
 
+@_per_system
 def symmetrizer(rs: RootSystem) -> tuple[Fraction, ...]:
-    """Half squared lengths of the simple roots, short roots normalised to 1."""
-    return tuple(_lengths(rs, rs.nodes()).values())
+    """Half squared lengths of the simple roots, short roots normalised to 1: one walk of
+    the Dynkin tree (``_forest``), where |alpha_y|^2 / |alpha_x|^2 = C[y][x] / C[x][y]."""
+    order, parent, edge, _ = _forest(rs, rs.nodes())
+    d = [Fraction(1)] * rs.rank
+    for v in order[1:]:  # parents first, after the one root, node 1
+        d[v] = d[parent[v]] * Fraction(edge[v][2], edge[v][1])
+    lo = min(d)
+    return tuple(x / lo for x in d)

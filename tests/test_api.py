@@ -409,6 +409,14 @@ def test_the_kernel_has_its_two_readers():
         "_forward": {"linalg.solve_unique", "cone.is_extremal_ray"}}
 
 
+def test_the_forest_walk_has_its_three_readers():
+    # a node set's Dynkin forest is walked once, by _forest, for the solve, the components
+    # and the symmetrizer; the walk per component that the root lengths made is gone
+    assert _readers("_forest") == {"_forest": {"rootdata._levi_solve", "rootdata.components",
+                                               "rootdata.symmetrizer"}}
+    assert not hasattr(importlib.import_module("kostka.rootdata"), "_lengths")
+
+
 def test_the_dense_inverse_has_its_two_readers():
     # the inverse of the whole Cartan matrix is read only for the cone's forms: the oracle's
     # invariant form is the symmetrizer, and every weight's coefficients a forest solve
