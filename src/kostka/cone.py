@@ -19,7 +19,7 @@ from operator import or_
 
 from . import linalg
 from .errors import CapExceededError, InvariantError, NotDominantError, NotInConeError
-from .rootdata import (RootSystem, _block_inverse, _cartan_block, _connected_sets,
+from .rootdata import (RootSystem, _add_root, _block_inverse, _cartan_block, _connected_sets,
                        _levi_solve, _node, _per_system, _weight,
                        connected_subsets_containing, fundamental_weight, is_dominant, node_set,
                        validate_type)
@@ -293,14 +293,14 @@ def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tu
     (``_levi_inverse``), and mu is w_i - C^T c, O(|L|) once the block is
     inverted, once per call (or per ``inverses`` dict, which the caller may
     share with other enumerations).  Over d = ``k_det`` mu's numerators are
-    d w_i less C^T c's, summed over L's edges in the loop that scatters c:
-    zero on L, where C_L^T c = d w_i, minus the pairings at the outside
-    neighbours and zero elsewhere; no ``Fraction`` is made.
+    d w_i less c_n alpha_n for each node n of L (``rootdata._add_root``), in the
+    loop that scatters c: zero on L, where C_L^T c = d w_i, minus the pairings
+    at the outside neighbours and zero elsewhere; no ``Fraction`` is made.
     """
     i = _node(rs, i)
     if inverses is None:
         inverses = {}
-    r, entries = rs.rank, rs._entries
+    r = rs.rank
     records = [RayRecord(i, (), fundamental_weight(rs, i) + (0,) * r, 1)]
     for nodes in connected_subsets_containing(rs, i):
         adj, d = _levi_inverse(rs, nodes, inverses)
@@ -309,9 +309,7 @@ def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tu
         out[i - 1] = d  # mu = w_i - C^T c over d, with c beside it
         for n, row in zip(nodes, adj):
             out[r + n - 1] = x = row[col]
-            out[n - 1] -= 2 * x
-            for k, a, _ in entries[n]:
-                out[k - 1] -= x * a
+            _add_root(rs, out, n, -x)
         records.append(RayRecord(i, nodes, tuple(out), d))
     return tuple(records)
 

@@ -27,8 +27,8 @@ from operator import add, mul
 from . import linalg
 from .cone import _integer_cone_forms, _require_dominant
 from .errors import CapExceededError, InvariantError, NotInRootLatticeError, RankBoundExceededError
-from .rootdata import (RootSystem, _levi_solve, _per_system, _positive_root_count, _root_walk,
-                       _weight, is_dominant, symmetrizer)
+from .rootdata import (RootSystem, _add_root, _levi_solve, _per_system, _positive_root_count,
+                       _root_walk, _weight, is_dominant, symmetrizer)
 
 # the bounds, read on each call: the highest rank brute_force_vertices takes, the
 # largest representation a FreudenthalTable is built or read for, and the most
@@ -214,17 +214,15 @@ class FreudenthalTable:
         self._memo: dict[tuple, int] = {self.lam: 1}
 
     def _dominant_rep(self, w, h: int) -> tuple[tuple, int]:
-        # reflect in the first simple root w pairs negatively with: s_i w = w - w_i alpha_i,
-        # alpha_i being 2 at i and nonzero only at i's neighbours (weyl.simple_reflection,
-        # inline), so h = (lam - w, rho) gains (w_i alpha_i, rho) = w_i d_i; gap is W-invariant
-        entries, d, w = self.rs._entries, self._d, list(w)
+        # reflect in the first simple root w pairs negatively with, s_i w = w - w_i alpha_i
+        # (rootdata._add_root), so h = (lam - w, rho) gains (w_i alpha_i, rho) = w_i d_i; gap
+        # is W-invariant
+        d, w = self._d, list(w)
         while True:
             for i, v in enumerate(w, 1):
                 if v < 0:
-                    w[i - 1] = -v
+                    _add_root(self.rs, w, i, -v)
                     h += v * d[i - 1]
-                    for j, a, _ in entries[i]:
-                        w[j - 1] -= v * a
                     break
             else:
                 return tuple(w), h

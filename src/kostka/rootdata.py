@@ -16,7 +16,10 @@ A root system is its Dynkin edges (``_edges``), built in O(r): the Cartan entrie
 off the diagonal are zero except on an edge and the diagonal is all 2s.  A node set's
 Dynkin forest is walked once, by ``_forest``, for its components, for the symmetrizer,
 one walk per system, and for a weight's simple-root coefficients on a Levi or on every
-node, one solve on the forest (``_levi_solve``).  ``_cartan_block`` lays out a Cartan
+node, one solve on the forest (``_levi_solve``).  A weight is moved by a multiple of a
+simple root in one Cartan-row step, ``_add_root``, for the positive roots (``_root_walk``),
+``root_coords_to_fw``, the Weyl reflections and orbits, the Freudenthal oracle's dominant
+representatives and the rays' mu = w_i - C^T c.  ``_cartan_block`` lays out a Cartan
 block, the whole matrix or a Levi's, only to invert it (``_block_inverse``) or for a
 caller that reads ``cartan`` or ``sub_cartan``.  ``root_system`` caches the root
 systems; what is derived from one is built on first use and kept on it: the dense
@@ -337,7 +340,9 @@ def root_coords_to_fw(rs: RootSystem, c) -> tuple:
 
 def _add_root(rs: RootSystem, fw: list, j: int, x) -> list:
     # fw + x alpha_j in place, in fw coordinates: row j of the Cartan matrix is 2 at j and
-    # nonzero only at j's neighbours
+    # nonzero only at j's neighbours.  The one row step: every move of a weight by a simple
+    # root is made here (_root_walk, root_coords_to_fw, weyl._reflect, weyl.orbit,
+    # FreudenthalTable._dominant_rep, cone.rays_for_node)
     fw[j - 1] += 2 * x
     for k, a, _ in rs._entries[j]:
         fw[k - 1] += x * a
@@ -430,14 +435,10 @@ def _classify(rs: RootSystem, comp: tuple[int, ...]) -> tuple[str, int]:
 
 def levi_factors(rs: RootSystem, nodes) -> tuple[LeviFactor, ...]:
     """Simple factors of the Levi subsystem on the given nodes."""
-    nodes = node_set(rs, nodes)
-    if not nodes:
+    comps = components(rs, nodes)  # reads the node set: none for an empty one
+    if not comps:
         raise EmptyNodeSetError("Levi factorisation needs a nonempty node set")
-    out = []
-    for comp in components(rs, nodes):
-        letter, rank = _classify(rs, comp)
-        out.append(LeviFactor(letter, rank, comp))
-    return tuple(out)
+    return tuple(LeviFactor(*_classify(rs, comp), comp) for comp in comps)
 
 
 @_per_system
@@ -499,8 +500,7 @@ def _positive_root_count(letter: str, rank: int) -> int:
 
 def parabolic_order(rs: RootSystem, nodes) -> int:
     """Order of the Weyl subgroup generated by the reflections on the given nodes."""
-    nodes = node_set(rs, nodes)
-    return prod(weyl_order(f.letter, f.rank) for f in levi_factors(rs, nodes)) if nodes else 1
+    return prod(weyl_order(*_classify(rs, comp)) for comp in components(rs, nodes))
 
 
 @_per_system

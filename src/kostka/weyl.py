@@ -4,7 +4,10 @@ Group elements are never materialised; everything works on orbits of
 coordinate vectors.  A weight is read as ``rootdata._weight`` reads one, with
 its ints and Fractions as they are: int weights stay plain int tuples, which
 makes the orbit closures considerably faster than Fraction arithmetic, and a
-weight given in integral Fractions is walked in Fractions.
+weight given in integral Fractions is walked in Fractions.  Reflections and
+orbits move a weight by a simple root through the one Cartan-row step,
+``rootdata._add_root``: s_i w = w - w_i alpha_i, alpha_i being row i of the
+Cartan matrix in fundamental-weight coordinates.
 
 Two module constants, read on each call, bound the work: an orbit has at most
 MAX_ORBIT points, and the averages refuse a subgroup of more than
@@ -17,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BudgetExceededError, InvariantError
-from .rootdata import RootSystem, _node, _weight, node_set, parabolic_order
+from .rootdata import RootSystem, _add_root, _node, _weight, node_set, parabolic_order
 
 MAX_ORBIT = 10**6
 MAX_GROUP_ORDER = 10**6
@@ -25,42 +28,29 @@ MAX_GROUP_ORDER = 10**6
 
 def simple_reflection(rs: RootSystem, i: int, w) -> tuple:
     """Reflect a fundamental-weight coordinate vector in the i-th simple root:
-    s_i w = w - w_i alpha_i, and alpha_i is 2 at i and nonzero only at i's
-    neighbours (row i of the Cartan matrix)."""
+    s_i w = w - w_i alpha_i (``rootdata._add_root``)."""
     return _reflect(rs, _node(rs, i), _weight(rs, w))
 
 
 def _reflect(rs: RootSystem, i: int, w) -> tuple:
     # simple_reflection at a node id and a weight already read
     c = w[i - 1]
-    if c == 0:
-        return w
-    out = list(w)
-    out[i - 1] = -c
-    for j, a, _ in rs._entries[i]:
-        out[j - 1] -= c * a
-    return tuple(out)
+    return tuple(_add_root(rs, list(w), i, -c)) if c else w
 
 
 def orbit(rs: RootSystem, w, nodes) -> frozenset:
     """Orbit of a weight under the Weyl subgroup generated by the given nodes."""
     nodes = node_set(rs, nodes)
-    # per node, its 0-based position and its Cartan row's entries at its neighbours
-    idx_rows = [(i - 1, [(j - 1, a) for j, a, _ in rs._entries[i]]) for i in nodes]
     start = _weight(rs, w)
     seen = {start}
     frontier = [start]
     while frontier:
         grown = []
         for x in frontier:
-            for pos, row in idx_rows:
-                c = x[pos]
-                if c:  # simple_reflection, inline
-                    y = list(x)
-                    y[pos] = -c
-                    for j, a in row:
-                        y[j] -= c * a
-                    y = tuple(y)
+            for i in nodes:
+                c = x[i - 1]
+                if c:  # _reflect, with no second call per point
+                    y = tuple(_add_root(rs, list(x), i, -c))
                     if y not in seen:
                         if len(seen) >= MAX_ORBIT:
                             raise BudgetExceededError(f"orbit exceeds max_orbit={MAX_ORBIT}")

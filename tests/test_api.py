@@ -417,6 +417,17 @@ def test_the_forest_walk_has_its_three_readers():
     assert not hasattr(importlib.import_module("kostka.rootdata"), "_lengths")
 
 
+def test_the_row_step_has_its_readers():
+    # a weight is moved by a simple root only in _add_root: the reflections, the orbits, the
+    # oracle's dominant representatives and the rays' mu keep no copy of a Cartan row, and
+    # weyl and oracle read no Dynkin edge table
+    assert _readers("_add_root") == {"_add_root": {
+        "rootdata.root_coords_to_fw", "rootdata._root_walk", "weyl._reflect", "weyl.orbit",
+        "oracle._dominant_rep", "cone.rays_for_node"}}
+    assert not {where for where in _readers("_entries")["_entries"]
+                if where.split(".")[0] in ("weyl", "oracle")}
+
+
 def test_the_dense_inverse_has_its_two_readers():
     # the inverse of the whole Cartan matrix is read only for the cone's forms: the oracle's
     # invariant form is the symmetrizer, and every weight's coefficients a forest solve

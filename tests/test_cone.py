@@ -370,7 +370,10 @@ def test_rays_for_node_match_independent_derivation(case):
         for n, c in zip(levi, solved):
             c_alpha[n - 1] = Q(int(c.p), int(c.q))
         det = int(sympy.Matrix(sub_cartan(rs, levi)).det())
-        mu = tuple(a - b for a, b in zip(fw, root_coords_to_fw(rs, c_alpha)))
+        # mu = w_i - C^T c from the dense Cartan matrix, apart from the package's row step
+        ctc = sympy.Matrix(rs.cartan).T * sympy.Matrix([sympy.Rational(c.numerator, c.denominator)
+                                                        for c in c_alpha])
+        mu = tuple(a - Q(int(x.p), int(x.q)) for a, x in zip(fw, ctc))
         # the record of these values, over the determinant
         scaled = [det * x for x in mu + tuple(c_alpha)]
         assert all(x.denominator == 1 for x in scaled)

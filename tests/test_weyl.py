@@ -26,6 +26,9 @@ def test_reflection_involution():
             w = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
             for i in range(1, rs.rank + 1):
                 assert simple_reflection(rs, i, simple_reflection(rs, i, w)) == w
+                # s_i w = w - w_i alpha_i, alpha_i row i of the dense Cartan matrix
+                assert simple_reflection(rs, i, w) == tuple(
+                    x - w[i - 1] * a for x, a in zip(w, rs.cartan[i - 1]))
                 if w[i - 1] == 0:
                     assert simple_reflection(rs, i, w) == w
 
