@@ -28,10 +28,11 @@ from operator import neg
 from types import SimpleNamespace
 
 from . import __version__
-from .cone import (_form_values, _is_ray, _levi_inverse, all_rays, polytope_vertices,
-                   ray_count_formula, rays_for_node)
+from .cone import (_form_values, _is_ray, all_rays, polytope_vertices, ray_count_formula,
+                   rays_for_node)
 from .errors import KostkaError
-from .rootdata import RANK_BOUNDS, is_dominant, root_system, supported_types, validate_type
+from .rootdata import (RANK_BOUNDS, _levi_inverse, is_dominant, root_system, supported_types,
+                       validate_type)
 
 RAY_COLUMNS = ("type", "rank", "node", "levi", "k_primitive", "k_det",
                "lambda_fw", "mu_fw", "c_alpha")

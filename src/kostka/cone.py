@@ -19,10 +19,9 @@ from operator import or_
 
 from . import linalg
 from .errors import CapExceededError, InvariantError, NotDominantError, NotInConeError
-from .rootdata import (RootSystem, _add_root, _block_inverse, _cartan_block, _connected_sets,
-                       _levi_solve, _node, _per_system, _weight,
-                       connected_subsets_containing, fundamental_weight, is_dominant, node_set,
-                       validate_type)
+from .rootdata import (RootSystem, _add_root, _connected_sets, _levi_inverse, _levi_solve,
+                       _node, _per_system, _weight, connected_subsets_containing,
+                       fundamental_weight, is_dominant, node_set, validate_type)
 
 
 class LinearForm(namedtuple("LinearForm", "label coeffs")):
@@ -118,29 +117,6 @@ def _require_dominant(lam) -> None:
         raise NotDominantError(f"weight {','.join(map(str, lam))} is not dominant")
 
 
-def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tuple[tuple, int]:
-    """The integer inverse (adj, det) of the block C_L^T of the Levi of `nodes`
-    (ascending), (C_L^T)^-1 = adj / det, by ``rootdata._block_inverse``; rays
-    read c as a column of it, and the pretty ray block prints it.
-
-    ``inverses`` maps each block already inverted to its result, for one
-    enumeration, keyed by the Levi's shape: |L| and its internal edges
-    relabelled by position, each with its two Cartan entries.  The diagonal is
-    all 2s and the other entries are zero off the edges, so the shape fixes
-    the block exactly; it is read in O(|L|) from the Dynkin graph.  Levis of
-    the same shape share a block, so it is solved once: only on a miss is
-    C_L laid out, by ``rootdata._cartan_block``, and inverted."""
-    at = {n: a for a, n in enumerate(nodes)}
-    entries, k = rs._entries, len(nodes)
-    key = (k, *[(a, at[m], x, y)
-                for a, n in enumerate(nodes) for m, x, y in entries[n] if m > n and m in at])
-    out = inverses.get(key)
-    if out is None:
-        block = tuple(zip(*_cartan_block(rs, nodes)))
-        out = inverses[key] = _block_inverse(block, f"Levi {nodes} of {rs}")
-    return out
-
-
 def _pieces(rs: RootSystem, lam: linalg.Vec, pieces) -> tuple[list[int], int, list[list]]:
     """The node sets `pieces` (each ascending, nonempty, none adjacent to another
     that one vertex combines it with) solved by ``_levi_solve``, all over one
@@ -207,13 +183,13 @@ def polytope_vertices(rs: RootSystem, lam) -> tuple[Vertex, ...]:
         if lam[i - 1]:
             pieces += _connected_sets(rs, i, banned)
             banned |= 1 << i
-    r, nbrs = rs.rank, rs._neighbors
+    r = rs.rank
     hit = dict.fromkeys(rs.nodes(), 0)  # the pieces on each node, as a bit mask
     for j, p in enumerate(pieces):
         for n in p:
             hit[n] |= 1 << j
     # touch[n]: the pieces on or next to n; later[j]: those after j missing it and its neighbours
-    touch = {n: reduce(or_, map(hit.get, nbrs[n]), t) for n, t in hit.items()}
+    touch = {n: reduce(or_, map(hit.get, rs.neighbors(n)), t) for n, t in hit.items()}
     later = [-2 << j & ~reduce(or_, map(touch.get, p)) for j, p in enumerate(pieces)]
     # each node set as (index of the set it extends, piece added), the empty set first,
     # beside its levi and its key (size << r) - sum of 1 << r - n over it: by size, then lex
@@ -290,7 +266,7 @@ def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tu
     node set (the pair (w_i, w_i)) and one for every connected subdiagram L
     containing node i, with the integers `vertex` solves for: c_alpha is the
     column of node i in the integer inverse adj / det of C_L^T
-    (``_levi_inverse``), and mu is w_i - C^T c, O(|L|) once the block is
+    (``rootdata._levi_inverse``), and mu is w_i - C^T c, O(|L|) once the block is
     inverted, once per call (or per ``inverses`` dict, which the caller may
     share with other enumerations).  Over d = ``k_det`` mu's numerators are
     d w_i less c_n alpha_n for each node n of L (``rootdata._add_root``), in the

@@ -19,11 +19,13 @@ one walk per system, and for a weight's simple-root coefficients on a Levi or on
 node, one solve on the forest (``_levi_solve``).  A weight is moved by a multiple of a
 simple root in one Cartan-row step, ``_add_root``, for the positive roots (``_root_walk``),
 ``root_coords_to_fw``, the Weyl reflections and orbits, the Freudenthal oracle's dominant
-representatives and the rays' mu = w_i - C^T c.  ``_cartan_block`` lays out a Cartan
-block, the whole matrix or a Levi's, only to invert it (``_block_inverse``) or for a
-caller that reads ``cartan`` or ``sub_cartan``.  ``root_system`` caches the root
-systems; what is derived from one is built on first use and kept on it: the dense
-``cartan``, ``RootSystem._inverse`` and what ``_per_system`` keeps in ``_memo``.
+representatives and the rays' mu = w_i - C^T c.  Every Cartan block, the whole matrix
+or a Levi's, is inverted by one shape-keyed routine, ``_levi_inverse``; ``_cartan_block``
+lays out a block only for it or for a caller that reads ``cartan`` or ``sub_cartan``.
+No other module reads the Dynkin edge table: they read ``RootSystem.neighbors``.
+``root_system`` caches the root systems; what is derived from one is built on first use
+and kept on it: the dense ``cartan``, ``RootSystem._inverse`` and what ``_per_system``
+keeps in ``_memo``.
 """
 
 from __future__ import annotations
@@ -104,9 +106,10 @@ class RootSystem:
     cartan[j][i]), 1-based, and held as ``_entries[i]``, the tuple of node i's
     edges seen from i, (j, cartan[i][j], cartan[j][i]) for each neighbour j,
     ascending, and ``_neighbors[i]``, the tuple of those j, both built in O(r).
-    The package reads only these; a dense block (``_cartan_block``) is laid
-    out only to be inverted or for a caller that reads ``cartan`` (built on
-    its first read and kept) or ``sub_cartan``."""
+    Only this module reads these (the others read ``neighbors``); a dense
+    block (``_cartan_block``) is laid out only to be inverted, by the one
+    shape-keyed ``_levi_inverse``, or for a caller that reads ``cartan``
+    (built on its first read and kept) or ``sub_cartan``."""
 
     def __init__(self, letter: str, rank: int, edges):
         self.letter = letter
@@ -126,9 +129,10 @@ class RootSystem:
 
     @cached_property
     def _inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(adj, det) of the transposed Cartan matrix, built on first use by the one
-        reader of the whole matrix, the cone's integer forms."""
-        return _block_inverse(tuple(zip(*_cartan_block(self, self.nodes()))), repr(self))
+        """(adj, det) of the transposed Cartan matrix, the inverse of the Levi on every
+        node (``_levi_inverse``), built on first use by the one reader of the whole
+        matrix, the cone's integer forms."""
+        return _levi_inverse(self, self.nodes(), {})
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbors[i]
@@ -170,17 +174,33 @@ def _cartan_block(rs: RootSystem, nodes: tuple[int, ...]) -> tuple[tuple[int, ..
     return tuple(map(tuple, rows))
 
 
-def _block_inverse(block, owner: str) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The integer inverse (adj, det) of a Cartan block, block^-1 = adj / det
-    (``linalg.solve_unique``).  Raises InvariantError if the block is singular or
-    det is not positive: no root system allows either."""
-    try:
-        adj, det = linalg.solve_unique(block)
-    except NoSolutionError:
-        det = 0
-    if det <= 0:
-        raise InvariantError(f"{owner} has a singular Cartan matrix or one of negative determinant")
-    return adj, det
+def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tuple[tuple, int]:
+    """The integer inverse (adj, det) of C_L^T on the Levi of `nodes` (ascending),
+    (C_L^T)^-1 = adj / det (``linalg.solve_unique``): the one inverse of a Cartan block,
+    the whole matrix's on every node (``RootSystem._inverse``) or a Levi's, whose columns
+    are the rays' c and which the pretty ray block prints.
+
+    ``inverses`` maps each block already inverted to its result, keyed by the Levi's
+    shape: |L| and its internal edges relabelled by position, each with its two Cartan
+    entries, read in O(|L|) from the Dynkin edges.  The diagonal is all 2s and the other
+    entries are zero off the edges, so the shape fixes the block: Levis of one shape
+    share it, and only on a miss is C_L^T laid out (``_cartan_block``) and inverted.
+    Raises InvariantError if it is singular or det is not positive: no root system
+    allows either."""
+    at = {n: a for a, n in enumerate(nodes)}
+    key = (len(nodes), *[(a, at[m], x, y) for a, n in enumerate(nodes)
+                         for m, x, y in rs._entries[n] if m > n and m in at])
+    out = inverses.get(key)
+    if out is None:
+        try:
+            out = linalg.solve_unique(tuple(zip(*_cartan_block(rs, nodes))))
+        except NoSolutionError:
+            out = (), 0
+        if out[1] <= 0:
+            raise InvariantError(f"Levi {nodes} of {rs} has a singular Cartan matrix "
+                                 "or one of negative determinant")
+        inverses[key] = out
+    return out
 
 
 def _forest(rs: RootSystem, nodes: tuple[int, ...]):

@@ -405,8 +405,19 @@ def test_the_kernel_has_its_two_readers():
     # the integer inverse is read only for a Cartan block, and the forward phase only by it
     # and for a rank, so no general solve grows back on the kernel unnoticed
     assert _readers("solve_unique", "_forward") == {
-        "solve_unique": {"rootdata._block_inverse"},
+        "solve_unique": {"rootdata._levi_inverse"},
         "_forward": {"linalg.solve_unique", "cone.is_extremal_ray"}}
+
+
+def test_the_block_inverse_is_read_in_rootdata():
+    # every Cartan block, the whole matrix or a Levi's, is inverted by one shape-keyed
+    # routine, and the Dynkin edge table it keys by is read in no other module
+    assert _readers("_levi_inverse") == {"_levi_inverse": {
+        "rootdata._inverse", "cone.rays_for_node", "cli._ray_pretty"}}
+    tables = _readers("_entries", "_neighbors", "_cartan_block")
+    assert set(tables) == {"_entries", "_neighbors", "_cartan_block"}
+    assert {where.split(".")[0] for readers in tables.values() for where in readers} == {"rootdata"}
+    assert not hasattr(importlib.import_module("kostka.rootdata"), "_block_inverse")
 
 
 def test_the_forest_walk_has_its_three_readers():
@@ -436,10 +447,11 @@ def test_the_dense_inverse_has_its_two_readers():
 
 
 def test_invariants_raise_under_python_O():
-    # the Cartan-block invariants and the singular solve are real raises, kept under -O
+    # the Cartan-block invariants and the singular solve are real raises, kept under -O:
+    # the inverse of A2 with the edge entries -2, -2 (singular) and -3, -3 (det -5)
     code = textwrap.dedent("""
         from kostka import linalg
-        from kostka.rootdata import _block_inverse
+        from kostka.rootdata import RootSystem
 
         def raised(fn, *args):
             try:
@@ -447,8 +459,8 @@ def test_invariants_raise_under_python_O():
             except Exception as exc:
                 return type(exc).__name__
 
-        print(__debug__, raised(_block_inverse, ((2, -2), (-1, 1)), "a singular block"),
-              raised(_block_inverse, ((-2,),), "a block of det -2"),
+        inverse = lambda entry: RootSystem("A", 2, [(1, 2, entry, entry)])._inverse
+        print(__debug__, raised(inverse, -2), raised(inverse, -3),
               raised(linalg.solve_unique, ((1, 2), (2, 4))))
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(kostka.__file__).parents[1]))

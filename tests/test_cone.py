@@ -15,11 +15,10 @@ from kostka import (RootSystem, all_rays, brute_force_vertices, cli, components,
                     cone_inequalities, connected_subsets_containing, fundamental_orbit_pairs,
                     fundamental_weight, fw_to_root_coords, is_extremal_ray,
                     levi_root_coords, linalg, parabolic_average, polytope_vertices, ray_count_formula, rays_for_node,
-                    rho, root_coords_to_fw, root_system, sub_cartan, vertex)
+                    rho, root_coords_to_fw, root_system, rootdata, sub_cartan, vertex)
 from kostka.errors import (CapExceededError, InvariantError, NotDominantError,
                            NotInConeError)
 from kostka.oracle import DEFAULT_VERTEX_RANK_BOUND
-from kostka.rootdata import _block_inverse
 
 C4_GOLDEN_NODE3 = {
     ((0, 0, 1, 0), (0, 0, 1, 0)),
@@ -443,10 +442,13 @@ def _forest_solves(draw):
 @example((root_system("G", 2), (0, Q(2, 5)), (1, 2)))
 @example((root_system("A", 3), (1, 0, 1), (1, 3)))  # node 2 pairs with both components
 def test_forest_solve_is_the_adjugate_formula(case):
-    # the same integers as c = adj (m lam|_L), d = det m from the block inverse of
-    # C_L^T, not only the same Fractions: the polytope's denominator is the lcm of the d
+    # the same integers as c = adj (m lam|_L), d = det m from sympy's adjugate and
+    # determinant of C_L^T, not only the same Fractions: the polytope's denominator is
+    # the lcm of the d
     rs, lam, nodes = case
-    adj, det = _block_inverse(tuple(zip(*sub_cartan(rs, nodes))), "C_L^T")
+    block = sympy.Matrix(sub_cartan(rs, nodes)).T
+    adj = [[int(x) for x in row] for row in block.adjugate().tolist()]
+    det = int(block.det())
     rhs, m = linalg._cleared([lam[n - 1] for n in nodes])
     c = [sum(a * b for a, b in zip(row, rhs)) for row in adj]
     pairings = {}
@@ -509,7 +511,7 @@ def test_levi_inverses_are_keyed_by_shape():
         levis = {s for i in rs.nodes() for s in connected_subsets_containing(rs, i)}
         for levi in sorted(levis):
             block = sub_cartan(rs, levi)
-            adj, det = out = cone._levi_inverse(rs, levi, inverses)
+            adj, det = out = rootdata._levi_inverse(rs, levi, inverses)
             assert out is first.setdefault(block, out), (rs, levi)
             k = len(levi)
             assert [[sum(adj[a][m] * block[b][m] for m in range(k)) for b in range(k)]
@@ -521,7 +523,8 @@ def test_levi_inverses_are_keyed_by_shape():
     b5 = root_system("B", 5)
     assert sub_cartan(b5, (1, 2)) != sub_cartan(b5, (4, 5))
     inverses = {}
-    assert cone._levi_inverse(b5, (1, 2), inverses) != cone._levi_inverse(b5, (4, 5), inverses)
+    assert (rootdata._levi_inverse(b5, (1, 2), inverses)
+            != rootdata._levi_inverse(b5, (4, 5), inverses))
     assert len(inverses) == 2
 
 
