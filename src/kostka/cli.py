@@ -187,11 +187,9 @@ def cmd_rays(args) -> int:
     outside neighbours), once per distinct pair in the request, any other the
     shared "0"; pretty prints k_det times each entry, which is the numerators."""
     rs = root_system(args.type, args.rank)
-    inverses: dict = {}  # Levi block inverses, shared by the rays and the pretty blocks
-    if args.node is not None:
-        records = rays_for_node(rs, args.node, inverses=inverses)
-    else:
-        records = all_rays(rs, inverses=inverses)
+    inverses: dict = {}  # Levi block inverses, shared by every node's rays and the pretty blocks
+    records = [ray for i in (rs.nodes() if args.node is None else (args.node,))
+               for ray in rays_for_node(rs, i, inverses=inverses)]
     r = rs.rank
     ratio = lru_cache(maxsize=None)(_ratio)  # each distinct cell formatted once per request
     if args.format != "pretty":

@@ -267,11 +267,12 @@ def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tu
     containing node i, with the integers `vertex` solves for: c_alpha is the
     column of node i in the integer inverse adj / det of C_L^T
     (``rootdata._levi_inverse``), and mu is w_i - C^T c, O(|L|) once the block is
-    inverted, once per call (or per ``inverses`` dict, which the caller may
-    share with other enumerations).  Over d = ``k_det`` mu's numerators are
-    d w_i less c_n alpha_n for each node n of L (``rootdata._add_root``), in the
-    loop that scatters c: zero on L, where C_L^T c = d w_i, minus the pairings
-    at the outside neighbours and zero elsewhere; no ``Fraction`` is made.
+    inverted, once per call or per ``inverses`` dict: `all_rays` shares one over
+    every node, and the CLI's ray table one over its nodes and pretty blocks.
+    Over d = ``k_det`` mu's numerators are d w_i less c_n alpha_n for each node
+    n of L (``rootdata._add_root``), in the loop that scatters c: zero on L,
+    where C_L^T c = d w_i, minus the pairings at the outside neighbours and
+    zero elsewhere; no ``Fraction`` is made.
     """
     i = _node(rs, i)
     if inverses is None:
@@ -290,17 +291,12 @@ def rays_for_node(rs: RootSystem, i: int, *, inverses: dict | None = None) -> tu
     return tuple(records)
 
 
-def all_rays(rs: RootSystem, *, inverses: dict | None = None) -> tuple[RayRecord, ...]:
-    """Every extremal ray of the cone, grouped by node in ascending order.
-
-    One dict of Levi block inverses serves every node (see `rays_for_node`).
+def all_rays(rs: RootSystem) -> tuple[RayRecord, ...]:
+    """Every extremal ray of the cone, grouped by node in ascending order: `rays_for_node`
+    at each node, with one dict of Levi block inverses serving every node.
     """
-    if inverses is None:
-        inverses = {}
-    out: list[RayRecord] = []
-    for i in range(1, rs.rank + 1):
-        out.extend(rays_for_node(rs, i, inverses=inverses))
-    return tuple(out)
+    inverses: dict = {}
+    return tuple(ray for i in rs.nodes() for ray in rays_for_node(rs, i, inverses=inverses))
 
 
 def is_extremal_ray(rs: RootSystem, lam, mu) -> bool:

@@ -49,12 +49,13 @@ def levi_root_coords(rs: RootSystem, levi, w_local) -> tuple:
 
 
 def levi_cone_contains(rs: RootSystem, levi, lam_local, mu_local) -> bool:
-    """Membership in the Levi's own cone: the conjunction over its simple factors."""
-    levi = node_set(rs, levi)
-    lam_local, mu_local = _weight(rs, lam_local, levi), _weight(rs, mu_local, levi)
-    if not (is_dominant(lam_local) and is_dominant(mu_local)):
+    """Membership in the Levi's own cone, the conjunction over its simple factors:
+    whether the Levi lift (``_lift``) accepts the pair."""
+    try:
+        _lift(rs, node_set(rs, levi), lam_local, mu_local)
+    except NotInLeviConeError:
         return False
-    return is_dominant(_levi_solve(rs, [a - b for a, b in zip(lam_local, mu_local)], levi)[0])
+    return True
 
 
 def _lift(rs: RootSystem, inner: tuple[int, ...], lam_local, mu_local) -> tuple[dict, dict]:
@@ -94,8 +95,7 @@ def induce_between(rs: RootSystem, inner, outer, lam_local, mu_local) -> tuple[t
 
 def induce(rs: RootSystem, pair: LeviWeightPair) -> tuple[tuple, tuple]:
     """Lift a Levi weight pair all the way up to the ambient system."""
-    lam, mu = _lift(rs, node_set(rs, pair.levi), pair.lambda_fw, pair.mu_fw)
-    return _at(lam, rs.nodes()), _at(mu, rs.nodes())
+    return induce_between(rs, pair.levi, rs.nodes(), pair.lambda_fw, pair.mu_fw)
 
 
 def induce_vertex(rs: RootSystem, levi, lam_local, inner) -> Vertex:

@@ -144,7 +144,8 @@ class RootSystem:
         return f"RootSystem({self.letter}{self.rank})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RootSystem) and (self.letter, self.rank) == (other.letter, other.rank)
+        return isinstance(other, RootSystem) and (
+            (self.letter, self.rank, self._entries) == (other.letter, other.rank, other._entries))
 
     def __hash__(self) -> int:
         return hash((self.letter, self.rank))

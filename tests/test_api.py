@@ -67,7 +67,7 @@ FUNCTIONS = {
         "simple_reflection": "(rs, i, w)",
     },
     "cone": {
-        "all_rays": "(rs, *, inverses=None)",
+        "all_rays": "(rs)",
         "cone_contains": "(rs, lam, mu)",
         "cone_inequalities": "(rs)",
         "fundamental_orbit_pairs": "(rs)",
@@ -444,6 +444,18 @@ def test_the_dense_inverse_has_its_two_readers():
     # invariant form is the symmetrizer, and every weight's coefficients a forest solve
     assert _readers("_inverse") == {"_inverse": {"cone._integer_cone_forms",
                                                  "cone.cone_inequalities"}}
+
+
+def test_special_cases_read_their_general_entry():
+    # every ray table is rays_for_node over its nodes (the census's through all_rays), the
+    # lift to every node is induce_between's, and Levi-cone membership is whether the lift
+    # accepts the pair: the Levi solve is read only by the lift and the root coordinates
+    assert _readers("all_rays") == {"all_rays": {"cli.rows"}}
+    assert _readers("induce_between") == {"induce_between": {"levi.induce"}}
+    assert _readers("_lift") == {"_lift": {"levi.induce_between", "levi.induce_sum",
+                                           "levi.induction_composes", "levi.levi_cone_contains"}}
+    assert {where for where in _readers("_levi_solve")["_levi_solve"]
+            if where.startswith("levi.")} == {"levi._lift", "levi.levi_root_coords"}
 
 
 def test_invariants_raise_under_python_O():

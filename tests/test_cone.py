@@ -442,13 +442,13 @@ def _forest_solves(draw):
 @example((root_system("G", 2), (0, Q(2, 5)), (1, 2)))
 @example((root_system("A", 3), (1, 0, 1), (1, 3)))  # node 2 pairs with both components
 def test_forest_solve_is_the_adjugate_formula(case):
-    # the same integers as c = adj (m lam|_L), d = det m from sympy's adjugate and
-    # determinant of C_L^T, not only the same Fractions: the polytope's denominator is
-    # the lcm of the d
+    # the same integers as c = adj (m lam|_L), d = det m from sympy's determinant of C_L^T
+    # and its adjugate, det times its inverse, not only the same Fractions: the polytope's
+    # denominator is the lcm of the d
     rs, lam, nodes = case
     block = sympy.Matrix(sub_cartan(rs, nodes)).T
-    adj = [[int(x) for x in row] for row in block.adjugate().tolist()]
     det = int(block.det())
+    adj = [[int(x) for x in row] for row in (det * block.inv()).tolist()]
     rhs, m = linalg._cleared([lam[n - 1] for n in nodes])
     c = [sum(a * b for a, b in zip(row, rhs)) for row in adj]
     pairings = {}
@@ -482,10 +482,13 @@ def test_slices_scale_in_rank_without_a_block_inverse(monkeypatch):
     (lambda: all_rays(root_system("A", 12)), 12),
     (lambda: all_rays(root_system("E", 8)), 17),
     (lambda: polytope_vertices(root_system("A", 9), rho(root_system("A", 9))), 0),
-], ids=["cli-rays-A16-node8-pretty", "all_rays-A12", "all_rays-E8", "polytope_vertices-A9-rho"])
+    (lambda: cli.main(["rays", "--type", "E", "--rank", "8", "--format", "pretty"]), 17),
+], ids=["cli-rays-A16-node8-pretty", "all_rays-A12", "all_rays-E8", "polytope_vertices-A9-rho",
+        "cli-rays-E8-pretty"])
 def test_one_solve_per_distinct_levi_block(monkeypatch, enumerate_, solves):
-    # 72, 364, 160 and 45 Levis; the same count on a second call: no cache outlives a call.
-    # The rays read block inverses; the slice pieces are solved on the Dynkin forest
+    # 72, 364, 160, 45 and 160 Levis; the same count on a second call: no cache outlives a
+    # call.  The rays read block inverses, one dict per request serving every node and the
+    # pretty blocks; the slice pieces are solved on the Dynkin forest
     for letter, r in (("A", 16), ("A", 12), ("E", 8), ("A", 9)):
         root_system(letter, r)
     calls = []

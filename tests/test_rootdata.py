@@ -179,6 +179,16 @@ def test_a_type_is_read_once():
     assert rootdata.validate_type("b", 2.0) == ("B", 2)
 
 
+def test_root_systems_are_equal_by_their_edges():
+    # the letter and rank do not determine the Cartan matrix of a system built from its
+    # edges: the singular C3 that the cone's invariant tests build is not C3
+    c3 = root_system("C", 3)
+    singular = rootdata.RootSystem("C", 3, [(1, 2, -1, -1), (2, 3, -2, -2)])
+    assert singular != c3 and c3 != singular
+    # the same edges in another order and orientation: the same system
+    assert rootdata.RootSystem("C", 3, [(3, 2, -2, -1), (1, 2, -1, -1)]) == c3
+
+
 def test_rho():
     assert rho(root_system("A", 1)) == (1,)
     assert rho(root_system("C", 4)) == (1, 1, 1, 1)
