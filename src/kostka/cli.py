@@ -2,19 +2,23 @@
 
 Output is byte-deterministic for fixed inputs.  Rationals are printed as
 "p/q" with the denominator omitted when it is 1; they never degrade to
-floats.  The json and tsv tables (rays, vertices, census) and check's json
-object go through one writer, ``_table``: json is one compact object per row,
-keyed by the columns, each cell spelled as ``json.dumps`` spells it; tsv is
-the header, then one line per row, a list cell comma-joined and a bool yes/no.
-A cell the same on every row is spelled once, into the row template, and each
+floats.  The json and tsv tables (rays, vertices, census) go through one
+writer, ``_table``: json is one compact object per row, keyed by the
+columns, each cell spelled as ``json.dumps`` spells it; tsv is the header,
+then one line per row, a list cell comma-joined and a bool yes/no.  A cell
+the same on every row is spelled once, into the row template, and each
 other column by one speller (``_SPELLINGS``).  No zero entry is formatted.
+``check`` prints one list of verdicts: 'key: value' lines in pretty and tsv,
+and in json one object from one template (``_CHECK_JSON``), spelled as
+``json.dumps`` spells it.
 Importing this module loads no ``json`` and no ``argparse``: beyond the package
 only ``fractions`` and what it imports (records are named tuples), and of the
 package only what a plain request reads (``cone``, ``errors``, ``linalg`` and
-``rootdata``); ``check --oracle`` loads ``oracle``.  A plain
-request is parsed from the command table ``_COMMANDS``; argparse is loaded only
-for help, version, abbreviations and errors.  Exit codes: 0 success (or
-membership), 1 clean negative verdict, 2 usage or domain error.
+``rootdata``); ``check --oracle`` loads ``oracle``.  A plain request is parsed
+from the command table ``_COMMANDS``, through the flag map read from it once
+(``_FAST``); argparse is loaded only for help, version, abbreviations and
+errors.  Exit codes: 0 success (or membership), 1 clean negative verdict, 2
+usage or domain error.
 """
 
 from __future__ import annotations
@@ -101,8 +105,8 @@ def _parse_weight(text: str, rank: int) -> tuple[int | Fraction, ...]:
     # an integer token ('-' then digits, or digits) is read by int: it prints as its Fraction,
     # and int refuses it past the limit; any other is read by _fraction and printed once
     try:
-        coords = tuple(int(tok) if tok.removeprefix("-").isdecimal()
-                       else _printable(_fraction(tok.strip())) for tok in text.split(","))
+        coords = tuple([int(tok) if tok.removeprefix("-").isdecimal()
+                        else _printable(_fraction(tok.strip())) for tok in text.split(",")])
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse weight {text!r}: {exc}") from None
     if len(coords) != rank:
@@ -115,8 +119,12 @@ def _emit(lines) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _cell(x) -> str:
-    return ("no", "yes")[x] if type(x) is bool else str(x)  # a bool or an int as tsv spells it
+_JSON_WORDS = ("false", "true")
+
+
+def _cell(x, words=("no", "yes")) -> str:
+    # a bool or an int as tsv spells it, or json given _JSON_WORDS
+    return words[x] if type(x) is bool else str(x)
 
 
 def _joined_ints(cells):
@@ -129,7 +137,7 @@ def _joined_ints(cells):
 # printed cells, none of which needs a json escape
 _SPELLINGS = {
     "json": {str: ('"%s"', iter), int: ("%s", iter), tuple: ("[%s]", _joined_ints),
-             bool: ("%s", partial(map, ("false", "true").__getitem__)),
+             bool: ("%s", partial(map, _JSON_WORDS.__getitem__)),
              list: ("%s", partial(map, lambda x: '["' + '","'.join(x) + '"]' if x else "[]"))},
     "tsv": {str: ("%s", iter), int: ("%s", iter), tuple: ("%s", _joined_ints),
             bool: ("%s", partial(map, _cell)), list: ("%s", partial(map, ",".join))},
@@ -247,36 +255,43 @@ def cmd_vertices(args) -> int:
 
 # ---------------------------------------------------------------- check
 
+# the json object of a check: the type, the weights' printed cells, then the verdicts;
+# no cell needs a json escape
+_CHECK_JSON = '{"type":"%s","rank":%d,"lambda_fw":["%s"],"mu_fw":["%s"]%s}'
+
+
 def cmd_check(args) -> int:
+    """Membership and extremality of one pair, and with --oracle the multiplicity
+    cross-check, as one list of (key, verdict): pretty and tsv print it as 'key: value'
+    lines, then the oracle's line; json as one object, from one template."""
     validate_type(args.type, args.rank)  # as in cmd_vertices
     lam = _parse_weight(args.lam, args.rank)
     mu = _parse_weight(args.mu, args.rank)
     rs = root_system(args.type, args.rank)
-    integral = all(x.denominator == 1 for x in lam + mu)
+    # the oracle reads integral weights at a dominant lam, tested once, only for --oracle;
     # lam - mu is solved for once: by the comparison, else in the form values extremality reads
     cmp = values = None
-    if args.oracle and integral and is_dominant(lam):
+    if args.oracle and is_dominant(lam) and all(x.denominator == 1 for x in lam + mu):
         from . import oracle  # loaded by the first --oracle request: no other reads it
 
         cmp = oracle.compare_membership_multiplicity(rs, lam, mu)
+        member = cmp.member
     else:
         values = _form_values(rs, lam, mu)
-    member = cmp.member if cmp is not None else all(v >= 0 for v in values)
-    result: dict = {
-        "type": rs.letter, "rank": rs.rank,
-        "lambda_fw": list(map(str, lam)), "mu_fw": list(map(str, mu)),
-        "member": member,
-    }
+        member = min(values) >= 0  # 3r >= 3 values
+    verdicts = [("member", member)]
     if member:
-        result["extremal"] = _is_ray(rs, lam, mu, values)
+        verdicts.append(("extremal", _is_ray(rs, lam, mu, values)))
     if cmp is not None:
-        result.update(in_root_lattice=cmp.in_root_lattice, multiplicity=cmp.multiplicity,
-                      oracle_agrees=cmp.agrees)
+        verdicts += [("in_root_lattice", cmp.in_root_lattice), ("multiplicity", cmp.multiplicity)]
     if args.format == "json":
-        _table("json", tuple(result), [tuple(result.values())])
+        if cmp is not None:
+            verdicts.append(("oracle_agrees", cmp.agrees))
+        tail = "".join([f',"{key}":{_cell(x, _JSON_WORDS)}' for key, x in verdicts])
+        _emit([_CHECK_JSON % (rs.letter, rs.rank, '","'.join(map(str, lam)),
+                              '","'.join(map(str, mu)), tail)])
     else:
-        lines = [f"{key}: {_cell(result[key])}" for key in
-                 ("member", "extremal", "in_root_lattice", "multiplicity") if key in result]
+        lines = [f"{key}: {_cell(x)}" for key, x in verdicts]
         if cmp is not None:
             lines.append(f"oracle: {'agree' if cmp.agrees else 'MISMATCH'}")
         elif args.oracle:
@@ -352,25 +367,32 @@ def build_parser():
     return p
 
 
+# per command, what _fast_args reads of _COMMANDS, once: (handler, {flag: (dest, type,
+# choices)}, the required dests, {dest: default} of the others)
+_FAST = {name: (func, {flag: (dest, type_, choices) for flag, dest, type_, choices, *_ in options},
+                {dest for _, dest, _, _, required, _, _ in options if required},
+                {dest: default for _, dest, _, _, required, default, _ in options if not required})
+         for name, (func, _, options) in _COMMANDS.items()}
+
+
 def _fast_args(argv) -> SimpleNamespace | None:
     """The attributes of ``build_parser().parse_args(argv)``, read from ``_COMMANDS``,
     for a command, then exactly spelled long options, each at most once, as
     '--opt value' or '--opt=value' with a valid value; None for anything else."""
-    command = _COMMANDS.get(argv[0]) if argv else None
+    command = _FAST.get(argv[0]) if argv else None
     if command is None:
         return None
-    func, _, options = command
-    by_flag = {opt[0]: opt for opt in options}
+    func, flags, required, defaults = command
     got = {"command": argv[0]}
     tokens = iter(argv[1:])
     for tok in tokens:
         flag, eq, text = tok.partition("=")
-        opt = by_flag.get(flag)
-        if opt is None or opt[1] in got:
+        opt = flags.get(flag)
+        if opt is None or opt[0] in got:
             return None  # help, an abbreviation, '--', a repeat or an unknown token
-        type_ = opt[2]
+        dest, type_, choices = opt
         if type_ is bool and not eq:  # a flag
-            got[opt[1]] = True
+            got[dest] = True
             continue
         text = text if eq else next(tokens, "-")
         if type_ is bool or text == "--" or not eq and text.startswith("-"):
@@ -379,15 +401,12 @@ def _fast_args(argv) -> SimpleNamespace | None:
             value = type_(text) if type_ else text
         except ValueError:
             return None
-        if opt[3] is not None and value not in opt[3]:
+        if choices is not None and value not in choices:
             return None
-        got[opt[1]] = value
-    for _, dest, _, _, required, default, _ in options:
-        if dest not in got:
-            if required:
-                return None
-            got[dest] = default
-    return SimpleNamespace(**got, func=func)
+        got[dest] = value
+    if not required <= got.keys():
+        return None
+    return SimpleNamespace(**{**defaults, **got}, func=func)
 
 
 def main(argv=None) -> int:

@@ -14,9 +14,10 @@ ids are 1-based in the public API.
 
 A root system is its Dynkin edges (``_edges``), built in O(r): the Cartan entries
 off the diagonal are zero except on an edge and the diagonal is all 2s.  A node set's
-Dynkin forest is walked once, by ``_forest``, for its components, for the symmetrizer,
-one walk per system, and for a weight's simple-root coefficients on a Levi or on every
-node, one solve on the forest (``_levi_solve``).  A weight is moved by a multiple of a
+Dynkin forest is walked once, by ``_forest``, for its components and for a weight's
+simple-root coefficients on a Levi, one solve on the forest (``_levi_solve``); the
+whole diagram's is walked once per system and kept (``_diagram_forest``), for every
+solve on every node and for the symmetrizer.  A weight is moved by a multiple of a
 simple root in one Cartan-row step, ``_add_root``, for the positive roots (``_root_walk``),
 ``root_coords_to_fw``, the Weyl reflections and orbits, the Freudenthal oracle's dominant
 representatives and the rays' mu = w_i - C^T c.  Every Cartan block, the whole matrix
@@ -227,6 +228,14 @@ def _forest(rs: RootSystem, nodes: tuple[int, ...]):
     return order, parent, edge, leaving
 
 
+@_per_system
+def _diagram_forest(rs: RootSystem):
+    """``_forest`` on every node, walked once per root system and kept on it, for every
+    solve on the whole diagram (``_levi_solve``) and the symmetrizer; a Levi's forest is
+    walked afresh on each solve, so no forest is kept per piece."""
+    return tuple(map(tuple, _forest(rs, rs.nodes())))
+
+
 def _levi_solve(rs: RootSystem, values, nodes: tuple[int, ...]) -> tuple[list[int], int, dict[int, int]]:
     """C_L^T c = values on the Levi L of `nodes` (ascending), solved in integers:
     c's numerators over d, in the order of `nodes`, d, and the pairings
@@ -241,14 +250,17 @@ def _levi_solve(rs: RootSystem, values, nodes: tuple[int, ...]) -> tuple[list[in
     and its right-hand side B_u with them eliminated; c is substituted back
     from the roots over det = the product of the roots' D, dividing exactly
     by each D_u.  The pairings are summed over the edges from L to the nodes
-    outside it, each seen once by the walk that finds the forest (``_forest``).
+    outside it, each seen once by the walk that finds the forest (``_forest``, or
+    on every node the walk kept on rs, ``_diagram_forest``).
     For a weight lam read on L, lam - C^T c / d is zero on L, lam_k - pairing / d
     at each outside neighbour k and lam elsewhere; on every node there are no
     pairings, and c / d are lam's simple-root coefficients.  Raises
     InvariantError if some D_u, a principal minor of C_L, is not positive.
     """
     b, m = linalg._cleared(list(values))
-    order, parent, edge, leaving = _forest(rs, nodes)
+    # `nodes` are distinct nodes of rs: all of them when there are rank of them
+    order, parent, edge, leaving = (_diagram_forest(rs) if len(nodes) == rs.rank
+                                    else _forest(rs, nodes))
     dets, prods, det = [2] * len(order), [1] * len(order), 1
     for v in reversed(order):  # leaves first: v's children are folded into it
         d, u = dets[v], parent[v]
@@ -527,8 +539,8 @@ def parabolic_order(rs: RootSystem, nodes) -> int:
 @_per_system
 def symmetrizer(rs: RootSystem) -> tuple[Fraction, ...]:
     """Half squared lengths of the simple roots, short roots normalised to 1: one walk of
-    the Dynkin tree (``_forest``), where |alpha_y|^2 / |alpha_x|^2 = C[y][x] / C[x][y]."""
-    order, parent, edge, _ = _forest(rs, rs.nodes())
+    the Dynkin tree (``_diagram_forest``), where |alpha_y|^2 / |alpha_x|^2 = C[y][x] / C[x][y]."""
+    order, parent, edge, _ = _diagram_forest(rs)
     d = [Fraction(1)] * rs.rank
     for v in order[1:]:  # parents first, after the one root, node 1
         d[v] = d[parent[v]] * Fraction(edge[v][2], edge[v][1])

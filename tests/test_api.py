@@ -421,10 +421,13 @@ def test_the_block_inverse_is_read_in_rootdata():
 
 
 def test_the_forest_walk_has_its_three_readers():
-    # a node set's Dynkin forest is walked once, by _forest, for the solve, the components
-    # and the symmetrizer; the walk per component that the root lengths made is gone
-    assert _readers("_forest") == {"_forest": {"rootdata._levi_solve", "rootdata.components",
-                                               "rootdata.symmetrizer"}}
+    # a node set's Dynkin forest is walked once, by _forest, for the solve and the
+    # components, and the whole diagram's once per system, kept by _diagram_forest for the
+    # solves on every node and the symmetrizer; the walk per component that the root
+    # lengths made is gone
+    assert _readers("_forest", "_diagram_forest") == {
+        "_forest": {"rootdata._levi_solve", "rootdata.components", "rootdata._diagram_forest"},
+        "_diagram_forest": {"rootdata._levi_solve", "rootdata.symmetrizer"}}
     assert not hasattr(importlib.import_module("kostka.rootdata"), "_lengths")
 
 

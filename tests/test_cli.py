@@ -531,6 +531,60 @@ def test_check_json_is_json_dumps(case):
     assert (code, out.getvalue()) == expect
 
 
+@settings(max_examples=150, deadline=None)
+@given(_check_requests())
+@example(("A", 1, [2], [0], True))  # a member, extremal, with the oracle's three cells
+@example(("C", 2, [1, 1], [Q(1, 2), -1], False))  # a rational non-member
+@example(("B", 3, [1, -1, 1], [0, 0, 0], True))  # a non-dominant lambda: the oracle skipped
+@example(("C", 2, [Q(1, 2), 1], [Q(1, 2), 1], True))  # a rational member: the oracle skipped
+def test_check_lines_are_the_library_verdicts(case):
+    # `check --format pretty` and `--format tsv` print the same 'key: value' lines, each
+    # the library's verdict: cone_contains, is_extremal_ray for a member, and with --oracle
+    # on integral weights at a dominant lambda the comparison's cells and its agreement,
+    # else the line saying the oracle was skipped
+    letter, r, lam, mu, oracle = case
+    rs = root_system(letter, r)
+    argv = ["check", "--type", letter, "--rank", str(r), "--lambda=" + ",".join(map(str, lam)),
+            "--mu=" + ",".join(map(str, mu))] + ["--oracle"] * oracle
+    try:
+        member = cone_contains(rs, lam, mu)
+        lines = [f"member: {'yes' if member else 'no'}"]
+        if member:
+            lines.append(f"extremal: {'yes' if is_extremal_ray(rs, lam, mu) else 'no'}")
+        if oracle and all(Q(x).denominator == 1 for x in lam + mu) and is_dominant(lam):
+            cmp = compare_membership_multiplicity(rs, lam, mu)
+            lines += [f"in_root_lattice: {'yes' if cmp.in_root_lattice else 'no'}",
+                      f"multiplicity: {cmp.multiplicity}",
+                      f"oracle: {'agree' if cmp.agrees else 'MISMATCH'}"]
+        elif oracle:
+            lines.append("oracle: skipped (needs integral dominant weights)")
+        expect = (0 if member else 1, "".join(line + "\n" for line in lines))
+    except KostkaError:  # a representation over the oracle's cap
+        expect = (2, "")
+    for fmt in ("pretty", "tsv"):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv + ["--format", fmt])
+        assert (code, out.getvalue()) == expect, fmt
+
+
+def test_check_walks_no_forest_once_warm(monkeypatch, capsys):
+    # the whole diagram's Dynkin forest is walked once per root system and kept: warm
+    # check requests on B4, with the oracle and without it, walk none
+    argvs = [["check", "--type", "B", "--rank", "4", "--lambda", "1,0,1,0", "--mu", mu,
+              "--format", fmt, *oracle] for mu, fmt, oracle in
+             [("0,0,1,0", "json", ()), ("0,1,0,0", "pretty", ("--oracle",))]]
+    for argv in argvs:
+        main(argv)  # warm: the system, its forest and the oracle's table
+    walks = []
+    forest = kostka.rootdata._forest
+    monkeypatch.setattr(kostka.rootdata, "_forest", lambda *a: walks.append(a) or forest(*a))
+    for argv in argvs:
+        assert main(argv) == 0
+    assert "member: yes" in capsys.readouterr().out
+    assert walks == []
+
+
 def test_census_small(capsys):
     code, out, _ = run(capsys, "census", "--max-rank", "2", "--format", "tsv")
     assert code == 0

@@ -522,3 +522,13 @@ def test_fundamental_weight_and_dominance():
     assert not is_dominant((0, -1, 3))
     with pytest.raises(ValueError):
         fundamental_weight(c3, 4)
+
+
+def test_only_the_whole_diagram_keeps_its_forest():
+    # a slice solves many pieces and keeps none of their forests: the one kept is the whole
+    # diagram's, walked when a piece is every node, and read again by the symmetrizer
+    rs = root_system.__wrapped__("A", 6)
+    kostka.polytope_vertices(rs, (1, 0, 0, 0, 0, 1))
+    assert list(rs._memo) == [(rootdata._diagram_forest.__wrapped__, ())]
+    forest = rs._memo[rootdata._diagram_forest.__wrapped__, ()]
+    assert symmetrizer(rs) == (1,) * 6 and rootdata._diagram_forest(rs) is forest
