@@ -15,9 +15,8 @@ one of their names is first read from the package (PEP 562), as
 
 __version__ = "0.1.0"
 
-from .cone import (LinearForm, RayRecord, Vertex, all_rays, cone_contains,
-                   cone_inequalities, fundamental_orbit_pairs, is_extremal_ray,
-                   polytope_vertices, ray_count_formula, rays_for_node, vertex)
+from .cone import (LinearForm, RayRecord, Vertex, all_rays, cone_contains, cone_inequalities,
+                   is_extremal_ray, polytope_vertices, ray_count_formula, rays_for_node, vertex)
 from .errors import KostkaError
 from .rootdata import (LeviFactor, RootSystem, components,
                        connected_subsets_containing, fundamental_weight,

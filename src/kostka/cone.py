@@ -2,7 +2,9 @@
 
 The cone lives in pairs (lam, mu) of fundamental-weight coordinate vectors
 and is cut out by 3r linear inequalities: dominance of lam, dominance of
-mu, and nonnegativity of every simple-root coefficient of lam - mu.  Its
+mu, and nonnegativity of every simple-root coefficient of lam - mu.  In
+(lam, c), c those coefficients, so that mu = lam - C^T c, each of them is a
+unit vector or a unit vector less a column of the Cartan matrix.  Its
 slice at a fixed dominant lam is a polytope whose vertices are computed
 here by an exact linear solve over a Levi subsystem; the extremal rays of
 the cone itself are enumerated per fundamental weight from the connected
@@ -32,32 +34,34 @@ class LinearForm(namedtuple("LinearForm", "label coeffs")):
 
 @_per_system
 def cone_inequalities(rs: RootSystem) -> tuple[LinearForm, ...]:
-    """The 3r defining inequalities of the cone, in a fixed order: dominance of lam,
-    dominance of mu, then the simple-root coefficients of lam - mu, row j of
-    (C^-T | -C^-T) with C^-T = adj / det from ``rs._inverse``: the
-    ``_integer_cone_forms``, the last r over det."""
-    r, det = rs.rank, rs._inverse[1]
+    """The 3r defining inequalities of the cone on (lam | mu), in a fixed order: dominance
+    of lam, dominance of mu, then the simple-root coefficients of lam - mu, row j of
+    (C^-T | -C^-T) with C^-T = adj / det, the whole matrix's ``_levi_inverse``, built on
+    the first call and kept with the forms."""
+    r = rs.rank
+    adj, det = _levi_inverse(rs, rs.nodes(), {})
     labels = [f"{name}({i})" for name in ("dom-lambda", "dom-mu", "rootcoef") for i in rs.nodes()]
-    return tuple(LinearForm(label, tuple(Fraction(x, det if k >= 2 * r else 1) for x in form))
-                 for k, (label, form) in enumerate(zip(labels, _integer_cone_forms(rs))))
+    units = [tuple(Fraction(int(i == j)) for j in range(2 * r)) for i in range(2 * r)]
+    rows = [tuple(Fraction(x, det) for x in row) for row in adj]
+    return tuple(map(LinearForm, labels, units + [row + tuple(-x for x in row) for row in rows]))
 
 
 @_per_system
 def _integer_cone_forms(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    # the cone_inequalities forms, each an integer positive multiple of its own (same
-    # signs, same rank on any subset): the unit vectors, then C^-T's rows times det, adj's
-    n = 2 * rs.rank
-    return (tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-            + tuple(row + tuple(-x for x in row) for row in rs._inverse[0]))
+    # the cone's 3r forms on (lam | c), c the simple-root coefficients of lam - mu, in the
+    # order of cone_inequalities: the unit vectors of lam, then mu_i = lam_i - (C^T c)_i,
+    # e_i less column i of the Cartan matrix on the c half, then the unit vectors of c
+    r, cartan = rs.rank, rs.cartan
+    units = [tuple(int(i == j) for j in range(2 * r)) for i in range(2 * r)]
+    dom_mu = [units[i][:r] + tuple(-row[i] for row in cartan) for i in range(r)]
+    return (*units[:r], *dom_mu, *units[r:])
 
 
-def _form_values(rs: RootSystem, lam: tuple, mu: tuple) -> list[int]:
-    # the values of the _integer_cone_forms at m (lam | mu), lam and mu as _weight reads
-    # them, in their order, for the lcm m > 0 of the denominators: integers with the signs
-    # of the cone_inequalities values at (lam | mu): the 2r coordinates, then adj m (lam - mu),
-    # solved for on the Dynkin forest of every node (zip stops at r)
-    x, _ = linalg._cleared([*lam, *mu])
-    return x + _levi_solve(rs, [a - b for a, b in zip(x, x[rs.rank:])], rs.nodes())[0]
+def _form_values(rs: RootSystem, lam: tuple, mu: tuple) -> list:
+    # the values of the _integer_cone_forms at (lam | c), lam and mu as _weight reads them,
+    # so with the forms' signs: lam, mu, then c's numerators, from one solve for lam - mu
+    # on the Dynkin forest of every node
+    return [*lam, *mu, *_levi_solve(rs, [a - b for a, b in zip(lam, mu)], rs.nodes())[0]]
 
 
 def cone_contains(rs: RootSystem, lam, mu) -> bool:
@@ -301,7 +305,9 @@ def all_rays(rs: RootSystem) -> tuple[RayRecord, ...]:
 
 def is_extremal_ray(rs: RootSystem, lam, mu) -> bool:
     """Tight-constraint test: the pair spans an extremal ray iff the
-    inequalities vanishing at it cut out a one-dimensional subspace."""
+    inequalities vanishing at it cut out a one-dimensional subspace, by the
+    rank of the tight forms on (lam | c) (``_integer_cone_forms``): a change
+    of coordinates keeps every rank, and no inverse is built."""
     lam, mu = _weight(rs, lam), _weight(rs, mu)  # printed if refused
     values = _form_values(rs, lam, mu)
     if any(v < 0 for v in values):
@@ -338,19 +344,3 @@ def ray_count_formula(letter: str, rank: int) -> int:
     if letter == "E":
         return comb(rank, 3) + 4 * comb(rank, 2) + rank - 8
     return comb(rank + 1, 3) + comb(rank + 1, 2) + rank  # path graphs: A, B, C, F4, G2
-
-
-def fundamental_orbit_pairs(rs: RootSystem) -> tuple[tuple[linalg.Vec, linalg.Vec], ...]:
-    """All pairs (w_i, x) with x in the full Weyl orbit of w_i.
-
-    These generate the extremal rays of the relaxed cone in which the
-    second weight is not required to be dominant.
-    """
-    from .weyl import orbit  # weyl loads with the first request that reads it
-
-    out = []
-    for i in range(1, rs.rank + 1):
-        fw = fundamental_weight(rs, i)  # its orbit is walked in ints
-        pair_fw = linalg.vector(fw)
-        out.extend((pair_fw, linalg.vector(x)) for x in sorted(orbit(rs, fw, rs.nodes())))
-    return tuple(out)

@@ -60,7 +60,7 @@ def _extreme_rays(rows, dim: int) -> list[tuple[int, ...]]:
             for i in range(dim)]
     for k, row in enumerate(rows):
         bit = 1 << (dim + k)
-        vals = [sum(a * v for a, v in zip(row, ray) if v) for ray, _ in rays]
+        vals = [sum(map(mul, row, ray)) for ray, _ in rays]
         plus = [(ray, mask, s) for (ray, mask), s in zip(rays, vals) if s > 0]
         minus = [(ray, mask, s) for (ray, mask), s in zip(rays, vals) if s < 0]
         out = [(ray, mask | bit if not s else mask) for (ray, mask), s in zip(rays, vals) if s >= 0]
@@ -82,36 +82,46 @@ def _extreme_rays(rows, dim: int) -> list[tuple[int, ...]]:
 def brute_force_vertices(rs: RootSystem, lam) -> frozenset:
     """Vertices of the slice polytope by double description.
 
-    The slice {mu : const + coeffs . mu >= 0}, the cone's integer forms
-    (``_integer_cone_forms``) at lam fixed, is homogenised to the cone of
-    (mu, t) with t >= 0 and const t + coeffs . mu >= 0.  Its dom-mu forms
-    and t >= 0 are the orthant, so only the r rootcoef forms are added
-    (`_extreme_rays`); each extreme ray (y, t) is the vertex y / t.  Raises
-    InvariantError if a ray has t <= 0, that is if the slice is unbounded.
+    The slice is the set of c >= 0 with mu = lam - C^T c >= 0, the cone's
+    integer forms on (lam | c) (``_integer_cone_forms``) at lam fixed.  With m the lcm
+    of lam's denominators it is homogenised to the cone of (y, t) >= 0 with
+    m lam t - C^T y >= 0, whose extreme ray (y, t) is the vertex's c = y / (m t).
+    y >= 0 and t >= 0 are the orthant, so only the r dom-mu rows are added
+    (`_extreme_rays`), and the vertex mu = lam - C^T c is their values at
+    (y, t) over m t: mapped back through the dense Cartan matrix, not a solve.
+    Raises InvariantError if a ray has t <= 0, that is if the slice is unbounded.
     """
     if rs.rank > DEFAULT_VERTEX_RANK_BOUND:
         raise RankBoundExceededError(
             f"rank {rs.rank} exceeds the bound {DEFAULT_VERTEX_RANK_BOUND}")
     lam = _weight(rs, lam)
     _require_dominant(lam)
-    # a rootcoef form (f | g) of the cone is f . lam + g . mu >= 0 at lam fixed; times the
-    # lcm m of lam's denominators, the row (m g | f . m lam) on (mu, t) (zip stops at r)
-    x, m = linalg._cleared(lam)
-    rows = [[m * a for a in f[rs.rank:]] + [sum(a * v for a, v in zip(f, x) if v)]
-            for f in _integer_cone_forms(rs)[2 * rs.rank:]]
+    # a dom-mu form (e_i | g) is lam_i + g . c >= 0: the row (g | m lam_i) on (y, t)
+    r, (x, m) = rs.rank, linalg._cleared(lam)
+    rows = [[*f[r:], v] for f, v in zip(_integer_cone_forms(rs)[r:2 * r], x)]
     points = set()
-    for *y, t in _extreme_rays(rows, rs.rank + 1):
+    for ray in _extreme_rays(rows, r + 1):
+        t = ray[-1]
         if t <= 0:
-            raise InvariantError(f"the slice of {rs} at {lam} is unbounded along {tuple(y)}")
-        points.add(tuple(Fraction(v, t) for v in y))
+            raise InvariantError(f"the slice of {rs} at {lam} is unbounded along {ray[:-1]}")
+        mt = m * t
+        points.add(tuple([Fraction(sum(map(mul, row, ray)), mt) for row in rows]))
     return frozenset(points)
 
 
 def brute_force_rays(rs: RootSystem) -> frozenset:
     """Extreme rays of the cone as primitive integer (lam | mu) vectors, by double
-    description: the dom-lambda and dom-mu forms are the orthant, and only the r
-    rootcoef forms are added (`_extreme_rays`)."""
-    return frozenset(_extreme_rays(_integer_cone_forms(rs)[2 * rs.rank:], 2 * rs.rank))
+    description on (lam | c): the dom-lambda and rootcoef forms are the orthant, and
+    only the r dom-mu forms are added (`_extreme_rays`).  Each ray (l | c) is the pair
+    (l | l - C^T c), the dom-mu forms' values at it, made primitive."""
+    r = rs.rank
+    forms = _integer_cone_forms(rs)[r:2 * r]
+    out = set()
+    for ray in _extreme_rays(forms, 2 * r):
+        pair = ray[:r] + tuple([sum(map(mul, f, ray)) for f in forms])
+        g = gcd(*pair)
+        out.add(tuple(v // g for v in pair))
+    return frozenset(out)
 
 
 def _integral(w: tuple) -> tuple[int, ...]:

@@ -25,8 +25,7 @@ or a Levi's, is inverted by one shape-keyed routine, ``_levi_inverse``; ``_carta
 lays out a block only for it or for a caller that reads ``cartan`` or ``sub_cartan``.
 No other module reads the Dynkin edge table: they read ``RootSystem.neighbors``.
 ``root_system`` caches the root systems; what is derived from one is built on first use
-and kept on it: the dense ``cartan``, ``RootSystem._inverse`` and what ``_per_system``
-keeps in ``_memo``.
+and kept on it: the dense ``cartan`` and what ``_per_system`` keeps in ``_memo``.
 """
 
 from __future__ import annotations
@@ -128,13 +127,6 @@ class RootSystem:
         """The Cartan matrix, cartan[i][j] = <alpha_i, alpha_j^vee> 0-based, built on first read."""
         return _cartan_block(self, self.nodes())
 
-    @cached_property
-    def _inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(adj, det) of the transposed Cartan matrix, the inverse of the Levi on every
-        node (``_levi_inverse``), built on first use by the one reader of the whole
-        matrix, the cone's integer forms."""
-        return _levi_inverse(self, self.nodes(), {})
-
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbors[i]
 
@@ -179,8 +171,8 @@ def _cartan_block(rs: RootSystem, nodes: tuple[int, ...]) -> tuple[tuple[int, ..
 def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tuple[tuple, int]:
     """The integer inverse (adj, det) of C_L^T on the Levi of `nodes` (ascending),
     (C_L^T)^-1 = adj / det (``linalg.solve_unique``): the one inverse of a Cartan block,
-    the whole matrix's on every node (``RootSystem._inverse``) or a Levi's, whose columns
-    are the rays' c and which the pretty ray block prints.
+    the whole matrix's on every node, whose rows ``cone.cone_inequalities`` reads, or a
+    Levi's, whose columns are the rays' c and which the pretty ray block prints.
 
     ``inverses`` maps each block already inverted to its result, keyed by the Levi's
     shape: |L| and its internal edges relabelled by position, each with its two Cartan

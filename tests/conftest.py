@@ -1,7 +1,9 @@
 import random
 from itertools import chain, combinations
 
-from kostka import root_system
+import pytest
+
+from kostka import linalg, root_system
 from kostka.rootdata import supported_types  # re-exported for the test modules
 
 
@@ -16,3 +18,17 @@ def all_subsets(rank):
 
 def random_dominant(rng: random.Random, rank, top=3):
     return tuple(rng.randint(0, top) for _ in range(rank))
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The arguments of every ``linalg.solve_unique`` call the test makes, in order."""
+    calls = []
+    solve_unique = linalg.solve_unique
+
+    def counted(*args):
+        calls.append(args)
+        return solve_unique(*args)
+
+    monkeypatch.setattr(linalg, "solve_unique", counted)
+    return calls

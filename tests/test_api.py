@@ -23,7 +23,7 @@ EXPORTS = [
     "MembershipComparison", "RayRecord", "RootSystem", "Vertex",
     "all_rays", "brute_force_rays", "brute_force_vertices", "compare_membership_multiplicity",
     "components", "cone", "cone_contains", "cone_inequalities", "connected_subsets_containing",
-    "errors", "extend_by_zero", "fundamental_orbit_pairs", "fundamental_weight",
+    "errors", "extend_by_zero", "fundamental_weight",
     "fw_to_root_coords", "induce", "induce_between", "induce_sum", "induce_vertex",
     "induction_composes", "is_connected", "is_dominant", "is_extremal_ray", "levi",
     "levi_cone_contains", "levi_factors", "levi_root_coords", "linalg", "longest_element_image",
@@ -70,7 +70,6 @@ FUNCTIONS = {
         "all_rays": "(rs)",
         "cone_contains": "(rs, lam, mu)",
         "cone_inequalities": "(rs)",
-        "fundamental_orbit_pairs": "(rs)",
         "is_extremal_ray": "(rs, lam, mu)",
         "polytope_vertices": "(rs, lam)",
         "ray_count_formula": "(letter, rank)",
@@ -413,11 +412,12 @@ def test_the_block_inverse_is_read_in_rootdata():
     # every Cartan block, the whole matrix or a Levi's, is inverted by one shape-keyed
     # routine, and the Dynkin edge table it keys by is read in no other module
     assert _readers("_levi_inverse") == {"_levi_inverse": {
-        "rootdata._inverse", "cone.rays_for_node", "cli._ray_pretty"}}
+        "cone.cone_inequalities", "cone.rays_for_node", "cli._ray_pretty"}}
     tables = _readers("_entries", "_neighbors", "_cartan_block")
     assert set(tables) == {"_entries", "_neighbors", "_cartan_block"}
     assert {where.split(".")[0] for readers in tables.values() for where in readers} == {"rootdata"}
     assert not hasattr(importlib.import_module("kostka.rootdata"), "_block_inverse")
+    assert not hasattr(kostka.RootSystem, "_inverse")
 
 
 def test_the_forest_walk_has_its_three_readers():
@@ -443,10 +443,13 @@ def test_the_row_step_has_its_readers():
 
 
 def test_the_dense_inverse_has_its_two_readers():
-    # the inverse of the whole Cartan matrix is read only for the cone's forms: the oracle's
-    # invariant form is the symmetrizer, and every weight's coefficients a forest solve
-    assert _readers("_inverse") == {"_inverse": {"cone._integer_cone_forms",
-                                                 "cone.cone_inequalities"}}
+    # the whole Cartan matrix is inverted only for the cone's Fraction forms, and a Levi's
+    # only for the rays and their pretty blocks: the integer forms are on (lam | c), the
+    # oracle's invariant form is the symmetrizer, and every weight's coefficients a forest
+    # solve, so no root system keeps an inverse
+    assert _readers("_inverse", "_levi_inverse") == {"_levi_inverse": {
+        "cone.cone_inequalities", "cone.rays_for_node", "cli._ray_pretty"}}
+    assert not hasattr(kostka.RootSystem, "_inverse")
 
 
 def test_special_cases_read_their_general_entry():
@@ -466,7 +469,7 @@ def test_invariants_raise_under_python_O():
     # the inverse of A2 with the edge entries -2, -2 (singular) and -3, -3 (det -5)
     code = textwrap.dedent("""
         from kostka import linalg
-        from kostka.rootdata import RootSystem
+        from kostka.rootdata import RootSystem, _levi_inverse
 
         def raised(fn, *args):
             try:
@@ -474,7 +477,9 @@ def test_invariants_raise_under_python_O():
             except Exception as exc:
                 return type(exc).__name__
 
-        inverse = lambda entry: RootSystem("A", 2, [(1, 2, entry, entry)])._inverse
+        def inverse(entry):
+            rs = RootSystem("A", 2, [(1, 2, entry, entry)])
+            return _levi_inverse(rs, rs.nodes(), {})
         print(__debug__, raised(inverse, -2), raised(inverse, -3),
               raised(linalg.solve_unique, ((1, 2), (2, 4))))
     """)

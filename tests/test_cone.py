@@ -4,6 +4,7 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction as Q
 from math import lcm
+from time import perf_counter
 
 import pytest
 import sympy
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 from conftest import all_subsets, random_dominant, supported_types, systems
 from kostka import (RootSystem, all_rays, brute_force_vertices, cli, components, cone, cone_contains,
-                    cone_inequalities, connected_subsets_containing, fundamental_orbit_pairs,
-                    fundamental_weight, fw_to_root_coords, is_extremal_ray,
-                    levi_root_coords, linalg, parabolic_average, polytope_vertices, ray_count_formula, rays_for_node,
+                    cone_inequalities, connected_subsets_containing, fundamental_weight,
+                    fw_to_root_coords, is_extremal_ray, levi_root_coords, linalg,
+                    parabolic_average, polytope_vertices, ray_count_formula, rays_for_node,
                     rho, root_coords_to_fw, root_system, rootdata, sub_cartan, vertex)
 from kostka.errors import (CapExceededError, InvariantError, NotDominantError,
                            NotInConeError)
@@ -49,7 +50,7 @@ def test_cone_inequalities_shape():
 
 def test_cone_inequalities_pinned():
     # the H-description: lam and mu dominant, then the simple-root coefficients of
-    # lam - mu, whose rows are C^-T | -C^-T; each integer form is a positive multiple
+    # lam - mu, whose rows are C^-T | -C^-T
     for rs in systems(10):
         r = rs.rank
         forms = cone_inequalities(rs)
@@ -62,11 +63,15 @@ def test_cone_inequalities_pinned():
         inv = sympy.Matrix(rs.cartan).T.inv()
         want = [tuple(Q(int(inv[j, i].p), int(inv[j, i].q)) for i in range(r)) for j in range(r)]
         assert [f.coeffs for f in forms[2 * r:]] == [row + tuple(-x for x in row) for row in want], rs
+        # each integer form on (lam | c), composed with (lam, mu) -> (lam, C^-T (lam - mu)),
+        # is its Fraction form: a unit vector, or one less a Cartan column
+        to_c = sympy.eye(2 * r)
+        to_c[r:, :r], to_c[r:, r:] = inv, -inv
         integer = cone._integer_cone_forms(rs)
         assert len(integer) == len(forms)
         for f, row in zip(forms, integer):
-            scale = next(x / c for x, c in zip(row, f.coeffs) if c)
-            assert scale > 0 and row == tuple(scale * c for c in f.coeffs), (rs, f.label)
+            composed = sympy.Matrix([row]) * to_c
+            assert tuple(Q(int(x.p), int(x.q)) for x in composed) == f.coeffs, (rs, f.label)
 
 
 def test_vertex_examples():
@@ -553,6 +558,22 @@ def test_extremality_examples():
         is_extremal_ray(a1, (0,), (1,))
 
 
+@pytest.mark.parametrize("letter", ["A", "D"])
+def test_extremality_at_rank_240_builds_no_inverse(solve_calls, letter):
+    # the tight forms on (lam | c) are unit vectors and Cartan columns: a fresh system
+    # ranks them with no inverse of its Cartan matrix built
+    rs, k = root_system(letter, 240), 120
+    w = fundamental_weight(rs, k)
+    point = vertex(rs, w, (k - 1, k, k + 1)).point
+    for mu, extremal in ((point, True), (tuple((x + y) / 2 for x, y in zip(point, w)), False)):
+        fresh = root_system.__wrapped__(letter, 240)  # cold: past the cache
+        start = perf_counter()
+        assert is_extremal_ray(fresh, w, mu) == extremal
+        took = perf_counter() - start
+        assert took < 0.5, (extremal, took)
+    assert not solve_calls
+
+
 def _fraction_verdicts(rs, lam, mu):
     # cone_contains and is_extremal_ray by their definitions: the Fraction cone forms
     # at (lam | mu) through fw_to_root_coords, and the rank of the tight ones in sympy;
@@ -610,10 +631,10 @@ def test_integer_form_verdicts_match_fraction_definitions():
 
 @st.composite
 def _member_pairs(draw):
-    """A member pair of a type up to rank 8: a scaled ray, the sum of two rays (one
+    """A member pair of a type up to rank 9: a scaled ray, the sum of two rays (one
     ray scaled when they coincide), or a dominant lam less a nonnegative integer
     combination of simple roots that leaves mu dominant."""
-    letter, r = draw(st.sampled_from(supported_types(8)))
+    letter, r = draw(st.sampled_from(supported_types(9)))
     rs = root_system(letter, r)
     kind = draw(st.sampled_from(("ray", "sum", "random")))
     if kind == "random":
@@ -663,9 +684,3 @@ def test_formula_matches_enumeration_to_rank_6():
     for letter, r in supported_types(6):
         assert len(all_rays(root_system(letter, r))) == ray_count_formula(letter, r)
 
-
-def test_fundamental_orbit_pairs():
-    a1 = root_system("A", 1)
-    assert set(fundamental_orbit_pairs(a1)) == {((1,), (1,)), ((1,), (-1,))}
-    assert len(fundamental_orbit_pairs(root_system("A", 2))) == 6
-    assert len(fundamental_orbit_pairs(root_system("C", 2))) == 8

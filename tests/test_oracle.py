@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from conftest import all_subsets, random_dominant, supported_types, systems
 import kostka
 from kostka import oracle, rootdata
-from kostka import (FreudenthalTable, all_rays, brute_force_rays, brute_force_vertices,
-                    compare_membership_multiplicity, cone_contains, fundamental_weight,
-                    fw_to_root_coords, longest_element_image, parabolic_order,
-                    polytope_vertices, positive_roots, rho, root_coords_to_fw,
+from kostka import (FreudenthalTable, RootSystem, all_rays, brute_force_rays,
+                    brute_force_vertices, compare_membership_multiplicity, cone_contains,
+                    fundamental_weight, fw_to_root_coords, longest_element_image,
+                    parabolic_order, polytope_vertices, positive_roots, rho, root_coords_to_fw,
                     root_system, simple_reflection, weight_multiplicity, weyl_dim,
                     weyl_order)
 from kostka.errors import (CapExceededError, InvariantError, NotDominantError,
@@ -102,16 +102,13 @@ def test_brute_force_at_zero_and_fundamental_weights(monkeypatch):
             assert brute_force_vertices(rs, fw) == _closed_form(rs, fw), (rs, i)
 
 
-def test_unbounded_slice_raises(monkeypatch):
-    # a real exception, not an assert, so the check survives python -O.
-    # With its rootcoef forms negated, A2's slice at rho is unbounded: the double
-    # description then finds rays with t = 0, which are not vertices.
-    a2 = root_system("A", 2)
-    forms = oracle._integer_cone_forms(a2)
-    broken = forms[:4] + tuple(tuple(-c for c in f) for f in forms[4:])
-    monkeypatch.setattr(oracle, "_integer_cone_forms", lambda rs: broken)
-    with pytest.raises(InvariantError):
-        brute_force_vertices(a2, (1, 1))
+def test_unbounded_slice_raises():
+    # a real exception, not an assert, so the check survives python -O.  On the indefinite
+    # Cartan matrix ((2, -3), (-3, 2)) the slice at rho is unbounded: C^T c <= rho holds
+    # along c = (1, 1), so the double description finds rays with t = 0, which are not vertices
+    indefinite = RootSystem("A", 2, [(1, 2, -3, -3)])
+    with pytest.raises(InvariantError, match="unbounded"):
+        brute_force_vertices(indefinite, (1, 1))
 
 
 def _primitive(v):
@@ -196,7 +193,7 @@ def test_multiplicity_cap(monkeypatch):
             weight_multiplicity(e6, (1,) * 6, mu)
 
 
-def test_root_cap_refuses_before_a_root_is_enumerated(monkeypatch):
+def test_root_cap_refuses_before_a_root_is_enumerated(monkeypatch, solve_calls):
     # |Phi+| in closed form: A140 has 9870 positive roots, under the cap, and A141 10011
     assert [rootdata._positive_root_count("A", r) for r in (140, 141)] == [9870, 10011]
     enumerated = []
@@ -209,7 +206,7 @@ def test_root_cap_refuses_before_a_root_is_enumerated(monkeypatch):
                  lambda: compare_membership_multiplicity(a141, lam, mu)):
         with pytest.raises(CapExceededError, match=refusal):
             call()
-    assert not enumerated and not a141._memo and "_inverse" not in vars(a141)
+    assert not enumerated and not a141._memo and not solve_calls
     monkeypatch.undo()
     # read on each call, also for a table already kept
     a3 = root_system.__wrapped__("A", 3)
@@ -648,7 +645,7 @@ def test_coefficients_follow_the_reflections_from_a_cold_memo():
     assert table._dominant_mult((0,), 3, 18) == 1 and table._memo[4,] == 1
 
 
-def test_the_oracle_reads_no_dense_inverse():
+def test_the_oracle_reads_no_dense_inverse(solve_calls):
     # the invariant form is the root table's symmetrizer: on a fresh system no entry of the
     # multiplicity oracle builds the inverse of the Cartan matrix
     for letter, r, lam, mu in (("B", 4, (1, 0, 0, 1), (0, 0, 0, 1)), ("G", 2, (1, 1), (0, 0)),
@@ -657,4 +654,4 @@ def test_the_oracle_reads_no_dense_inverse():
                      lambda rs: weight_multiplicity(rs, lam, mu), lambda rs: weyl_dim(rs, lam)):
             rs = root_system.__wrapped__(letter, r)
             call(rs)
-            assert "_inverse" not in rs.__dict__, (rs, call)
+            assert not solve_calls, (rs, call)

@@ -14,13 +14,13 @@ from sympy.utilities.iterables import connected_components
 
 from conftest import all_subsets, supported_types, systems
 import kostka
-from kostka import (compare_membership_multiplicity, components, connected_subsets_containing,
-                    fundamental_weight, fw_to_root_coords, is_connected, is_dominant,
-                    is_extremal_ray, levi_factors, levi_root_coords, node_set, orbit,
-                    parabolic_average, parabolic_order, positive_roots, rays_for_node, rho,
-                    root_coords_to_fw, root_system, simple_reflection, sub_cartan, vertex,
-                    weight_multiplicity, weyl_order)
-from kostka import cli, linalg, oracle, rootdata, weyl
+from kostka import (compare_membership_multiplicity, components, cone_inequalities,
+                    connected_subsets_containing, fundamental_weight, fw_to_root_coords,
+                    is_connected, is_dominant, is_extremal_ray, levi_factors, levi_root_coords,
+                    node_set, orbit, parabolic_average, parabolic_order, positive_roots,
+                    rays_for_node, rho, root_coords_to_fw, root_system, simple_reflection,
+                    sub_cartan, vertex, weight_multiplicity, weyl_order)
+from kostka import cli, cone, oracle, rootdata, weyl
 from kostka.errors import EmptyNodeSetError, UnsupportedRankError
 from kostka.rootdata import symmetrizer
 
@@ -232,7 +232,7 @@ def test_inverse_cartan_positivity():
     # dominant weights pair strictly positively with the fundamental coweights:
     # C^-T = adj / det is positive entrywise
     for rs in systems(8):
-        adj, det = rs._inverse
+        adj, det = rootdata._levi_inverse(rs, rs.nodes(), {})
         assert det > 0
         for row in adj:
             assert all(x > 0 for x in row)
@@ -241,35 +241,29 @@ def test_inverse_cartan_positivity():
 def test_inverse_transpose_cartan_matches_sympy():
     for rs in systems(10):
         inv = sympy.Matrix(rs.cartan).T.inv()
-        adj, det = rs._inverse
+        adj, det = rootdata._levi_inverse(rs, rs.nodes(), {})
         assert tuple(tuple(Q(x, det) for x in row) for row in adj) == tuple(
             tuple(Q(int(inv[i, j].p), int(inv[i, j].q)) for j in range(rs.rank))
             for i in range(rs.rank)), rs
 
 
-def test_root_system_inverts_on_first_use_only(monkeypatch):
-    calls = []
-    solve_unique = linalg.solve_unique
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve_unique(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "solve_unique", counted)
+def test_root_system_inverts_on_first_use_only(solve_calls):
+    # the one whole-matrix inverse is built for the cone's Fraction forms, on their first
+    # read, and kept with them
     rs = root_system.__wrapped__("A", 60)  # a fresh system, past the cache
-    assert not calls
-    adj, det = rs._inverse
-    assert Q(adj[0][0], det) == Q(60, 61)
-    assert len(calls) == 1
-    assert rs._inverse[0] is adj and det == 61 and Q(adj[59][59], det) == Q(60, 61)
-    assert len(calls) == 1
+    assert not solve_calls
+    forms = cone_inequalities(rs)
+    assert forms[120].coeffs[0] == Q(60, 61)
+    assert len(solve_calls) == 1
+    assert cone_inequalities(rs) is forms and forms[-1].coeffs[59] == Q(60, 61)
+    assert len(solve_calls) == 1
 
 
 def test_a300_inverts_within_a_second():
     # Levi and Cartan blocks are Dynkin trees: the kernel inverts them in O(k^2)
     rs = root_system.__wrapped__("A", 300)  # a fresh system, past the cache
     start = perf_counter()
-    adj, det = rs._inverse
+    adj, det = rootdata._levi_inverse(rs, rs.nodes(), {})
     took = perf_counter() - start
     assert det == 301
     # adj C^T = det I, with row j of C^T nonzero only at j and its neighbours
@@ -279,22 +273,16 @@ def test_a300_inverts_within_a_second():
     assert took < 1.0, took
 
 
-def test_a_fresh_root_system_builds_its_own_tables(monkeypatch):
+def test_a_fresh_root_system_builds_its_own_tables(solve_calls):
     # what is derived from a root system is kept on it, not shared with an equal one
     cached = root_system("A", 3)
     assert is_extremal_ray(cached, (0, 1, 0), (0, 1, 0))  # (w2, w2): a ray
-    calls = []
-    solve_unique = linalg.solve_unique
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve_unique(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "solve_unique", counted)
     fresh = root_system.__wrapped__("A", 3)
     assert fresh == cached
     assert is_extremal_ray(fresh, (0, 1, 0), (0, 1, 0))
-    assert len(calls) == 1
+    assert not solve_calls  # the forms on (lam | c) are read from the Cartan matrix
+    assert cone._integer_cone_forms(fresh) is not cone._integer_cone_forms(cached)
+    assert cone_inequalities(fresh) is not cone_inequalities(cached)
     assert oracle._root_table(fresh) is not oracle._root_table(cached)
 
 
@@ -339,14 +327,14 @@ def test_node_ids_must_be_integers():
             node_set(a3, [1, bad])
 
 
-def test_root_coords_at_a2000_are_the_closed_form():
+def test_root_coords_at_a2000_are_the_closed_form(solve_calls):
     # C^-1 of A_r is min(j, k) - jk / (r + 1), read by one forest solve: no inverse is built
     rs = root_system.__wrapped__("A", 2000)
     r = rs.rank
     for k in (1, 2, 700, 1999, 2000):
         assert fw_to_root_coords(rs, fundamental_weight(rs, k)) == tuple(
             min(j, k) - Q(j * k, r + 1) for j in rs.nodes()), k
-    assert "_inverse" not in vars(rs)
+    assert not solve_calls
 
 
 def test_dominant_root_coords_nonnegative():
