@@ -32,8 +32,7 @@ _LAZY = {name: module for module, names in (
     ("oracle", ("FreudenthalTable", "MembershipComparison", "brute_force_rays",
                 "brute_force_vertices", "compare_membership_multiplicity",
                 "weight_multiplicity", "weyl_dim")),
-    ("weyl", ("longest_element_image", "orbit", "parabolic_average", "parabolic_average_direct",
-              "simple_reflection")),
+    ("weyl", ("longest_element_image", "orbit", "parabolic_average", "simple_reflection")),
 ) for name in (module, *names)}
 
 

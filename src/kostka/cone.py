@@ -3,12 +3,13 @@
 The cone lives in pairs (lam, mu) of fundamental-weight coordinate vectors
 and is cut out by 3r linear inequalities: dominance of lam, dominance of
 mu, and nonnegativity of every simple-root coefficient of lam - mu.  In
-(lam, c), c those coefficients, so that mu = lam - C^T c, each of them is a
-unit vector or a unit vector less a column of the Cartan matrix.  Its
-slice at a fixed dominant lam is a polytope whose vertices are computed
-here by an exact linear solve over a Levi subsystem; the extremal rays of
-the cone itself are enumerated per fundamental weight from the connected
-Dynkin subdiagrams through that node.
+(lam | c), c those coefficients, so that mu = lam - C^T c, each of them is a
+unit vector or a unit vector less a column of the Cartan matrix, and
+``cone_inequalities`` holds them so, in ints.  Its slice at a fixed dominant
+lam is a polytope whose vertices are computed here by an exact linear solve
+over a Levi subsystem; the extremal rays of the cone itself are enumerated
+per fundamental weight from the connected Dynkin subdiagrams through that
+node.
 """
 
 from __future__ import annotations
@@ -27,38 +28,27 @@ from .rootdata import (RootSystem, _add_root, _connected_sets, _levi_inverse, _l
 
 
 class LinearForm(namedtuple("LinearForm", "label coeffs")):
-    """One defining inequality, as a linear functional on (lam | mu)."""
+    """One defining inequality, as a linear functional on (lam | c), c the simple-root
+    coefficients of lam - mu, with int coefficients."""
 
     __slots__ = ()
 
 
 @_per_system
 def cone_inequalities(rs: RootSystem) -> tuple[LinearForm, ...]:
-    """The 3r defining inequalities of the cone on (lam | mu), in a fixed order: dominance
-    of lam, dominance of mu, then the simple-root coefficients of lam - mu, row j of
-    (C^-T | -C^-T) with C^-T = adj / det, the whole matrix's ``_levi_inverse``, built on
-    the first call and kept with the forms."""
-    r = rs.rank
-    adj, det = _levi_inverse(rs, rs.nodes(), {})
-    labels = [f"{name}({i})" for name in ("dom-lambda", "dom-mu", "rootcoef") for i in rs.nodes()]
-    units = [tuple(Fraction(int(i == j)) for j in range(2 * r)) for i in range(2 * r)]
-    rows = [tuple(Fraction(x, det) for x in row) for row in adj]
-    return tuple(map(LinearForm, labels, units + [row + tuple(-x for x in row) for row in rows]))
-
-
-@_per_system
-def _integer_cone_forms(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    # the cone's 3r forms on (lam | c), c the simple-root coefficients of lam - mu, in the
-    # order of cone_inequalities: the unit vectors of lam, then mu_i = lam_i - (C^T c)_i,
-    # e_i less column i of the Cartan matrix on the c half, then the unit vectors of c
+    """The 3r defining inequalities of the cone on (lam | c), so that mu = lam - C^T c, in
+    a fixed order: dominance of lam, the unit vectors of lam; dominance of mu, e_i less
+    column i of the Cartan matrix on the c half; then c >= 0, the unit vectors of c.  Read
+    from ``rs.cartan``: no inverse is built."""
     r, cartan = rs.rank, rs.cartan
+    labels = [f"{name}({i})" for name in ("dom-lambda", "dom-mu", "rootcoef") for i in rs.nodes()]
     units = [tuple(int(i == j) for j in range(2 * r)) for i in range(2 * r)]
     dom_mu = [units[i][:r] + tuple(-row[i] for row in cartan) for i in range(r)]
-    return (*units[:r], *dom_mu, *units[r:])
+    return tuple(map(LinearForm, labels, units[:r] + dom_mu + units[r:]))
 
 
 def _form_values(rs: RootSystem, lam: tuple, mu: tuple) -> list:
-    # the values of the _integer_cone_forms at (lam | c), lam and mu as _weight reads them,
+    # the values of the cone_inequalities at (lam | c), lam and mu as _weight reads them,
     # so with the forms' signs: lam, mu, then c's numerators, from one solve for lam - mu
     # on the Dynkin forest of every node
     return [*lam, *mu, *_levi_solve(rs, [a - b for a, b in zip(lam, mu)], rs.nodes())[0]]
@@ -306,13 +296,13 @@ def all_rays(rs: RootSystem) -> tuple[RayRecord, ...]:
 def is_extremal_ray(rs: RootSystem, lam, mu) -> bool:
     """Tight-constraint test: the pair spans an extremal ray iff the
     inequalities vanishing at it cut out a one-dimensional subspace, by the
-    rank of the tight forms on (lam | c) (``_integer_cone_forms``): a change
+    rank of the tight forms on (lam | c) (``cone_inequalities``): a change
     of coordinates keeps every rank, and no inverse is built."""
     lam, mu = _weight(rs, lam), _weight(rs, mu)  # printed if refused
     values = _form_values(rs, lam, mu)
     if any(v < 0 for v in values):
         raise NotInConeError(f"({lam}, {mu}) is not in the cone")
-    tight = [row for row, v in zip(_integer_cone_forms(rs), values) if not v]
+    tight = [f.coeffs for f, v in zip(cone_inequalities(rs), values) if not v]
     return 2 * rs.rank - len(linalg._forward(tight)[0]) == 1
 
 

@@ -9,13 +9,12 @@ ACM SIGSAM Bull. 31, 1997).  Every division is exact.  A Dynkin block in
 Bourbaki order is a tree with about one nonzero below each pivot and about one
 later nonzero in each echelon row, so [C_L^T | I] costs O(k^2) rather than
 Gauss-Jordan's O(k^3).  Rationals meet the kernel only at its callers:
-``vector`` makes a weight a tuple of ``Fraction``s, and ``_cleared`` turns
-rational values into integers over the lcm of their denominators.
+``_cleared`` turns rational values into integers over the lcm of their
+denominators.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -23,10 +22,6 @@ from math import lcm
 from .errors import NoSolutionError
 
 Vec = tuple[Fraction, ...]
-
-
-def vector(entries: Iterable) -> Vec:
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
 def _cleared(values) -> tuple[list, int]:

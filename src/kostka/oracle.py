@@ -25,7 +25,7 @@ from math import gcd, prod
 from operator import add, mul
 
 from . import linalg
-from .cone import _integer_cone_forms, _require_dominant
+from .cone import _require_dominant, cone_inequalities
 from .errors import CapExceededError, InvariantError, NotInRootLatticeError, RankBoundExceededError
 from .rootdata import (RootSystem, _add_root, _levi_solve, _per_system, _positive_root_count,
                        _root_walk, _weight, is_dominant, symmetrizer)
@@ -83,12 +83,13 @@ def brute_force_vertices(rs: RootSystem, lam) -> frozenset:
     """Vertices of the slice polytope by double description.
 
     The slice is the set of c >= 0 with mu = lam - C^T c >= 0, the cone's
-    integer forms on (lam | c) (``_integer_cone_forms``) at lam fixed.  With m the lcm
+    integer forms on (lam | c) (``cone_inequalities``) at lam fixed.  With m the lcm
     of lam's denominators it is homogenised to the cone of (y, t) >= 0 with
     m lam t - C^T y >= 0, whose extreme ray (y, t) is the vertex's c = y / (m t).
     y >= 0 and t >= 0 are the orthant, so only the r dom-mu rows are added
-    (`_extreme_rays`), and the vertex mu = lam - C^T c is their values at
-    (y, t) over m t: mapped back through the dense Cartan matrix, not a solve.
+    (`_extreme_rays`), those with lam_i = 0 first, as that pairs fewer rays; the
+    vertex mu = lam - C^T c is their values at (y, t) over m t: mapped back
+    through the dense Cartan matrix, not a solve.
     Raises InvariantError if a ray has t <= 0, that is if the slice is unbounded.
     """
     if rs.rank > DEFAULT_VERTEX_RANK_BOUND:
@@ -98,9 +99,9 @@ def brute_force_vertices(rs: RootSystem, lam) -> frozenset:
     _require_dominant(lam)
     # a dom-mu form (e_i | g) is lam_i + g . c >= 0: the row (g | m lam_i) on (y, t)
     r, (x, m) = rs.rank, linalg._cleared(lam)
-    rows = [[*f[r:], v] for f, v in zip(_integer_cone_forms(rs)[r:2 * r], x)]
+    rows = [[*f.coeffs[r:], v] for f, v in zip(cone_inequalities(rs)[r:2 * r], x)]
     points = set()
-    for ray in _extreme_rays(rows, r + 1):
+    for ray in _extreme_rays(sorted(rows, key=lambda row: row[-1] != 0), r + 1):
         t = ray[-1]
         if t <= 0:
             raise InvariantError(f"the slice of {rs} at {lam} is unbounded along {ray[:-1]}")
@@ -115,7 +116,7 @@ def brute_force_rays(rs: RootSystem) -> frozenset:
     only the r dom-mu forms are added (`_extreme_rays`).  Each ray (l | c) is the pair
     (l | l - C^T c), the dom-mu forms' values at it, made primitive."""
     r = rs.rank
-    forms = _integer_cone_forms(rs)[r:2 * r]
+    forms = [f.coeffs for f in cone_inequalities(rs)[r:2 * r]]
     out = set()
     for ray in _extreme_rays(forms, 2 * r):
         pair = ray[:r] + tuple([sum(map(mul, f, ray)) for f in forms])

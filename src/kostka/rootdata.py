@@ -20,9 +20,9 @@ whole diagram's is walked once per system and kept (``_diagram_forest``), for ev
 solve on every node and for the symmetrizer.  A weight is moved by a multiple of a
 simple root in one Cartan-row step, ``_add_root``, for the positive roots (``_root_walk``),
 ``root_coords_to_fw``, the Weyl reflections and orbits, the Freudenthal oracle's dominant
-representatives and the rays' mu = w_i - C^T c.  Every Cartan block, the whole matrix
-or a Levi's, is inverted by one shape-keyed routine, ``_levi_inverse``; ``_cartan_block``
-lays out a block only for it or for a caller that reads ``cartan`` or ``sub_cartan``.
+representatives and the rays' mu = w_i - C^T c.  A Levi's Cartan block is inverted,
+for the rays, by one shape-keyed routine, ``_levi_inverse``; ``_cartan_block`` lays out
+a block only for it or for a caller that reads ``cartan`` or ``sub_cartan``.
 No other module reads the Dynkin edge table: they read ``RootSystem.neighbors``.
 ``root_system`` caches the root systems; what is derived from one is built on first use
 and kept on it: the dense ``cartan`` and what ``_per_system`` keeps in ``_memo``.
@@ -171,8 +171,7 @@ def _cartan_block(rs: RootSystem, nodes: tuple[int, ...]) -> tuple[tuple[int, ..
 def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], inverses: dict) -> tuple[tuple, int]:
     """The integer inverse (adj, det) of C_L^T on the Levi of `nodes` (ascending),
     (C_L^T)^-1 = adj / det (``linalg.solve_unique``): the one inverse of a Cartan block,
-    the whole matrix's on every node, whose rows ``cone.cone_inequalities`` reads, or a
-    Levi's, whose columns are the rays' c and which the pretty ray block prints.
+    whose columns are the rays' c and which the pretty ray block prints.
 
     ``inverses`` maps each block already inverted to its result, keyed by the Levi's
     shape: |L| and its internal edges relabelled by position, each with its two Cartan

@@ -10,7 +10,7 @@ orbits move a weight by a simple root through the one Cartan-row step,
 Cartan matrix in fundamental-weight coordinates.
 
 Two module constants, read on each call, bound the work: an orbit has at most
-MAX_ORBIT points, and the averages refuse a subgroup of more than
+MAX_ORBIT points, and the average refuses a subgroup of more than
 MAX_GROUP_ORDER elements before enumerating it (BudgetExceededError).  The
 longest element's image is unbounded, as its greedy walk enumerates nothing.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BudgetExceededError, InvariantError
+from .errors import BudgetExceededError
 from .rootdata import RootSystem, _add_root, _node, _weight, node_set, parabolic_order
 
 MAX_ORBIT = 10**6
@@ -60,14 +60,6 @@ def orbit(rs: RootSystem, w, nodes) -> frozenset:
     return frozenset(seen)
 
 
-def _check_group_order(rs, nodes):
-    order = parabolic_order(rs, nodes)
-    if order > MAX_GROUP_ORDER:
-        raise BudgetExceededError(
-            f"parabolic group order {order} exceeds max_group_order={MAX_GROUP_ORDER}")
-    return order
-
-
 def parabolic_average(rs: RootSystem, w, nodes) -> tuple:
     """Average of a weight over the parabolic Weyl subgroup of the given nodes.
 
@@ -75,36 +67,12 @@ def parabolic_average(rs: RootSystem, w, nodes) -> tuple:
     hit by the same number of group elements (orbit-stabiliser).
     """
     nodes = node_set(rs, nodes)
-    _check_group_order(rs, nodes)
+    order = parabolic_order(rs, nodes)
+    if order > MAX_GROUP_ORDER:
+        raise BudgetExceededError(
+            f"parabolic group order {order} exceeds max_group_order={MAX_GROUP_ORDER}")
     orb = orbit(rs, w, nodes)
     return tuple(Fraction(sum(col)) / len(orb) for col in zip(*orb))
-
-
-def parabolic_average_direct(rs: RootSystem, w, nodes) -> tuple:
-    """The same average by brute-force enumeration of the whole subgroup.
-
-    Walks the orbit of the pair (regular marker, w); the marker has trivial
-    stabiliser, so the pair orbit is in bijection with the group.  Kept as
-    an independent cross-check for :func:`parabolic_average`.
-    """
-    nodes = node_set(rs, nodes)
-    order = _check_group_order(rs, nodes)
-    marker = tuple(1 if (j + 1) in nodes else 0 for j in range(rs.rank))
-    start = (marker, _weight(rs, w))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        grown = []
-        for x, y in frontier:
-            for i in nodes:
-                pair = (_reflect(rs, i, x), _reflect(rs, i, y))
-                if pair not in seen:
-                    seen.add(pair)
-                    grown.append(pair)
-        frontier = grown
-    if len(seen) != order:
-        raise InvariantError(f"pair orbit has {len(seen)} points, group order is {order}")
-    return tuple(Fraction(sum(col)) / order for col in zip(*(y for _, y in seen)))
 
 
 def longest_element_image(rs: RootSystem, w, nodes) -> tuple:

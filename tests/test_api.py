@@ -27,7 +27,7 @@ EXPORTS = [
     "fw_to_root_coords", "induce", "induce_between", "induce_sum", "induce_vertex",
     "induction_composes", "is_connected", "is_dominant", "is_extremal_ray", "levi",
     "levi_cone_contains", "levi_factors", "levi_root_coords", "linalg", "longest_element_image",
-    "node_set", "oracle", "orbit", "parabolic_average", "parabolic_average_direct",
+    "node_set", "oracle", "orbit", "parabolic_average",
     "parabolic_order", "polytope_vertices", "positive_roots", "ray_count_formula",
     "rays_for_node", "restrict", "rho", "root_coords_to_fw", "root_system", "rootdata",
     "simple_reflection", "sub_cartan", "vertex", "weight_multiplicity", "weyl", "weyl_dim",
@@ -37,7 +37,6 @@ EXPORTS = [
 FUNCTIONS = {
     "linalg": {
         "solve_unique": "(a)",
-        "vector": "(entries)",
     },
     "rootdata": {
         "components": "(rs, nodes)",
@@ -63,7 +62,6 @@ FUNCTIONS = {
         "longest_element_image": "(rs, w, nodes)",
         "orbit": "(rs, w, nodes)",
         "parabolic_average": "(rs, w, nodes)",
-        "parabolic_average_direct": "(rs, w, nodes)",
         "simple_reflection": "(rs, i, w)",
     },
     "cone": {
@@ -196,8 +194,6 @@ WEIGHT_CALLS = {
     "simple_reflection": (((1, 0, 1),), lambda w: kostka.simple_reflection(A3, 1, w)),
     "orbit": (((1, 0, 0),), lambda w: kostka.orbit(A3, w, (1, 2))),
     "parabolic_average": (((1, 0, 1),), lambda w: kostka.parabolic_average(A3, w, (1, 2))),
-    "parabolic_average_direct": (((1, 0, 1),),
-                                 lambda w: kostka.parabolic_average_direct(A3, w, (1, 2))),
     "longest_element_image": (((1, 0, 1),),
                               lambda w: kostka.longest_element_image(A3, w, (1, 2, 3))),
     "cone_contains": (((1, 0, 1), (0, 0, 0)), lambda lam, mu: kostka.cone_contains(A3, lam, mu)),
@@ -409,15 +405,23 @@ def test_the_kernel_has_its_two_readers():
 
 
 def test_the_block_inverse_is_read_in_rootdata():
-    # every Cartan block, the whole matrix or a Levi's, is inverted by one shape-keyed
-    # routine, and the Dynkin edge table it keys by is read in no other module
-    assert _readers("_levi_inverse") == {"_levi_inverse": {
-        "cone.cone_inequalities", "cone.rays_for_node", "cli._ray_pretty"}}
+    # a Levi's Cartan block is inverted by one shape-keyed routine, and the Dynkin edge
+    # table it keys by is read in no other module
     tables = _readers("_entries", "_neighbors", "_cartan_block")
     assert set(tables) == {"_entries", "_neighbors", "_cartan_block"}
     assert {where.split(".")[0] for readers in tables.values() for where in readers} == {"rootdata"}
     assert not hasattr(importlib.import_module("kostka.rootdata"), "_block_inverse")
+
+
+def test_the_dense_inverse_has_its_two_readers():
+    # a Levi's Cartan block is inverted only for the rays and their pretty blocks: the
+    # cone's forms are on (lam | c), unit vectors and Cartan columns, the oracle's
+    # invariant form is the symmetrizer, and every weight's coefficients a forest solve,
+    # so no whole-matrix inverse is built and no root system keeps one
+    assert _readers("_inverse", "_levi_inverse", "_integer_cone_forms") == {"_levi_inverse": {
+        "cone.rays_for_node", "cli._ray_pretty"}}
     assert not hasattr(kostka.RootSystem, "_inverse")
+    assert not hasattr(importlib.import_module("kostka.cone"), "_integer_cone_forms")
 
 
 def test_the_forest_walk_has_its_three_readers():
@@ -440,16 +444,6 @@ def test_the_row_step_has_its_readers():
         "oracle._dominant_rep", "cone.rays_for_node"}}
     assert not {where for where in _readers("_entries")["_entries"]
                 if where.split(".")[0] in ("weyl", "oracle")}
-
-
-def test_the_dense_inverse_has_its_two_readers():
-    # the whole Cartan matrix is inverted only for the cone's Fraction forms, and a Levi's
-    # only for the rays and their pretty blocks: the integer forms are on (lam | c), the
-    # oracle's invariant form is the symmetrizer, and every weight's coefficients a forest
-    # solve, so no root system keeps an inverse
-    assert _readers("_inverse", "_levi_inverse") == {"_levi_inverse": {
-        "cone.cone_inequalities", "cone.rays_for_node", "cli._ray_pretty"}}
-    assert not hasattr(kostka.RootSystem, "_inverse")
 
 
 def test_special_cases_read_their_general_entry():

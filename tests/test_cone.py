@@ -48,30 +48,40 @@ def test_cone_inequalities_shape():
     assert all(len(f.coeffs) == 6 for f in forms)
 
 
+def _fraction_forms(rs):
+    # the cone's 3r forms on (lam | mu) as the paper writes them, from sympy's C^-T, as
+    # lists of Fractions: the unit vectors of lam and of mu, then lam - mu's simple-root
+    # coefficient j, row j of C^-T on lam less it on mu
+    r = rs.rank
+    inv = sympy.Matrix(rs.cartan).T.inv()
+    rows = [[Q(int(inv[j, i].p), int(inv[j, i].q)) for i in range(r)] for j in range(r)]
+    units = [[Q(int(i == j)) for j in range(2 * r)] for i in range(2 * r)]
+    return units + [row + [-x for x in row] for row in rows]
+
+
 def test_cone_inequalities_pinned():
-    # the H-description: lam and mu dominant, then the simple-root coefficients of
-    # lam - mu, whose rows are C^-T | -C^-T
+    # the H-description on (lam | c), c the simple-root coefficients of lam - mu, in ints:
+    # the unit vectors of lam, then dom-mu(i) = e_i less column i of the Cartan matrix on
+    # the c half, then the unit vectors of c
     for rs in systems(10):
         r = rs.rank
         forms = cone_inequalities(rs)
         assert [f.label for f in forms] == ([f"dom-lambda({i})" for i in rs.nodes()]
                                             + [f"dom-mu({i})" for i in rs.nodes()]
                                             + [f"rootcoef({j})" for j in rs.nodes()]), rs
-        assert all(type(x) is Q for f in forms for x in f.coeffs)
-        assert [f.coeffs for f in forms[:2 * r]] == [tuple(int(i == j) for j in range(2 * r))
-                                                    for i in range(2 * r)]
+        assert all(type(x) is int for f in forms for x in f.coeffs)
+        units = [tuple(int(i == j) for j in range(2 * r)) for i in range(2 * r)]
+        assert [f.coeffs for f in forms[:r] + forms[2 * r:]] == units
+        assert [f.coeffs for f in forms[r:2 * r]] == [
+            units[i][:r] + tuple(-row[i] for row in rs.cartan) for i in range(r)], rs
+        # each form, composed with (lam, mu) -> (lam, C^-T (lam - mu)), is its form on
+        # (lam | mu): a change of coordinates, C^-T from sympy
         inv = sympy.Matrix(rs.cartan).T.inv()
-        want = [tuple(Q(int(inv[j, i].p), int(inv[j, i].q)) for i in range(r)) for j in range(r)]
-        assert [f.coeffs for f in forms[2 * r:]] == [row + tuple(-x for x in row) for row in want], rs
-        # each integer form on (lam | c), composed with (lam, mu) -> (lam, C^-T (lam - mu)),
-        # is its Fraction form: a unit vector, or one less a Cartan column
         to_c = sympy.eye(2 * r)
         to_c[r:, :r], to_c[r:, r:] = inv, -inv
-        integer = cone._integer_cone_forms(rs)
-        assert len(integer) == len(forms)
-        for f, row in zip(forms, integer):
-            composed = sympy.Matrix([row]) * to_c
-            assert tuple(Q(int(x.p), int(x.q)) for x in composed) == f.coeffs, (rs, f.label)
+        for f, want in zip(forms, _fraction_forms(rs), strict=True):
+            composed = sympy.Matrix([f.coeffs]) * to_c
+            assert [Q(int(x.p), int(x.q)) for x in composed] == want, (rs, f.label)
 
 
 def test_vertex_examples():
@@ -575,14 +585,15 @@ def test_extremality_at_rank_240_builds_no_inverse(solve_calls, letter):
 
 
 def _fraction_verdicts(rs, lam, mu):
-    # cone_contains and is_extremal_ray by their definitions: the Fraction cone forms
-    # at (lam | mu) through fw_to_root_coords, and the rank of the tight ones in sympy;
-    # None in place of the extremality verdict where is_extremal_ray must raise
-    values = lam + mu + fw_to_root_coords(rs, tuple(a - b for a, b in zip(lam, mu)))
+    # cone_contains and is_extremal_ray by their definitions: the test's own Fraction cone
+    # forms on (lam | mu) at the pair, and the rank of the tight ones in sympy; None in
+    # place of the extremality verdict where is_extremal_ray must raise
+    forms = _fraction_forms(rs)
+    values = [sum(c * x for c, x in zip(f, lam + mu)) for f in forms]
     if any(v < 0 for v in values):
         return False, None
-    tight = [[sympy.Rational(c.numerator, c.denominator) for c in f.coeffs]
-             for f, v in zip(cone_inequalities(rs), values) if v == 0]
+    tight = [[sympy.Rational(c.numerator, c.denominator) for c in f]
+             for f, v in zip(forms, values) if v == 0]
     rank = sympy.Matrix(tight).rank() if tight else 0
     return True, 2 * rs.rank - rank == 1
 

@@ -20,7 +20,7 @@ from kostka import (compare_membership_multiplicity, components, cone_inequaliti
                     node_set, orbit, parabolic_average, parabolic_order, positive_roots,
                     rays_for_node, rho, root_coords_to_fw, root_system, simple_reflection,
                     sub_cartan, vertex, weight_multiplicity, weyl_order)
-from kostka import cli, cone, oracle, rootdata, weyl
+from kostka import cli, oracle, rootdata, weyl
 from kostka.errors import EmptyNodeSetError, UnsupportedRankError
 from kostka.rootdata import symmetrizer
 
@@ -248,15 +248,15 @@ def test_inverse_transpose_cartan_matches_sympy():
 
 
 def test_root_system_inverts_on_first_use_only(solve_calls):
-    # the one whole-matrix inverse is built for the cone's Fraction forms, on their first
-    # read, and kept with them
+    # the cone's forms on (lam | c) are read from the Cartan matrix, with no inverse, on
+    # their first read, and kept on the system
     rs = root_system.__wrapped__("A", 60)  # a fresh system, past the cache
-    assert not solve_calls
     forms = cone_inequalities(rs)
-    assert forms[120].coeffs[0] == Q(60, 61)
-    assert len(solve_calls) == 1
-    assert cone_inequalities(rs) is forms and forms[-1].coeffs[59] == Q(60, 61)
-    assert len(solve_calls) == 1
+    # dom-mu(1) is e_1 less column 1 of the Cartan matrix, (2, -1, 0, ...), on the c half
+    assert forms[60].coeffs == (1,) + (0,) * 59 + (-2, 1) + (0,) * 58
+    assert forms[-1].coeffs == (0,) * 119 + (1,)
+    assert cone_inequalities(rs) is forms
+    assert not solve_calls
 
 
 def test_a300_inverts_within_a_second():
@@ -281,7 +281,6 @@ def test_a_fresh_root_system_builds_its_own_tables(solve_calls):
     assert fresh == cached
     assert is_extremal_ray(fresh, (0, 1, 0), (0, 1, 0))
     assert not solve_calls  # the forms on (lam | c) are read from the Cartan matrix
-    assert cone._integer_cone_forms(fresh) is not cone._integer_cone_forms(cached)
     assert cone_inequalities(fresh) is not cone_inequalities(cached)
     assert oracle._root_table(fresh) is not oracle._root_table(cached)
 
