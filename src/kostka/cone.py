@@ -49,9 +49,10 @@ def cone_inequalities(rs: RootSystem) -> tuple[LinearForm, ...]:
 
 def _form_values(rs: RootSystem, lam: tuple, mu: tuple) -> list:
     # the values of the cone_inequalities at (lam | c), lam and mu as _weight reads them,
-    # so with the forms' signs: lam, mu, then c's numerators, from one solve for lam - mu
-    # on the Dynkin forest of every node
-    return [*lam, *mu, *_levi_solve(rs, [a - b for a, b in zip(lam, mu)], rs.nodes())[0]]
+    # times m > 0 in ints, so with the forms' signs: m lam, m mu, then c's numerators from one
+    # solve for m (lam - mu) on the Dynkin forest of every node; m is 1 for an integer pair
+    x, _ = linalg._cleared(lam + mu)
+    return [*x, *_levi_solve(rs, [a - b for a, b in zip(x, x[rs.rank:])], rs.nodes())[0]]
 
 
 def cone_contains(rs: RootSystem, lam, mu) -> bool:
@@ -311,10 +312,10 @@ def _is_ray(rs: RootSystem, lam, mu, values) -> bool:
     the rays are the pairs (w_i, v) for the vertices v of the slice at w_i, that is
     lam = t w_i, and the support L of lam - mu's simple-root coefficients c empty or
     connected with mu zero on L.  Connected and i in L need no test: on a component
-    K of L that misses i, C_K^T c_K = (lam - mu)|_K = 0 would give c_K = 0.  mu and c
-    are read from the pair's ``_form_values``, as membership read them (``values``), or
-    here if that is None, only when lam = t w_i; no rank is computed:
-    ``is_extremal_ray`` answers the same by rank, independently."""
+    K of L that misses i, C_K^T c_K = (lam - mu)|_K = 0 would give c_K = 0.  The
+    zeros of mu and c are read from the pair's ``_form_values``, as membership read
+    them (``values``), or here if that is None, only when lam = t w_i; no rank is
+    computed: ``is_extremal_ray`` answers the same by rank, independently."""
     if sum(map(bool, lam)) != 1:
         return False
     r, values = rs.rank, values or _form_values(rs, lam, mu)

@@ -5,7 +5,9 @@ after sorting its ambient node ids; every function that crosses the
 boundary takes the node set explicitly, so ambient and local coordinates
 can never be silently confused.  A local weight, read by ``rootdata._weight``
 with the Levi's nodes, is the right-hand side of the Levi's forest solve
-(``rootdata._levi_solve``), in the order of its nodes, as it is.
+(``rootdata._levi_solve``), in the order of its nodes, as it is.  A lift is held
+as the solve leaves it, numerators over its denominator (ints for an integer
+pair), and a Fraction is made only where a lift is returned, once per entry (``_at``).
 """
 
 from __future__ import annotations
@@ -58,23 +60,26 @@ def levi_cone_contains(rs: RootSystem, levi, lam_local, mu_local) -> bool:
     return True
 
 
-def _lift(rs: RootSystem, inner: tuple[int, ...], lam_local, mu_local) -> tuple[dict, dict]:
-    # the lift of a pair on the checked Levi `inner` as {node: value}, zero where absent, from
-    # one solve: the pair is in the inner cone when both weights and c are dominant
+def _lift(rs: RootSystem, inner: tuple[int, ...], lam_local, mu_local) -> tuple[dict, dict, int]:
+    # the lift of a pair on the checked Levi `inner` from one solve, zero where absent: lam as
+    # {node: value}, and mu as {node: numerator} over the solve's d, d mu on `inner` and minus
+    # c's pairings at its outside neighbours.  The pair is in the inner cone when both weights
+    # and c are dominant
     lam_local, mu_local = _weight(rs, lam_local, inner), _weight(rs, mu_local, inner)
     c, d, pairings = _levi_solve(rs, [a - b for a, b in zip(lam_local, mu_local)], inner)
     if not (is_dominant(lam_local) and is_dominant(mu_local) and is_dominant(c)):
         raise NotInLeviConeError(
             f"({lam_local}, {mu_local}) is not in the cone of {inner}")
-    mu = {k: Fraction(-p, d) for k, p in pairings.items()}
-    mu.update(zip(inner, mu_local))
-    return dict(zip(inner, lam_local)), mu
+    mu = {k: -p for k, p in pairings.items()}
+    mu.update(zip(inner, [d * y for y in mu_local]))
+    return dict(zip(inner, lam_local)), mu, d
 
 
-def _at(w: dict, nodes) -> tuple:
-    # a weight held as {node: value}, zero where absent, read on `nodes`: each entry a Fraction
+def _at(w: dict, nodes, d: int | None = None) -> tuple:
+    # a weight held as {node: numerator} over d (as it is if d is None), zero where absent,
+    # read on `nodes`: the one place a lift's entries are made Fractions, one each
     zero = Fraction(0)
-    return tuple(Fraction(w[n]) if n in w else zero for n in nodes)
+    return tuple(Fraction(w[n], d) if w.get(n) else zero for n in nodes)
 
 
 def induce_between(rs: RootSystem, inner, outer, lam_local, mu_local) -> tuple[tuple, tuple]:
@@ -89,8 +94,8 @@ def induce_between(rs: RootSystem, inner, outer, lam_local, mu_local) -> tuple[t
     outer = node_set(rs, outer)
     if not set(inner) <= set(outer):
         raise ValueError(f"{inner} is not contained in {outer}")
-    lam, mu = _lift(rs, inner, lam_local, mu_local)
-    return _at(lam, outer), _at(mu, outer)
+    lam, mu, d = _lift(rs, inner, lam_local, mu_local)
+    return _at(lam, outer), _at(mu, outer, d)
 
 
 def induce(rs: RootSystem, pair: LeviWeightPair) -> tuple[tuple, tuple]:
@@ -121,10 +126,12 @@ def induction_composes(rs: RootSystem, pair: LeviWeightPair, mid) -> bool:
     levi = node_set(rs, pair.levi)
     if not set(levi) <= set(mid):
         raise ValueError(f"{levi} is not contained in {mid}")
-    lam, mu = _lift(rs, levi, pair.lambda_fw, pair.mu_fw)
-    nodes = rs.nodes()
-    up = _lift(rs, mid, _at(lam, mid), _at(mu, mid))
-    return (_at(lam, nodes), _at(mu, nodes)) == tuple(_at(w, nodes) for w in up)
+    lam, mu, d = _lift(rs, levi, pair.lambda_fw, pair.mu_fw)
+    # d times the lift, read on mid, is lifted again: the lifts agree when that lift's lam is
+    # d lam and its mu over its own d2 is mu's numerators over d
+    lam2, mu2, d2 = _lift(rs, mid, [d * lam.get(n, 0) for n in mid], [mu.get(n, 0) for n in mid])
+    return all(lam2.get(n, 0) == d * lam.get(n, 0) and mu2.get(n, 0) == d2 * mu.get(n, 0)
+               for n in rs.nodes())
 
 
 def induce_sum(rs: RootSystem, pairs) -> tuple[tuple, tuple]:
@@ -136,9 +143,10 @@ def induce_sum(rs: RootSystem, pairs) -> tuple[tuple, tuple]:
             raise OverlappingLevisError(f"node sets overlap at {sorted(used.intersection(levi))}")
         used.update(levi)
         levis.append((levi, p))
-    lam, mu = {}, {}
+    lam, mu, den = {}, {}, 1  # mu's numerators over den
     for levi, p in levis:
-        for total, part in zip((lam, mu), _lift(rs, levi, p.lambda_fw, p.mu_fw)):
-            for k, x in part.items():
-                total[k] = total.get(k, 0) + x
-    return _at(lam, rs.nodes()), _at(mu, rs.nodes())
+        part, part_mu, d = _lift(rs, levi, p.lambda_fw, p.mu_fw)
+        lam.update(part)  # the Levis are disjoint
+        mu = {k: mu.get(k, 0) * d + part_mu.get(k, 0) * den for k in mu.keys() | part_mu.keys()}
+        den *= d
+    return _at(lam, rs.nodes()), _at(mu, rs.nodes(), den)

@@ -72,7 +72,7 @@ def parabolic_average(rs: RootSystem, w, nodes) -> tuple:
         raise BudgetExceededError(
             f"parabolic group order {order} exceeds max_group_order={MAX_GROUP_ORDER}")
     orb = orbit(rs, w, nodes)
-    return tuple(Fraction(sum(col)) / len(orb) for col in zip(*orb))
+    return tuple(Fraction(sum(col), len(orb)) for col in zip(*orb))
 
 
 def longest_element_image(rs: RootSystem, w, nodes) -> tuple:

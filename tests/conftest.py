@@ -7,6 +7,13 @@ from kostka import linalg, root_system
 from kostka.rootdata import supported_types  # re-exported for the test modules
 
 
+class _NoFraction:
+    # stands in for Fraction where an integer path (rays, integral vertices, Levi lifts)
+    # must make none
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was made on an integer path")
+
+
 def systems(max_rank):
     return [root_system(letter, r) for letter, r in supported_types(max_rank)]
 

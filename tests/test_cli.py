@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import supported_types
+from conftest import _NoFraction, supported_types
 import kostka
 from kostka import (compare_membership_multiplicity, cone_contains, fundamental_weight,
                     is_dominant, is_extremal_ray, root_coords_to_fw, root_system)
@@ -282,12 +282,6 @@ def test_vertex_rows_are_the_library_values(case):
                                     *(",".join(x) for x in (lam_cells, levi, point, c))]
         nodes = "{" + ",".join(levi) + "}"
         assert pretty == f"  levi {nodes:<12} point {kostka.cli._combo(v.point, 'w')}"
-
-
-class _NoFraction:
-    # stands in for Fraction where an integer path (rays, integral vertices) must make none
-    def __new__(cls, *args, **kwargs):
-        raise AssertionError("a Fraction was made on an integer path")
 
 
 def test_rays_make_no_fraction(capsys, monkeypatch):

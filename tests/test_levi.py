@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import supported_types, systems
+from conftest import _NoFraction, supported_types, systems
 import kostka
 from kostka import levi as levi_module
 from kostka import linalg, rootdata
@@ -142,11 +142,26 @@ def test_induce_vertex_matches_ambient_solve():
             assert got == expect
 
 
-def test_composition_examples():
+def test_composition_examples(monkeypatch):
     c4 = root_system("C", 4)
     assert induction_composes(c4, LeviWeightPair((3,), (1,), (1,)), (2, 3))
     assert induction_composes(c4, LeviWeightPair((3,), (1,), (1,)), (3,))
     assert induction_composes(c4, LeviWeightPair((3,), (1,), (1,)), (3, 4))
+    # a negative control: the lift from mid = (2, 3), whose outside neighbours are 1 and 4,
+    # with one of its pairings off by one no longer agrees with the direct lift
+    pair, calls, levi_solve = LeviWeightPair((3,), (2,), (0,)), [], levi_module._levi_solve
+    assert induction_composes(c4, pair, (2, 3))
+
+    def off_by_one(*args):
+        c, d, pairings = levi_solve(*args)
+        calls.append(args)
+        if len(calls) == 2:
+            pairings[min(pairings)] += 1
+        return c, d, pairings
+
+    monkeypatch.setattr(levi_module, "_levi_solve", off_by_one)
+    assert not induction_composes(c4, pair, (2, 3))
+    assert len(calls) == 2
     # containment is checked before the pair is lifted, so a pair outside its Levi's cone
     # on a Levi outside mid is refused for the containment, as induce_between refuses it
     a3, pair = root_system("A", 3), LeviWeightPair((1, 2), (0, 0), (1, 0))
@@ -170,6 +185,30 @@ def test_composition_randomised():
             pair = LeviWeightPair(inner, lam_local, (0,) * len(inner))
             assert induction_composes(rs, pair, mid)
             trials += 1
+
+
+def test_integer_pairs_make_no_fraction(monkeypatch):
+    # a lift of an integer pair is held in ints, so composition and membership make no Fraction
+    rng, cases = random.Random(37), []
+    for rs in (root_system(*t) for t in (("A", 5), ("D", 5), ("E", 6), ("F", 4), ("G", 2))):
+        for _ in range(30):
+            levi = tuple(n for n in rs.nodes() if rng.random() < 0.6) or (rs.rank,)
+            mid = tuple(n for n in rs.nodes() if n in levi or rng.random() < 0.5)
+            lam = tuple(rng.randint(0, 3) for _ in levi)
+            mu = (_random_levi_partner(rng, rs, levi, lam) if rng.random() < 0.8
+                  else tuple(rng.randint(0, 3) for _ in levi))
+            cases.append((rs, LeviWeightPair(levi, lam, mu), mid))
+
+    def answers():
+        return [(_outcome(induction_composes, rs, pair, mid),
+                 levi_cone_contains(rs, pair.levi, pair.lambda_fw, pair.mu_fw))
+                for rs, pair, mid in cases]
+
+    expect = answers()
+    assert {member for _, member in expect} == {True, False}  # both verdicts are exercised
+    for module in (levi_module, kostka.cone, rootdata, linalg):
+        monkeypatch.setattr(module, "Fraction", _NoFraction)
+    assert answers() == expect
 
 
 def test_induced_pairs_land_in_cone():
