@@ -5,8 +5,8 @@ Output is byte-deterministic for fixed inputs.  Rationals are printed as
 floats.  The json and tsv tables (rays, vertices, census) go through one
 writer, ``_table``: json is one compact object per row, keyed by the
 columns, each cell spelled as ``json.dumps`` spells it; tsv is the header,
-then one line per row, a list cell comma-joined and a bool yes/no.  A cell
-the same on every row is spelled once, into the row template, and each
+then one line per row, a list cell comma-joined and a bool yes/no.  A column
+whose cells are all equal is spelled once, into the row template, and each
 other column by one speller (``_SPELLINGS``).  No zero entry is formatted.
 ``check`` prints one list of verdicts: 'key: value' lines in pretty and tsv,
 and in json one object from one template (``_CHECK_JSON``), spelled as
@@ -144,19 +144,18 @@ _SPELLINGS = {
 }
 
 
-def _table(fmt: str, columns: tuple[str, ...], rows, fixed: dict | None = None) -> None:
-    """Write rows as json objects or as a tsv table.  ``fixed`` maps columns to their
-    one cell, spelled once into the row template; a row holds the other columns' cells
-    in order, each column's of one kind: one speller, chosen by its first, spells all."""
-    spellings, fixed, rows = _SPELLINGS[fmt], fixed or {}, list(rows)
+def _table(fmt: str, columns: tuple[str, ...], rows) -> None:
+    """Write rows as json objects or as a tsv table.  A row holds every column's cell in
+    order, each column's of one kind.  A column whose cells are all equal is spelled
+    once, into the row template; each other by one speller, chosen by its first cell."""
+    spellings, rows, parts, spelled = _SPELLINGS[fmt], list(rows), [], []
     if fmt == "tsv":
         _emit(["\t".join(columns)])
-    varying, parts, spelled = iter(zip(*rows)), [], []  # the other cells, column by column
-    for column in columns if rows else ():
-        cells = [fixed[column]] if column in fixed else next(varying)
+    for column, cells in zip(columns, zip(*rows)):
         part, speller = spellings[type(cells[0])]
-        if column in fixed:
-            part %= next(speller(cells))
+        # one cell on every row; most other columns are told by their last cell alone
+        if cells[-1] == cells[0] and cells.count(cells[0]) == len(cells):
+            part %= next(speller(cells[:1]))
         else:
             spelled.append(speller(cells))
         parts.append(f'"{column}":{part}' if fmt == "json" else part)
@@ -209,14 +208,9 @@ def cmd_rays(args) -> int:
                 out[j] = ratio(ray.numerators[j], ray.k_det)
             return out[:r], out[r:]
 
-        fixed = {"type": rs.letter, "rank": r}
-        if args.node is None:
-            rows = ((ray.node, ray.levi, ray.k_primitive, ray.k_det, lam_cells(ray.node),
-                     *cells(ray)) for ray in records)
-        else:  # node and lambda_fw are fixed cells too
-            fixed.update(node=args.node, lambda_fw=lam_cells(args.node))
-            rows = ((ray.levi, ray.k_primitive, ray.k_det, *cells(ray)) for ray in records)
-        _table(args.format, RAY_COLUMNS, rows, fixed)
+        _table(args.format, RAY_COLUMNS,
+               ((rs.letter, r, ray.node, ray.levi, ray.k_primitive, ray.k_det,
+                 lam_cells(ray.node), *cells(ray)) for ray in records))
     else:
         blocks: dict = {}  # the rows of each block in `inverses`, formatted once per request
         _emit(line for ray in records for line in _ray_pretty(rs, ray, inverses, blocks, ratio))
@@ -237,10 +231,10 @@ def cmd_vertices(args) -> int:
     if args.format != "pretty":
         # every numerator is a cell: each distinct one is spelled once
         cell = {n: _ratio(n, d) for n in {*chain.from_iterable(v.numerators for v in verts)}}.get
+        lam_cells = list(map(str, lam))
         _table(args.format, VERTEX_COLUMNS,
-               ((v.levi, list(map(cell, v.numerators[:r])), list(map(cell, v.numerators[r:])))
-                for v in verts),
-               {"type": rs.letter, "rank": r, "lambda_fw": list(map(str, lam))})
+               ((rs.letter, r, lam_cells, v.levi, list(map(cell, v.numerators[:r])),
+                 list(map(cell, v.numerators[r:]))) for v in verts))
     else:
         # each (node, numerator) term of a point spelled once, its zeros never
         term = lru_cache(maxsize=None)(lambda i, n: _terms((0,) * i + (_ratio(n, d),), "w"))

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .cone import Vertex, _require_dominant, vertex
 from .errors import NotInLeviConeError, OverlappingLevisError
-from .rootdata import RootSystem, _levi_solve, _weight, is_dominant, node_set
+from .rootdata import RootSystem, _levi_solve, _weight, node_set
 
 
 class LeviWeightPair(namedtuple("LeviWeightPair", "levi lambda_fw mu_fw")):
@@ -67,7 +67,7 @@ def _lift(rs: RootSystem, inner: tuple[int, ...], lam_local, mu_local) -> tuple[
     # and c are dominant
     lam_local, mu_local = _weight(rs, lam_local, inner), _weight(rs, mu_local, inner)
     c, d, pairings = _levi_solve(rs, [a - b for a, b in zip(lam_local, mu_local)], inner)
-    if not (is_dominant(lam_local) and is_dominant(mu_local) and is_dominant(c)):
+    if min([*lam_local, *mu_local, *c], default=0) < 0:  # the three read in one pass
         raise NotInLeviConeError(
             f"({lam_local}, {mu_local}) is not in the cone of {inner}")
     mu = {k: -p for k, p in pairings.items()}

@@ -43,20 +43,17 @@ def orbit(rs: RootSystem, w, nodes) -> frozenset:
     nodes = node_set(rs, nodes)
     start = _weight(rs, w)
     seen = {start}
-    frontier = [start]
-    while frontier:
-        grown = []
-        for x in frontier:
-            for i in nodes:
-                c = x[i - 1]
-                if c:  # _reflect, with no second call per point
-                    y = tuple(_add_root(rs, list(x), i, -c))
-                    if y not in seen:
-                        if len(seen) >= MAX_ORBIT:
-                            raise BudgetExceededError(f"orbit exceeds max_orbit={MAX_ORBIT}")
-                        seen.add(y)
-                        grown.append(y)
-        frontier = grown
+    points = [start]
+    for x in points:  # grows while it is read
+        for i in nodes:
+            c = x[i - 1]
+            if c:  # _reflect, with no second call per point
+                y = tuple(_add_root(rs, list(x), i, -c))
+                if y not in seen:
+                    if len(seen) >= MAX_ORBIT:
+                        raise BudgetExceededError(f"orbit exceeds max_orbit={MAX_ORBIT}")
+                    seen.add(y)
+                    points.append(y)
     return frozenset(seen)
 
 

@@ -118,47 +118,63 @@ _CELL_KINDS = [
 
 @st.composite
 def _tables(draw):
-    """Columns, rows with the cells of each column of one kind, and a set of the
-    columns drawn as fixed, where every row repeats the first row's cell."""
+    """Columns, and rows with the cells of each column of one kind, where the columns of
+    a drawn set repeat the first row's cell on every row."""
     columns = draw(st.sampled_from([RAY_COLUMNS, VERTEX_COLUMNS, CENSUS_COLUMNS]))
     rows = draw(st.lists(st.tuples(*[draw(st.sampled_from(_CELL_KINDS)) for _ in columns]),
                          max_size=4))
-    fixed = draw(st.sets(st.sampled_from(columns)))
-    return columns, [tuple(rows[0][k] if c in fixed else x for k, (c, x) in
-                           enumerate(zip(columns, row))) for row in rows], fixed
+    same = draw(st.sets(st.sampled_from(columns)))
+    return columns, [tuple(rows[0][k] if c in same else x for k, (c, x) in
+                           enumerate(zip(columns, row))) for row in rows]
 
 
-def _written(fmt, columns, rows, fixed=frozenset()):
-    # what _table writes for rows, given the columns in `fixed` as fixed cells
-    cells = {c: rows[0][k] for k, c in enumerate(columns) if c in fixed} if rows else {}
+def _written(fmt, columns, rows):
     out = io.StringIO()
     with redirect_stdout(out):
-        _table(fmt, columns, [tuple(x for c, x in zip(columns, row) if c not in fixed)
-                              for row in rows], cells)
+        _table(fmt, columns, rows)
     return out.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
 @given(_tables())
-@example((CENSUS_COLUMNS, [("A", 0, (), [], False), ("G", -1, (-3,), ["-3/4"], True)], set()))
+@example((CENSUS_COLUMNS, [("A", 0, (), [], False), ("G", -1, (-3,), ["-3/4"], True)]))
 @example((VERTEX_COLUMNS, [("B", 2, [], (), ["1", "-1/2"], []),
-                          ("B", 2, [], (1,), ["0", "0"], ["1"])], {"type", "rank", "lambda_fw"}))
-@example((CENSUS_COLUMNS, [("C", 3, 1, 1, True)] * 2, set(CENSUS_COLUMNS)))
+                          ("B", 2, [], (1,), ["0", "0"], ["1"])]))
+@example((CENSUS_COLUMNS, [("C", 3, 1, 1, True)] * 2))
+@example((RAY_COLUMNS, [("A", 1, 1, (), 1, 1, ["1"], ["1"], ["0"])]))  # one row
+@example((VERTEX_COLUMNS, [("B", 2, ["1", "0"], (), ["1", "0"], ["0", "0"]),  # c_alpha: equal
+                          ("B", 2, ["1", "0"], (1,), ["0", "1/2"], ["0", "0"])]))  # by chance
 def test_json_rows_are_json_dumps_rows(case):
     # the row writer spells every kind of cell as json.dumps does: a type letter, an
     # int, a tuple of ints, a list of printed rationals, a bool, the empty ones too,
-    # whether written in each row or once as a fixed cell
-    columns, rows, fixed = case
-    assert _written("json", columns, rows, fixed) == "".join(
+    # whether the column varies or is written once into the row template
+    columns, rows = case
+    assert _written("json", columns, rows) == "".join(
         json.dumps(dict(zip(columns, row)), separators=(",", ":")) + "\n" for row in rows)
+
+
+def _tsv_cell(x):
+    # a tsv cell by its kind, spelled independently of _SPELLINGS
+    if isinstance(x, tuple):
+        return ",".join(map(str, x))
+    if isinstance(x, list):
+        return ",".join(x)
+    if isinstance(x, bool):
+        return "yes" if x else "no"
+    return str(x)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_tables())
-@example((RAY_COLUMNS, [("A", 1, 1, (), 1, 1, ["1"], ["1"], ["0"])] * 3, {"lambda_fw", "levi"}))
-def test_tsv_fixed_cells_are_the_cells_of_every_row(case):
-    columns, rows, fixed = case
-    assert _written("tsv", columns, rows, fixed) == _written("tsv", columns, rows)
+@example((RAY_COLUMNS, [("A", 1, 1, (), 1, 1, ["1"], ["1"], ["0"])] * 3))
+@example((CENSUS_COLUMNS, []))
+@example((RAY_COLUMNS, [("A", 1, 1, (), 1, 1, ["1"], ["1"], ["0"])]))  # one row
+@example((VERTEX_COLUMNS, [("B", 2, ["1", "0"], (), ["1", "0"], ["0", "0"]),  # c_alpha: equal
+                          ("B", 2, ["1", "0"], (1,), ["0", "1/2"], ["0", "0"])]))  # by chance
+def test_tsv_rows_are_the_header_and_a_line_per_row(case):
+    columns, rows = case
+    assert _written("tsv", columns, rows) == "".join(
+        "\t".join(line) + "\n" for line in [columns, *[map(_tsv_cell, row) for row in rows]])
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,6 +184,19 @@ def test_rays_json_and_tsv_agree(argv):
     assert json_rows == _table_rows("tsv", *argv)
     # both tables open with the record of empty levi: the ray (w_i, w_i), the vertex lambda
     assert json_rows and json_rows[0]["levi"] == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_rays_of_every_node_are_the_rays_at_each_node_in_turn(capsys, fmt):
+    # one row shape with and without --node: the whole table is the per-node tables
+    # concatenated in node order, the tsv header once
+    head = fmt == "tsv"
+    for letter, r in supported_types(6) + [("E", 7), ("E", 8)]:
+        argv = ["rays", "--type", letter, "--rank", str(r), "--format", fmt]
+        whole = run(capsys, *argv)[1].splitlines()
+        per_node = [run(capsys, *argv, "--node", str(i))[1].splitlines() for i in range(1, r + 1)]
+        assert whole[:head] == per_node[0][:head]
+        assert whole[head:] == [line for lines in per_node for line in lines[head:]]
 
 
 def test_rays_json_count_e6(capsys):
