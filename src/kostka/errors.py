@@ -18,7 +18,7 @@ class EmptyNodeSetError(KostkaError):
 
 
 class BudgetExceededError(KostkaError):
-    """A Weyl orbit or group enumeration would exceed its bound (``weyl.MAX_*``)."""
+    """A Weyl orbit would exceed ``weyl.MAX_ORBIT`` points, sized before it is walked."""
 
 
 class NotDominantError(KostkaError):

@@ -1,18 +1,20 @@
 """Weyl group actions on weights: reflections, parabolic orbits, averages.
 
 Group elements are never materialised; everything works on orbits of
-coordinate vectors.  A weight is read as ``rootdata._weight`` reads one, with
-its ints and Fractions as they are: int weights stay plain int tuples, which
-makes the orbit closures considerably faster than Fraction arithmetic, and a
-weight given in integral Fractions is walked in Fractions.  Reflections and
-orbits move a weight by a simple root through the one Cartan-row step,
-``rootdata._add_root``: s_i w = w - w_i alpha_i, alpha_i being row i of the
-Cartan matrix in fundamental-weight coordinates.
+coordinate vectors.  A weight is read as ``rootdata._weight`` reads one: int
+weights stay plain int tuples, much faster to walk than Fractions.  Every move
+by a simple root is the one Cartan-row step ``rootdata._add_root``:
+s_i w = w - w_i alpha_i, alpha_i row i of the Cartan matrix in
+fundamental-weight coordinates.
 
-Two module constants, read on each call, bound the work: an orbit has at most
-MAX_ORBIT points, and the average refuses a subgroup of more than
-MAX_GROUP_ORDER elements before enumerating it (BudgetExceededError).  The
-longest element's image is unbounded, as its greedy walk enumerates nothing.
+One module constant, read on each call, bounds the work: an orbit, and so an
+average, has at most MAX_ORBIT points.  The bound is exact and checked before
+the walk: the orbit's J-dominant point `high` has stabiliser W_J0, J0 the nodes
+of J where `high` is zero (Humphreys, Reflection Groups and Coxeter Groups,
+1.12), so the orbit has |W_J| / |W_J0| points.  The walk goes down from `high`,
+reflecting only where a coordinate is positive.  A dominant weight is its own
+`high`, so a refused orbit of one moves no point.  The longest element's image
+is unbounded: its greedy walk enumerates nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .errors import BudgetExceededError
 from .rootdata import RootSystem, _add_root, _node, _weight, node_set, parabolic_order
 
 MAX_ORBIT = 10**6
-MAX_GROUP_ORDER = 10**6
 
 
 def simple_reflection(rs: RootSystem, i: int, w) -> tuple:
@@ -38,20 +39,34 @@ def _reflect(rs: RootSystem, i: int, w) -> tuple:
     return tuple(_add_root(rs, list(w), i, -c)) if c else w
 
 
+def _dominant(rs: RootSystem, x: tuple, nodes: tuple[int, ...]) -> tuple:
+    # the orbit point of a read weight that is dominant on the read nodes, reached by
+    # greedily reflecting away negative coordinates: each reflection leaves one positive
+    # root of J fewer pairing negatively with the weight, so there are at most |Phi^+_J|
+    while True:
+        for i in nodes:
+            if x[i - 1] < 0:
+                x = _reflect(rs, i, x)
+                break
+        else:
+            return x
+
+
 def orbit(rs: RootSystem, w, nodes) -> frozenset:
     """Orbit of a weight under the Weyl subgroup generated by the given nodes."""
     nodes = node_set(rs, nodes)
-    start = _weight(rs, w)
-    seen = {start}
-    points = [start]
-    for x in points:  # grows while it is read
+    high = _dominant(rs, _weight(rs, w), nodes)
+    size = parabolic_order(rs, nodes) // parabolic_order(rs, [i for i in nodes if not high[i - 1]])
+    if size > MAX_ORBIT:
+        raise BudgetExceededError(f"orbit exceeds max_orbit={MAX_ORBIT}")
+    seen = {high}
+    points = [high]
+    for x in points:  # grows while it is read; every point lies below high
         for i in nodes:
             c = x[i - 1]
-            if c:  # _reflect, with no second call per point
+            if c > 0:  # _reflect, downwards only
                 y = tuple(_add_root(rs, list(x), i, -c))
                 if y not in seen:
-                    if len(seen) >= MAX_ORBIT:
-                        raise BudgetExceededError(f"orbit exceeds max_orbit={MAX_ORBIT}")
                     seen.add(y)
                     points.append(y)
     return frozenset(seen)
@@ -63,29 +78,13 @@ def parabolic_average(rs: RootSystem, w, nodes) -> tuple:
     The group average equals the plain orbit average: every orbit point is
     hit by the same number of group elements (orbit-stabiliser).
     """
-    nodes = node_set(rs, nodes)
-    order = parabolic_order(rs, nodes)
-    if order > MAX_GROUP_ORDER:
-        raise BudgetExceededError(
-            f"parabolic group order {order} exceeds max_group_order={MAX_GROUP_ORDER}")
     orb = orbit(rs, w, nodes)
     return tuple(Fraction(sum(col), len(orb)) for col in zip(*orb))
 
 
 def longest_element_image(rs: RootSystem, w, nodes) -> tuple:
-    """Image of a weight under the longest element of the parabolic subgroup.
-
-    Computed as the unique orbit point that is anti-dominant on the given
-    nodes, reached by greedily reflecting away positive coordinates: each
-    reflection leaves one positive root of J fewer pairing positively with
-    the weight, so there are at most |Phi^+_J| of them.
-    """
+    """Image of a weight under the longest element of the parabolic subgroup:
+    the unique orbit point that is anti-dominant on the given nodes, which is
+    minus the dominant point of the orbit of minus the weight."""
     nodes = node_set(rs, nodes)
-    x = _weight(rs, w)
-    while True:
-        for i in nodes:
-            if x[i - 1] > 0:
-                x = _reflect(rs, i, x)
-                break
-        else:
-            return x
+    return tuple(-a for a in _dominant(rs, tuple(-a for a in _weight(rs, w)), nodes))

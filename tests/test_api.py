@@ -99,7 +99,7 @@ BOUNDS = {
     "cone": {"VERTEX_CAP": 65536},
     "oracle": {"DEFAULT_DIM_CAP": 10**5, "DEFAULT_ROOT_CAP": 10**4,
                "DEFAULT_VERTEX_RANK_BOUND": 5, "_TABLES_PER_SYSTEM": 256},
-    "weyl": {"MAX_GROUP_ORDER": 10**6, "MAX_ORBIT": 10**6},
+    "weyl": {"MAX_ORBIT": 10**6},
 }
 
 # the fields of the public records, named tuples, in constructor order; a Vertex holds

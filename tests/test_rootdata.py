@@ -135,7 +135,8 @@ def test_no_reader_builds_the_dense_cartan():
 
 def test_a_node_set_is_read_once_by_the_group_order(monkeypatch):
     # components reads the node set, and parabolic_order and levi_factors classify its
-    # components; parabolic_average reads it for itself, its group order and its orbit
+    # components; parabolic_average reads it through orbit, which reads it once and then
+    # sizes the orbit by two group orders, of the nodes and of the dominant point's zeros
     d5, calls = root_system("D", 5), []
     average = parabolic_average(d5, (1, 0, 0, 0, 1), (1, 2, 5))
 

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import all_subsets, random_dominant, supported_types, systems
 from kostka import weyl
 from kostka import (fw_to_root_coords, is_connected, longest_element_image, orbit,
                     parabolic_average, parabolic_order, rho, root_system, simple_reflection,
-                    weyl_order)
+                    vertex, weyl_order)
 from kostka.errors import BudgetExceededError, InvariantError
 
 
@@ -95,16 +97,86 @@ def test_average_examples():
     assert parabolic_average(c2, (1, 0), (1, 2)) == (0, 0)
 
 
-def test_average_group_budget(monkeypatch):
-    # at the default bound, E7's 2903040-point orbit of rho is refused before it is built
+def test_average_orbit_budget(monkeypatch):
+    # at the default bound, E7's 2903040-point orbit of rho is refused before a point is built
     e7 = root_system("E", 7)
-    with pytest.raises(BudgetExceededError, match="^parabolic group order 2903040 "
-                                                  "exceeds max_group_order=1000000$"):
+    walked = []
+    monkeypatch.setattr(weyl, "_add_root", lambda *args: walked.append(args))
+    with pytest.raises(BudgetExceededError, match="^orbit exceeds max_orbit=1000000$"):
         parabolic_average(e7, rho(e7), e7.nodes())
+    assert walked == []
+    monkeypatch.undo()
     e6 = root_system("E", 6)
-    monkeypatch.setattr(weyl, "MAX_GROUP_ORDER", 1000)
+    monkeypatch.setattr(weyl, "MAX_ORBIT", 1000)
     with pytest.raises(BudgetExceededError):
         parabolic_average(e6, rho(e6), e6.nodes())
+
+
+def test_small_orbits_of_large_groups_are_averaged():
+    # the whole Weyl group of A9, D8 and E8 has more than 10^6 elements, but the orbits of
+    # 0, w1 and w8 have 1, 16 and 240 points; over every node, the average is the vertex
+    for letter, rank, i in (("A", 9, 0), ("D", 8, 1), ("E", 8, 8)):
+        rs = root_system(letter, rank)
+        w = tuple(int(j == i) for j in rs.nodes())
+        assert parabolic_order(rs, rs.nodes()) > weyl.MAX_ORBIT
+        assert parabolic_average(rs, w, rs.nodes()) == vertex(rs, w, rs.nodes()).point
+
+
+def test_orbit_over_the_bound_builds_no_point(monkeypatch):
+    # E8's orbit of rho is the whole group, 696729600 points: sized and refused up front
+    e8, walked = root_system("E", 8), []
+    monkeypatch.setattr(weyl, "_add_root", lambda *args: walked.append(args))
+    with pytest.raises(BudgetExceededError, match="^orbit exceeds max_orbit=1000000$"):
+        orbit(e8, rho(e8), e8.nodes())
+    assert walked == []
+
+
+def _closure(rs, w, nodes):
+    """The orbit of w under the reflections on `nodes`, each s_i x = x - x_i alpha_i read
+    from row i of the dense Cartan matrix and applied at every point, whatever the sign of
+    x_i: a reference that knows nothing of antidominant points or stabilisers."""
+    seen = {tuple(w)}
+    frontier = [tuple(w)]
+    while frontier:
+        grown = []
+        for x in frontier:
+            for i in nodes:
+                y = tuple(a - x[i - 1] * c for a, c in zip(x, rs.cartan[i - 1]))
+                if y not in seen:
+                    seen.add(y)
+                    grown.append(y)
+        frontier = grown
+    return seen
+
+
+@st.composite
+def _orbit_cases(draw):
+    """A system of rank at most 6, an integer weight in [-2, 2]^r and a node set whose
+    group has at most 10^4 elements, so that a draw walks at most 10^4 points."""
+    letter, r = draw(st.sampled_from(supported_types(6)))
+    rs = root_system(letter, r)
+    w = tuple(draw(st.integers(-2, 2)) for _ in range(r))
+    nodes = tuple(sorted(draw(st.sets(st.integers(1, r)))))
+    assume(parabolic_order(rs, nodes) <= 10**4)
+    return rs, w, nodes
+
+
+@settings(max_examples=100, deadline=None)
+@given(_orbit_cases())
+@example((root_system("A", 1), (0,), ()))
+@example((root_system("G", 2), (-1, 2), (1, 2)))
+@example((root_system("B", 3), (1, -2, 0), (1, 3)))
+# the whole groups of B6 and E6, at weights with a stabiliser and 1280 and 1080 points
+@example((root_system("B", 6), (1, -1, 2, -2, 1, 1), (1, 2, 3, 4, 5, 6)))
+@example((root_system("E", 6), (1, -1, 2, -2, 1, 1), (1, 2, 3, 4, 5, 6)))
+def test_orbit_is_the_closure_and_has_its_stabiliser_size(case):
+    rs, w, nodes = case
+    got = orbit(rs, w, nodes)
+    assert got == _closure(rs, w, nodes)
+    # the one point of the orbit that is anti-dominant on J, and its zeros J0 on J
+    (low,) = [x for x in got if all(x[i - 1] <= 0 for i in nodes)]
+    zeros = [i for i in nodes if low[i - 1] == 0]
+    assert len(got) == parabolic_order(rs, nodes) // parabolic_order(rs, zeros)
 
 
 def test_average_is_parabolic_invariant():
@@ -170,12 +242,12 @@ def test_longest_element_is_antidominant_orbit_point():
 
 
 def test_longest_element_sends_rho_to_minus_rho():
-    # w_0 rho = -rho in every type; the greedy walk enumerates no group, so no group bound
-    # applies, also where the Weyl group has far more than weyl.MAX_GROUP_ORDER elements
+    # w_0 rho = -rho in every type; the greedy walk enumerates no orbit, so no orbit bound
+    # applies, also where the orbit of rho has far more than weyl.MAX_ORBIT points
     for letter, r in supported_types(12):
         rs = root_system(letter, r)
         assert longest_element_image(rs, rho(rs), rs.nodes()) == tuple(-x for x in rho(rs)), rs
-    assert weyl_order("E", 8) > weyl.MAX_GROUP_ORDER
+    assert weyl_order("E", 8) > weyl.MAX_ORBIT
 
 
 def test_rho_plus_longest_rho_is_twice_average():
