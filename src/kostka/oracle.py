@@ -14,7 +14,8 @@ them, ``rootdata._root_walk``; its pairing vector under the invariant form
 (w, alpha_j) = d_j w_j, d the integer symmetrizer; its norm); the stabiliser orbits
 of the positive roots per zero node set, walked on that table's indices; and the
 Freudenthal table of each highest weight (up to a bound, the oldest dropped first)
-are built on first use and kept on the root system, as all derived from one is.
+are built on first use and kept on the root system, as all derived from one is.  A
+table walks to a dominant weight by ``rootdata._dominant`` and carries only the gap.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, prod
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import linalg
 from .cone import _require_dominant, cone_inequalities
 from .errors import CapExceededError, InvariantError, NotInRootLatticeError, RankBoundExceededError
-from .rootdata import (RootSystem, _add_root, _levi_solve, _per_system, _positive_root_count,
+from .rootdata import (RootSystem, _dominant, _levi_solve, _per_system, _positive_root_count,
                        _root_walk, _weight, is_dominant, symmetrizer)
 
 # the bounds, read on each call: the highest rank brute_force_vertices takes, the
@@ -205,10 +206,10 @@ class FreudenthalTable:
     f(-alpha) = f(alpha) on Phi_J, so one string per orbit of `_root_orbits`
     counts for the whole orbit, its norms and pairings closed forms in k.
 
-    Every norm is read through the simple-root coefficients c of lam - nu as
-    (lam - nu, w) = sum_j c_j d_j w_j (``_root_table``'s d), in the two values the
-    recursion needs at nu, gap = (lam, lam) - (nu, nu) and h = (lam - nu, rho), taken
-    from the one solve for lam - mu and moved along root strings and reflections.
+    At nu the recursion divides by gap + 2 (lam - nu, rho), gap = (lam, lam) - (nu, nu).
+    Only the W-invariant gap is carried, read from the one solve for lam - mu's simple-root
+    coefficients c as sum_j c_j d_j (lam + mu)_j (``_root_table``'s d) and moved along root
+    strings; 2 (lam - nu, rho) = R . (lam - nu), R_j = sum_beta d_j beta_j, is read at nu.
 
     Memoises over dominant representatives.  ``_table`` keeps one per highest
     weight on its root system, shared by the requests of one thread; its memo
@@ -221,22 +222,9 @@ class FreudenthalTable:
         self.dim = weyl_dim(rs, self.lam)  # refuses a non-dominant lam, then the root cap
         if self.dim > DEFAULT_DIM_CAP:
             raise CapExceededError(f"dim {self.dim} exceeds the cap {DEFAULT_DIM_CAP}")
-        self._d = _root_table(rs)[0]
+        self._d, _, paired, *_ = _root_table(rs)
+        self._rho2 = tuple(map(sum, zip(*paired)))  # R, the column sums: R . w = (w, 2 rho)
         self._memo: dict[tuple, int] = {self.lam: 1}
-
-    def _dominant_rep(self, w, h: int) -> tuple[tuple, int]:
-        # reflect in the first simple root w pairs negatively with, s_i w = w - w_i alpha_i
-        # (rootdata._add_root), so h = (lam - w, rho) gains (w_i alpha_i, rho) = w_i d_i; gap
-        # is W-invariant
-        d, w = self._d, list(w)
-        while True:
-            for i, v in enumerate(w, 1):
-                if v < 0:
-                    _add_root(self.rs, w, i, -v)
-                    h += v * d[i - 1]
-                    break
-            else:
-                return tuple(w), h
 
     def multiplicity(self, mu) -> int:
         """Dimension of the weight space at mu (zero off the root-lattice coset)."""
@@ -246,26 +234,26 @@ class FreudenthalTable:
 
     def _mult(self, w, c: list[int]) -> int:
         # m(w) from c, lam - w's simple-root coefficients, read only if w's dominant
-        # representative nu is new: h = sum_j c_j d_j (rho is all ones) plus nu's shift
-        nu, shift = self._dominant_rep(w, 0)
+        # representative nu is new
+        nu = tuple(_dominant(self.rs, list(w), self.rs.nodes()))
         if nu in self._memo:
             return self._memo[nu]
-        cd = tuple(map(mul, c, self._d))
-        return self._dominant_mult(nu, sum(cd) + shift, sum(map(mul, cd, map(add, self.lam, w))))
+        return self._dominant_mult(nu, sum(map(mul, map(mul, c, self._d), map(add, self.lam, w))))
 
-    def _dominant_mult(self, nu: tuple, h: int, gap: int) -> int:
+    def _dominant_mult(self, nu: tuple, gap: int) -> int:
         memo = self._memo
         cached = memo.get(nu)
         if cached is not None:
             return cached
-        den = gap + 2 * h  # (lam + rho)^2 - (nu + rho)^2
+        den = gap + sum(map(mul, self._rho2, map(sub, self.lam, nu)))  # (lam+rho)^2 - (nu+rho)^2
         if den <= 0:
             memo[nu] = 0
             return 0
         zeros = tuple(i for i, x in enumerate(nu) if not x)  # J: W_J fixes nu
+        nodes = self.rs.nodes()
         total = 0
         for _, alpha_fw, size, aa, paired in _root_orbits(self.rs, zeros):
-            na, ra = sum(map(mul, nu, paired)), sum(paired)
+            na = sum(map(mul, nu, paired))
             string, k, xi = 0, 1, nu
             while True:
                 # xi = nu + k alpha: (xi, alpha) = (nu, alpha) + k (alpha, alpha), and (xi, xi)
@@ -279,7 +267,7 @@ class FreudenthalTable:
                 xi = tuple(map(add, xi, alpha_fw))
                 m = memo.get(xi)  # a dominant xi may be known: no reflection then
                 if m is None:
-                    m = self._dominant_mult(*self._dominant_rep(xi, h - k * ra), gap - rise)
+                    m = self._dominant_mult(tuple(_dominant(self.rs, list(xi), nodes)), gap - rise)
                 if m:
                     string += m * (na + k * aa)
                 k += 1

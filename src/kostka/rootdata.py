@@ -19,10 +19,11 @@ simple-root coefficients on a Levi, one solve on the forest (``_levi_solve``); t
 whole diagram's is walked once per system and kept (``_diagram_forest``), for every
 solve on every node and for the symmetrizer.  A weight is moved by a multiple of a
 simple root in one Cartan-row step, ``_add_root``, for the positive roots (``_root_walk``),
-``root_coords_to_fw``, the Weyl reflections and orbits, the Freudenthal oracle's dominant
-representatives and the rays' mu = w_i - C^T c.  A Levi's Cartan block is inverted,
-for the rays, by one shape-keyed routine, ``_levi_inverse``; ``_cartan_block`` lays out
-a block only for it or for a caller that reads ``cartan`` or ``sub_cartan``.
+``root_coords_to_fw``, the Weyl reflections and orbits, the rays' mu = w_i - C^T c and the
+one greedy chamber walk, ``_dominant``: the Weyl orbits, the longest element and the
+oracle's dominant representatives.  A Levi's Cartan block is inverted, for the rays, by
+one shape-keyed routine, ``_levi_inverse``; ``_cartan_block`` lays out a block only for
+it or for a caller that reads ``cartan`` or ``sub_cartan``.
 No other module reads the Dynkin edge table: they read ``RootSystem.neighbors``.
 ``root_system`` caches the root systems; what is derived from one is built on first use
 and kept on it: the dense ``cartan`` and what ``_per_system`` keeps in ``_memo``.
@@ -365,12 +366,26 @@ def root_coords_to_fw(rs: RootSystem, c) -> tuple:
 def _add_root(rs: RootSystem, fw: list, j: int, x) -> list:
     # fw + x alpha_j in place, in fw coordinates: row j of the Cartan matrix is 2 at j and
     # nonzero only at j's neighbours.  The one row step: every move of a weight by a simple
-    # root is made here (_root_walk, root_coords_to_fw, weyl._reflect, weyl.orbit,
-    # FreudenthalTable._dominant_rep, cone.rays_for_node)
+    # root is made here (_root_walk, root_coords_to_fw, _dominant, weyl.simple_reflection,
+    # weyl.orbit, cone.rays_for_node)
     fw[j - 1] += 2 * x
     for k, a, _ in rs._entries[j]:
         fw[k - 1] += x * a
     return fw
+
+
+def _dominant(rs: RootSystem, w: list, nodes) -> list:
+    # w in place to its W_J-orbit point dominant on J, the nodes given: s_i w = w - w_i alpha_i
+    # at the first i of J where w_i < 0.  Each step leaves one positive root of J fewer
+    # pairing negatively with w, so there are at most |Phi^+_J|
+    while True:
+        for i in nodes:
+            c = w[i - 1]
+            if c < 0:
+                _add_root(rs, w, i, -c)
+                break
+        else:
+            return w
 
 
 def is_connected(rs: RootSystem, nodes) -> bool:

@@ -436,14 +436,21 @@ def test_the_forest_walk_has_its_three_readers():
 
 
 def test_the_row_step_has_its_readers():
-    # a weight is moved by a simple root only in _add_root: the reflections, the orbits, the
-    # oracle's dominant representatives and the rays' mu keep no copy of a Cartan row, and
-    # weyl and oracle read no Dynkin edge table
+    # a weight is moved by a simple root only in _add_root: the chamber walk, the
+    # reflections, the orbits and the rays' mu keep no copy of a Cartan row, and weyl and
+    # oracle read no Dynkin edge table
     assert _readers("_add_root") == {"_add_root": {
-        "rootdata.root_coords_to_fw", "rootdata._root_walk", "weyl._reflect", "weyl.orbit",
-        "oracle._dominant_rep", "cone.rays_for_node"}}
+        "rootdata.root_coords_to_fw", "rootdata._root_walk", "rootdata._dominant",
+        "weyl.simple_reflection", "weyl.orbit", "cone.rays_for_node"}}
     assert not {where for where in _readers("_entries")["_entries"]
                 if where.split(".")[0] in ("weyl", "oracle")}
+    # rootdata._dominant is the one greedy chamber walk: the orbits, the longest element and
+    # the oracle's dominant representatives keep no copy of it
+    assert not hasattr(kostka.oracle.FreudenthalTable, "_dominant_rep")
+    assert kostka.weyl._dominant is kostka.rootdata._dominant
+    assert not hasattr(kostka.weyl, "_reflect")
+    assert _readers("_dominant") == {"_dominant": {
+        "weyl.orbit", "weyl.longest_element_image", "oracle._mult", "oracle._dominant_mult"}}
 
 
 def test_special_cases_read_their_general_entry():

@@ -615,10 +615,10 @@ def test_multiplicity_matches_kostants_formula():
 
 
 def test_coefficients_follow_the_reflections_from_a_cold_memo():
-    # h = (lam - w, rho) = sum_j c_j d_j, c being lam - w's simple-root coefficients, moves
-    # with w to its dominant representative nu and arrives as lam - nu's; and a fresh table
-    # gives the multiplicity at s_i mu that another fresh table gives at mu, for w1, w_r and
-    # w1 + w_r (2 w1 at rank 1) of every type up to rank 4 and E6, mu being lam, 0 or a
+    # the chamber walk takes w = s_i mu back to mu, and R . (lam - mu) = 2 (lam - mu, rho),
+    # (lam - mu, rho) = sum_j c_j d_j for c lam - mu's simple-root coefficients; and a fresh
+    # table gives the multiplicity at s_i mu that another fresh table gives at mu, for w1, w_r
+    # and w1 + w_r (2 w1 at rank 1) of every type up to rank 4 and E6, mu being lam, 0 or a
     # fundamental weight
     cases = 0
     for rs in systems(4) + [root_system("E", 6)]:
@@ -628,21 +628,22 @@ def test_coefficients_follow_the_reflections_from_a_cold_memo():
             lam = tuple(ends.count(i) for i in range(1, r + 1))
             fws = [fundamental_weight(rs, i) for i in rs.nodes()]
             for mu in dict.fromkeys([lam, (0,) * r, *fws]):
-                m = FreudenthalTable(rs, lam).multiplicity(mu)
+                table = FreudenthalTable(rs, lam)
+                m = table.multiplicity(mu)
+                assert sum(map(mul, table._rho2, map(sub, lam, mu))) == 2 * height(lam, mu)
                 for i in rs.nodes():
                     w = simple_reflection(rs, i, mu)
-                    nu, h = FreudenthalTable(rs, lam)._dominant_rep(w, height(lam, w))
-                    assert min(nu) >= 0 and h == height(lam, nu), (rs, lam, mu, i)
+                    assert tuple(rootdata._dominant(rs, list(w), rs.nodes())) == mu, (rs, mu, i)
                     assert FreudenthalTable(rs, lam).multiplicity(w) == m, (rs, lam, mu, i)
                     cases += 1
     assert cases == 654  # distinct (lam, mu, i)
-    # along a string h moves by -k (alpha, rho): with 4 w1 dropped from the memo of A1 at
-    # 6 w1, the string of 0 (h = 3, gap = (6 w1, 6 w1) = 18) meets it at k = 2, with h = 3 - 2
+    # along a string only gap moves: with 4 w1 dropped from the memo of A1 at 6 w1, the
+    # string of 0 (gap = (6 w1, 6 w1) = 18) meets it at k = 2
     a1 = root_system("A", 1)
     full, table = FreudenthalTable(a1, (6,)), FreudenthalTable(a1, (6,))
     assert full.multiplicity((0,)) == 1 and set(full._memo) == {(6,), (4,), (2,), (0,)}
     table._memo[2,] = 1
-    assert table._dominant_mult((0,), 3, 18) == 1 and table._memo[4,] == 1
+    assert table._dominant_mult((0,), 18) == 1 and table._memo[4,] == 1
 
 
 def test_the_oracle_reads_no_dense_inverse(solve_calls):

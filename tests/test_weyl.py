@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from operator import add
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -225,6 +226,7 @@ def test_average_agrees_with_direct_group_enumeration():
 def test_longest_element_examples():
     a1 = root_system("A", 1)
     assert longest_element_image(a1, (1,), (1,)) == (-1,)
+    assert longest_element_image(a1, (-1,), (1,)) == (1,)
     c2 = root_system("C", 2)
     assert longest_element_image(c2, (1, 1), (1, 2)) == (-1, -1)
     a2 = root_system("A", 2)
@@ -248,6 +250,43 @@ def test_longest_element_sends_rho_to_minus_rho():
         rs = root_system(letter, r)
         assert longest_element_image(rs, rho(rs), rs.nodes()) == tuple(-x for x in rho(rs)), rs
     assert weyl_order("E", 8) > weyl.MAX_ORBIT
+
+
+def _longest_reference(rs, w, nodes):
+    """w0 w for w0 the longest element of the parabolic subgroup of `nodes`: the J-regular
+    point sum of the nodes' fundamental weights is walked down to its anti-dominant point,
+    and w is reflected at each step, s_i x = x - x_i alpha_i read from row i of the dense
+    Cartan matrix.  The element that makes a J-regular point anti-dominant is w0."""
+    def reflect(i, x):
+        return tuple(a - x[i - 1] * c for a, c in zip(x, rs.cartan[i - 1]))
+
+    x = tuple(int(j in nodes) for j in rs.nodes())
+    while (up := [i for i in nodes if x[i - 1] > 0]):
+        x, w = reflect(up[0], x), reflect(up[0], w)
+    return w
+
+
+@st.composite
+def _longest_cases(draw):
+    """A system of rank at most 6, two integer weights in [-3, 3]^r and a node set."""
+    letter, r = draw(st.sampled_from(supported_types(6)))
+    weight = st.tuples(*[st.integers(-3, 3)] * r)
+    return (root_system(letter, r), draw(weight), draw(weight),
+            tuple(sorted(draw(st.sets(st.integers(1, r))))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_longest_cases())
+@example((root_system("A", 1), (-1,), (0,), (1,)))
+def test_longest_element_is_linear_involution_w0(case):
+    # also on weights that are not dominant on the nodes: w0 is linear, not the map to the
+    # anti-dominant orbit point
+    rs, w, v, nodes = case
+    img = longest_element_image(rs, w, nodes)
+    assert img == _longest_reference(rs, w, nodes)
+    assert longest_element_image(rs, img, nodes) == w
+    assert longest_element_image(rs, tuple(map(add, w, v)), nodes) == tuple(
+        map(add, img, longest_element_image(rs, v, nodes)))
 
 
 def test_rho_plus_longest_rho_is_twice_average():
